@@ -12,10 +12,7 @@ from .em import (
     ANNULUS_GUARD,
     DetectorDirection,
     IncidentWave,
-    MomentumPoint,
-    exp_izH0,
     free_hamiltonian,
-    incident_state,
     projector,
     varpi,
     xi_contract,
@@ -29,9 +26,6 @@ from .medium import (
     SupportReport,
     TransverseBox,
     bounds_check,
-    eval_eta,
-    fourier_eta_2d,
-    fourier_eta_3d,
     profile_from_dict,
     profile_to_dict,
     rotate_to_x,
@@ -55,7 +49,6 @@ from .born import (
 from .sampled import SampledProfile, sample_profile
 from .transfer import (
     MomentumGrid,
-    load_kernel_dump,
     TransferKernel,
     TSolution,
     amplitude_from_T,
@@ -79,7 +72,6 @@ __all__ = [
     "MAGNETIC_SIGN",
     "MediumProfile",
     "MomentumGrid",
-    "MomentumPoint",
     "OverlapRegion",
     "QuadratureSpec",
     "RationalEnvelopeProfile",
@@ -94,18 +86,12 @@ __all__ = [
     "build_momentum_grid",
     "deltaH_block",
     "dyson_second_order_norm",
-    "eval_eta",
-    "exp_izH0",
     "fibonacci_hemisphere",
     "first_born_amplitude",
     "firstorder_kernel",
-    "fourier_eta_2d",
-    "fourier_eta_3d",
     "free_hamiltonian",
     "identity_id101_residual",
-    "incident_state",
     "invisibility_report",
-    "load_kernel_dump",
     "profile_from_dict",
     "profile_to_dict",
     "projector",

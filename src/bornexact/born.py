@@ -14,7 +14,6 @@ unmodulated Gaussian control supplies the nonzero contrast baseline.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import json
@@ -150,9 +149,8 @@ def _chain_numerator(profile, w, d, pts):
     ks = d.k_s(k)
     ki = w.k_i
     ei, hi = w.e_i, w.h_i
-    scalar = getattr(profile, "isotropic_nonmagnetic", False)
-    if scalar:
-        e_in = profile.scalar_eta3(pts - ki)
+    e_in = profile.scalar_eta3(pts - ki)
+    if e_in is not None:
         e_out = profile.scalar_eta3(ks - pts)
         A = (k * k) * e_in[..., None] * ei
         pA = np.einsum("...i,...i->...", pts, A)
@@ -326,7 +324,6 @@ def invisibility_report(
     order: int = 1,
     quad: QuadratureSpec | None = None,
     tol_factor: float = 1e-8,
-    threads: int = 1,
 ) -> InvisibilityReport:
     """Scan incident/detector pairs and both polarizations for scattering.
 
@@ -337,31 +334,15 @@ def invisibility_report(
     bound = tol_factor * profile.eta3_peak() * k * k / (4 * np.pi)
     max_f1 = 0.0
     max_f2 = 0.0 if order >= 2 else None
-
-    def one(args):
-        (th0, ph0), d = args
-        vals = []
+    for (th0, ph0), d in pairs:
         for chi in (0.0, np.pi / 2):
             wave = IncidentWave.linear(k, th0, ph0, chi)
-            f1 = np.linalg.norm(first_born_amplitude(profile, wave, d))
-            f2 = (
-                np.linalg.norm(second_born_amplitude(profile, wave, d, quad))
-                if order >= 2
-                else 0.0
-            )
-            vals.append((f1, f2))
-        return vals
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, pairs))
-    else:
-        results = [one(p) for p in pairs]
-    for vals in results:
-        for f1, f2 in vals:
-            max_f1 = max(max_f1, f1)
+            max_f1 = max(max_f1, np.linalg.norm(first_born_amplitude(profile, wave, d)))
             if order >= 2:
-                max_f2 = max(max_f2, f2)
+                max_f2 = max(
+                    max_f2,
+                    np.linalg.norm(second_born_amplitude(profile, wave, d, quad)),
+                )
     verdict = "invisible" if max_f1 <= bound else "visible"
     return InvisibilityReport(
         k=k, max_f1=max_f1, max_f2=max_f2, bound=bound, n_pairs=len(pairs),

@@ -1,9 +1,10 @@
 """Command-line orchestration: verification suites and plot-ready exports.
 
-Commands (all take --config PATH):
+Commands (all take --config PATH, --out DIR and --seed N):
 
     verify    run the selected verification suites, emit a JSON report
-    born      first (and optionally second) Born amplitudes over directions
+              (--expect-compliant asserts the compliance-dependent bounds)
+    born      first (and with --order 2 second) Born amplitudes over directions
     profile   permittivity scan along x through the footprint center
     transfer  transfer-pipeline amplitudes over the same direction set
     sweep     invisibility metrics over a list of wavenumbers
@@ -253,32 +254,23 @@ def _suite_invisibility(cfg: RunConfig, expect_compliant: bool):
     return out
 
 
-def _suite_exactness(cfg: RunConfig, expect_compliant: bool, threads: int):
-    from concurrent.futures import ThreadPoolExecutor
-
+def _suite_exactness(cfg: RunConfig, expect_compliant: bool):
     w = cfg.incident_wave()
-    dirs = [d for d in cfg.detector_set()[:8]]
+    dirs = cfg.detector_set()[:8]
     max_f1 = max(
         np.linalg.norm(born_mod.first_born_amplitude(cfg.medium, w, d)) for d in dirs
     )
-
-    def f2_norm(d):
-        return np.linalg.norm(
-            born_mod.second_born_amplitude(cfg.medium, w, d, cfg.quad)
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            max_f2 = max(pool.map(f2_norm, dirs))
-    else:
-        max_f2 = max(f2_norm(d) for d in dirs)
+    max_f2 = max(
+        np.linalg.norm(born_mod.second_born_amplitude(cfg.medium, w, d, cfg.quad))
+        for d in dirs
+    )
     ratio = max_f2 / max(max_f1, 1e-300)
     tol = cfg.tolerances["exactness_ratio"]
     ok = (ratio <= tol) if expect_compliant else True
     return {"pass": bool(ok), "metric": float(ratio), "tolerance": tol}
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path, expect_compliant: bool, threads: int):
+def cmd_verify(cfg: RunConfig, out_dir: Path, expect_compliant: bool):
     report = {}
     for suite in cfg.suites:
         if suite == "projector_algebra":
@@ -294,7 +286,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, expect_compliant: bool, threads: i
         elif suite == "invisibility":
             report[suite] = _suite_invisibility(cfg, expect_compliant)
         elif suite == "exactness":
-            report[suite] = _suite_exactness(cfg, expect_compliant, threads)
+            report[suite] = _suite_exactness(cfg, expect_compliant)
         else:
             raise ConfigError(f"unknown suite {suite!r}")
     _write_json(out_dir / "verify.json", report)
@@ -317,7 +309,7 @@ def _rescaled_map(amap, alpha_scale: float):
     return born_mod.AmplitudeMap(entries, amap.incident, amap.order, amap.tolerances)
 
 
-def cmd_born(cfg: RunConfig, out_dir: Path, order: int, alpha_scale: float, threads: int):
+def cmd_born(cfg: RunConfig, out_dir: Path, order: int, alpha_scale: float):
     w = cfg.incident_wave()
     dirs = cfg.detector_set()
     tolctx = {"quadrature": cfg.quad.__dict__, "n_disk": cfg.n_disk}
@@ -413,13 +405,11 @@ def cmd_transfer(cfg: RunConfig, out_dir: Path, alpha_scale: float):
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: Path, alpha_scale: float, threads: int):
+def cmd_sweep(cfg: RunConfig, out_dir: Path, alpha_scale: float):
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for k in cfg.sweep_ks:
-        rep = born_mod.invisibility_report(
-            cfg.medium, k, n_pairs=min(cfg.n_pairs, 32), threads=threads
-        )
+        rep = born_mod.invisibility_report(cfg.medium, k, n_pairs=min(cfg.n_pairs, 32))
         rows.append((k, rep.max_f1, rep.bound, rep.verdict))
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("k,max_f1,bound,verdict\n")
@@ -440,12 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--order", type=int, choices=(1, 2), default=1)
-        p.add_argument("--expect-compliant", action="store_true")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--alpha", type=float, default=1.0,
-                       help="rescale emitted lengths/wavenumbers (output only)")
+        if name == "verify":
+            p.add_argument("--expect-compliant", action="store_true")
+        else:
+            p.add_argument("--alpha", type=float, default=1.0,
+                           help="rescale emitted lengths/wavenumbers (output only)")
+        if name == "born":
+            p.add_argument("--order", type=int, choices=(1, 2), default=1)
     return ap
 
 
@@ -457,15 +449,15 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         out_dir = Path(args.out)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, args.expect_compliant, args.threads)
+            return cmd_verify(cfg, out_dir, args.expect_compliant)
         if args.command == "born":
-            return cmd_born(cfg, out_dir, args.order, args.alpha, args.threads)
+            return cmd_born(cfg, out_dir, args.order, args.alpha)
         if args.command == "profile":
             return cmd_profile(cfg, out_dir, args.alpha)
         if args.command == "transfer":
             return cmd_transfer(cfg, out_dir, args.alpha)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.alpha, args.threads)
+            return cmd_sweep(cfg, out_dir, args.alpha)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -30,12 +30,8 @@ from .errors import (
 # integral this package evaluates.
 ANNULUS_GUARD = 1e-3
 
+# The 2x2 matrix [[0, -i], [i, 0]] used throughout the kernel algebra.
 _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
-
-def sigma2() -> np.ndarray:
-    """The 2x2 matrix [[0, -i], [i, 0]] used throughout the kernel algebra."""
-    return _SIGMA2.copy()
 
 
 def varpi(p, k: float, eps_ann: float = ANNULUS_GUARD):
@@ -97,33 +93,6 @@ def projector(j: int, p, k: float, eps_ann: float = ANNULUS_GUARD):
     eye = np.broadcast_to(np.eye(4, dtype=complex), H.shape)
     sign = (-1.0) ** j
     return 0.5 * (eye + sign * H / np.asarray(w)[..., None, None])
-
-
-def exp_izH0(z, p, k: float, eps_ann: float = ANNULUS_GUARD):
-    """exp(i z H0(p)) = exp(-i z varpi) Pi_1(p) + exp(+i z varpi) Pi_2(p)."""
-    w = np.asarray(varpi(p, k, eps_ann))
-    z = np.asarray(z)
-    P1 = projector(1, p, k, eps_ann)
-    P2 = projector(2, p, k, eps_ann)
-    return (
-        np.exp(-1j * z * w)[..., None, None] * P1
-        + np.exp(1j * z * w)[..., None, None] * P2
-    )
-
-
-@dataclass(frozen=True)
-class MomentumPoint:
-    """A transverse momentum sample with its longitudinal data."""
-
-    p: np.ndarray
-    varpi: complex
-    in_disk: bool
-
-    @classmethod
-    def at(cls, p, k: float, eps_ann: float = ANNULUS_GUARD):
-        p = np.asarray(p, dtype=float)
-        return cls(p=p, varpi=complex(varpi(p, k, eps_ann)),
-                   in_disk=bool(np.linalg.norm(p) < k))
 
 
 @dataclass(frozen=True)
@@ -222,15 +191,6 @@ class DetectorDirection:
     def vec_k_s(self, k: float) -> np.ndarray:
         """Transverse part of the scattered wave vector."""
         return self.k_s(k)[:2]
-
-
-def incident_state(w: IncidentWave) -> np.ndarray:
-    """4-component state Upsilon_i of the incident wave.
-
-    Satisfies Pi_1(vec k_i) Upsilon = Upsilon for left incidence and
-    Pi_2(vec k_i) Upsilon = Upsilon for right incidence.
-    """
-    return w.upsilon
 
 
 def xi_matrix(d: DetectorDirection) -> np.ndarray:

@@ -33,10 +33,6 @@ class BoundsViolated(BornexactError):
     """Permittivity/permeability 33-component bounds (positive real part) fail."""
 
 
-class SingularSystem(BornexactError):
-    """Dense linear system for the scattering amplitudes is numerically singular."""
-
-
 class IncidenceOutsideDisk(BornexactError):
     """Transverse incident momentum is not strictly inside the propagating disk."""
 

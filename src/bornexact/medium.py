@@ -22,7 +22,6 @@ control in all contrast baselines.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,8 +32,10 @@ from .errors import BoundsViolated, ConfigError, WindowTooSmall
 _EYE3 = np.eye(3)
 
 # Reciprocal-symbol Neumann series is truncated when the geometric tail bound
-# |eta|_inf^(N+1) / (1 - |eta|_inf) drops below this.
+# |eta|_inf^(N+1) / (1 - |eta|_inf) drops below this, within at most
+# _RECIP_MAX_TERMS terms.
 _RECIP_TAIL_TOL = 1e-14
+_RECIP_MAX_TERMS = 64
 
 
 def _sinc(z):
@@ -92,7 +93,6 @@ class MediumProfile:
 
     alpha: float | None = None
     slab: tuple[float, float] = (0.0, 0.0)
-    isotropic_nonmagnetic = False
 
     # -- position space -------------------------------------------------
     def eval_eta(self, r):
@@ -104,6 +104,14 @@ class MediumProfile:
 
     def eta3_tensors(self, q3):
         raise NotImplementedError
+
+    def scalar_eta3(self, q3):
+        """Scalar s with eta_eps~ = s I and eta_mu~ = 0 at q3, or None.
+
+        None means the profile has no isotropic nonmagnetic scalar form;
+        callers then use eta3_tensors.
+        """
+        return None
 
     def recip33_ft2(self, p2, z, which: str):
         raise NotImplementedError
@@ -133,8 +141,6 @@ class MediumProfile:
 
 class _EnvelopeProfile(MediumProfile):
     """Shared machinery of the separable isotropic nonmagnetic families."""
-
-    isotropic_nonmagnetic = True
 
     def __init__(self, alpha, a, footprint: TransverseBox, slab=None):
         if a <= 0:
@@ -204,9 +210,12 @@ class _EnvelopeProfile(MediumProfile):
             raise BoundsViolated(f"|eta| reaches {b:.3g} >= 1; reciprocal series diverges")
         n = 1
         while b ** (n + 1) / (1.0 - b) > _RECIP_TAIL_TOL:
+            if n == _RECIP_MAX_TERMS:
+                raise BoundsViolated(
+                    f"|eta| = {b:.3g}: reciprocal series tail bound after "
+                    f"{n} terms is {b ** (n + 1) / (1.0 - b):.2e} > {_RECIP_TAIL_TOL:g}"
+                )
             n += 1
-            if n > 64:
-                break
         return n
 
     def _recip_ft_x(self, K):
@@ -426,7 +435,6 @@ class RotatedProfile(MediumProfile):
         self.phi = float(phi)
         self.alpha = base.alpha
         self.slab = base.slab
-        self.isotropic_nonmagnetic = base.isotropic_nonmagnetic
         c, s = np.cos(self.phi), np.sin(self.phi)
         # rotation taking old coordinates to new: new = R old
         self._R3 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -448,25 +456,25 @@ class RotatedProfile(MediumProfile):
         R = self._R3
         return R @ ee @ R.T, R @ em @ R.T
 
-    def eta3_tensors(self, q3):
+    def _back3(self, q3):
         q3 = np.asarray(q3)
-        q_old = np.concatenate(
-            [self._back2(np.real(q3[..., :2])), q3[..., 2:]], axis=-1
-        )
-        ee, em = self.base.eta3_tensors(q_old)
+        return np.concatenate([self._back2(np.real(q3[..., :2])), q3[..., 2:]], axis=-1)
+
+    def eta3_tensors(self, q3):
+        ee, em = self.base.eta3_tensors(self._back3(q3))
         R = self._R3
         return R @ ee @ R.T, R @ em @ R.T
+
+    def scalar_eta3(self, q3):
+        # an isotropic scalar is invariant under z-rotations
+        return self.base.scalar_eta3(self._back3(q3))
 
     def recip33_ft2(self, p2, z, which):
         # 33-component is invariant under z-rotations
         return self.base.recip33_ft2(self._back2(p2), z, which)
 
     def recip33_ft3(self, q3, which):
-        q3 = np.asarray(q3)
-        q_old = np.concatenate(
-            [self._back2(np.real(q3[..., :2])), q3[..., 2:]], axis=-1
-        )
-        return self.base.recip33_ft3(q_old, which)
+        return self.base.recip33_ft3(self._back3(q3), which)
 
     def scaled(self, sigma):
         return RotatedProfile(self.base.scaled(sigma), self.phi)
@@ -495,25 +503,6 @@ def rotate_to_x(profile: MediumProfile, e) -> MediumProfile:
     if abs(phi) < 1e-15:
         return profile
     return RotatedProfile(profile, -phi)
-
-
-# ---------------------------------------------------------------------------
-# module-level operation wrappers
-
-
-def eval_eta(profile: MediumProfile, r):
-    """(eta_eps(r), eta_mu(r)) as 3x3 tensors; r may be batched (..., 3)."""
-    return profile.eval_eta(r)
-
-
-def fourier_eta_2d(profile: MediumProfile, p, z):
-    """2D transverse Fourier transforms (eta_eps~, eta_mu~) at (p, z)."""
-    return profile.eta2_tensors(p, z)
-
-
-def fourier_eta_3d(profile: MediumProfile, q):
-    """Full 3D Fourier transforms at q = (qx, qy, qz); qz may be complex."""
-    return profile.eta3_tensors(q)
 
 
 @dataclass(frozen=True)
@@ -596,32 +585,27 @@ def support_report(
 
     peak = 0.0
     leak = 0.0
-    separable = profile.isotropic_nonmagnetic and hasattr(profile, "envelope_x")
+    separable = isinstance(profile, _EnvelopeProfile)
     env_x = profile.envelope_x(x)[:, None] if separable else None
-    for icomp in range(2):  # eps then mu
-        # evaluate component-wise over z-chunks to bound memory
-        for z_idx in range(nz):
-            if separable:
-                comps = (env_x * profile.footprint.value(y[None, :], zs[z_idx]))[
-                    ..., None
-                ]
-            else:
-                pts = np.stack(
-                    np.broadcast_arrays(x[:, None], y[None, :], zs[z_idx]), axis=-1
-                )
-                ee, em = profile.eval_eta(pts.reshape(-1, 3))
-                ten = (ee if icomp == 0 else em).reshape(nx, ny, 3, 3)
-                if not np.any(ten):
-                    continue
-                comps = ten.reshape(nx, ny, 9)
+    # one z-slice at a time to bound memory
+    for z_idx in range(nz):
+        if separable:
+            # scalar eta_eps only: eta_mu = 0 for the envelope families
+            slices = [(env_x * profile.footprint.value(y[None, :], zs[z_idx]))[..., None]]
+        else:
+            pts = np.stack(np.broadcast_arrays(x[:, None], y[None, :], zs[z_idx]), axis=-1)
+            slices = [
+                ten.reshape(nx, ny, 9)
+                for ten in profile.eval_eta(pts.reshape(-1, 3))
+                if np.any(ten)
+            ]
+        for comps in slices:
             p, F = _tapered_line_ft(comps, x, sigma_w)
             mag = np.abs(F)
             peak = max(peak, float(mag.max()))
             scan = p <= alpha - margin
             if np.any(scan):
                 leak = max(leak, float(mag[scan].max()))
-        if profile.isotropic_nonmagnetic:
-            break  # eta_mu = 0 identically for the built-in families
 
     max_leak = 0.0 if peak == 0.0 else leak / peak
     # position-space edge criterion
@@ -767,11 +751,6 @@ def profile_to_dict(profile: MediumProfile) -> dict:
     if isinstance(profile, RationalEnvelopeProfile):
         out["m_exp"] = profile.m_exp
     return out
-
-
-def load_profile(path) -> MediumProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return profile_from_dict(json.load(fh))
 
 
 def reference_medium() -> RationalEnvelopeProfile:

@@ -88,8 +88,6 @@ def _interp_axis(coords, x0, dx, n):
 class SampledProfile(MediumProfile):
     """Tensor-valued medium ingested as a regular grid plus declared slab."""
 
-    isotropic_nonmagnetic = False
-
     def __init__(self, eta_eps, eta_mu, origin, spacing, alpha=None, slab=None):
         self.ee = np.asarray(eta_eps, dtype=complex)
         nx, ny, nz = self.ee.shape[:3]

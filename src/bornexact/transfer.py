@@ -10,12 +10,12 @@ support algebra, leaving the single z-integral kernel
 
 where B~ is the z-Fourier transform of the projected interaction kernel at
 frequency -w (equivalently the medium's 3D transform at q_z = w_jl's
-conjugate).  T_+/- then follow either from the compliant closed forms or
-from a dense solve of the T_- integral equation; the far-field amplitude is
-extracted with the Xi contraction.
+conjugate).  T_+/- then follow from the compliant closed forms
+t_+ = Pi_1 K(., k_i) Y and t_- = -Pi_2 K(., k_i) Y; the far-field amplitude
+is extracted with the Xi contraction.
 
 Nothing here assumes Hermiticity; the effective generator is generally
-non-Hermitian and all solvers are general-complex.
+non-Hermitian and all kernels are general-complex.
 """
 
 from __future__ import annotations
@@ -25,16 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import em
-from .em import ANNULUS_GUARD, DetectorDirection, IncidentWave, xi_contract
-from .errors import (
-    DirectionOnRim,
-    IncidenceOutsideDisk,
-    InvalidResolution,
-    SingularSystem,
-)
+from .em import _SIGMA2, ANNULUS_GUARD, DetectorDirection, IncidentWave, xi_contract
+from .errors import DirectionOnRim, IncidenceOutsideDisk, InvalidResolution
 from .medium import MediumProfile
-
-_SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 @dataclass
@@ -264,9 +257,6 @@ def firstorder_kernel(
     return -1j * out
 
 
-_KERNEL_MAGIC = b"BXKERN01"
-
-
 @dataclass
 class TransferKernel:
     """Materialized first-order kernel on the disk grid."""
@@ -282,42 +272,6 @@ class TransferKernel:
     @property
     def norm_max(self) -> float:
         return float(np.abs(self.K).max())
-
-    def weighted_matrix(self) -> np.ndarray:
-        """Dense (4 Nd, 4 Nd) matrix of (M - pi) with weights folded in."""
-        Nd = self.grid.n_disk_points
-        Kw = self.K * self.grid.disk_weights[None, :, None, None]
-        return Kw.transpose(0, 2, 1, 3).reshape(4 * Nd, 4 * Nd)
-
-    def dump(self, path):
-        """Debug export: header, (p, weight) tables, then raw 4x4 blocks."""
-        import struct
-
-        Nd = self.grid.n_disk_points
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<8sqdd", _KERNEL_MAGIC, Nd, self.k,
-                                 self.grid.eps_ann))
-            fh.write(self.grid.disk_points.astype("<f8").tobytes())
-            fh.write(self.grid.disk_weights.astype("<f8").tobytes())
-            buf = np.empty(self.K.shape + (2,), dtype="<f8")
-            buf[..., 0], buf[..., 1] = self.K.real, self.K.imag
-            fh.write(buf.tobytes())
-
-
-def load_kernel_dump(path):
-    """Read back a kernel dump: (k, eps_ann, points, weights, blocks)."""
-    import struct
-
-    head = struct.Struct("<8sqdd")
-    with open(path, "rb") as fh:
-        magic, Nd, k, eps_ann = head.unpack(fh.read(head.size))
-        if magic != _KERNEL_MAGIC:
-            raise ValueError(f"not a kernel dump: {path}")
-        pts = np.frombuffer(fh.read(Nd * 2 * 8), dtype="<f8").reshape(Nd, 2)
-        wts = np.frombuffer(fh.read(Nd * 8), dtype="<f8")
-        raw = np.frombuffer(fh.read(Nd * Nd * 16 * 2 * 8), dtype="<f8")
-        K = raw.reshape(Nd, Nd, 4, 4, 2)
-        return k, eps_ann, pts, wts, K[..., 0] + 1j * K[..., 1]
 
 
 def transfer_first_order(
@@ -453,24 +407,20 @@ class TSolution:
 
     grid: MomentumGrid
     incident: IncidentWave
+    profile: MediumProfile
     t_minus: np.ndarray  # (Nd, 4)
     t_plus: np.ndarray   # (Nd, 4)
-    method: str
-    evaluator: object = None  # optional callable p2 -> (t_minus, t_plus)
 
 
-def _incidence_column(profile, grid, w: IncidentWave, method="zft"):
-    ki = w.vec_k_i
-    if np.linalg.norm(ki) >= grid.rho_max:
-        raise IncidenceOutsideDisk(
-            "transverse incident momentum reaches the disk rim"
-        )
-    P = grid.disk_points
+def _closed_form_t(profile, w: IncidentWave, k: float, eps_ann: float, p2):
+    """(t_-, t_+) at transverse momenta p2 (N, 2) from the compliant closed form."""
     Kcol = firstorder_kernel(
-        profile, grid.k, P, np.broadcast_to(ki, P.shape), method=method,
-        eps_ann=grid.eps_ann,
+        profile, k, p2, np.broadcast_to(w.vec_k_i, p2.shape), eps_ann=eps_ann
     )
-    return Kcol
+    col = np.einsum("nab,b->na", Kcol, w.upsilon)
+    t_plus = np.einsum("nab,nb->na", em.projector(1, p2, k, eps_ann), col)
+    t_minus = -np.einsum("nab,nb->na", em.projector(2, p2, k, eps_ann), col)
+    return t_minus, t_plus
 
 
 def solve_T(
@@ -480,13 +430,14 @@ def solve_T(
     profile: MediumProfile | None = None,
     grid: MomentumGrid | None = None,
 ) -> TSolution:
-    """Solve for the one-sided amplitudes T_+/-.
+    """One-sided amplitudes T_+/- on the disk grid.
 
-    method "fast" is the compliant closed form t_+ = Pi_1 K(., k_i) Y and
-    t_- = -Pi_2 K(., k_i) Y (exact whenever (M - pi) T_- = 0); "generic"
-    solves the dense T_- integral equation on the disk grid and then forms
-    T_+, which must coincide with the fast path for compliant media.
+    Evaluates the compliant closed form t_+ = Pi_1 K(., k_i) Y and
+    t_- = -Pi_2 K(., k_i) Y, exact whenever (M - pi) T_- = 0.  method must
+    be "fast", the only solver.
     """
+    if method != "fast":
+        raise ValueError(f"unknown solve method {method!r}")
     if kernel is not None:
         profile, grid = kernel.profile, kernel.grid
     if profile is None or grid is None:
@@ -494,55 +445,12 @@ def solve_T(
     k = grid.k
     if abs(w.k - k) > 1e-12 * k:
         raise ValueError("incident wavenumber differs from grid wavenumber")
-    P = grid.disk_points
-    Y = w.upsilon
-    Kcol = _incidence_column(profile, grid, w)
-    P1 = em.projector(1, P, k, grid.eps_ann)
-    P2 = em.projector(2, P, k, grid.eps_ann)
-    col = np.einsum("nab,b->na", Kcol, Y)
-
-    if method == "fast":
-        t_plus = np.einsum("nab,nb->na", P1, col)
-        t_minus = -np.einsum("nab,nb->na", P2, col)
-
-        def evaluator(p2):
-            p2 = np.atleast_2d(np.asarray(p2, dtype=float))
-            Kc = firstorder_kernel(
-                profile, k, p2, np.broadcast_to(w.vec_k_i, p2.shape),
-                eps_ann=grid.eps_ann,
-            )
-            c = np.einsum("nab,b->na", Kc, Y)
-            tp = np.einsum("nab,nb->na", em.projector(1, p2, k, grid.eps_ann), c)
-            tm = -np.einsum("nab,nb->na", em.projector(2, p2, k, grid.eps_ann), c)
-            return tm, tp
-
-        return TSolution(grid, w, t_minus, t_plus, "fast", evaluator)
-
-    if method != "generic":
-        raise ValueError(f"unknown solve method {method!r}")
-    if kernel is None:
-        kernel = transfer_first_order(profile, grid)
-    Nd = grid.n_disk_points
-    KW = kernel.weighted_matrix()
-    P2big = np.zeros((4 * Nd, 4 * Nd), dtype=complex)
-    P1big = np.zeros_like(P2big)
-    for n in range(Nd):
-        P2big[4 * n : 4 * n + 4, 4 * n : 4 * n + 4] = P2[n]
-        P1big[4 * n : 4 * n + 4, 4 * n : 4 * n + 4] = P1[n]
-    A = np.eye(4 * Nd, dtype=complex) + P2big @ KW
-    rhs = -(P2big @ col.reshape(-1))
-    try:
-        tm = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    resid = np.linalg.norm(A @ tm - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    if not np.isfinite(resid) or resid > 1e-6:
-        raise SingularSystem(f"dense solve residual {resid:.2e}")
-    t_minus = tm.reshape(Nd, 4)
-    t_plus = np.einsum(
-        "nab,nb->na", P1, (KW @ tm).reshape(Nd, 4) + col
-    )
-    return TSolution(grid, w, t_minus, t_plus, "generic")
+    if np.linalg.norm(w.vec_k_i) >= grid.rho_max:
+        raise IncidenceOutsideDisk(
+            "transverse incident momentum reaches the disk rim"
+        )
+    t_minus, t_plus = _closed_form_t(profile, w, k, grid.eps_ann, grid.disk_points)
+    return TSolution(grid, w, profile, t_minus, t_plus)
 
 
 def _interp_disk(grid: MomentumGrid, values: np.ndarray, p2):
@@ -567,13 +475,12 @@ def _interp_disk(grid: MomentumGrid, values: np.ndarray, p2):
     return out
 
 
-def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "auto"):
+def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
     """Far-field amplitude from the transfer solution at detector d.
 
-    mode "grid" interpolates t_+/- bilinearly on the polar mesh (the
-    discretized pipeline whose error contracts under grid refinement);
-    "exact" evaluates the compliant closed form at vec k_s when available;
-    "auto" prefers exact.
+    mode "exact" evaluates the compliant closed form at vec k_s; "grid"
+    interpolates t_+/- bilinearly on the polar mesh (the discretized
+    pipeline whose error contracts under grid refinement).
     """
     grid = sol.grid
     k = sol.incident.k
@@ -581,12 +488,9 @@ def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "auto"):
     if np.linalg.norm(ks) >= grid.rho_max:
         raise DirectionOnRim("detector maps onto the disk rim annulus")
     side = d.side
-    if mode == "auto":
-        mode = "exact" if sol.evaluator is not None else "grid"
     if mode == "exact":
-        if sol.evaluator is None:
-            raise ValueError("no exact evaluator on this solution")
-        tm, tp = sol.evaluator(ks[None, :])
+        tm, tp = _closed_form_t(sol.profile, sol.incident, grid.k, grid.eps_ann,
+                                ks[None, :])
         t = tp[0] if side > 0 else tm[0]
     elif mode == "grid":
         vals = sol.t_plus if side > 0 else sol.t_minus

@@ -179,6 +179,22 @@ class TestSweepCommand:
         assert verdicts[2] == "visible"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--order", "2"],
+        ["verify", "--threads", "2"],
+        ["verify", "--alpha", "2"],
+        ["sweep", "--expect-compliant"],
+    ],
+)
+def test_flags_only_where_read(tmp_path, argv):
+    cfg = write_config(tmp_path, SPEC_MEDIUM)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--config", str(cfg), "--out", str(tmp_path / "out")] + argv[1:])
+    assert exc.value.code == 2
+
+
 def test_config_round_trip_bytes(tmp_path):
     from bornexact.cli import load_config
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from bornexact import em
 from bornexact.errors import (
@@ -100,38 +99,16 @@ class TestProjectors:
             em.projector(3, np.zeros(2), 1.0)
 
 
-class TestExpIzH0:
-    def test_against_dense_expm(self):
-        rng = np.random.default_rng(4)
-        k = 1.1
-        pts = random_disk_points(40, k, rng)
-        for i in range(pts.shape[0]):
-            z = rng.uniform(-3, 3)
-            E = em.exp_izH0(z, pts[i], k)
-            D = expm(1j * z * em.free_hamiltonian(pts[i], k))
-            assert np.abs(E - D).max() < 1e-10
-
-    def test_evanescent_points(self):
-        # outside the disk the exponential mixes decay and growth; still must
-        # match the dense matrix exponential
-        p = np.array([1.7, 0.4])
-        k = 1.0
-        z = 0.8
-        E = em.exp_izH0(z, p, k)
-        D = expm(1j * z * em.free_hamiltonian(p, k))
-        assert np.abs(E - D).max() < 1e-9 * np.abs(D).max()
-
-
 class TestIncidentWave:
     def test_normal_incidence_state(self):
         w = em.IncidentWave(1.0, 0.0, 0.0, np.array([1.0, 0, 0]))
-        assert np.allclose(em.incident_state(w), [1, 0, 0, 1])
+        assert np.allclose(w.upsilon, [1, 0, 0, 1])
         P1 = em.projector(1, w.vec_k_i, w.k)
         assert np.abs(P1 @ w.upsilon - w.upsilon).max() < 1e-14
 
     def test_reverse_incidence_state(self):
         w = em.IncidentWave(1.0, np.pi, 0.0, np.array([1.0, 0, 0]))
-        assert np.allclose(em.incident_state(w), [1, 0, 0, -1])
+        assert np.allclose(w.upsilon, [1, 0, 0, -1])
         P2 = em.projector(2, w.vec_k_i, w.k)
         assert np.abs(P2 @ w.upsilon - w.upsilon).max() < 1e-14
 
@@ -169,14 +146,6 @@ class TestIncidentWave:
         e = np.array([1.0, 1.0j, 0.0])
         w = em.IncidentWave(1.0, 0.0, 0.0, e)
         assert np.real(np.vdot(w.e_i, w.e_i)) == pytest.approx(1.0)
-
-
-class TestMomentumPoint:
-    def test_disk_and_evanescent(self):
-        a = em.MomentumPoint.at([0.3, 0.0], 1.0)
-        assert a.in_disk and a.varpi.imag == 0.0
-        b = em.MomentumPoint.at([2.0, 0.0], 1.0)
-        assert not b.in_disk and b.varpi.imag > 0.0
 
 
 class TestXiContract:

@@ -174,6 +174,13 @@ class TestReciprocalSymbols:
         q = np.array([[1.5, 0.0, 0.0]])
         assert not np.any(reference_medium.recip33_ft3(q, "mu"))
 
+    def test_slow_series_raises(self):
+        # |eta| = 0.7 needs ~90 Neumann terms for a 1e-14 tail; the series
+        # must refuse rather than truncate silently
+        prof = RationalEnvelopeProfile(ALPHA, 2.0, 1, TransverseBox(0.7, 3.0, 4.0))
+        with pytest.raises(BoundsViolated, match="tail bound"):
+            prof.recip33_ft3(np.array([[1.5, 0.0, 0.0]]), "eps")
+
 
 class TestSupportReport:
     def test_gausserf_compliant(self, gausserf_medium):
