@@ -44,7 +44,7 @@ def fibonacci_hemisphere(n: int, side: int = 1):
     return out
 
 
-def direction_pairs(k: float, n_pairs: int = 64, include_extremes: bool = True):
+def direction_pairs(n_pairs: int = 64, include_extremes: bool = True):
     """Deterministic (IncidentWave angles, DetectorDirection) pairs.
 
     Fibonacci-sampled incidences and detectors over both hemispheres, with a
@@ -330,7 +330,7 @@ def invisibility_report(
     The invisibility bound is tol_factor * peak|eta3| * k^2/(4 pi), the
     natural scale of the first-order amplitude.
     """
-    pairs = direction_pairs(k, n_pairs)
+    pairs = direction_pairs(n_pairs)
     bound = tol_factor * profile.eta3_peak() * k * k / (4 * np.pi)
     max_f1 = 0.0
     max_f2 = 0.0 if order >= 2 else None

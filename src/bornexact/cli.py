@@ -80,7 +80,6 @@ class RunConfig:
             raise ConfigError("polarization must be chi in degrees or [[re,im]*3]")
         grid = raw.get("grid", {})
         self.n_disk = int(grid.get("n_disk", 12))
-        self.n_box = int(grid.get("n_box", 0))
         self.p_max_over_k = float(grid.get("p_max_over_k", 6.0))
         self.eps_ann = float(grid.get("eps_ann", 1e-3))
         quad = raw.get("quadrature", {})

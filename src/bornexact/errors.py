@@ -51,3 +51,7 @@ class InvalidResolution(BornexactError):
 
 class ConfigError(BornexactError):
     """Run configuration file is missing, malformed, or inconsistent."""
+
+
+class UnsupportedProfile(BornexactError):
+    """The medium lacks a structural property the computation relies on."""

@@ -22,6 +22,7 @@ control in all contrast baselines.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,10 @@ _EYE3 = np.eye(3)
 # _RECIP_MAX_TERMS terms.
 _RECIP_TAIL_TOL = 1e-14
 _RECIP_MAX_TERMS = 64
+
+# Largest working array a single step may allocate: one support-scan slice
+# here, the dense first-order kernel by default in bornexact.transfer.
+MEMORY_CAP_BYTES = 2**31
 
 
 def _sinc(z):
@@ -93,6 +98,8 @@ class MediumProfile:
 
     alpha: float | None = None
     slab: tuple[float, float] = (0.0, 0.0)
+    # eta does not depend on z inside `slab` and vanishes outside it
+    z_constant: bool = False
 
     # -- position space -------------------------------------------------
     def eval_eta(self, r):
@@ -140,32 +147,24 @@ class MediumProfile:
 
 
 class _EnvelopeProfile(MediumProfile):
-    """Shared machinery of the separable isotropic nonmagnetic families."""
+    """Shared machinery of the separable isotropic nonmagnetic families.
 
-    def __init__(self, alpha, a, footprint: TransverseBox, slab=None):
+    eta = envelope_x(x) * footprint(y, z); the slab is the footprint's
+    z-extent, so eta is z-constant inside it by construction.
+    """
+
+    z_constant = True
+
+    def __init__(self, alpha, a, footprint: TransverseBox):
         if a <= 0:
             raise ValueError("envelope length a must be positive")
         self.alpha = alpha
         self.a = float(a)
         self.footprint = footprint
-        box_slab = (-footprint.lz / 2.0, footprint.lz / 2.0)
-        if slab is None:
-            slab = box_slab
-        elif slab[0] > box_slab[0] + 1e-12 or slab[1] < box_slab[1] - 1e-12:
-            raise ValueError("declared slab does not contain the footprint support")
-        self.slab = (float(slab[0]), float(slab[1]))
+        self.slab = (-footprint.lz / 2.0, footprint.lz / 2.0)
 
-    # subclasses: envelope_x(x), ft_env_pow(n, K), env_abs_max()
-
-    def envelope_x(self, x):
-        raise NotImplementedError
-
-    def ft_env_pow(self, n: int, K):
-        """Fourier transform of [e^{i a0 x} E(x)]^n along x (a0 = modulation)."""
-        raise NotImplementedError
-
-    def env_abs_max(self) -> float:
-        raise NotImplementedError
+    # subclasses provide envelope_x(x) (modulation included), env_abs_max()
+    # and ft_env_pow(n, K), the x-transform of envelope_x(x)^n
 
     def scalar_eta(self, r):
         r = np.asarray(r, dtype=float)
@@ -249,9 +248,8 @@ class _EnvelopeProfile(MediumProfile):
     def scaled(self, sigma: float):
         out = self.__class__.__new__(self.__class__)
         out.__dict__.update(self.__dict__)
+        # the Gauss-erf table depends only on a, so the copy shares it
         out.footprint = replace(self.footprint, zeta=sigma * self.footprint.zeta)
-        if hasattr(out, "_u_cache"):
-            out._u_cache = {}
         return out
 
     def sampling_box(self):
@@ -276,10 +274,10 @@ class RationalEnvelopeProfile(_EnvelopeProfile):
     reciprocal symbol has a closed-form one-sided transform.
     """
 
-    def __init__(self, alpha, a, m_exp: int, footprint: TransverseBox, slab=None):
+    def __init__(self, alpha, a, m_exp: int, footprint: TransverseBox):
         if m_exp < 1 or int(m_exp) != m_exp:
             raise ValueError("m_exp must be a positive integer")
-        super().__init__(alpha, a, footprint, slab)
+        super().__init__(alpha, a, footprint)
         self.m_exp = int(m_exp)
 
     def envelope_x(self, x):
@@ -336,8 +334,8 @@ class GaussErfProfile(_EnvelopeProfile):
     self-convolution of u.
     """
 
-    def __init__(self, alpha, a, footprint: TransverseBox, slab=None):
-        super().__init__(alpha, a, footprint, slab)
+    def __init__(self, alpha, a, footprint: TransverseBox):
+        super().__init__(alpha, a, footprint)
         if abs(footprint.zeta) >= 1.0 / np.sqrt(np.pi):
             raise BoundsViolated("gausserf requires |zeta| < 1/sqrt(pi)")
         self._u_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -400,9 +398,8 @@ class GaussianControlProfile(_EnvelopeProfile):
     at 0, straddling every threshold.  Used for all contrast baselines.
     """
 
-    def __init__(self, a, footprint: TransverseBox, slab=None):
-        super().__init__(alpha=None, a=a, footprint=footprint, slab=slab)
-        self.alpha = None
+    def __init__(self, a, footprint: TransverseBox):
+        super().__init__(alpha=None, a=a, footprint=footprint)
 
     def envelope_x(self, x):
         x = np.asarray(x, dtype=float)
@@ -435,6 +432,7 @@ class RotatedProfile(MediumProfile):
         self.phi = float(phi)
         self.alpha = base.alpha
         self.slab = base.slab
+        self.z_constant = base.z_constant
         c, s = np.cos(self.phi), np.sin(self.phi)
         # rotation taking old coordinates to new: new = R old
         self._R3 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -532,6 +530,22 @@ def _tapered_line_ft(vals, x, sigma_w):
     return p, F
 
 
+def _eta_slices(profile, x, y, zs):
+    """Nonzero eta tensors as (nx, ny, 9) arrays, one z-slice at a time."""
+    # eta_eps, eta_mu and a transform of one of them are alive at once
+    need = 3 * x.size * y.size * 9 * 16
+    if need > MEMORY_CAP_BYTES:
+        raise WindowTooSmall(
+            f"a {x.size}x{y.size} support-scan slice needs {need / 2**30:.3g} GiB "
+            f"> cap {MEMORY_CAP_BYTES / 2**30:.3g} GiB; pass a window and a smaller grid"
+        )
+    for z in zs:
+        pts = np.stack(np.broadcast_arrays(x[:, None], y[None, :], z), axis=-1)
+        for ten in profile.eval_eta(pts.reshape(-1, 3)):
+            if np.any(ten):
+                yield ten.reshape(x.size, y.size, 9)
+
+
 def support_report(
     profile: MediumProfile,
     alpha: float,
@@ -583,29 +597,21 @@ def support_report(
     ee_edge, em_edge = profile.eval_eta(redge)
     edge_mag = max(np.abs(ee_edge).max(), np.abs(em_edge).max())
 
+    if isinstance(profile, _EnvelopeProfile):
+        # separable, with eta_mu = 0: every (y, z) column of eta_eps inside
+        # the footprint is the same envelope line, and the others are zero
+        lines = [profile.envelope_x(x)[:, None] * profile.footprint.zeta]
+    else:
+        lines = _eta_slices(profile, x, y, zs)
     peak = 0.0
     leak = 0.0
-    separable = isinstance(profile, _EnvelopeProfile)
-    env_x = profile.envelope_x(x)[:, None] if separable else None
-    # one z-slice at a time to bound memory
-    for z_idx in range(nz):
-        if separable:
-            # scalar eta_eps only: eta_mu = 0 for the envelope families
-            slices = [(env_x * profile.footprint.value(y[None, :], zs[z_idx]))[..., None]]
-        else:
-            pts = np.stack(np.broadcast_arrays(x[:, None], y[None, :], zs[z_idx]), axis=-1)
-            slices = [
-                ten.reshape(nx, ny, 9)
-                for ten in profile.eval_eta(pts.reshape(-1, 3))
-                if np.any(ten)
-            ]
-        for comps in slices:
-            p, F = _tapered_line_ft(comps, x, sigma_w)
-            mag = np.abs(F)
-            peak = max(peak, float(mag.max()))
-            scan = p <= alpha - margin
-            if np.any(scan):
-                leak = max(leak, float(mag[scan].max()))
+    for comps in lines:
+        p, F = _tapered_line_ft(comps, x, sigma_w)
+        mag = np.abs(F)
+        peak = max(peak, float(mag.max()))
+        scan = p <= alpha - margin
+        if np.any(scan):
+            leak = max(leak, float(mag[scan].max()))
 
     max_leak = 0.0 if peak == 0.0 else leak / peak
     # position-space edge criterion
@@ -691,35 +697,39 @@ def profile_from_dict(cfg: dict) -> MediumProfile:
 
     Recognized types: "rational", "gausserf", "gaussian" (noncompliant
     control) and "sampled" (columnar binary grid, see bornexact.sampled).
+    An optional "slab" of a box footprint must equal its z-extent.
     """
     try:
         kind = cfg["type"]
     except (KeyError, TypeError) as exc:
         raise ConfigError("medium config needs a 'type' field") from exc
 
-    if kind == "sampled":
-        from .sampled import SampledProfile
-
-        return SampledProfile.load(cfg["path"], alpha=cfg.get("alpha"))
-
     try:
+        if kind == "sampled":
+            from .sampled import SampledProfile
+
+            return SampledProfile.load(os.fspath(cfg["path"]), alpha=cfg.get("alpha"))
         fp = cfg["footprint"]
         if fp.get("type", "box") != "box":
             raise ConfigError(f"unknown footprint type {fp.get('type')!r}")
         zr, zi = fp["zeta"]
         box = TransverseBox(zeta=complex(zr, zi), ly=fp["ly"], lz=fp["lz"])
-        slab = tuple(cfg["slab"]) if "slab" in cfg else None
+        if "slab" in cfg:
+            lo, hi = map(float, cfg["slab"])
+            if max(abs(lo + box.lz / 2), abs(hi - box.lz / 2)) > 1e-12:
+                raise ConfigError(
+                    f"slab {cfg['slab']} differs from the footprint's z-extent "
+                    f"[{-box.lz / 2:g}, {box.lz / 2:g}]"
+                )
         if kind == "rational":
             return RationalEnvelopeProfile(
-                cfg["alpha"], cfg["a"], cfg.get("m_exp", 1), box, slab
+                cfg["alpha"], cfg["a"], cfg.get("m_exp", 1), box
             )
         if kind == "gausserf":
-            return GaussErfProfile(cfg["alpha"], cfg["a"], box, slab)
+            return GaussErfProfile(cfg["alpha"], cfg["a"], box)
         if kind == "gaussian":
-            return GaussianControlProfile(cfg["a"], box, slab)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+            return GaussianControlProfile(cfg["a"], box)
+    except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad medium config: {exc}") from exc
     raise ConfigError(f"unknown medium type {kind!r}")
 
@@ -744,7 +754,6 @@ def profile_to_dict(profile: MediumProfile) -> dict:
             "ly": fp.ly,
             "lz": fp.lz,
         },
-        "slab": list(profile.slab),
     }
     if profile.alpha is not None:
         out["alpha"] = profile.alpha

@@ -17,6 +17,8 @@ multilinear interpolation in momentum.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -54,24 +56,33 @@ def write_grid(path, eta_eps, origin, spacing, eta_mu=None):
 
 
 def read_grid(path):
-    """Read a grid file; returns (eta_eps, eta_mu_or_None, origin, spacing)."""
+    """Read a grid file; returns (eta_eps, eta_mu_or_None, origin, spacing).
+
+    Raises ValueError unless the file holds exactly the header and the
+    data its header declares.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: shorter than the {_HEADER.size}-byte header")
         magic, nx, ny, nz, x0, y0, z0, dx, dy, dz, has_mu = _HEADER.unpack(head)
         if magic != _MAGIC:
             raise ValueError(f"not an ETAGRID1 file: {path}")
-        count = nx * ny * nz * 18
-        raw = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(
-            nx, ny, nz, 3, 3, 2
-        )
-        ee = raw[..., 0] + 1j * raw[..., 1]
-        em = None
-        if has_mu:
-            raw = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(
-                nx, ny, nz, 3, 3, 2
+        shape = (2 if has_mu else 1, nx, ny, nz, 3, 3, 2)
+        body = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if min(nx, ny, nz) < 1 or body != 8 * math.prod(shape):
+            raise ValueError(
+                f"{path}: {body} data bytes do not match the declared "
+                f"{nx}x{ny}x{nz} grid (has_mu={has_mu})"
             )
-            em = raw[..., 0] + 1j * raw[..., 1]
-    return ee, em, (x0, y0, z0), (dx, dy, dz)
+        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
+    tensors = raw[..., 0] + 1j * raw[..., 1]
+    return tensors[0], (tensors[1] if has_mu else None), (x0, y0, z0), (dx, dy, dz)
+
+
+def _trailing(a, ndim):
+    """a with unit axes appended up to ndim dimensions, for broadcasting."""
+    return a.reshape(a.shape + (1,) * (ndim - a.ndim))
 
 
 def _interp_axis(coords, x0, dx, n):
@@ -102,9 +113,9 @@ class SampledProfile(MediumProfile):
         z_lo = self.origin[2]
         z_hi = self.origin[2] + (nz - 1) * self.spacing[2]
         self.slab = tuple(slab) if slab is not None else (z_lo, z_hi)
-        self._ft2_cache = None
-        self._ft3_cache = None
-        self._recip_cache = {}
+        self._px = np.fft.fftshift(np.fft.fftfreq(nx, self.spacing[0])) * 2 * np.pi
+        self._py = np.fft.fftshift(np.fft.fftfreq(ny, self.spacing[1])) * 2 * np.pi
+        self._ft_cache = {}
 
     @classmethod
     def load(cls, path, alpha=None, slab=None):
@@ -138,28 +149,27 @@ class SampledProfile(MediumProfile):
         return self._trilinear(self.ee, r), self._trilinear(self.em, r)
 
     # -- momentum space ------------------------------------------------------
-    def _ft2(self):
-        """Cached per-z-slice 2D transforms of both tensors."""
-        if self._ft2_cache is None:
-            nx, ny = self.ee.shape[:2]
+    # Each grid array ("ee" eta_eps, "em" eta_mu, and the reciprocal symbols
+    # "eps" eta_{1/eps33} = 1/(1 + eta_eps,33) - 1 and "mu" eta_{1/mu33}) is
+    # transformed over (x, y) once per z-slice and cached; the 2D transforms
+    # pick the nearest slice, the 3D ones sum over slices.
+    def _ft2(self, key):
+        if key not in self._ft_cache:
+            if key in ("ee", "em"):
+                data = getattr(self, key)
+            else:
+                comp = (self.ee if key == "eps" else self.em)[..., 2, 2]
+                data = 1.0 / (1.0 + comp) - 1.0
             dx, dy = self.spacing[:2]
-            x = self.origin[0] + np.arange(nx) * dx
-            y = self.origin[1] + np.arange(ny) * dy
-            px = np.fft.fftshift(np.fft.fftfreq(nx, dx)) * 2 * np.pi
-            py = np.fft.fftshift(np.fft.fftfreq(ny, dy)) * 2 * np.pi
-            phase = np.exp(-1j * px[:, None] * x[0]) * np.exp(
-                -1j * py[None, :] * y[0]
+            phase = np.exp(-1j * self._px[:, None] * self.origin[0]) * np.exp(
+                -1j * self._py[None, :] * self.origin[1]
             )
+            F = np.fft.fftshift(np.fft.fft2(data, axes=(0, 1)), axes=(0, 1))
+            self._ft_cache[key] = F * (dx * dy) * _trailing(phase, data.ndim)
+        return self._ft_cache[key]
 
-            def tf(data):
-                F = np.fft.fft2(data, axes=(0, 1))
-                F = np.fft.fftshift(F, axes=(0, 1))
-                return F * (dx * dy) * phase[:, :, None, None, None]
-
-            self._ft2_cache = (px, py, tf(self.ee), tf(self.em))
-        return self._ft2_cache
-
-    def _interp_p2(self, px, py, F, p2):
+    def _interp_p2(self, F, p2):
+        px, py = self._px, self._py
         p2 = np.asarray(p2, dtype=float)
         ix, fx, okx = _interp_axis(p2[..., 0], px[0], px[1] - px[0], px.size)
         iy, fy, oky = _interp_axis(p2[..., 1], py[0], py[1] - py[0], py.size)
@@ -167,76 +177,39 @@ class SampledProfile(MediumProfile):
         for bx in (0, 1):
             for by in (0, 1):
                 w = (fx if bx else 1 - fx) * (fy if by else 1 - fy)
-                out += w.reshape(w.shape + (1,) * (out.ndim - w.ndim)) * F[
-                    ix + bx, iy + by
-                ]
-        out *= (okx & oky).reshape(okx.shape + (1,) * (out.ndim - okx.ndim))
+                out += _trailing(w, out.ndim) * F[ix + bx, iy + by]
+        out *= _trailing(okx & oky, out.ndim)
         return out
 
-    def _zslice_index(self, z):
+    def _at_z(self, key, p2, z):
+        """2D transform of grid array key at p2 on the slice nearest z."""
         nz = self.ee.shape[2]
         iz = np.rint((np.asarray(z, dtype=float) - self.origin[2]) / self.spacing[2])
-        return np.clip(iz.astype(int), 0, nz - 1), (iz >= 0) & (iz <= nz - 1)
+        F = self._ft2(key)[:, :, np.clip(iz.astype(int), 0, nz - 1)]
+        return self._interp_p2(F, p2) * ((iz >= 0) & (iz <= nz - 1))
+
+    def _z_sum(self, key, q3):
+        """3D transform of grid array key by direct z-summation of its slice
+        transforms, so that complex q_z (evanescent channels) is supported."""
+        q3 = np.asarray(q3)
+        dz = self.spacing[2]
+        z = self.origin[2] + np.arange(self.ee.shape[2]) * dz
+        w = np.exp(-1j * np.multiply.outer(q3[..., 2], z)) * dz
+        F = self._interp_p2(self._ft2(key), np.real(q3[..., :2]))
+        out = np.einsum("...z,...zc->...c", w, F.reshape(w.shape + (-1,)))
+        return out.reshape(F.shape[: w.ndim - 1] + F.shape[w.ndim :])
 
     def eta2_tensors(self, p2, z):
-        px, py, Fe, Fm = self._ft2()
-        iz, ok = self._zslice_index(z)
-        e = self._interp_p2(px, py, Fe[:, :, iz], p2)
-        m = self._interp_p2(px, py, Fm[:, :, iz], p2)
-        mask = np.asarray(ok)[..., None, None]
-        return e * mask, m * mask
+        return self._at_z("ee", p2, z), self._at_z("em", p2, z)
 
     def eta3_tensors(self, q3):
-        # z-transform of the per-slice 2D data by direct summation so that
-        # complex q_z (evanescent channels) is supported.
-        q3 = np.asarray(q3)
-        px, py, Fe, Fm = self._ft2()
-        dz = self.spacing[2]
-        z = self.origin[2] + np.arange(self.ee.shape[2]) * dz
-        w = np.exp(-1j * np.multiply.outer(q3[..., 2], z)) * dz
-        e2 = self._interp_p2(px, py, Fe, np.real(q3[..., :2]))
-        m2 = self._interp_p2(px, py, Fm, np.real(q3[..., :2]))
-        e = np.einsum("...z,...zij->...ij", w, e2)
-        m = np.einsum("...z,...zij->...ij", w, m2)
-        return e, m
-
-    # -- reciprocal symbols ---------------------------------------------------
-    def _recip_grid(self, which):
-        if which not in self._recip_cache:
-            comp = self.ee[..., 2, 2] if which == "eps" else self.em[..., 2, 2]
-            self._recip_cache[which] = 1.0 / (1.0 + comp) - 1.0
-        return self._recip_cache[which]
-
-    def _recip_ft2_full(self, which):
-        key = which + "_ft2"
-        if key not in self._recip_cache:
-            g = self._recip_grid(which)
-            nx, ny = g.shape[:2]
-            dx, dy = self.spacing[:2]
-            x0, y0 = self.origin[:2]
-            px = np.fft.fftshift(np.fft.fftfreq(nx, dx)) * 2 * np.pi
-            py = np.fft.fftshift(np.fft.fftfreq(ny, dy)) * 2 * np.pi
-            F = np.fft.fftshift(np.fft.fft2(g, axes=(0, 1)), axes=(0, 1)) * (dx * dy)
-            F = F * np.exp(-1j * px[:, None, None] * x0) * np.exp(
-                -1j * py[None, :, None] * y0
-            )
-            self._recip_cache[key] = (px, py, F)
-        return self._recip_cache[key]
+        return self._z_sum("ee", q3), self._z_sum("em", q3)
 
     def recip33_ft2(self, p2, z, which):
-        px, py, F = self._recip_ft2_full(which)
-        iz, ok = self._zslice_index(z)
-        out = self._interp_p2(px, py, F[:, :, iz], p2)
-        return out * np.asarray(ok)
+        return self._at_z(which, p2, z)
 
     def recip33_ft3(self, q3, which):
-        q3 = np.asarray(q3)
-        px, py, F = self._recip_ft2_full(which)
-        dz = self.spacing[2]
-        z = self.origin[2] + np.arange(self.ee.shape[2]) * dz
-        w = np.exp(-1j * np.multiply.outer(q3[..., 2], z)) * dz
-        g2 = self._interp_p2(px, py, F, np.real(q3[..., :2]))
-        return np.einsum("...z,...z->...", w, g2)
+        return self._z_sum(which, q3)
 
     # -- metadata ----------------------------------------------------------
     def scaled(self, sigma):
@@ -267,11 +240,10 @@ class SampledProfile(MediumProfile):
         )
 
     def eta3_peak(self):
-        px, py, Fe, Fm = self._ft2()
         dz = self.spacing[2]
-        acc = np.abs(Fe.sum(axis=2) * dz).max()
+        acc = np.abs(self._ft2("ee").sum(axis=2) * dz).max()
         if np.any(self.em):
-            acc = max(acc, np.abs(Fm.sum(axis=2) * dz).max())
+            acc = max(acc, np.abs(self._ft2("em").sum(axis=2) * dz).max())
         return float(acc)
 
 

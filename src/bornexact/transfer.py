@@ -26,8 +26,13 @@ import numpy as np
 
 from . import em
 from .em import _SIGMA2, ANNULUS_GUARD, DetectorDirection, IncidentWave, xi_contract
-from .errors import DirectionOnRim, IncidenceOutsideDisk, InvalidResolution
-from .medium import MediumProfile
+from .errors import (
+    DirectionOnRim,
+    IncidenceOutsideDisk,
+    InvalidResolution,
+    UnsupportedProfile,
+)
+from .medium import MEMORY_CAP_BYTES, MediumProfile, _sinc
 
 
 @dataclass
@@ -185,12 +190,13 @@ def deltaH_block(profile: MediumProfile, z, p, q, k: float):
     return out[0] if single else out
 
 
-def _bblock_zft(profile: MediumProfile, p, q, w, k: float):
+def _bblock_zft(profile: MediumProfile, p, q, w, k: float, nz: int):
     """z-Fourier transform of the interaction block at frequency -w.
 
     Equals int dz e^{i z w} (deltaH kernel)(p, q; z); computed from the 3D
     medium transforms at q_z = -w (complex w supported: the slab is finite,
-    so the transform is entire in w).
+    so the transform is entire in w).  nz is unused: the signature is
+    _bblock_zquad's.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -204,7 +210,7 @@ def _bblock_zft(profile: MediumProfile, p, q, w, k: float):
     return _assemble_v(p, q, k, Te, Tm, re, rm)
 
 
-def _bblock_zquad(profile: MediumProfile, p, q, w, k: float, nz: int = 32):
+def _bblock_zquad(profile: MediumProfile, p, q, w, k: float, nz: int):
     """Same integral as _bblock_zft by direct Gauss-Legendre z-quadrature."""
     a_lo, a_hi = profile.slab
     xg, wg = np.polynomial.legendre.leggauss(nz)
@@ -235,25 +241,20 @@ def firstorder_kernel(
     through the medium's closed-form transforms, "zquad" by slab quadrature;
     the two must agree.
     """
+    if method not in ("zft", "zquad"):
+        raise ValueError(f"unknown kernel method {method!r}")
+    bfun = _bblock_zft if method == "zft" else _bblock_zquad
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     wp = np.asarray(em.varpi(p, k, eps_ann))
     wq = np.asarray(em.varpi(q, k, eps_ann))
-    bfun = _bblock_zft if method == "zft" else _bblock_zquad
-    if method not in ("zft", "zquad"):
-        raise ValueError(f"unknown kernel method {method!r}")
-    out = None
+    out = 0
     for j in (1, 2):
         Pj = em.projector(j, p, k, eps_ann)
         for l in (1, 2):
             Pl = em.projector(l, q, k, eps_ann)
             w = (-1.0) ** j * wp - (-1.0) ** l * wq
-            if method == "zft":
-                B = bfun(profile, p, q, w, k)
-            else:
-                B = bfun(profile, p, q, w, k, nz)
-            term = Pj @ B @ Pl
-            out = term if out is None else out + term
+            out = out + Pj @ bfun(profile, p, q, w, k, nz) @ Pl
     return -1j * out
 
 
@@ -277,7 +278,7 @@ class TransferKernel:
 def transfer_first_order(
     profile: MediumProfile,
     grid: MomentumGrid,
-    memory_cap_bytes: int = 2**31,
+    memory_cap_bytes: int = MEMORY_CAP_BYTES,
     method: str = "zft",
 ) -> TransferKernel:
     """Materialize K on disk x disk; M = pi + K as an operator on the disk."""
@@ -318,14 +319,9 @@ def kernel_route_agreement(
 
 def _slab_ft(w, a_lo, a_hi):
     """E(w) = int_{a_lo}^{a_hi} e^{i w z} dz, stable for small/complex w."""
-    w = np.asarray(w, dtype=complex)
     L = a_hi - a_lo
     zbar = 0.5 * (a_hi + a_lo)
-    half = 0.5 * L * w
-    small = np.abs(half) < 1e-6
-    hs = np.where(small, 1.0, half)
-    sinc = np.where(small, 1.0 - half * half / 6.0, np.sin(hs) / hs)
-    return L * np.exp(1j * w * zbar) * sinc
+    return L * np.exp(1j * w * zbar) * _sinc(0.5 * L * w)
 
 
 def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float:
@@ -334,12 +330,14 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
     Computes || pi int_{z1<z2} H(z2) H(z1) dz1 dz2 pi ||_max with the
     intermediate momentum summed over the full grid (disk + box), where the
     evanescent branch of varpi enters the interaction-picture phases.  The
-    z-ordered double integral over the slab is closed-form because the
-    built-in profiles are z-constant inside the slab (box footprints).
+    z-ordered double integral over the slab is closed-form, which requires
+    profile.z_constant: eta independent of z inside profile.slab and zero
+    outside it.  Raises UnsupportedProfile for any other profile.
     """
-    if not hasattr(profile, "footprint"):
-        raise NotImplementedError(
-            "second-order Dyson diagnostic requires a slab-constant (box) profile"
+    if not profile.z_constant:
+        raise UnsupportedProfile(
+            "second-order Dyson diagnostic needs a z-constant profile; "
+            f"{type(profile).__name__} is not"
         )
     if grid.n_disk_points == grid.points.shape[0]:
         raise InvalidResolution("grid has no outer box for intermediate momenta")

@@ -226,10 +226,12 @@ def test_criterion_7_dyson_second_order(reference_medium, control_medium):
 
 def test_criterion_8_scaling_law(reference_medium, control_medium):
     dirs = [DetectorDirection(t, p) for t, p in [(1.0, 0.3), (1.3, -0.2), (2.2, 0.1)]]
-    rep1 = scaling_check(reference_medium, 0.5, W8, dirs)
+    # non-dyadic sigma: scaling by 0.5 is exact in binary floating point, so
+    # the errors would read 0.0 whatever the code did
+    rep1 = scaling_check(reference_medium, 0.37, W8, dirs)
     w0 = IncidentWave.linear(K8, 1.0, np.pi, 0.0)
     rep2 = scaling_check(
-        control_medium, 0.5, w0, dirs[:2], quad=QuadratureSpec(16, 32, 32)
+        control_medium, 0.37, w0, dirs[:2], quad=QuadratureSpec(16, 32, 32)
     )
     ok = rep1.f1_rel_err < 1e-12 and rep2.f2_rel_err < 1e-7
     _report(

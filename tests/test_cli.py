@@ -99,6 +99,12 @@ class TestVerify:
         nomedium.write_text("{}")
         assert main(["verify", "--config", str(nomedium)]) == 2
 
+    def test_bad_grid_file_exits_2(self, tmp_path):
+        grid = tmp_path / "grid.bin"
+        grid.write_bytes(b"ETAGRID1" + bytes(20))  # cut inside the header
+        cfg = write_config(tmp_path, {"type": "sampled", "path": str(grid)})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
 
 class TestBornCommand:
     def test_emits_csv_and_summary(self, tmp_path):

@@ -18,7 +18,7 @@ from bornexact import (
     support_report,
 )
 from bornexact.errors import BoundsViolated, ConfigError, WindowTooSmall
-from bornexact.medium import reference_medium
+from bornexact.medium import MediumProfile, reference_medium
 
 ALPHA = 1.0
 
@@ -206,6 +206,45 @@ class TestSupportReport:
         with pytest.raises(WindowTooSmall):
             support_report(reference_medium, ALPHA, window=400.0, grid=(512, 64, 16))
 
+    @pytest.mark.parametrize(
+        "name", ["gausserf_medium", "control_medium", "reference_medium"]
+    )
+    def test_separable_matches_generic(self, name, request):
+        # the envelope line scanned once must give exactly what the
+        # slice-by-slice scan of an opaque medium gives
+        prof = request.getfixturevalue(name)
+
+        class Opaque(MediumProfile):
+            alpha = prof.alpha
+            slab = prof.slab
+
+            def eval_eta(self, r):
+                return prof.eval_eta(r)
+
+            def spectral_extent(self, rel_tol=1e-9):
+                return prof.spectral_extent(rel_tol)
+
+            def default_window(self):
+                return prof.default_window()
+
+            def sampling_box(self):
+                return prof.sampling_box()
+
+        grid = (512, 32, 8)
+        assert support_report(Opaque(), ALPHA, grid=grid) == support_report(
+            prof, ALPHA, grid=grid
+        )
+
+    def test_slice_memory_guard(self):
+        # a rotated medium is scanned slice by slice; the auto-enlarged
+        # grid (nx = 2^20 over ny = 512) would need ~77 GB per slice
+        wide = rotate_to_x(
+            RationalEnvelopeProfile(1.0, 1e4, 1, TransverseBox(0.01, 3.0, 4.0)),
+            (0.6, 0.8),
+        )
+        with pytest.raises(WindowTooSmall, match="GiB"):
+            support_report(wide, ALPHA)
+
 
 class TestBounds:
     def test_vacuum(self):
@@ -297,6 +336,34 @@ class TestProfileJson:
             profile_from_dict({})
         with pytest.raises(ConfigError):
             profile_from_dict({"type": "rational", "alpha": 1.0})
+
+    def test_slab_must_equal_footprint_extent(self, reference_medium):
+        cfg = profile_to_dict(reference_medium)
+        assert "slab" not in cfg
+        with pytest.raises(ConfigError, match="z-extent"):
+            profile_from_dict(dict(cfg, slab=[-3.0, 3.0]))
+        assert profile_from_dict(dict(cfg, slab=[-2.0, 2.0])).slab == (-2.0, 2.0)
+
+    def test_sampled_config_errors(self, tmp_path):
+        good = tmp_path / "good.bin"
+        sample_profile(
+            reference_medium(), (8, 4, 3), (-4.0, -2.0, -2.0), (1.0, 1.0, 2.0)
+        ).save(good)
+        data = good.read_bytes()
+        short = tmp_path / "short.bin"
+        short.write_bytes(data[:40])  # inside the 88-byte header
+        truncated = tmp_path / "truncated.bin"
+        truncated.write_bytes(data[:-8])
+        loaded = profile_from_dict({"type": "sampled", "path": str(good)})
+        assert loaded.ee.shape[:3] == (8, 4, 3)
+        for bad in (
+            {"type": "sampled"},
+            {"type": "sampled", "path": str(tmp_path / "missing.bin")},
+            {"type": "sampled", "path": str(short)},
+            {"type": "sampled", "path": str(truncated)},
+        ):
+            with pytest.raises(ConfigError):
+                profile_from_dict(bad)
 
 
 @pytest.fixture(scope="module")

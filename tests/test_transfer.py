@@ -14,13 +14,17 @@ from bornexact import (
     first_born_amplitude,
     firstorder_kernel,
     identity_id101_residual,
+    rotate_to_x,
+    sample_profile,
     solve_T,
     transfer_first_order,
 )
 from bornexact.errors import (
+    BornexactError,
     DirectionOnRim,
     IncidenceOutsideDisk,
     InvalidResolution,
+    UnsupportedProfile,
 )
 from bornexact.transfer import kernel_route_agreement
 
@@ -165,6 +169,33 @@ class TestDyson:
     def test_needs_box(self, reference_medium, grid):
         with pytest.raises(InvalidResolution):
             dyson_second_order_norm(reference_medium, grid)
+
+    @pytest.fixture(scope="class")
+    def small_box(self):
+        return build_momentum_grid(K, 6 * K, 8, 8)
+
+    @pytest.fixture(scope="class")
+    def control_norm(self, control_medium, small_box):
+        return dyson_second_order_norm(control_medium, small_box)
+
+    # only half and quarter turns map both the polar disk and the Cartesian
+    # outer box onto themselves
+    @pytest.mark.parametrize("e", [(0.0, 1.0), (-1.0, 0.0)])
+    def test_rotated_control_matches(self, control_medium, small_box, control_norm, e):
+        norm = dyson_second_order_norm(rotate_to_x(control_medium, e), small_box)
+        assert norm == pytest.approx(control_norm, rel=1e-10)
+
+    def test_rotated_compliant_exact_zero(self, reference_medium, small_box):
+        rot = rotate_to_x(reference_medium, (0.6, 0.8))
+        assert dyson_second_order_norm(rot, small_box) == 0.0
+
+    def test_sampled_unsupported(self, reference_medium, grid_with_box):
+        samp = sample_profile(
+            reference_medium, (16, 8, 5), (-8.0, -2.0, -2.0), (1.0, 0.5, 1.0)
+        )
+        with pytest.raises(UnsupportedProfile) as info:
+            dyson_second_order_norm(samp, grid_with_box)
+        assert isinstance(info.value, BornexactError)
 
 
 class TestSolve:
