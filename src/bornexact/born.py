@@ -110,6 +110,10 @@ class QuadratureSpec:
     eps_over_k2: float = 1e-3
     richardson: bool = True
 
+    def __post_init__(self):
+        if self.method not in ("pv", "ieps"):
+            raise ValueError(f"unknown quadrature method {self.method!r}")
+
     def doubled(self) -> "QuadratureSpec":
         return QuadratureSpec(
             2 * self.n_radial,
@@ -227,7 +231,7 @@ def second_born_amplitude(
             total += (ww[:, None] * (h - hk[None, :]) / (pp - k)[:, None]).sum(axis=0)
         total += hk * np.log((p_max - k) / k)
         total += 1j * np.pi * Nk / (2 * k)
-    elif quad.method == "ieps":
+    else:  # "ieps"
         def run(eps):
             acc = np.zeros(3, dtype=complex)
             for a0, b0 in zip(edges[:-1], edges[1:]):
@@ -240,8 +244,6 @@ def second_born_amplitude(
             return acc
         eps = quad.eps_over_k2 * k * k
         total = 2.0 * run(eps) - run(2.0 * eps) if quad.richardson else run(eps)
-    else:
-        raise ValueError(f"unknown quadrature method {quad.method!r}")
 
     pref = (k * k / (4 * np.pi)) / (2 * np.pi) ** 3
     F = pref * total

@@ -9,10 +9,16 @@ Commands (all take --config PATH, --out DIR and --seed N):
     transfer  transfer-pipeline amplitudes over the same direction set
     sweep     invisibility metrics over a list of wavenumbers
 
-Exit codes: 0 all requested checks pass, 1 suite failure, 2 config error.
-All I/O uses units with the support threshold alpha = 1; --alpha rescales
-emitted lengths and wavenumbers on output only.  Outputs are deterministic
-for a fixed config and seed.
+The config is parsed once into a RunConfig: every field is read and checked
+(grid.n_disk >= 8, a non-grazing incidence, a nonzero polarization, known
+suite names, numeric tolerances, a known quadrature method) before any suite
+runs.  Suites: projector_algebra, lemma_lab, support, id101,
+route_equivalence, invisibility, exactness.
+
+Exit codes: 0 all requested checks pass, 1 suite failure (the error names
+the suite), 2 config error.  All I/O uses units with the support threshold
+alpha = 1; --alpha rescales emitted lengths and wavenumbers on output only.
+Outputs are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import born as born_mod
-from . import lemmalab, transfer
+from . import em, lemmalab, transfer
 from .em import DetectorDirection, IncidentWave
 from .errors import BornexactError, ConfigError
 from .medium import (
@@ -47,41 +53,44 @@ _DEFAULT_TOLERANCES = {
     "exactness_contrast": 1e-3,
 }
 
-_DEFAULT_SUITES = [
-    "projector_algebra",
-    "lemma_lab",
-    "support",
-    "id101",
-    "route_equivalence",
-    "invisibility",
-]
-
-
 class RunConfig:
-    """Parsed run configuration with documented defaults."""
+    """One parsed run: every field read, converted and checked once.
+
+    Builds the incident wave, the disk-only momentum grid, the quadrature,
+    the detector list, the suite list and the float tolerances up front, so
+    a malformed field raises ConfigError before anything runs.
+    """
 
     def __init__(self, raw: dict):
         if not isinstance(raw, dict) or "medium" not in raw:
             raise ConfigError("config must be a JSON object with a 'medium' entry")
         self.raw = raw
+        try:
+            self._parse(raw)
+        except ConfigError:
+            raise
+        except (BornexactError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def _parse(self, raw: dict):
         self.medium: MediumProfile = profile_from_dict(raw["medium"])
         inc = raw.get("incident", {})
-        self.k = float(inc.get("k_over_alpha", 0.8))
-        self.theta0 = np.deg2rad(float(inc.get("theta0_deg", 0.0)))
-        self.phi0 = np.deg2rad(float(inc.get("phi0_deg", 0.0)))
+        k = float(inc.get("k_over_alpha", 0.8))
+        theta0 = np.deg2rad(float(inc.get("theta0_deg", 0.0)))
+        phi0 = np.deg2rad(float(inc.get("phi0_deg", 0.0)))
         pol = inc.get("polarization", 0.0)
-        self.pol_chi = None
-        self.pol_vec = None
         if isinstance(pol, (int, float)):
-            self.pol_chi = np.deg2rad(float(pol))
+            self.wave = IncidentWave.linear(k, theta0, phi0, np.deg2rad(float(pol)))
         elif isinstance(pol, list) and len(pol) == 3:
-            self.pol_vec = np.array([complex(c[0], c[1]) for c in pol])
+            vec = np.array([complex(c[0], c[1]) for c in pol])
+            self.wave = IncidentWave(k, theta0, phi0, vec)
         else:
             raise ConfigError("polarization must be chi in degrees or [[re,im]*3]")
         grid = raw.get("grid", {})
-        self.n_disk = int(grid.get("n_disk", 12))
-        self.p_max_over_k = float(grid.get("p_max_over_k", 6.0))
-        self.eps_ann = float(grid.get("eps_ann", 1e-3))
+        # disk only: no outer box, so no p_max to bound it
+        self.grid = transfer.build_momentum_grid(
+            k, np.inf, int(grid.get("n_disk", 12)), 0, float(grid.get("eps_ann", 1e-3))
+        )
         quad = raw.get("quadrature", {})
         self.quad = born_mod.QuadratureSpec(
             n_radial=int(quad.get("n_radial", 24)),
@@ -91,24 +100,19 @@ class RunConfig:
             method=quad.get("method", "pv"),
         )
         dirs = raw.get("directions", {})
-        self.n_detectors = int(dirs.get("n_detectors", 32))
+        n_det = int(dirs.get("n_detectors", 32))
+        half = max(1, n_det // 2)
+        self.detectors = (born_mod.fibonacci_hemisphere(half, 1)
+                          + born_mod.fibonacci_hemisphere(n_det - half, -1))
         self.n_pairs = int(dirs.get("n_pairs", 64))
         self.suites = list(raw.get("suites", _DEFAULT_SUITES))
-        self.tolerances = dict(_DEFAULT_TOLERANCES)
-        self.tolerances.update(raw.get("tolerances", {}))
+        unknown = [s for s in self.suites if s not in SUITES]
+        if unknown:
+            raise ConfigError(f"unknown suite {unknown[0]!r}")
+        tols = {**_DEFAULT_TOLERANCES, **raw.get("tolerances", {})}
+        self.tolerances = {name: float(v) for name, v in tols.items()}
         self.sweep_ks = [float(v) for v in raw.get("sweep", {}).get("k_over_alpha", [0.3, 0.5, 0.8])]
         self.seed = int(raw.get("seed", 0))
-
-    def incident_wave(self) -> IncidentWave:
-        if self.pol_vec is not None:
-            return IncidentWave(self.k, self.theta0, self.phi0, self.pol_vec)
-        return IncidentWave.linear(self.k, self.theta0, self.phi0, self.pol_chi)
-
-    def detector_set(self):
-        half = max(1, self.n_detectors // 2)
-        return born_mod.fibonacci_hemisphere(half, 1) + born_mod.fibonacci_hemisphere(
-            self.n_detectors - half, -1
-        )
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
@@ -140,17 +144,15 @@ def _fmt(x: float) -> str:
 # verify suites
 
 
-def _suite_projector_algebra(cfg: RunConfig):
-    from . import em
-
+def _suite_projector_algebra(cfg: RunConfig, expect_compliant: bool):
     rng = np.random.default_rng(cfg.seed)
-    k = cfg.k
+    k, eps_ann = cfg.wave.k, cfg.grid.eps_ann
     n = 2000
-    rho = np.sqrt(rng.uniform(0, (1 - 2 * cfg.eps_ann) ** 2, n)) * k
+    rho = np.sqrt(rng.uniform(0, (1 - 2 * eps_ann) ** 2, n)) * k
     phi = rng.uniform(0, 2 * np.pi, n)
     pts = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
-    P1 = em.projector(1, pts, k, cfg.eps_ann)
-    P2 = em.projector(2, pts, k, cfg.eps_ann)
+    P1 = em.projector(1, pts, k, eps_ann)
+    P2 = em.projector(2, pts, k, eps_ann)
     eye = np.eye(4)
     m = max(
         np.abs(P1 + P2 - eye).max(),
@@ -160,7 +162,7 @@ def _suite_projector_algebra(cfg: RunConfig):
     )
     tol = cfg.tolerances["projector_algebra"]
     H = em.free_hamiltonian(pts, k)
-    w = np.asarray(em.varpi(pts, k, cfg.eps_ann))
+    w = np.asarray(em.varpi(pts, k, eps_ann))
     eig = max(
         np.abs(H @ P1 + w[:, None, None] * P1).max(),
         np.abs(H @ P2 - w[:, None, None] * P2).max(),
@@ -169,7 +171,7 @@ def _suite_projector_algebra(cfg: RunConfig):
     return {"pass": bool(ok), "metric": float(max(m, eig)), "tolerance": tol}
 
 
-def _suite_lemma_lab(cfg: RunConfig):
+def _suite_lemma_lab(cfg: RunConfig, expect_compliant: bool):
     tol = cfg.tolerances["lemma_lab"]
     r1 = lemmalab.chain_operator_residual(1, 2.0, 1.0, 1.0, seed=cfg.seed)
     r2 = lemmalab.chain_operator_residual(2, 1.0, 1.0, 1.0, seed=cfg.seed + 1)
@@ -195,10 +197,7 @@ def _suite_support(cfg: RunConfig, expect_compliant: bool):
 
 
 def _suite_id101(cfg: RunConfig, expect_compliant: bool):
-    grid = transfer.build_momentum_grid(
-        cfg.k, cfg.p_max_over_k * cfg.k, max(8, cfg.n_disk), 0, cfg.eps_ann
-    )
-    kern = transfer.transfer_first_order(cfg.medium, grid)
+    kern = transfer.transfer_first_order(cfg.medium, cfg.grid)
     resid = transfer.identity_id101_residual(kern)
     scale = max(kern.norm_max**2, 1e-300)
     tol = cfg.tolerances["id101_rel"]
@@ -206,41 +205,42 @@ def _suite_id101(cfg: RunConfig, expect_compliant: bool):
     return {"pass": bool(ok), "metric": float(resid / scale), "tolerance": tol}
 
 
-def _suite_route_equivalence(cfg: RunConfig):
-    grid = transfer.build_momentum_grid(
-        cfg.k, cfg.p_max_over_k * cfg.k, max(8, cfg.n_disk), 0, cfg.eps_ann
-    )
-    w = cfg.incident_wave()
-    sol = transfer.solve_T(None, w, method="fast", profile=cfg.medium, grid=grid)
-    rng = np.random.default_rng(cfg.seed)
+def _transfer_vs_born(cfg: RunConfig, dirs):
+    """Transfer amplitudes at dirs (rim detectors skipped) and max rel. |F - F1|."""
+    sol = transfer.solve_T(None, cfg.wave, method="fast", profile=cfg.medium, grid=cfg.grid)
+    entries = []
     num = den = 0.0
-    for _ in range(8):
-        theta = rng.uniform(0.15, np.pi - 0.15)
-        if abs(np.cos(theta)) < 0.2:
-            continue
-        d = DetectorDirection(theta, rng.uniform(0, 2 * np.pi))
+    for d in dirs:
         try:
             Ft = transfer.amplitude_from_T(sol, d, mode="exact")
         except BornexactError:
             continue
-        Fb = born_mod.first_born_amplitude(cfg.medium, w, d)
+        entries.append((d, Ft))
+        Fb = born_mod.first_born_amplitude(cfg.medium, cfg.wave, d)
         num = max(num, float(np.linalg.norm(Ft - Fb)))
         den = max(den, float(np.linalg.norm(Fb)))
-    metric = num / max(den, 1e-300) if den > 0 else num
+    return entries, (num / den if den > 0 else num)
+
+
+def _suite_route_equivalence(cfg: RunConfig, expect_compliant: bool):
+    rng = np.random.default_rng(cfg.seed)
+    dirs = []
+    for _ in range(8):
+        theta = rng.uniform(0.15, np.pi - 0.15)
+        if abs(np.cos(theta)) >= 0.2:
+            dirs.append(DetectorDirection(theta, rng.uniform(0, 2 * np.pi)))
+    _, metric = _transfer_vs_born(cfg, dirs)
     tol = cfg.tolerances["route_equivalence"]
     return {"pass": bool(metric < tol), "metric": float(metric), "tolerance": tol}
 
 
 def _suite_invisibility(cfg: RunConfig, expect_compliant: bool):
-    rep = born_mod.invisibility_report(
-        cfg.medium,
-        cfg.k,
-        n_pairs=min(cfg.n_pairs, 64),
-        tol_factor=cfg.tolerances["invisibility_factor"],
-    )
+    k = cfg.wave.k
+    rep = born_mod.invisibility_report(cfg.medium, k, n_pairs=min(cfg.n_pairs, 64),
+                                       tol_factor=cfg.tolerances["invisibility_factor"])
     alpha = cfg.medium.alpha
     must_be_invisible = (
-        expect_compliant and alpha is not None and cfg.k <= 0.5 * alpha + 1e-12
+        expect_compliant and alpha is not None and k <= 0.5 * alpha + 1e-12
     )
     out = {
         "pass": bool(rep.invisible if must_be_invisible else True),
@@ -254,8 +254,8 @@ def _suite_invisibility(cfg: RunConfig, expect_compliant: bool):
 
 
 def _suite_exactness(cfg: RunConfig, expect_compliant: bool):
-    w = cfg.incident_wave()
-    dirs = cfg.detector_set()[:8]
+    w = cfg.wave
+    dirs = cfg.detectors[:8]
     max_f1 = max(
         np.linalg.norm(born_mod.first_born_amplitude(cfg.medium, w, d)) for d in dirs
     )
@@ -269,25 +269,26 @@ def _suite_exactness(cfg: RunConfig, expect_compliant: bool):
     return {"pass": bool(ok), "metric": float(ratio), "tolerance": tol}
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path, expect_compliant: bool):
+SUITES = {
+    "projector_algebra": _suite_projector_algebra,
+    "lemma_lab": _suite_lemma_lab,
+    "support": _suite_support,
+    "id101": _suite_id101,
+    "route_equivalence": _suite_route_equivalence,
+    "invisibility": _suite_invisibility,
+    "exactness": _suite_exactness,
+}
+# the second-order quadrature is the one suite a config must ask for
+_DEFAULT_SUITES = [name for name in SUITES if name != "exactness"]
+
+
+def cmd_verify(cfg: RunConfig, out_dir: Path, args):
     report = {}
-    for suite in cfg.suites:
-        if suite == "projector_algebra":
-            report[suite] = _suite_projector_algebra(cfg)
-        elif suite == "lemma_lab":
-            report[suite] = _suite_lemma_lab(cfg)
-        elif suite == "support":
-            report[suite] = _suite_support(cfg, expect_compliant)
-        elif suite == "id101":
-            report[suite] = _suite_id101(cfg, expect_compliant)
-        elif suite == "route_equivalence":
-            report[suite] = _suite_route_equivalence(cfg)
-        elif suite == "invisibility":
-            report[suite] = _suite_invisibility(cfg, expect_compliant)
-        elif suite == "exactness":
-            report[suite] = _suite_exactness(cfg, expect_compliant)
-        else:
-            raise ConfigError(f"unknown suite {suite!r}")
+    for name in cfg.suites:
+        try:
+            report[name] = SUITES[name](cfg, args.expect_compliant)
+        except BornexactError as exc:
+            raise BornexactError(f"suite {name}: {exc}") from exc
     _write_json(out_dir / "verify.json", report)
     all_pass = all(v["pass"] for v in report.values())
     for name in sorted(report):
@@ -308,24 +309,24 @@ def _rescaled_map(amap, alpha_scale: float):
     return born_mod.AmplitudeMap(entries, amap.incident, amap.order, amap.tolerances)
 
 
-def cmd_born(cfg: RunConfig, out_dir: Path, order: int, alpha_scale: float):
-    w = cfg.incident_wave()
-    dirs = cfg.detector_set()
-    tolctx = {"quadrature": cfg.quad.__dict__, "n_disk": cfg.n_disk}
+def cmd_born(cfg: RunConfig, out_dir: Path, args):
+    w = cfg.wave
+    dirs = cfg.detectors
+    tolctx = {"quadrature": cfg.quad.__dict__, "n_disk": cfg.grid.n_r}
     amap = born_mod.amplitude_map(cfg.medium, w, dirs, order=1)
     amap.tolerances.update(tolctx)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _rescaled_map(amap, alpha_scale).write(
+    _rescaled_map(amap, args.alpha).write(
         out_dir / "born_f1.csv", out_dir / "born_f1.json"
     )
     summary = {"max_f1": float(max(np.linalg.norm(F) for _, F in amap.entries))}
-    if order >= 2:
+    if args.order >= 2:
         entries2 = [
             (d, born_mod.second_born_amplitude(cfg.medium, w, d, cfg.quad))
             for d in dirs
         ]
         amap2 = born_mod.AmplitudeMap(entries2, w, order=2, tolerances=tolctx)
-        _rescaled_map(amap2, alpha_scale).write(
+        _rescaled_map(amap2, args.alpha).write(
             out_dir / "born_f2.csv", out_dir / "born_f2.json"
         )
         max_f2 = float(max(np.linalg.norm(F) for _, F in entries2))
@@ -338,7 +339,7 @@ def cmd_born(cfg: RunConfig, out_dir: Path, order: int, alpha_scale: float):
     return 0
 
 
-def cmd_profile(cfg: RunConfig, out_dir: Path, alpha_scale: float):
+def cmd_profile(cfg: RunConfig, out_dir: Path, args):
     prof = cfg.medium
     a = getattr(prof, "a", 1.0)
     lx = 10.0 * a
@@ -351,7 +352,7 @@ def cmd_profile(cfg: RunConfig, out_dir: Path, alpha_scale: float):
     with open(out_dir / "profile.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,Re_eta,Im_eta\n")
         for x, v in zip(xs, eta):
-            fh.write(f"{_fmt(x / alpha_scale)},{_fmt(v.real)},{_fmt(v.imag)}\n")
+            fh.write(f"{_fmt(x / args.alpha)},{_fmt(v.real)},{_fmt(v.imag)}\n")
     alpha = prof.alpha if prof.alpha is not None else 1.0
     rep = support_report(prof, alpha)
     brep = bounds_check(prof, 20000, seed=cfg.seed)
@@ -375,36 +376,19 @@ def cmd_profile(cfg: RunConfig, out_dir: Path, alpha_scale: float):
     return 0
 
 
-def cmd_transfer(cfg: RunConfig, out_dir: Path, alpha_scale: float):
-    grid = transfer.build_momentum_grid(
-        cfg.k, cfg.p_max_over_k * cfg.k, max(8, cfg.n_disk), 0, cfg.eps_ann
-    )
-    w = cfg.incident_wave()
-    sol = transfer.solve_T(None, w, method="fast", profile=cfg.medium, grid=grid)
-    entries = []
-    worst = 0.0
-    denom = 0.0
-    for d in cfg.detector_set():
-        try:
-            F = transfer.amplitude_from_T(sol, d, mode="exact")
-        except BornexactError:
-            continue
-        entries.append((d, F))
-        Fb = born_mod.first_born_amplitude(cfg.medium, w, d)
-        worst = max(worst, float(np.linalg.norm(F - Fb)))
-        denom = max(denom, float(np.linalg.norm(Fb)))
-    amap = born_mod.AmplitudeMap(entries, w, order=1,
-                                 tolerances={"n_disk": cfg.n_disk})
+def cmd_transfer(cfg: RunConfig, out_dir: Path, args):
+    entries, rel = _transfer_vs_born(cfg, cfg.detectors)
+    amap = born_mod.AmplitudeMap(entries, cfg.wave, order=1,
+                                 tolerances={"n_disk": cfg.grid.n_r})
     out_dir.mkdir(parents=True, exist_ok=True)
-    _rescaled_map(amap, alpha_scale).write(
+    _rescaled_map(amap, args.alpha).write(
         out_dir / "transfer_f.csv", out_dir / "transfer_f.json"
     )
-    rel = worst / max(denom, 1e-300) if denom > 0 else worst
     print(f"transfer vs first-Born max rel diff = {rel:.3e}")
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: Path, alpha_scale: float):
+def cmd_sweep(cfg: RunConfig, out_dir: Path, args):
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for k in cfg.sweep_ks:
@@ -413,10 +397,19 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, alpha_scale: float):
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("k,max_f1,bound,verdict\n")
         for k, f1, b, v in rows:
-            fh.write(f"{_fmt(k * alpha_scale)},{_fmt(f1)},{_fmt(b)},{v}\n")
+            fh.write(f"{_fmt(k * args.alpha)},{_fmt(f1)},{_fmt(b)},{v}\n")
     for k, f1, b, v in rows:
         print(f"k={k:g}: max|F1|={f1:.3e} ({v})")
     return 0
+
+
+_COMMANDS = {
+    "verify": cmd_verify,
+    "born": cmd_born,
+    "profile": cmd_profile,
+    "transfer": cmd_transfer,
+    "sweep": cmd_sweep,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,8 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification suites for media with an exact first Born approximation",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("verify", "born", "profile", "transfer", "sweep"):
+    for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name)
+        p.set_defaults(cmd=cmd)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
@@ -446,18 +440,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        out_dir = Path(args.out)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir, args.expect_compliant)
-        if args.command == "born":
-            return cmd_born(cfg, out_dir, args.order, args.alpha)
-        if args.command == "profile":
-            return cmd_profile(cfg, out_dir, args.alpha)
-        if args.command == "transfer":
-            return cmd_transfer(cfg, out_dir, args.alpha)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.alpha)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.cmd(cfg, Path(args.out), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -42,6 +42,13 @@ _RECIP_MAX_TERMS = 64
 # here, the dense first-order kernel by default in bornexact.transfer.
 MEMORY_CAP_BYTES = 2**31
 
+# support_report: taper width sigma_w = window / _TAPER_SIGMAS, scan margin
+# _MARGIN_SIGMAS / sigma_w, and the largest |eta| at the window edge, relative
+# to its central value, that the window may cut off.
+_TAPER_SIGMAS = 6.5
+_MARGIN_SIGMAS = 7.0
+_WINDOW_TOL = 0.05
+
 
 def _sinc(z):
     """sin(z)/z, stable near 0 and valid for complex z."""
@@ -552,26 +559,24 @@ def support_report(
     window: float | None = None,
     grid: tuple[int, int, int] = (512, 512, 64),
     tolerance: float = 1e-6,
-    taper_sigmas: float = 6.5,
-    margin_sigmas: float = 7.0,
-    window_tol: float = 0.05,
 ) -> SupportReport:
     """Scan the windowed x-spectrum of eta for leakage at p_x <= alpha - margin.
 
     The window is multiplied by a Gaussian taper of width sigma_w =
-    window/taper_sigmas before the FFT; the scan stops margin =
-    margin_sigmas/sigma_w short of the threshold, since a finite-window
-    measurement cannot localize spectral support below its own bandwidth.
-    max_leak is reported relative to the global spectral peak.
+    window/6.5 before the FFT; the scan stops margin = 7/sigma_w short of
+    the threshold, since a finite-window measurement cannot localize
+    spectral support below its own bandwidth.  max_leak is reported
+    relative to the global spectral peak.
 
-    Raises WindowTooSmall when the untapered profile at the window edge is
-    not negligible or when the grid cannot resolve the profile's spectrum
-    without aliasing into the scan region.
+    Raises WindowTooSmall, before the scan, when the untapered profile at
+    the window edge exceeds 5 % of its central value or when the grid
+    cannot resolve the profile's spectrum without aliasing into the scan
+    region.
     """
     nx, ny, nz = grid
     X = float(window) if window is not None else profile.default_window()
-    sigma_w = X / taper_sigmas
-    margin = margin_sigmas / sigma_w
+    sigma_w = X / _TAPER_SIGMAS
+    margin = _MARGIN_SIGMAS / sigma_w
 
     # Nyquist must clear the spectral extent, else tails alias into the scan.
     nyq = np.pi * nx / (2.0 * X)
@@ -590,12 +595,20 @@ def support_report(
     y = np.linspace(y0, y1, ny)
     zs = z0 + (np.arange(nz) + 0.5) * (z1 - z0) / nz
 
-    # window-edge check on the raw profile
+    # position-space edge criterion on the raw profile
     redge = np.stack(
         np.broadcast_arrays(X, y[:, None], zs[None, :]), axis=-1
     ).reshape(-1, 3)
     ee_edge, em_edge = profile.eval_eta(redge)
     edge_mag = max(np.abs(ee_edge).max(), np.abs(em_edge).max())
+    ctr = np.stack(np.broadcast_arrays(0.0, 0.0, 0.5 * (z0 + z1)), axis=-1)
+    ee0, em0 = profile.eval_eta(ctr.reshape(-1, 3))
+    center_mag = max(np.abs(ee0).max(), np.abs(em0).max(), 1e-300)
+    if edge_mag > _WINDOW_TOL * center_mag:
+        raise WindowTooSmall(
+            f"|eta| at the window edge is {edge_mag / center_mag:.3g} of its "
+            f"central value (tolerance {_WINDOW_TOL:g})"
+        )
 
     if isinstance(profile, _EnvelopeProfile):
         # separable, with eta_mu = 0: every (y, z) column of eta_eps inside
@@ -614,16 +627,6 @@ def support_report(
             leak = max(leak, float(mag[scan].max()))
 
     max_leak = 0.0 if peak == 0.0 else leak / peak
-    # position-space edge criterion
-    ctr = np.stack(np.broadcast_arrays(0.0, 0.0, 0.5 * (z0 + z1)), axis=-1)
-    ee0, em0 = profile.eval_eta(ctr.reshape(-1, 3))
-    center_mag = max(np.abs(ee0).max(), np.abs(em0).max(), 1e-300)
-    if edge_mag > window_tol * center_mag:
-        raise WindowTooSmall(
-            f"|eta| at the window edge is {edge_mag / center_mag:.3g} of its "
-            f"central value (tolerance {window_tol:g})"
-        )
-
     verdict = "compliant" if max_leak < tolerance else "noncompliant"
     return SupportReport(
         max_leak=max_leak,

@@ -333,6 +333,11 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
     z-ordered double integral over the slab is closed-form, which requires
     profile.z_constant: eta independent of z inside profile.slab and zero
     outside it.  Raises UnsupportedProfile for any other profile.
+
+    Known limit: the Cartesian outer box is invariant only under quarter
+    turns, so the result depends on the medium's orientation.  On
+    build_momentum_grid(0.8, 4.8, 8, 8) the Gaussian control reads 8.707
+    unrotated and 2027 after rotate_to_x(control, (0.6, 0.8)).
     """
     if not profile.z_constant:
         raise UnsupportedProfile(
@@ -478,7 +483,11 @@ def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
 
     mode "exact" evaluates the compliant closed form at vec k_s; "grid"
     interpolates t_+/- bilinearly on the polar mesh (the discretized
-    pipeline whose error contracts under grid refinement).
+    pipeline whose error contracts under grid refinement).  Known limit: the
+    grid mode is O(1) wrong within one grid cell of the support edge
+    q_x = alpha, where the Gauss-erf spectrum jumps (k 0.8, incidence (1.0,
+    pi), chi 0.81, detector (0.480, -0.474), q_x = 1.0019: relative error
+    0.669 at n_disk 64, 0.150 at 128; the exact mode gives 3e-16).
     """
     grid = sol.grid
     k = sol.incident.k

@@ -152,6 +152,10 @@ class TestSecondBorn:
         )
         assert np.linalg.norm(Fpv - Fie) < 1e-4 * np.linalg.norm(Fpv)
 
+    def test_unknown_method_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="pvv"):
+            QuadratureSpec(method="pvv")
+
     def test_quadrature_not_converged_raises(self, control_medium):
         d = DetectorDirection(1.1, 0.3)
         w = IncidentWave.linear(K, 1.0, np.pi, 0.0)

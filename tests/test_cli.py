@@ -106,6 +106,46 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"incident": {"k_over_alpha": -0.8}},
+            {"incident": {"k_over_alpha": "abc"}},
+            {"grid": {"n_disk": "x"}},
+            {"grid": {"n_disk": 4}},
+            {"incident": {"theta0_deg": 90.0}},
+            {"incident": {"polarization": [[0, 0], [0, 0], [0, 0]]}},
+            {"suites": ["support", "exactnes"]},
+            {"tolerances": {"support": "x"}},
+            {"quadrature": {"method": "pvv"}},
+        ],
+        ids=["k_negative", "k_text", "n_disk_text", "n_disk_4", "grazing",
+             "zero_polarization", "unknown_suite", "tolerance_text", "quad_method"],
+    )
+    def test_malformed_field_exits_2_before_any_suite(self, tmp_path, monkeypatch, over):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran on a malformed config")
+
+        monkeypatch.setattr("bornexact.cli.support_report", no_suite)
+        over = {"suites": ["support", "exactness"], **over}
+        cfg = write_config(tmp_path, SPEC_MEDIUM, **over)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "verify.json").exists()
+
+    def test_suite_error_names_suite(self, tmp_path, capsys):
+        # at 89.99 degrees the wave is not grazing, but its transverse
+        # momentum lies on the transfer grid's rim annulus
+        cfg = write_config(
+            tmp_path, SPEC_MEDIUM, suites=["support", "route_equivalence"],
+            incident={"k_over_alpha": 0.8, "theta0_deg": 89.99},
+        )
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: suite route_equivalence: ")
+        assert "disk rim" in err
+
+
 class TestBornCommand:
     def test_emits_csv_and_summary(self, tmp_path):
         cfg = write_config(tmp_path, SPEC_MEDIUM)

@@ -202,6 +202,27 @@ class TestSupportReport:
         with pytest.raises(WindowTooSmall):
             support_report(reference_medium, ALPHA, window=4.0, grid=(512, 64, 16))
 
+    def test_window_edge_rejected_before_scan(self, reference_medium):
+        calls = []
+
+        class Counting(MediumProfile):
+            alpha = reference_medium.alpha
+            slab = reference_medium.slab
+
+            def eval_eta(self, r):
+                calls.append(len(r))
+                return reference_medium.eval_eta(r)
+
+            def spectral_extent(self, rel_tol=1e-9):
+                return reference_medium.spectral_extent(rel_tol)
+
+            def sampling_box(self):
+                return reference_medium.sampling_box()
+
+        with pytest.raises(WindowTooSmall, match="window edge"):
+            support_report(Counting(), ALPHA, window=1.0, grid=(512, 64, 16))
+        assert len(calls) == 2  # the edge points and the centre, no z-slice
+
     def test_aliasing_guard(self, reference_medium):
         with pytest.raises(WindowTooSmall):
             support_report(reference_medium, ALPHA, window=400.0, grid=(512, 64, 16))
