@@ -20,7 +20,12 @@ import json
 import numpy as np
 
 from .em import DetectorDirection, IncidentWave
-from .errors import BoundsViolated, OriginEvaluation, QuadratureNotConverged
+from .errors import (
+    BoundsViolated,
+    InvalidArgument,
+    OriginEvaluation,
+    QuadratureNotConverged,
+)
 from .medium import MediumProfile, bounds_check
 
 # Sign of the magnetic term in the first-order amplitude, fixed by requiring
@@ -34,7 +39,7 @@ _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 def fibonacci_hemisphere(n: int, side: int = 1):
     """n deterministic directions quasi-uniform over one hemisphere."""
     if n < 1:
-        raise ValueError("need n >= 1 directions")
+        raise InvalidArgument("need n >= 1 directions")
     out = []
     for i in range(n):
         ct = (i + 0.5) / n
@@ -44,7 +49,7 @@ def fibonacci_hemisphere(n: int, side: int = 1):
     return out
 
 
-def direction_pairs(n_pairs: int = 64, include_extremes: bool = True):
+def direction_pairs(n_pairs: int = 64):
     """Deterministic (IncidentWave angles, DetectorDirection) pairs.
 
     Fibonacci-sampled incidences and detectors over both hemispheres, with a
@@ -53,7 +58,7 @@ def direction_pairs(n_pairs: int = 64, include_extremes: bool = True):
     what first exceeds the support threshold when k crosses alpha/2.
     """
     pairs = []
-    n_fib = n_pairs - (4 if include_extremes and n_pairs >= 8 else 0)
+    n_fib = n_pairs - (4 if n_pairs >= 8 else 0)
     inc = fibonacci_hemisphere((n_fib + 1) // 2, side=1)
     det_up = fibonacci_hemisphere(n_fib, side=1)
     det_dn = fibonacci_hemisphere(n_fib, side=-1)
@@ -61,7 +66,7 @@ def direction_pairs(n_pairs: int = 64, include_extremes: bool = True):
         w_dir = inc[i % len(inc)]
         d = det_up[i] if i % 2 == 0 else det_dn[i]
         pairs.append(((w_dir.theta, w_dir.phi), d))
-    if include_extremes and n_pairs >= 8:
+    if n_pairs >= 8:
         eps = 0.02
         pairs += [
             ((np.pi / 2 - eps, np.pi), DetectorDirection(np.pi / 2 - eps, 0.0)),
@@ -112,7 +117,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.method not in ("pv", "ieps"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
+            raise InvalidArgument(f"unknown quadrature method {self.method!r}")
 
     def doubled(self) -> "QuadratureSpec":
         return QuadratureSpec(
@@ -282,7 +287,7 @@ def support_overlap(alpha: float, w, d: DetectorDirection | None = None, n: int 
     global criterion: empty whenever n*alpha >= 2k.
     """
     if n < 1:
-        raise ValueError("Born order n must be >= 1")
+        raise InvalidArgument("Born order n must be >= 1")
     if isinstance(w, IncidentWave):
         k = w.k
         k_ix = w.k_i[0]
@@ -372,7 +377,7 @@ def scaling_check(
     bound on Re eps33.
     """
     if sigma <= 0:
-        raise ValueError("sigma must be positive")
+        raise InvalidArgument("sigma must be positive")
     scaled = profile.scaled(sigma)
     if not bounds_check(scaled, 4000, seed=7).passed:
         raise BoundsViolated(f"sigma={sigma} drives Re eps33 nonpositive")
@@ -412,16 +417,6 @@ class AmplitudeMap:
     incident: IncidentWave
     order: int = 1
     tolerances: dict = field(default_factory=dict)
-
-    def lookup(self, d: DetectorDirection):
-        """Amplitude at the stored direction nearest to d."""
-        best, best_dot = None, -2.0
-        rh = d.r_hat
-        for dd, F in self.entries:
-            c = float(np.dot(rh, dd.r_hat))
-            if c > best_dot:
-                best, best_dot = F, c
-        return best
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

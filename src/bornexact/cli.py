@@ -17,8 +17,7 @@ route_equivalence, invisibility, exactness.
 
 Exit codes: 0 all requested checks pass, 1 suite failure (the error names
 the suite), 2 config error.  All I/O uses units with the support threshold
-alpha = 1; --alpha rescales emitted lengths and wavenumbers on output only.
-Outputs are deterministic for a fixed config and seed.
+alpha = 1.  Outputs are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ _DEFAULT_TOLERANCES = {
     "route_equivalence": 1e-6,
     "invisibility_factor": 1e-8,
     "exactness_ratio": 1e-6,
-    "exactness_contrast": 1e-3,
 }
 
 class RunConfig:
@@ -151,8 +149,7 @@ def _suite_projector_algebra(cfg: RunConfig, expect_compliant: bool):
     rho = np.sqrt(rng.uniform(0, (1 - 2 * eps_ann) ** 2, n)) * k
     phi = rng.uniform(0, 2 * np.pi, n)
     pts = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
-    P1 = em.projector(1, pts, k, eps_ann)
-    P2 = em.projector(2, pts, k, eps_ann)
+    (P1, P2), omegas = em.channels(pts, k, eps_ann)
     eye = np.eye(4)
     m = max(
         np.abs(P1 + P2 - eye).max(),
@@ -162,11 +159,8 @@ def _suite_projector_algebra(cfg: RunConfig, expect_compliant: bool):
     )
     tol = cfg.tolerances["projector_algebra"]
     H = em.free_hamiltonian(pts, k)
-    w = np.asarray(em.varpi(pts, k, eps_ann))
-    eig = max(
-        np.abs(H @ P1 + w[:, None, None] * P1).max(),
-        np.abs(H @ P2 - w[:, None, None] * P2).max(),
-    )
+    eig = max(np.abs(H @ P - w[:, None, None] * P).max()
+              for P, w in zip((P1, P2), omegas))
     ok = m < tol and eig < cfg.tolerances["eigenprojector"]
     return {"pass": bool(ok), "metric": float(max(m, eig)), "tolerance": tol}
 
@@ -301,14 +295,6 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, args):
     return 0 if all_pass else 1
 
 
-def _rescaled_map(amap, alpha_scale: float):
-    # far-field amplitudes carry one power of length: divide by alpha
-    if alpha_scale == 1.0:
-        return amap
-    entries = [(d, F / alpha_scale) for d, F in amap.entries]
-    return born_mod.AmplitudeMap(entries, amap.incident, amap.order, amap.tolerances)
-
-
 def cmd_born(cfg: RunConfig, out_dir: Path, args):
     w = cfg.wave
     dirs = cfg.detectors
@@ -316,9 +302,7 @@ def cmd_born(cfg: RunConfig, out_dir: Path, args):
     amap = born_mod.amplitude_map(cfg.medium, w, dirs, order=1)
     amap.tolerances.update(tolctx)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _rescaled_map(amap, args.alpha).write(
-        out_dir / "born_f1.csv", out_dir / "born_f1.json"
-    )
+    amap.write(out_dir / "born_f1.csv", out_dir / "born_f1.json")
     summary = {"max_f1": float(max(np.linalg.norm(F) for _, F in amap.entries))}
     if args.order >= 2:
         entries2 = [
@@ -326,9 +310,7 @@ def cmd_born(cfg: RunConfig, out_dir: Path, args):
             for d in dirs
         ]
         amap2 = born_mod.AmplitudeMap(entries2, w, order=2, tolerances=tolctx)
-        _rescaled_map(amap2, args.alpha).write(
-            out_dir / "born_f2.csv", out_dir / "born_f2.json"
-        )
+        amap2.write(out_dir / "born_f2.csv", out_dir / "born_f2.json")
         max_f2 = float(max(np.linalg.norm(F) for _, F in entries2))
         summary["max_f2"] = max_f2
         summary["ratio_f2_f1"] = max_f2 / max(summary["max_f1"], 1e-300)
@@ -352,7 +334,7 @@ def cmd_profile(cfg: RunConfig, out_dir: Path, args):
     with open(out_dir / "profile.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,Re_eta,Im_eta\n")
         for x, v in zip(xs, eta):
-            fh.write(f"{_fmt(x / args.alpha)},{_fmt(v.real)},{_fmt(v.imag)}\n")
+            fh.write(f"{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)}\n")
     alpha = prof.alpha if prof.alpha is not None else 1.0
     rep = support_report(prof, alpha)
     brep = bounds_check(prof, 20000, seed=cfg.seed)
@@ -381,9 +363,7 @@ def cmd_transfer(cfg: RunConfig, out_dir: Path, args):
     amap = born_mod.AmplitudeMap(entries, cfg.wave, order=1,
                                  tolerances={"n_disk": cfg.grid.n_r})
     out_dir.mkdir(parents=True, exist_ok=True)
-    _rescaled_map(amap, args.alpha).write(
-        out_dir / "transfer_f.csv", out_dir / "transfer_f.json"
-    )
+    amap.write(out_dir / "transfer_f.csv", out_dir / "transfer_f.json")
     print(f"transfer vs first-Born max rel diff = {rel:.3e}")
     return 0
 
@@ -397,7 +377,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, args):
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("k,max_f1,bound,verdict\n")
         for k, f1, b, v in rows:
-            fh.write(f"{_fmt(k * args.alpha)},{_fmt(f1)},{_fmt(b)},{v}\n")
+            fh.write(f"{_fmt(k)},{_fmt(f1)},{_fmt(b)},{v}\n")
     for k, f1, b, v in rows:
         print(f"k={k:g}: max|F1|={f1:.3e} ({v})")
     return 0
@@ -426,9 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         if name == "verify":
             p.add_argument("--expect-compliant", action="store_true")
-        else:
-            p.add_argument("--alpha", type=float, default=1.0,
-                           help="rescale emitted lengths/wavenumbers (output only)")
         if name == "born":
             p.add_argument("--order", type=int, choices=(1, 2), default=1)
     return ap

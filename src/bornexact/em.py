@@ -3,9 +3,9 @@
 The transverse field (Ex, Ey, Hx, Hy) evolves along z like a quantum state,
 with the free generator H0(p) acting pointwise in the transverse momentum p.
 This module provides the longitudinal wavenumber varpi(p), the 4x4 free
-generator and its spectral projectors, incident-state construction, and the
-far-field contraction that turns 4-component amplitudes into the observable
-3-vector amplitude.
+generator, its spectral projectors and their eigenvalue pairing (channels),
+incident-state construction, and the far-field contraction that turns
+4-component amplitudes into the observable 3-vector amplitude.
 
 Conventions: wavenumbers in units of the support threshold alpha (alpha = 1),
 lengths in 1/alpha.  All functions accept batched momenta of shape (..., 2).
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DirectionOnRim,
     GrazingIncidence,
+    InvalidArgument,
     InvalidPolarization,
     SideMismatch,
     SingularCircle,
@@ -44,7 +45,7 @@ def varpi(p, k: float, eps_ann: float = ANNULUS_GUARD):
     """
     p = np.asarray(p, dtype=float)
     if k <= 0:
-        raise ValueError("wavenumber k must be positive")
+        raise InvalidArgument("wavenumber k must be positive")
     pn = np.sqrt(p[..., 0] ** 2 + p[..., 1] ** 2)
     if np.any(np.abs(pn - k) < eps_ann * k):
         raise SingularCircle(f"|p| within {eps_ann:g}*k of the circle |p| = k")
@@ -86,13 +87,24 @@ def projector(j: int, p, k: float, eps_ann: float = ANNULUS_GUARD):
     j = 2 onto +varpi.  Pi_1 + Pi_2 = I and Pi_i Pi_j = delta_ij Pi_j.
     """
     if j not in (1, 2):
-        raise ValueError("projector index j must be 1 or 2")
+        raise InvalidArgument("projector index j must be 1 or 2")
     p = np.asarray(p, dtype=float)
     w = varpi(p, k, eps_ann)
     H = free_hamiltonian(p, k)
     eye = np.broadcast_to(np.eye(4, dtype=complex), H.shape)
     sign = (-1.0) ** j
     return 0.5 * (eye + sign * H / np.asarray(w)[..., None, None])
+
+
+def channels(p, k: float, eps_ann: float = ANNULUS_GUARD):
+    """The two channels of H0(p): ((Pi_1, Pi_2), (omega_1, omega_2)).
+
+    Channel j has projector Pi_j(p) and eigenvalue omega_j(p) = (-1)^j
+    varpi(p), so H0 Pi_j = omega_j Pi_j.  This is the one place that pairs
+    a channel with its eigenvalue; callers zip the two tuples.
+    """
+    w = np.asarray(varpi(p, k, eps_ann))
+    return (projector(1, p, k, eps_ann), projector(2, p, k, eps_ann)), (-w, w)
 
 
 @dataclass(frozen=True)
@@ -111,7 +123,7 @@ class IncidentWave:
 
     def __post_init__(self):
         if self.k <= 0:
-            raise ValueError("wavenumber k must be positive")
+            raise InvalidArgument("wavenumber k must be positive")
         if abs(np.cos(self.theta0)) < 1e-9:
             raise GrazingIncidence("cos(theta0) = 0: wave propagates in the slab plane")
         e = np.asarray(self.e_i, dtype=complex)

@@ -5,6 +5,10 @@ class BornexactError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidArgument(BornexactError, ValueError):
+    """An argument of a public entry point is out of its domain."""
+
+
 class SingularCircle(BornexactError):
     """A transverse momentum fell inside the guard annulus around |p| = k."""
 

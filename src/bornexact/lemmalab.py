@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsViolated
+from .errors import BoundsViolated, InvalidArgument
 
 # 1D default: Nyquist 76.8 in threshold units, so Neumann powers of a sample
 # with sup |eta| <= 0.3 alias below 1e-10 only at order ~21.
@@ -88,7 +88,6 @@ def make_salpha_sample(
     shape: str = "gaussian",
     seed: int = 0,
     beta: float | None = None,
-    grid: Grid1D | None = None,
     amplitude: float = 1.0,
 ) -> HalfLineSpectrumFunction:
     """Construct f(x) = e^{i beta x} g(x) with spectrum supported in (beta, inf).
@@ -98,11 +97,11 @@ def make_salpha_sample(
     and below beta, so membership in S_alpha holds by construction whenever
     beta >= alpha.
     """
-    grid = grid or Grid1D()
+    grid = Grid1D()
     if beta is None:
         beta = 1.5 * alpha
     if beta + 5.0 > 0.45 * grid.n * grid.dk:
-        raise ValueError("support edge too close to the Nyquist frequency")
+        raise InvalidArgument("support edge too close to the Nyquist frequency")
     rng = np.random.default_rng(seed)
     k = grid.k
     width = 0.4 * max(abs(alpha), 1.0)
@@ -114,7 +113,7 @@ def make_salpha_sample(
         s = 0.5 * max(abs(alpha), 1.0)
         prof = np.where(kk > 0, kk * np.exp(-kk / s), 0.0)
     else:
-        raise ValueError(f"unknown shape {shape!r}")
+        raise InvalidArgument(f"unknown shape {shape!r}")
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi) * np.tanh(kk))
     spec = prof * phase
     spec[k <= beta] = 0.0
@@ -176,25 +175,22 @@ class ReciprocalCheckReport:
 def reciprocal_support_check(
     eta: HalfLineSpectrumFunction,
     alpha: float,
-    m_lo: float = 0.0,
-    M_hi: float = np.inf,
     g: HalfLineSpectrumFunction | None = None,
     series_order: int = 12,
     tolerance: float = 1e-10,
 ) -> ReciprocalCheckReport:
     """Support of eta_{1/f} = 1/(1 + eta) - 1 for eta with spectrum above alpha.
 
-    Verifies the bound 0 < m <= Re f <= |f| <= M on the samples, measures
+    Verifies Re f > 0 on the samples, measures
     spectral leakage of the exact pointwise reciprocal below alpha, checks
     the quotient g/f when g is supplied, and compares the truncated Neumann
     series against the exact reciprocal with its geometric tail bound.
     """
     f = 1.0 + eta.values
     re_min = float(np.real(f).min())
-    ab_max = float(np.abs(f).max())
-    if re_min <= 0.0 or re_min < m_lo or ab_max > M_hi:
+    if re_min <= 0.0:
         raise BoundsViolated(
-            f"bounds fail: min Re f = {re_min:.3g}, max |f| = {ab_max:.3g}"
+            f"bounds fail: min Re f = {re_min:.3g}, max |f| = {np.abs(f).max():.3g}"
         )
     recip = 1.0 / f - 1.0
     h = HalfLineSpectrumFunction(recip, eta.grid, alpha, eta.beta)
@@ -263,20 +259,19 @@ def chain_operator_residual(
     alpha: float,
     k: float,
     seed: int = 0,
-    grid: Grid2D | None = None,
-    n_probes: int = 6,
 ) -> float:
-    """Max-norm estimate of pi_k xi_n V_n ... V_1 xi_0 pi_k on a 2D toy grid.
+    """Max-norm estimate of pi_k xi_n V_n ... V_1 xi_0 pi_k from six probes.
 
     The V_i are convolution operators with symbols supported on p_x > beta,
     the xi_j arbitrary bounded momentum multipliers, and pi_k the disk
-    cutoff.  The result is zero (to grid roundoff) whenever beta >= 2
+    cutoff, all on the default 2D toy grid; the probes are random
+    disk-limited fields.  The result is zero (to grid roundoff) whenever beta >= 2
     alpha / n and k <= alpha; violating the support condition produces an
     O(1) residual.
     """
     if n < 1:
-        raise ValueError("chain length n must be >= 1")
-    grid = grid or Grid2D()
+        raise InvalidArgument("chain length n must be >= 1")
+    grid = Grid2D()
     rng = np.random.default_rng(seed)
     kx = grid.k[:, None]
     ky = grid.k[None, :]
@@ -289,7 +284,7 @@ def chain_operator_residual(
     ]
     conv_scale = grid.dk * grid.dk / (4 * np.pi**2)
     worst = 0.0
-    for _ in range(n_probes):
+    for _ in range(6):
         phi = (rng.normal(size=disk.shape) + 1j * rng.normal(size=disk.shape)) * disk
         cur = phi * xis[0]
         for i in range(n):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import dawsn, gammaln
 
-from .errors import BoundsViolated, ConfigError, WindowTooSmall
+from .errors import BoundsViolated, ConfigError, InvalidArgument, WindowTooSmall
 
 _EYE3 = np.eye(3)
 
@@ -75,7 +75,7 @@ class TransverseBox:
 
     def __post_init__(self):
         if self.ly <= 0 or self.lz <= 0:
-            raise ValueError("box side lengths must be positive")
+            raise InvalidArgument("box side lengths must be positive")
 
     def value(self, y, z):
         y = np.asarray(y, dtype=float)
@@ -164,7 +164,7 @@ class _EnvelopeProfile(MediumProfile):
 
     def __init__(self, alpha, a, footprint: TransverseBox):
         if a <= 0:
-            raise ValueError("envelope length a must be positive")
+            raise InvalidArgument("envelope length a must be positive")
         self.alpha = alpha
         self.a = float(a)
         self.footprint = footprint
@@ -283,7 +283,7 @@ class RationalEnvelopeProfile(_EnvelopeProfile):
 
     def __init__(self, alpha, a, m_exp: int, footprint: TransverseBox):
         if m_exp < 1 or int(m_exp) != m_exp:
-            raise ValueError("m_exp must be a positive integer")
+            raise InvalidArgument("m_exp must be a positive integer")
         super().__init__(alpha, a, footprint)
         self.m_exp = int(m_exp)
 
@@ -503,7 +503,7 @@ def rotate_to_x(profile: MediumProfile, e) -> MediumProfile:
     """Rotate the profile about z so the unit vector e maps onto e_x."""
     e = np.asarray(e, dtype=float)
     if e.shape != (2,) or abs(np.linalg.norm(e) - 1.0) > 1e-9:
-        raise ValueError("e must be a unit 2-vector in the x-y plane")
+        raise InvalidArgument("e must be a unit 2-vector in the x-y plane")
     phi = np.arctan2(e[1], e[0])
     if abs(phi) < 1e-15:
         return profile
@@ -669,7 +669,7 @@ def bounds_check(profile: MediumProfile, sample_count: int = 20000, seed: int = 
     of the moduli; passed requires a strictly positive lower bound.
     """
     if sample_count <= 0:
-        raise ValueError("sample_count must be positive")
+        raise InvalidArgument("sample_count must be positive")
     rng = np.random.default_rng(seed)
     (x0, x1), (y0, y1), (z0, z1) = profile.sampling_box()
     pts = np.column_stack(

@@ -23,6 +23,7 @@ import struct
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .medium import MediumProfile
 
 _MAGIC = b"ETAGRID1"
@@ -37,7 +38,7 @@ def write_grid(path, eta_eps, origin, spacing, eta_mu=None):
     eta_eps = np.ascontiguousarray(eta_eps, dtype=complex)
     nx, ny, nz = eta_eps.shape[:3]
     if eta_eps.shape != (nx, ny, nz, 3, 3):
-        raise ValueError("eta_eps must have shape (nx, ny, nz, 3, 3)")
+        raise InvalidArgument("eta_eps must have shape (nx, ny, nz, 3, 3)")
     has_mu = eta_mu is not None
     with open(path, "wb") as fh:
         fh.write(
@@ -58,20 +59,20 @@ def write_grid(path, eta_eps, origin, spacing, eta_mu=None):
 def read_grid(path):
     """Read a grid file; returns (eta_eps, eta_mu_or_None, origin, spacing).
 
-    Raises ValueError unless the file holds exactly the header and the
+    Raises InvalidArgument unless the file holds exactly the header and the
     data its header declares.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
-            raise ValueError(f"{path}: shorter than the {_HEADER.size}-byte header")
+            raise InvalidArgument(f"{path}: shorter than the {_HEADER.size}-byte header")
         magic, nx, ny, nz, x0, y0, z0, dx, dy, dz, has_mu = _HEADER.unpack(head)
         if magic != _MAGIC:
-            raise ValueError(f"not an ETAGRID1 file: {path}")
+            raise InvalidArgument(f"not an ETAGRID1 file: {path}")
         shape = (2 if has_mu else 1, nx, ny, nz, 3, 3, 2)
         body = os.fstat(fh.fileno()).st_size - _HEADER.size
         if min(nx, ny, nz) < 1 or body != 8 * math.prod(shape):
-            raise ValueError(
+            raise InvalidArgument(
                 f"{path}: {body} data bytes do not match the declared "
                 f"{nx}x{ny}x{nz} grid (has_mu={has_mu})"
             )
@@ -118,9 +119,9 @@ class SampledProfile(MediumProfile):
         self._ft_cache = {}
 
     @classmethod
-    def load(cls, path, alpha=None, slab=None):
+    def load(cls, path, alpha=None):
         ee, em, origin, spacing = read_grid(path)
-        return cls(ee, em, origin, spacing, alpha=alpha, slab=slab)
+        return cls(ee, em, origin, spacing, alpha=alpha)
 
     def save(self, path):
         write_grid(path, self.ee, self.origin, self.spacing, self.em)

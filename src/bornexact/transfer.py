@@ -5,14 +5,14 @@ acts on 4-component functions of the transverse momentum disk |p| < k.  For
 compliant media every Dyson term beyond the first vanishes by the one-sided
 support algebra, leaving the single z-integral kernel
 
-    K(p,q) = -i sum_{j,l} Pi_j(p) B~(p, q; w_jl) Pi_l(q),
-    w_jl   = (-1)^j varpi(p) - (-1)^l varpi(q),
+    K(p,q) = -i sum_{j,l} Pi_j(p) B~(p, q; omega_j(p) - omega_l(q)) Pi_l(q),
 
-where B~ is the z-Fourier transform of the projected interaction kernel at
-frequency -w (equivalently the medium's 3D transform at q_z = w_jl's
-conjugate).  T_+/- then follow from the compliant closed forms
-t_+ = Pi_1 K(., k_i) Y and t_- = -Pi_2 K(., k_i) Y; the far-field amplitude
-is extracted with the Xi contraction.
+where channel j of the free generator H0(p) has projector Pi_j(p) and
+eigenvalue omega_j(p) = (-1)^j varpi(p) (em.channels), and B~(p, q; w) is
+the z-Fourier transform of the projected interaction kernel at frequency -w
+(the medium's 3D transform at q_z = -w).  T_+/- then follow from the
+compliant closed forms t_+ = Pi_1 K(., k_i) Y and t_- = -Pi_2 K(., k_i) Y;
+the far-field amplitude is extracted with the Xi contraction.
 
 Nothing here assumes Hermiticity; the effective generator is generally
 non-Hermitian and all kernels are general-complex.
@@ -29,6 +29,7 @@ from .em import _SIGMA2, ANNULUS_GUARD, DetectorDirection, IncidentWave, xi_cont
 from .errors import (
     DirectionOnRim,
     IncidenceOutsideDisk,
+    InvalidArgument,
     InvalidResolution,
     UnsupportedProfile,
 )
@@ -125,6 +126,11 @@ def build_momentum_grid(
 # interaction kernel blocks
 
 
+def _rot_rows(T):
+    """J T on the first two rows of T, with J = -i sigma_2 = [[0, -1], [1, 0]]."""
+    return np.stack([-T[..., 1, :], T[..., 0, :]], axis=-2)
+
+
 def _assemble_v(p, q, k, Te, Tm, re, rm):
     """4x4 projected-interaction blocks from the medium's Fourier tensors.
 
@@ -135,40 +141,19 @@ def _assemble_v(p, q, k, Te, Tm, re, rm):
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    pq = np.einsum("...i,...j->...ij", p, q) @ _SIGMA2
-    dKHv = np.stack([-Tm[..., 1, 2], Tm[..., 0, 2]], axis=-1)
-    dKEv = np.stack([-Te[..., 1, 2], Te[..., 0, 2]], axis=-1)
-    dKH = np.stack(
-        [
-            np.stack([-Tm[..., 1, 0], -Tm[..., 1, 1]], axis=-1),
-            np.stack([Tm[..., 0, 0], Tm[..., 0, 1]], axis=-1),
-        ],
-        axis=-2,
-    )
-    dKE = np.stack(
-        [
-            np.stack([-Te[..., 1, 0], -Te[..., 1, 1]], axis=-1),
-            np.stack([Te[..., 0, 0], Te[..., 0, 1]], axis=-1),
-        ],
-        axis=-2,
-    )
-    eps3 = np.stack([Te[..., 2, 0], Te[..., 2, 1]], axis=-1)
-    mu3 = np.stack([Tm[..., 2, 0], Tm[..., 2, 1]], axis=-1)
 
-    V11 = np.einsum("...i,...j->...ij", p, eps3) + 1j * (
-        np.einsum("...i,...j->...ij", dKHv, q) @ _SIGMA2
-    )
-    V12 = (1j / k) * pq * re[..., None, None] + k * dKH
-    V21 = -(1j / k) * pq * rm[..., None, None] - k * dKE
-    V22 = np.einsum("...i,...j->...ij", p, mu3) + 1j * (
-        np.einsum("...i,...j->...ij", dKEv, q) @ _SIGMA2
-    )
-    out = np.zeros(V11.shape[:-2] + (4, 4), dtype=complex)
-    out[..., 0:2, 0:2] = V11
-    out[..., 0:2, 2:4] = V12
-    out[..., 2:4, 0:2] = V21
-    out[..., 2:4, 2:4] = V22
-    return out / (4.0 * np.pi**2)
+    def outer(a, b):
+        return np.einsum("...i,...j->...ij", a, b)
+
+    pq = outer(p, q) @ _SIGMA2
+    JTe, JTm = _rot_rows(Te), _rot_rows(Tm)
+    V = np.block([
+        [outer(p, Te[..., 2, :2]) + 1j * (outer(JTm[..., 2], q) @ _SIGMA2),
+         (1j / k) * pq * re[..., None, None] + k * JTm[..., :2]],
+        [-(1j / k) * pq * rm[..., None, None] - k * JTe[..., :2],
+         outer(p, Tm[..., 2, :2]) + 1j * (outer(JTe[..., 2], q) @ _SIGMA2)],
+    ])
+    return V / (4.0 * np.pi**2)
 
 
 def deltaH_block(profile: MediumProfile, z, p, q, k: float):
@@ -236,25 +221,23 @@ def firstorder_kernel(
 ):
     """First-order kernel K(p, q) of M - pi between disk momenta.
 
-    K(p,q) = -i sum_{j,l} Pi_j(p) B~(p,q; w_jl) Pi_l(q) with w_jl =
-    (-1)^j varpi(p) - (-1)^l varpi(q).  method "zft" evaluates the z-integral
-    through the medium's closed-form transforms, "zquad" by slab quadrature;
-    the two must agree.
+    K(p,q) = -i sum_{j,l} Pi_j(p) B~(p,q; omega_j(p) - omega_l(q)) Pi_l(q),
+    summed over the channel pairs of em.channels.  p and q broadcast
+    against each other.  method "zft" evaluates the z-integral through the
+    medium's closed-form transforms, "zquad" by slab quadrature; the two
+    must agree.
     """
     if method not in ("zft", "zquad"):
-        raise ValueError(f"unknown kernel method {method!r}")
+        raise InvalidArgument(f"unknown kernel method {method!r}")
     bfun = _bblock_zft if method == "zft" else _bblock_zquad
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    wp = np.asarray(em.varpi(p, k, eps_ann))
-    wq = np.asarray(em.varpi(q, k, eps_ann))
+    Xp, wp = em.channels(p, k, eps_ann)
+    Xq, wq = em.channels(q, k, eps_ann)
     out = 0
-    for j in (1, 2):
-        Pj = em.projector(j, p, k, eps_ann)
-        for l in (1, 2):
-            Pl = em.projector(l, q, k, eps_ann)
-            w = (-1.0) ** j * wp - (-1.0) ** l * wq
-            out = out + Pj @ bfun(profile, p, q, w, k, nz) @ Pl
+    for Pj, wj in zip(Xp, wp):
+        for Pl, wl in zip(Xq, wq):
+            out = out + Pj @ bfun(profile, p, q, wj - wl, k, nz) @ Pl
     return -1j * out
 
 
@@ -292,12 +275,10 @@ def transfer_first_order(
     K = np.empty((Nd, Nd, 4, 4), dtype=complex)
     chunk = max(1, int(2e6 // max(Nd, 1)))
     for i0 in range(0, Nd, chunk):
-        i1 = min(Nd, i0 + chunk)
-        pp = np.repeat(P[i0:i1], Nd, axis=0)
-        qq = np.tile(P, (i1 - i0, 1))
-        K[i0:i1] = firstorder_kernel(
-            profile, grid.k, pp, qq, method=method, eps_ann=grid.eps_ann
-        ).reshape(i1 - i0, Nd, 4, 4)
+        K[i0:i0 + chunk] = firstorder_kernel(
+            profile, grid.k, P[i0:i0 + chunk, None], P[None], method=method,
+            eps_ann=grid.eps_ann,
+        )
     return TransferKernel(grid=grid, profile=profile, K=K)
 
 
@@ -334,6 +315,17 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
     profile.z_constant: eta independent of z inside profile.slab and zero
     outside it.  Raises UnsupportedProfile for any other profile.
 
+    With C the mid-slab interaction blocks, E the slab transform _slab_ft,
+    intermediate channel m at r and w1 = omega_m(r) - omega_l(q):
+
+        D = -sum_{j,m} Pi_j(p) [sum_l E(omega_j(p) - omega_l(q)) A_m B_ml
+                                - (A_m E(omega_j(p) - omega_m(r))) H_m],
+        A_m = C(p, r) Pi_m(r),  B_ml = C(r, q) Pi_l(q) weight_r / (i w1),
+        H_m = sum_l B_ml e^{i w1 a_lo}.
+
+    Each factor is built at the loop depth where it varies: m outermost,
+    then l (A_m B_ml and H_m), then j.  That is 8 contractions over r.
+
     Known limit: the Cartesian outer box is invariant only under quarter
     turns, so the result depends on the medium's orientation.  On
     build_momentum_grid(0.8, 4.8, 8, 8) the Gaussian control reads 8.707
@@ -350,49 +342,39 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
     k = grid.k
     Pd = grid.disk_points
     Pr = grid.points
-    Wd = np.asarray(em.varpi(Pd, k, grid.eps_ann))
-    Wr = grid.varpi
-    Nd, Nr = Pd.shape[0], Pr.shape[0]
+    Xd, wd = em.channels(Pd, k, grid.eps_ann)
+    Xr, wr = em.channels(Pr, k, grid.eps_ann)
 
     # z-constant transverse kernels: evaluate the 2D transform mid-slab
     z_mid = 0.5 * (a_lo + a_hi)
+    C_dr = deltaH_block(profile, z_mid, Pd[:, None], Pr[None], k)  # (Nd, Nr, 4, 4)
+    C_rd = deltaH_block(profile, z_mid, Pr[:, None], Pd[None], k)  # (Nr, Nd, 4, 4)
 
-    def cblock(A, B):
-        pp = np.repeat(A, B.shape[0], axis=0)
-        qq = np.tile(B, (A.shape[0], 1))
-        blk = deltaH_block(profile, z_mid, pp, qq, k)
-        return blk.reshape(A.shape[0], B.shape[0], 4, 4)
+    def E(w):
+        return _slab_ft(w, a_lo, a_hi)[..., None, None]
 
-    C_dr = cblock(Pd, Pr)   # (Nd, Nr, 4, 4)
-    C_rd = cblock(Pr, Pd)   # (Nr, Nd, 4, 4)
-
-    proj_d = {j: em.projector(j, Pd, k, grid.eps_ann) for j in (1, 2)}
-    proj_r = {j: em.projector(j, Pr, k, grid.eps_ann) for j in (1, 2)}
+    def contract(A, B):
+        return np.einsum("prab,rqbc->pqac", A, B, optimize=True)
 
     wfloor = 1e-9 * k
-    D = np.zeros((Nd, Nd, 4, 4), dtype=complex)
     wr_fold = grid.weights[:, None, None, None]
-    for j in (1, 2):
-        sj = (-1.0) ** j
-        for m in (1, 2):
-            sm = (-1.0) ** m
-            A = np.einsum(
-                "pab,prbc,rcd->prad", proj_d[j], C_dr, proj_r[m], optimize=True
-            )
-            w2 = sj * Wd[:, None] - sm * Wr[None, :]
-            A_e = A * _slab_ft(w2, a_lo, a_hi)[..., None, None]
-            for l in (1, 2):
-                sl = (-1.0) ** l
-                w1 = sm * Wr[:, None] - sl * Wd[None, :]
-                w1 = np.where(np.abs(w1) < wfloor, wfloor, w1)
-                Bf = np.einsum("rqab,qbc->rqac", C_rd, proj_d[l], optimize=True)
-                B1 = Bf * (wr_fold / (1j * w1[..., None, None]))
-                B2 = B1 * np.exp(1j * w1 * a_lo)[..., None, None]
-                wjl = sj * Wd[:, None] - sl * Wd[None, :]
-                t1 = np.einsum("prab,rqbc->pqac", A, B1, optimize=True)
-                t1 *= _slab_ft(wjl, a_lo, a_hi)[..., None, None]
-                t2 = np.einsum("prab,rqbc->pqac", A_e, B2, optimize=True)
-                D -= t1 - t2  # (-i)^2 overall
+    D = np.zeros((Pd.shape[0], Pd.shape[0], 4, 4), dtype=complex)
+    for Pm, wm in zip(Xr, wr):
+        A = np.einsum("prab,rbc->prac", C_dr, Pm, optimize=True)
+        H = np.zeros_like(C_rd)
+        M = []
+        for Pl, wl in zip(Xd, wd):
+            w1 = wm[:, None] - wl[None, :]
+            w1 = np.where(np.abs(w1) < wfloor, wfloor, w1)
+            B = np.einsum("rqab,qbc->rqac", C_rd, Pl, optimize=True)
+            B *= wr_fold / (1j * w1[..., None, None])
+            M.append(contract(A, B))
+            H += B * np.exp(1j * w1 * a_lo)[..., None, None]
+            del B
+        for Pj, wj in zip(Xd, wd):
+            inner = sum(E(wj[:, None] - wl[None, :]) * Ml for wl, Ml in zip(wd, M))
+            inner -= contract(A * E(wj[:, None] - wm[None, :]), H)
+            D -= Pj[:, None] @ inner  # (-i)^2 overall
     return float(np.abs(D).max())
 
 
@@ -417,13 +399,10 @@ class TSolution:
 
 def _closed_form_t(profile, w: IncidentWave, k: float, eps_ann: float, p2):
     """(t_-, t_+) at transverse momenta p2 (N, 2) from the compliant closed form."""
-    Kcol = firstorder_kernel(
-        profile, k, p2, np.broadcast_to(w.vec_k_i, p2.shape), eps_ann=eps_ann
-    )
-    col = np.einsum("nab,b->na", Kcol, w.upsilon)
-    t_plus = np.einsum("nab,nb->na", em.projector(1, p2, k, eps_ann), col)
-    t_minus = -np.einsum("nab,nb->na", em.projector(2, p2, k, eps_ann), col)
-    return t_minus, t_plus
+    col = np.einsum("nab,b->na", firstorder_kernel(profile, k, p2, w.vec_k_i,
+                                                   eps_ann=eps_ann), w.upsilon)
+    (P1, P2), _ = em.channels(p2, k, eps_ann)
+    return -np.einsum("nab,nb->na", P2, col), np.einsum("nab,nb->na", P1, col)
 
 
 def solve_T(
@@ -440,14 +419,14 @@ def solve_T(
     be "fast", the only solver.
     """
     if method != "fast":
-        raise ValueError(f"unknown solve method {method!r}")
+        raise InvalidArgument(f"unknown solve method {method!r}")
     if kernel is not None:
         profile, grid = kernel.profile, kernel.grid
     if profile is None or grid is None:
-        raise ValueError("need either a TransferKernel or (profile, grid)")
+        raise InvalidArgument("need either a TransferKernel or (profile, grid)")
     k = grid.k
     if abs(w.k - k) > 1e-12 * k:
-        raise ValueError("incident wavenumber differs from grid wavenumber")
+        raise InvalidArgument("incident wavenumber differs from grid wavenumber")
     if np.linalg.norm(w.vec_k_i) >= grid.rho_max:
         raise IncidenceOutsideDisk(
             "transverse incident momentum reaches the disk rim"
@@ -503,7 +482,7 @@ def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
         vals = sol.t_plus if side > 0 else sol.t_minus
         t = _interp_disk(grid, vals, ks)
     else:
-        raise ValueError(f"unknown amplitude mode {mode!r}")
+        raise InvalidArgument(f"unknown amplitude mode {mode!r}")
     return xi_contract(d, (4 * np.pi**2) * t, k, t_side=side)
 
 

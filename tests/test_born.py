@@ -289,13 +289,6 @@ class TestAmplitudeMap:
         assert lines[0] == "theta,phi,ReFx,ImFx,ReFy,ImFy,ReFz,ImFz"
         assert len(lines) == 13
 
-    def test_lookup_nearest(self, reference_medium):
-        dirs = fibonacci_hemisphere(16, 1)
-        amap = amplitude_map(reference_medium, W_TILTED, dirs)
-        d0 = dirs[3]
-        F = amap.lookup(DetectorDirection(d0.theta + 1e-4, d0.phi))
-        assert np.array_equal(F, dict((id(a), b) for (a, b) in amap.entries)[id(d0)])
-
 
 def test_fibonacci_hemisphere_sides():
     up = fibonacci_hemisphere(32, 1)

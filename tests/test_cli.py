@@ -231,6 +231,7 @@ class TestSweepCommand:
         ["profile", "--order", "2"],
         ["verify", "--threads", "2"],
         ["verify", "--alpha", "2"],
+        ["born", "--alpha", "2"],
         ["sweep", "--expect-compliant"],
     ],
 )

@@ -98,6 +98,23 @@ class TestProjectors:
         with pytest.raises(ValueError):
             em.projector(3, np.zeros(2), 1.0)
 
+    def test_channels_disk_and_evanescent(self):
+        rng = np.random.default_rng(4)
+        k = 0.8
+        rho = np.concatenate([rng.uniform(0.0, 0.95, 2000), rng.uniform(1.05, 4.0, 2000)]) * k
+        phi = rng.uniform(0, 2 * np.pi, rho.size)
+        pts = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
+        (P1, P2), (w1, w2) = em.channels(pts, k)
+        assert np.array_equal(P1, em.projector(1, pts, k))
+        assert np.array_equal(P2, em.projector(2, pts, k))
+        assert np.array_equal(w2, em.varpi(pts, k)) and np.array_equal(w1, -w2)
+        H = em.free_hamiltonian(pts, k)
+        scale = max(np.abs(P1).max(), np.abs(P2).max())
+        assert np.abs(P1 + P2 - np.eye(4)).max() < 1e-12 * scale
+        for P, w in ((P1, w1), (P2, w2)):
+            resid = np.abs(H @ P - w[:, None, None] * P).max()
+            assert resid < 1e-12 * scale * np.abs(w).max()
+
 
 class TestIncidentWave:
     def test_normal_incidence_state(self):

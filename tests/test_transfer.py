@@ -178,6 +178,10 @@ class TestDyson:
     def control_norm(self, control_medium, small_box):
         return dyson_second_order_norm(control_medium, small_box)
 
+    def test_control_pinned(self, control_norm):
+        # a dropped or doubled Dyson term moves this far beyond 1e-10
+        assert control_norm == pytest.approx(8.70667491312097, rel=1e-10)
+
     # only half and quarter turns map both the polar disk and the Cartesian
     # outer box onto themselves
     @pytest.mark.parametrize("e", [(0.0, 1.0), (-1.0, 0.0)])
