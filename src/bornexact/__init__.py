@@ -27,7 +27,6 @@ from .medium import (
     TransverseBox,
     bounds_check,
     profile_from_dict,
-    profile_to_dict,
     rotate_to_x,
     reference_medium,
     support_report,
@@ -42,7 +41,6 @@ from .born import (
     first_born_amplitude,
     invisibility_report,
     scaling_check,
-    scattered_field,
     second_born_amplitude,
     support_overlap,
 )
@@ -93,12 +91,10 @@ __all__ = [
     "identity_id101_residual",
     "invisibility_report",
     "profile_from_dict",
-    "profile_to_dict",
     "projector",
     "rotate_to_x",
     "sample_profile",
     "scaling_check",
-    "scattered_field",
     "second_born_amplitude",
     "solve_T",
     "reference_medium",

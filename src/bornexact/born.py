@@ -3,9 +3,8 @@
 First-order amplitudes are closed forms in the 3D Fourier transform of the
 scattering potentials.  The second-order amplitude is a 3D momentum
 quadrature against the dyadic propagator (I - p p/k^2)/(|p|^2 - k^2 - i0),
-evaluated either by a principal-value/residue split at the shell |p| = k
-(default, exact in the regulator) or by an i*eps regularization with
-two-point Richardson extrapolation.
+evaluated by a principal-value/residue split at the shell |p| = k, which is
+exact in the regulator.
 
 For a compliant medium the chain of one-sided Fourier supports empties the
 second-order integrand pointwise, so quadrature returns an exact zero; the
@@ -23,7 +22,6 @@ from .em import DetectorDirection, IncidentWave
 from .errors import (
     BoundsViolated,
     InvalidArgument,
-    OriginEvaluation,
     QuadratureNotConverged,
 )
 from .medium import MediumProfile, bounds_check
@@ -102,9 +100,9 @@ class QuadratureSpec:
     """Momentum quadrature for the second Born term.
 
     Radial Gauss-Legendre panels refined around the shell |p| = k, GL in
-    cos(theta_p), periodic trapezoid in phi_p.  method "pv" uses the
-    principal-value + residue split; "ieps" uses 1/(p^2 - k^2 - i eps) with
-    Richardson extrapolation over (eps, 2 eps).
+    cos(theta_p), periodic trapezoid in phi_p.  method must be "pv", the
+    principal-value + residue split.  eps_over_k2 and richardson are read
+    only by the i*eps cross-check route kept with the tests.
     """
 
     n_radial: int = 24
@@ -116,7 +114,7 @@ class QuadratureSpec:
     richardson: bool = True
 
     def __post_init__(self):
-        if self.method not in ("pv", "ieps"):
+        if self.method != "pv":
             raise InvalidArgument(f"unknown quadrature method {self.method!r}")
 
     def doubled(self) -> "QuadratureSpec":
@@ -183,17 +181,8 @@ def _chain_numerator(profile, w, d, pts):
     return out
 
 
-def _radial_panels(k: float, p_max: float, method: str = "pv", eps: float | None = None):
-    edges = [0.0, 0.5 * k, 0.9 * k, k, 1.1 * k, 1.5 * k, 2 * k, 3 * k, 4.5 * k, p_max]
-    if method == "ieps":
-        # grade panels down to the Lorentzian width eps/(2k^2) around the shell
-        w_min = max(eps / (2 * k * k) / 3.0, 1e-6) if eps else 1e-4
-        w = 0.1 / 3.0
-        while w > w_min:
-            edges += [k * (1.0 - w), k * (1.0 + w)]
-            w /= 3.0
-        edges += [k * (1.0 - w_min), k * (1.0 + w_min)]
-    return np.array(sorted(edges))
+# radial panel edges (in units of k) refined around the shell |p| = k
+_PV_EDGES = np.array([0.0, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 4.5])
 
 
 def second_born_amplitude(
@@ -223,32 +212,18 @@ def second_born_amplitude(
         return N * (radii * radii)[:, None]
 
     xg, wg = np.polynomial.legendre.leggauss(quad.n_radial)
-    edges = _radial_panels(k, p_max, quad.method, quad.eps_over_k2 * k * k)
+    edges = np.sort(np.append(k * _PV_EDGES, p_max))
 
-    if quad.method == "pv":
-        Nk = ang_numer(np.array([k]))[0]
-        hk = Nk / (2 * k)
-        total = np.zeros(3, dtype=complex)
-        for a0, b0 in zip(edges[:-1], edges[1:]):
-            pp = 0.5 * (b0 - a0) * xg + 0.5 * (a0 + b0)
-            ww = 0.5 * (b0 - a0) * wg
-            h = ang_numer(pp) / (pp + k)[:, None]
-            total += (ww[:, None] * (h - hk[None, :]) / (pp - k)[:, None]).sum(axis=0)
-        total += hk * np.log((p_max - k) / k)
-        total += 1j * np.pi * Nk / (2 * k)
-    else:  # "ieps"
-        def run(eps):
-            acc = np.zeros(3, dtype=complex)
-            for a0, b0 in zip(edges[:-1], edges[1:]):
-                pp = 0.5 * (b0 - a0) * xg + 0.5 * (a0 + b0)
-                ww = 0.5 * (b0 - a0) * wg
-                N = ang_numer(pp)
-                acc += (ww[:, None] * N / (pp * pp - k * k - 1j * eps)[:, None]).sum(
-                    axis=0
-                )
-            return acc
-        eps = quad.eps_over_k2 * k * k
-        total = 2.0 * run(eps) - run(2.0 * eps) if quad.richardson else run(eps)
+    Nk = ang_numer(np.array([k]))[0]
+    hk = Nk / (2 * k)
+    total = np.zeros(3, dtype=complex)
+    for a0, b0 in zip(edges[:-1], edges[1:]):
+        pp = 0.5 * (b0 - a0) * xg + 0.5 * (a0 + b0)
+        ww = 0.5 * (b0 - a0) * wg
+        h = ang_numer(pp) / (pp + k)[:, None]
+        total += (ww[:, None] * (h - hk[None, :]) / (pp - k)[:, None]).sum(axis=0)
+    total += hk * np.log((p_max - k) / k)
+    total += 1j * np.pi * Nk / (2 * k)
 
     pref = (k * k / (4 * np.pi)) / (2 * np.pi) ** 3
     F = pref * total
@@ -400,15 +375,6 @@ def scaling_check(
     )
 
 
-def scattered_field(F, E0: complex, k: float, r, t: float, omega: float):
-    """Far-zone scattered field E_s = E0 e^{i(kr - omega t)} F / r."""
-    r = np.asarray(r, dtype=float)
-    rn = float(np.linalg.norm(r))
-    if rn == 0.0:
-        raise OriginEvaluation("scattered field is singular at r = 0")
-    return E0 * np.exp(1j * (k * rn - omega * t)) * np.asarray(F, dtype=complex) / rn
-
-
 @dataclass
 class AmplitudeMap:
     """Far-field amplitudes over a direction set, with export helpers."""
@@ -447,18 +413,7 @@ class AmplitudeMap:
             fh.write("\n")
 
 
-def amplitude_map(
-    profile: MediumProfile,
-    w: IncidentWave,
-    directions,
-    order: int = 1,
-    quad: QuadratureSpec | None = None,
-) -> AmplitudeMap:
-    """Evaluate F1 (plus F2 for order 2) over a direction set."""
-    entries = []
-    for d in directions:
-        F = first_born_amplitude(profile, w, d)
-        if order >= 2:
-            F = F + second_born_amplitude(profile, w, d, quad)
-        entries.append((d, F))
-    return AmplitudeMap(entries=entries, incident=w, order=order)
+def amplitude_map(profile: MediumProfile, w: IncidentWave, directions) -> AmplitudeMap:
+    """Evaluate the first Born amplitude F1 over a direction set."""
+    entries = [(d, first_born_amplitude(profile, w, d)) for d in directions]
+    return AmplitudeMap(entries=entries, incident=w)

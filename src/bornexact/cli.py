@@ -299,7 +299,7 @@ def cmd_born(cfg: RunConfig, out_dir: Path, args):
     w = cfg.wave
     dirs = cfg.detectors
     tolctx = {"quadrature": cfg.quad.__dict__, "n_disk": cfg.grid.n_r}
-    amap = born_mod.amplitude_map(cfg.medium, w, dirs, order=1)
+    amap = born_mod.amplitude_map(cfg.medium, w, dirs)
     amap.tolerances.update(tolctx)
     out_dir.mkdir(parents=True, exist_ok=True)
     amap.write(out_dir / "born_f1.csv", out_dir / "born_f1.json")

@@ -45,10 +45,6 @@ class DirectionOnRim(BornexactError):
     """Detector direction maps onto the guard annulus of the momentum disk."""
 
 
-class OriginEvaluation(BornexactError):
-    """Far-field expression evaluated at r = 0."""
-
-
 class InvalidResolution(BornexactError):
     """Momentum grid resolution parameters are out of range."""
 

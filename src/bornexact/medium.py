@@ -737,34 +737,6 @@ def profile_from_dict(cfg: dict) -> MediumProfile:
     raise ConfigError(f"unknown medium type {kind!r}")
 
 
-def profile_to_dict(profile: MediumProfile) -> dict:
-    """Inverse of profile_from_dict for the closed-form families."""
-    if isinstance(profile, RationalEnvelopeProfile):
-        kind = "rational"
-    elif isinstance(profile, GaussErfProfile):
-        kind = "gausserf"
-    elif isinstance(profile, GaussianControlProfile):
-        kind = "gaussian"
-    else:
-        raise ConfigError("only closed-form profiles round-trip through JSON")
-    fp = profile.footprint
-    out = {
-        "type": kind,
-        "a": profile.a,
-        "footprint": {
-            "type": "box",
-            "zeta": [fp.zeta.real, fp.zeta.imag],
-            "ly": fp.ly,
-            "lz": fp.lz,
-        },
-    }
-    if profile.alpha is not None:
-        out["alpha"] = profile.alpha
-    if isinstance(profile, RationalEnvelopeProfile):
-        out["m_exp"] = profile.m_exp
-    return out
-
-
 def reference_medium() -> RationalEnvelopeProfile:
     """The reference rational medium: zeta=0.01, m=1, a=2, ly=3, lz=4 (alpha=1)."""
     return RationalEnvelopeProfile(

@@ -175,13 +175,12 @@ def deltaH_block(profile: MediumProfile, z, p, q, k: float):
     return out[0] if single else out
 
 
-def _bblock_zft(profile: MediumProfile, p, q, w, k: float, nz: int):
+def _bblock_zft(profile: MediumProfile, p, q, w, k: float):
     """z-Fourier transform of the interaction block at frequency -w.
 
     Equals int dz e^{i z w} (deltaH kernel)(p, q; z); computed from the 3D
     medium transforms at q_z = -w (complex w supported: the slab is finite,
-    so the transform is entire in w).  nz is unused: the signature is
-    _bblock_zquad's.
+    so the transform is entire in w).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -195,41 +194,20 @@ def _bblock_zft(profile: MediumProfile, p, q, w, k: float, nz: int):
     return _assemble_v(p, q, k, Te, Tm, re, rm)
 
 
-def _bblock_zquad(profile: MediumProfile, p, q, w, k: float, nz: int):
-    """Same integral as _bblock_zft by direct Gauss-Legendre z-quadrature."""
-    a_lo, a_hi = profile.slab
-    xg, wg = np.polynomial.legendre.leggauss(nz)
-    zs = 0.5 * (a_hi - a_lo) * xg + 0.5 * (a_hi + a_lo)
-    ws = 0.5 * (a_hi - a_lo) * wg
-    p = np.asarray(p, dtype=float)
-    out = np.zeros(np.broadcast_shapes(p.shape[:-1], np.asarray(w).shape) + (4, 4),
-                   dtype=complex)
-    for z_n, w_n in zip(zs, ws):
-        blk = deltaH_block(profile, z_n, p, q, k)
-        out = out + w_n * np.exp(1j * z_n * np.asarray(w))[..., None, None] * blk
-    return out
-
-
 def firstorder_kernel(
     profile: MediumProfile,
     k: float,
     p,
     q,
-    method: str = "zft",
-    nz: int = 32,
     eps_ann: float = ANNULUS_GUARD,
 ):
     """First-order kernel K(p, q) of M - pi between disk momenta.
 
     K(p,q) = -i sum_{j,l} Pi_j(p) B~(p,q; omega_j(p) - omega_l(q)) Pi_l(q),
-    summed over the channel pairs of em.channels.  p and q broadcast
-    against each other.  method "zft" evaluates the z-integral through the
-    medium's closed-form transforms, "zquad" by slab quadrature; the two
-    must agree.
+    summed over the channel pairs of em.channels, with the z-integral taken
+    through the medium's closed-form transforms.  p and q broadcast against
+    each other.
     """
-    if method not in ("zft", "zquad"):
-        raise InvalidArgument(f"unknown kernel method {method!r}")
-    bfun = _bblock_zft if method == "zft" else _bblock_zquad
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     Xp, wp = em.channels(p, k, eps_ann)
@@ -237,7 +215,7 @@ def firstorder_kernel(
     out = 0
     for Pj, wj in zip(Xp, wp):
         for Pl, wl in zip(Xq, wq):
-            out = out + Pj @ bfun(profile, p, q, wj - wl, k, nz) @ Pl
+            out = out + Pj @ _bblock_zft(profile, p, q, wj - wl, k) @ Pl
     return -1j * out
 
 
@@ -258,40 +236,42 @@ class TransferKernel:
         return float(np.abs(self.K).max())
 
 
+# working set of firstorder_kernel: about seven 4x4 complex blocks per (p, q)
+# pair plus two projectors per column momentum q (tracemalloc: 1.43-1.75 kB
+# per pair and 0.5 kB per column at n_disk 8 and 16)
+_KERNEL_PAIR_BYTES = 7 * 256
+_KERNEL_COLUMN_BYTES = 2 * 256
+
+
 def transfer_first_order(
     profile: MediumProfile,
     grid: MomentumGrid,
     memory_cap_bytes: int = MEMORY_CAP_BYTES,
     method: str = "zft",
 ) -> TransferKernel:
-    """Materialize K on disk x disk; M = pi + K as an operator on the disk."""
+    """Materialize K on disk x disk; M = pi + K as an operator on the disk.
+
+    K and the working set of one chunk of its rows together stay within
+    memory_cap_bytes.  method must be "zft", the only kernel route.
+    """
+    if method != "zft":
+        raise InvalidArgument(f"unknown kernel method {method!r}")
     Nd = grid.n_disk_points
     need = (4 * Nd) ** 2 * 16
-    if need > memory_cap_bytes:
+    row_bytes = Nd * _KERNEL_PAIR_BYTES
+    rows = int((memory_cap_bytes - need - Nd * _KERNEL_COLUMN_BYTES) // row_bytes)
+    if rows < 1:
         raise InvalidResolution(
-            f"dense kernel needs {need/2**20:.0f} MiB > cap {memory_cap_bytes/2**20:.0f} MiB"
+            f"dense kernel needs {need/2**20:.0f} MiB plus {row_bytes/2**20:.1f} MiB "
+            f"per row > cap {memory_cap_bytes/2**20:.0f} MiB"
         )
     P = grid.disk_points
     K = np.empty((Nd, Nd, 4, 4), dtype=complex)
-    chunk = max(1, int(2e6 // max(Nd, 1)))
-    for i0 in range(0, Nd, chunk):
-        K[i0:i0 + chunk] = firstorder_kernel(
-            profile, grid.k, P[i0:i0 + chunk, None], P[None], method=method,
-            eps_ann=grid.eps_ann,
+    for i0 in range(0, Nd, rows):
+        K[i0:i0 + rows] = firstorder_kernel(
+            profile, grid.k, P[i0:i0 + rows, None], P[None], eps_ann=grid.eps_ann
         )
     return TransferKernel(grid=grid, profile=profile, K=K)
-
-
-def kernel_route_agreement(
-    profile: MediumProfile, k: float, pairs, nz: int = 48
-) -> float:
-    """Max relative difference between the zft and zquad kernel routes."""
-    p = np.asarray([a for a, _ in pairs], dtype=float)
-    q = np.asarray([b for _, b in pairs], dtype=float)
-    K1 = firstorder_kernel(profile, k, p, q, method="zft")
-    K2 = firstorder_kernel(profile, k, p, q, method="zquad", nz=nz)
-    scale = max(np.abs(K1).max(), 1e-300)
-    return float(np.abs(K1 - K2).max() / scale)
 
 
 # ---------------------------------------------------------------------------

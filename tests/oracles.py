@@ -1,0 +1,113 @@
+"""Second routes to quantities the package computes one way.
+
+Each function recomputes a production result by an independent method, so
+that a test can compare the two on inputs where they can differ.  The
+package never calls them.
+"""
+
+import numpy as np
+
+from bornexact import em
+from bornexact.born import _PV_EDGES, _angular_grid, _chain_numerator
+from bornexact.em import ANNULUS_GUARD
+from bornexact.errors import ConfigError
+from bornexact.medium import (
+    GaussErfProfile,
+    GaussianControlProfile,
+    RationalEnvelopeProfile,
+)
+from bornexact.transfer import deltaH_block
+
+
+def zquad_kernel(profile, k, p, q, nz=48, eps_ann=ANNULUS_GUARD):
+    """First-order kernel K(p, q) with the z-integral by slab quadrature.
+
+    Same channel sum as transfer.firstorder_kernel, but each block
+    int dz e^{i z w} deltaH(p, q; z) is integrated by nz-point Gauss-Legendre
+    over the slab from the medium's 2D transforms, where the package takes
+    the closed-form 3D transform at q_z = -w.  p and q are (N, 2) pair lists.
+    """
+    a_lo, a_hi = profile.slab
+    xg, wg = np.polynomial.legendre.leggauss(nz)
+    zs = 0.5 * (a_hi - a_lo) * xg + 0.5 * (a_hi + a_lo)
+    ws = 0.5 * (a_hi - a_lo) * wg
+    blocks = [deltaH_block(profile, z, p, q, k) for z in zs]
+    Xp, wp = em.channels(p, k, eps_ann)
+    Xq, wq = em.channels(q, k, eps_ann)
+    out = 0
+    for Pj, wj in zip(Xp, wp):
+        for Pl, wl in zip(Xq, wq):
+            w = wj - wl
+            B = sum(
+                w_n * np.exp(1j * z_n * w)[..., None, None] * blk
+                for z_n, w_n, blk in zip(zs, ws, blocks)
+            )
+            out = out + Pj @ B @ Pl
+    return -1j * out
+
+
+def ieps_second_born(profile, w, d, quad):
+    """Second Born amplitude F2 with the propagator 1/(p^2 - k^2 - i eps).
+
+    eps = quad.eps_over_k2 * k^2; with quad.richardson the two-point
+    extrapolation 2 F(eps) - F(2 eps) removes the O(eps) error.  The radial
+    panels of born.second_born_amplitude are graded down to the Lorentzian
+    width eps/(2k^2) around the shell |p| = k, where the package instead
+    splits off the principal value and the residue.
+    """
+    k = w.k
+    p_max = quad.p_max_over_k * k
+    eps = quad.eps_over_k2 * k * k
+    edges = list(k * _PV_EDGES) + [p_max]
+    w_min = max(eps / (2 * k * k) / 3.0, 1e-6)
+    width = 0.1 / 3.0
+    while width > w_min:
+        edges += [k * (1.0 - width), k * (1.0 + width)]
+        width /= 3.0
+    edges += [k * (1.0 - w_min), k * (1.0 + w_min)]
+    edges = np.sort(edges)
+    xg, wg = np.polynomial.legendre.leggauss(quad.n_radial)
+    dirs, wts = _angular_grid(quad)
+
+    def integral(eps):
+        acc = np.zeros(3, dtype=complex)
+        for a0, b0 in zip(edges[:-1], edges[1:]):
+            pp = 0.5 * (b0 - a0) * xg + 0.5 * (a0 + b0)
+            ww = 0.5 * (b0 - a0) * wg
+            N = _chain_numerator(profile, w, d, pp[:, None, None] * dirs[None])
+            N = (N * wts[None, :, None]).sum(axis=1) * (pp * pp)[:, None]
+            acc += (ww[:, None] * N / (pp * pp - k * k - 1j * eps)[:, None]).sum(axis=0)
+        return acc
+
+    total = 2.0 * integral(eps) - integral(2.0 * eps) if quad.richardson else integral(eps)
+    F = (k * k / (4 * np.pi)) / (2 * np.pi) ** 3 * total
+    rhat = d.r_hat
+    return F - rhat * np.dot(rhat, F)
+
+
+def profile_to_dict(profile):
+    """Inverse of medium.profile_from_dict for the closed-form families."""
+    if isinstance(profile, RationalEnvelopeProfile):
+        kind = "rational"
+    elif isinstance(profile, GaussErfProfile):
+        kind = "gausserf"
+    elif isinstance(profile, GaussianControlProfile):
+        kind = "gaussian"
+    else:
+        raise ConfigError("only closed-form profiles round-trip through JSON")
+    fp = profile.footprint
+    out = {
+        "type": kind,
+        "a": profile.a,
+        "footprint": {
+            "type": "box",
+            "zeta": [fp.zeta.real, fp.zeta.imag],
+            "ly": fp.ly,
+            "lz": fp.lz,
+        },
+    }
+    if profile.alpha is not None:
+        out["alpha"] = profile.alpha
+    if isinstance(profile, RationalEnvelopeProfile):
+        out["m_exp"] = profile.m_exp
+    return out

@@ -13,12 +13,12 @@ from bornexact import (
     first_born_amplitude,
     invisibility_report,
     scaling_check,
-    scattered_field,
     rotate_to_x,
     second_born_amplitude,
     support_overlap,
 )
-from bornexact.errors import BoundsViolated, OriginEvaluation, QuadratureNotConverged
+from bornexact.errors import BoundsViolated, QuadratureNotConverged
+from oracles import ieps_second_born
 
 ALPHA = 1.0
 K = 0.8
@@ -146,10 +146,9 @@ class TestSecondBorn:
     def test_pv_and_ieps_routes_agree(self, control_medium):
         d = DetectorDirection(1.1, 0.3)
         w = IncidentWave.linear(K, 1.0, np.pi, 0.0)
-        Fpv = second_born_amplitude(control_medium, w, d, QuadratureSpec(24, 48, 48))
-        Fie = second_born_amplitude(
-            control_medium, w, d, QuadratureSpec(24, 48, 48, method="ieps")
-        )
+        quad = QuadratureSpec(24, 48, 48)
+        Fpv = second_born_amplitude(control_medium, w, d, quad)
+        Fie = ieps_second_born(control_medium, w, d, quad)
         assert np.linalg.norm(Fpv - Fie) < 1e-4 * np.linalg.norm(Fpv)
 
     def test_unknown_method_rejected_at_construction(self):
@@ -252,28 +251,6 @@ class TestScaling:
         )
         with pytest.raises(BoundsViolated):
             scaling_check(neg, 80.0, W_TILTED, self.DIRS)
-
-
-class TestScatteredField:
-    def test_zero_amplitude(self):
-        assert np.allclose(scattered_field(np.zeros(3), 1.0, 1.0, [0, 0, 5.0], 0.0, 1.0), 0.0)
-
-    def test_inverse_r_envelope(self):
-        F = np.array([1.0, 0.5j, 0.0])
-        e1 = scattered_field(F, 1.0, 1.0, [0, 0, 5.0], 0.0, 1.0)
-        e2 = scattered_field(F, 1.0, 1.0, [0, 0, 10.0], 0.0, 1.0)
-        assert np.linalg.norm(e2) == pytest.approx(np.linalg.norm(e1) / 2)
-
-    def test_time_periodicity(self):
-        F = np.array([0.2, 0.1, 0.0])
-        omega = 0.7
-        e1 = scattered_field(F, 1.0, 1.0, [1.0, 2.0, 2.0], 0.3, omega)
-        e2 = scattered_field(F, 1.0, 1.0, [1.0, 2.0, 2.0], 0.3 + 2 * np.pi / omega, omega)
-        assert np.abs(e1 - e2).max() < 1e-12
-
-    def test_origin_raises(self):
-        with pytest.raises(OriginEvaluation):
-            scattered_field(np.ones(3), 1.0, 1.0, [0.0, 0.0, 0.0], 0.0, 1.0)
 
 
 class TestAmplitudeMap:

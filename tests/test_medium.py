@@ -12,13 +12,13 @@ from bornexact import (
     TransverseBox,
     bounds_check,
     profile_from_dict,
-    profile_to_dict,
     rotate_to_x,
     sample_profile,
     support_report,
 )
 from bornexact.errors import BoundsViolated, ConfigError, WindowTooSmall
 from bornexact.medium import MediumProfile, reference_medium
+from oracles import profile_to_dict
 
 ALPHA = 1.0
 

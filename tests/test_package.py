@@ -22,6 +22,7 @@ BAD_CALLS = {
     "IncidentWave k<0": lambda m: em.IncidentWave(-0.8, 0.1, 0.0),
     "fibonacci_hemisphere n=0": lambda m: bornexact.fibonacci_hemisphere(0),
     "QuadratureSpec method": lambda m: bornexact.QuadratureSpec(method="pvv"),
+    "QuadratureSpec method ieps": lambda m: bornexact.QuadratureSpec(method="ieps"),
     "TransverseBox ly<0": lambda m: bornexact.TransverseBox(0.01, -1, 4),
     "rotate_to_x non-unit": lambda m: bornexact.rotate_to_x(m, (1, 1)),
     "varpi k=0": lambda m: em.varpi(np.zeros(2), 0.0),
@@ -31,6 +32,9 @@ BAD_CALLS = {
     "make_salpha_sample shape": lambda m: lemmalab.make_salpha_sample(1, "x"),
     "solve_T method": lambda m: transfer.solve_T(
         None, _WAVE, method="generic", profile=m, grid=_GRID
+    ),
+    "transfer_first_order method": lambda m: transfer.transfer_first_order(
+        m, _GRID, method="zquad"
     ),
 }
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,8 @@ from bornexact.errors import (
     InvalidResolution,
     UnsupportedProfile,
 )
-from bornexact.transfer import kernel_route_agreement
+from bornexact.transfer import _KERNEL_COLUMN_BYTES, _KERNEL_PAIR_BYTES
+from oracles import zquad_kernel
 
 ALPHA = 1.0
 K = 0.8
@@ -100,13 +103,23 @@ class TestKernel:
         kern_s = transfer_first_order(reference_medium.scaled(0.25), grid)
         assert np.abs(kern_s.K - 0.25 * ref_kernel.K).max() < 1e-18
 
-    def test_zft_equals_zquad(self, reference_medium):
+    def test_zft_equals_zquad(self, reference_medium, gausserf_medium, control_medium):
+        # 25 pairs on each side of the support edge p_x - q_x = alpha, so
+        # the compliant kernels are nonzero too; p_x >= 0 >= q_x makes the
+        # transfers reach past alpha often enough
         rng = np.random.default_rng(7)
-        rho = np.sqrt(rng.uniform(0, 0.9, 100)) * K
-        phi = rng.uniform(0, 2 * np.pi, 100)
-        pts = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
-        pairs = list(zip(pts[:50], pts[50:]))
-        assert kernel_route_agreement(reference_medium, K, pairs, nz=48) < 1e-8
+        rho = np.sqrt(rng.uniform(0, 0.9, (2, 200))) * K
+        phi = rng.uniform(-np.pi / 2, np.pi / 2, (2, 200)) + [[0.0], [np.pi]]
+        p, q = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
+        dx = p[:, 0] - q[:, 0]
+        pick = np.r_[np.flatnonzero(dx > ALPHA)[:25], np.flatnonzero(dx <= ALPHA)[:25]]
+        assert pick.size == 50
+        p, q = p[pick], q[pick]
+        for medium in (reference_medium, gausserf_medium, control_medium):
+            K1 = firstorder_kernel(medium, K, p, q)
+            scale = np.abs(K1).max()
+            assert scale > 0
+            assert np.abs(K1 - zquad_kernel(medium, K, p, q, nz=48)).max() < 1e-8 * scale
 
     def test_deltaH_vacuum(self):
         blk = deltaH_block(vacuum_profile(), 0.0, np.array([0.1, 0.0]),
@@ -130,6 +143,21 @@ class TestKernel:
     def test_memory_guard(self, reference_medium, grid):
         with pytest.raises(InvalidResolution):
             transfer_first_order(reference_medium, grid, memory_cap_bytes=1024)
+
+    def test_chunked_kernel_within_cap(self, control_medium, grid):
+        # room for K plus a quarter of its rows at a time: four chunks
+        Nd = grid.n_disk_points
+        rows = Nd // 4
+        cap = (4 * Nd) ** 2 * 16 + Nd * (_KERNEL_COLUMN_BYTES + rows * _KERNEL_PAIR_BYTES)
+        one_chunk = transfer_first_order(control_medium, grid)
+        tracemalloc.start()
+        try:
+            chunked = transfer_first_order(control_medium, grid, memory_cap_bytes=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(chunked.K, one_chunk.K)
+        assert peak <= cap
 
     def test_m_equals_pi_below_half_alpha(self, reference_medium):
         g = build_momentum_grid(0.5, 3.0, 8, 0)
