@@ -4,7 +4,10 @@ First-order amplitudes are closed forms in the 3D Fourier transform of the
 scattering potentials.  The second-order amplitude is a 3D momentum
 quadrature against the dyadic propagator (I - p p/k^2)/(|p|^2 - k^2 - i0),
 evaluated by a principal-value/residue split at the shell |p| = k, which is
-exact in the regulator.
+exact in the regulator.  For scalar media the angular integral is a
+second-moment contraction of the pointwise product of the two links'
+transforms (real-arithmetic box factors at the real quadrature momenta);
+media without a scalar form take the tensor chain.
 
 For a compliant medium the chain of one-sided Fourier supports empties the
 second-order integrand pointwise, so quadrature returns an exact zero; the
@@ -14,6 +17,7 @@ unmodulated Gaussian control supplies the nonzero contrast baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import json
 import numpy as np
@@ -22,9 +26,10 @@ from .em import DetectorDirection, IncidentWave
 from .errors import (
     BoundsViolated,
     InvalidArgument,
+    InvalidResolution,
     QuadratureNotConverged,
 )
-from .medium import MediumProfile, bounds_check
+from .medium import MEMORY_CAP_BYTES, MediumProfile, bounds_check
 
 # Sign of the magnetic term in the first-order amplitude, fixed by requiring
 # agreement with the transfer-matrix route on magnetic media (regression
@@ -95,6 +100,17 @@ def first_born_amplitude(profile: MediumProfile, w: IncidentWave, d: DetectorDir
     return F
 
 
+# radial panel edges (in units of k) refined around the shell |p| = k; the
+# last panel runs from the last edge to p_max
+_PV_EDGES = np.array([0.0, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 4.5])
+
+# working set of one radial panel per quadrature point on the tensor route,
+# the larger of the two (tracemalloc on the control at (12, 24, 24) to
+# (24, 64, 64): 925-932 B per point on the tensor route, 125-131 B on the
+# scalar one)
+_F2_PANEL_BYTES_PER_POINT = 1024
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Momentum quadrature for the second Born term.
@@ -102,7 +118,9 @@ class QuadratureSpec:
     Radial Gauss-Legendre panels refined around the shell |p| = k, GL in
     cos(theta_p), periodic trapezoid in phi_p.  method must be "pv", the
     principal-value + residue split.  eps_over_k2 and richardson are read
-    only by the i*eps cross-check route kept with the tests.
+    only by the i*eps cross-check route kept with the tests.  p_max_over_k
+    must exceed the last panel edge, 4.5; a panel (n_radial * n_mu * n_phi
+    points) must fit in medium.MEMORY_CAP_BYTES.
     """
 
     n_radial: int = 24
@@ -116,6 +134,22 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.method != "pv":
             raise InvalidArgument(f"unknown quadrature method {self.method!r}")
+        for name in ("n_radial", "n_mu", "n_phi"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+                raise InvalidArgument(f"{name} must be a positive integer, got {n!r}")
+        if not (np.isfinite(self.p_max_over_k) and self.p_max_over_k > _PV_EDGES[-1]):
+            raise InvalidArgument(
+                f"p_max_over_k must be finite and exceed the last panel edge "
+                f"{_PV_EDGES[-1]:g}, got {self.p_max_over_k!r}"
+            )
+        points = int(self.n_radial) * int(self.n_mu) * int(self.n_phi)
+        need = points * _F2_PANEL_BYTES_PER_POINT
+        if need > MEMORY_CAP_BYTES:
+            raise InvalidResolution(
+                f"one radial panel of {self.n_radial}x{self.n_mu}x{self.n_phi} points "
+                f"needs ~{need / 2**30:.3g} GiB > cap {MEMORY_CAP_BYTES / 2**30:.3g} GiB"
+            )
 
     def doubled(self) -> "QuadratureSpec":
         return QuadratureSpec(
@@ -146,24 +180,17 @@ def _angular_grid(spec: QuadratureSpec):
 
 
 def _chain_numerator(profile, w, d, pts):
-    """Second-order chain vector at momentum points pts (..., 3).
+    """Second-order chain vector at momentum points pts (..., 3), tensor route.
 
     Returns the integrand numerator (without the propagator denominator):
     eta_eps(ks-p) E1num(p) - rhat x [eta_mu(ks-p) H1num(p)] contracted with
     the transverse projector at the outer vertex applied by the caller.
+    second_born_amplitude takes this route for media without scalar_eta3.
     """
     k = w.k
     ks = d.k_s(k)
     ki = w.k_i
     ei, hi = w.e_i, w.h_i
-    e_in = profile.scalar_eta3(pts - ki)
-    if e_in is not None:
-        e_out = profile.scalar_eta3(ks - pts)
-        A = (k * k) * e_in[..., None] * ei
-        pA = np.einsum("...i,...i->...", pts, A)
-        E1 = A - pts * (pA / (k * k))[..., None]
-        out = e_out[..., None] * E1
-        return out
     ee_in, em_in = profile.eta3_tensors(pts - ki)
     ee_out, em_out = profile.eta3_tensors(ks - pts)
     A = (k * k) * (ee_in @ ei) - k * np.cross(pts, em_in @ hi)
@@ -181,10 +208,6 @@ def _chain_numerator(profile, w, d, pts):
     return out
 
 
-# radial panel edges (in units of k) refined around the shell |p| = k
-_PV_EDGES = np.array([0.0, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 4.5])
-
-
 def second_born_amplitude(
     profile: MediumProfile,
     w: IncidentWave,
@@ -199,20 +222,38 @@ def second_born_amplitude(
             eta~(k_s - p) G~(p) eta~(p - k_i) e_i
     for nonmagnetic media, with the magnetic/anisotropic chains assembled
     from the same Fourier factors and curl insertions on magnetic links.
+
+    The angular integral N(r) = r^2 int dOmega (numerator at p = r d) is
+    taken one radial panel at a time.  For media with scalar_eta3 the
+    numerator is s(p) (k^2 e_i - p (p.e_i)) with s = eta~(p - k_i)
+    eta~(k_s - p), so N(r) = r^2 [k^2 S0(r) e_i - r^2 M(r) e_i] from the
+    moments S0 = sum_j w_j s_j and M = sum_j w_j s_j d_j d_j^T of the
+    panel's pointwise products; other media take the tensor chain
+    _chain_numerator.  Each panel's scalar_eta3 call on the incident link
+    picks the route, so no extra call probes the medium.
     """
     quad = quad or QuadratureSpec()
     k = w.k
+    ki, ks, ei = w.k_i, d.k_s(k), w.e_i
     p_max = quad.p_max_over_k * k
     dirs, wts = _angular_grid(quad)
+    # second-moment weights w_j d_j d_j^T, one row of 9 per direction
+    wdd = (wts[:, None, None] * dirs[:, :, None] * dirs[:, None, :]).reshape(-1, 9)
 
     def ang_numer(radii):
+        r2 = (radii * radii)[:, None]
         pts = radii[:, None, None] * dirs[None, :, :]
-        N = _chain_numerator(profile, w, d, pts)
-        N = (N * wts[None, :, None]).sum(axis=1)
-        return N * (radii * radii)[:, None]
+        s_in = profile.scalar_eta3(pts - ki)
+        if s_in is None:
+            N = (_chain_numerator(profile, w, d, pts) * wts[None, :, None]).sum(axis=1)
+        else:
+            s = s_in * profile.scalar_eta3(ks - pts)
+            M_ei = (s @ wdd).reshape(-1, 3, 3) @ ei
+            N = (k * k) * (s @ wts)[:, None] * ei - r2 * M_ei
+        return N * r2
 
     xg, wg = np.polynomial.legendre.leggauss(quad.n_radial)
-    edges = np.sort(np.append(k * _PV_EDGES, p_max))
+    edges = np.append(k * _PV_EDGES, p_max)
 
     Nk = ang_numer(np.array([k]))[0]
     hk = Nk / (2 * k)

@@ -51,11 +51,16 @@ _WINDOW_TOL = 0.05
 
 
 def _sinc(z):
-    """sin(z)/z, stable near 0 and valid for complex z."""
-    z = np.asarray(z, dtype=complex)
+    """sin(z)/z, stable near 0; float64 for real z, complex for complex z."""
+    z = np.asarray(z)
+    if not np.iscomplexobj(z):
+        z = z.astype(float, copy=False)
     small = np.abs(z) < 1e-5
     zs = np.where(small, 1.0, z)
-    out = np.where(small, 1.0 - z * z / 6.0, np.sin(zs) / zs)
+    out = np.asarray(np.sin(zs) / zs)
+    if small.any():
+        zs = z[small]
+        out[small] = 1.0 - zs * zs / 6.0
     return out
 
 
@@ -87,12 +92,13 @@ class TransverseBox:
         return (np.abs(np.asarray(z, dtype=float)) <= self.lz / 2).astype(float)
 
     def ft_y(self, py):
-        """1D transform of the unit box in y: ly sinc(py ly / 2)."""
-        return self.ly * _sinc(np.asarray(py) * self.ly / 2.0)
+        """1D transform of the unit box in y: ly sinc(py ly / 2), real for real py."""
+        return self.ly * _sinc(np.asarray(py) * (self.ly / 2.0))
 
     def ft_z(self, qz):
-        """1D transform of the unit box in z; accepts complex qz."""
-        return self.lz * _sinc(np.asarray(qz) * self.lz / 2.0)
+        """1D transform of the unit box in z; real for real qz, complex for
+        the evanescent (complex) qz of the transfer kernel."""
+        return self.lz * _sinc(np.asarray(qz) * (self.lz / 2.0))
 
 
 class MediumProfile:

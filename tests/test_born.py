@@ -17,7 +17,12 @@ from bornexact import (
     second_born_amplitude,
     support_overlap,
 )
-from bornexact.errors import BoundsViolated, QuadratureNotConverged
+from bornexact.errors import (
+    BoundsViolated,
+    InvalidArgument,
+    InvalidResolution,
+    QuadratureNotConverged,
+)
 from oracles import ieps_second_born
 
 ALPHA = 1.0
@@ -186,7 +191,8 @@ class TestSecondBorn:
 
     def test_tensor_path_matches_scalar_path(self, control_medium):
         # a profile that only provides eta3_tensors goes through the tensor
-        # chain and must reproduce the envelope profile's scalar chain
+        # chain and must reproduce the envelope profile's moment form, also
+        # rotated off the x-axis, for both polarizations and two detectors
         class TensorOnly(MediumProfile):
             def __init__(self, base):
                 self.base = base
@@ -196,14 +202,29 @@ class TestSecondBorn:
             def eta3_tensors(self, q3):
                 return self.base.eta3_tensors(q3)
 
-        fwd = TensorOnly(control_medium)
-        assert fwd.scalar_eta3(np.zeros((1, 3))) is None
-        d = DetectorDirection(1.1, 0.3)
         quad = QuadratureSpec(12, 24, 24)
-        F = second_born_amplitude(control_medium, W_TILTED, d, quad)
-        F_t = second_born_amplitude(fwd, W_TILTED, d, quad)
-        assert np.linalg.norm(F) > 1e-5
-        assert np.linalg.norm(F_t - F) <= 1e-12 * np.linalg.norm(F)
+        w_perp = IncidentWave.linear(K, 1.0, np.pi, 0.7 + np.pi / 2)
+        for base in (control_medium, rotate_to_x(control_medium, (0.6, 0.8))):
+            fwd = TensorOnly(base)
+            assert fwd.scalar_eta3(np.zeros((1, 3))) is None
+            for w, d in ((W_TILTED, DetectorDirection(1.1, 0.3)),
+                         (w_perp, DetectorDirection(2.0, -0.6))):
+                F = second_born_amplitude(base, w, d, quad)
+                F_t = second_born_amplitude(fwd, w, d, quad)
+                assert np.linalg.norm(F) > 1e-5
+                assert np.linalg.norm(F_t - F) <= 1e-12 * np.linalg.norm(F)
+
+    def test_spec_rejects_p_max_inside_panels_and_oversized_panels(self):
+        # at p_max_over_k <= 4.5 the panels ran past p_max while the
+        # principal-value log term used p_max (F2 14 % off at 3.0, NaN at 0.5)
+        for bad in (0.5, 3.0, 4.5, np.inf, np.nan):
+            with pytest.raises(InvalidArgument, match="p_max_over_k"):
+                QuadratureSpec(p_max_over_k=bad)
+        # 16.8 M points per radial panel, ~17 GB on the tensor route; the
+        # doubled criterion-4 spec still fits
+        with pytest.raises(InvalidResolution, match="cap"):
+            QuadratureSpec(256, 256, 256)
+        assert QuadratureSpec(24, 48, 48).doubled().n_phi == 96
 
 
 class TestInvisibility:

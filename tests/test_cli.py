@@ -118,9 +118,11 @@ class TestVerify:
             {"suites": ["support", "exactnes"]},
             {"tolerances": {"support": "x"}},
             {"quadrature": {"method": "pvv"}},
+            {"quadrature": {"p_max_over_k": 3.0}},
         ],
         ids=["k_negative", "k_text", "n_disk_text", "n_disk_4", "grazing",
-             "zero_polarization", "unknown_suite", "tolerance_text", "quad_method"],
+             "zero_polarization", "unknown_suite", "tolerance_text", "quad_method",
+             "quad_p_max"],
     )
     def test_malformed_field_exits_2_before_any_suite(self, tmp_path, monkeypatch, over):
         def no_suite(*args, **kwargs):

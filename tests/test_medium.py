@@ -17,7 +17,7 @@ from bornexact import (
     support_report,
 )
 from bornexact.errors import BoundsViolated, ConfigError, WindowTooSmall
-from bornexact.medium import MediumProfile, reference_medium
+from bornexact.medium import MediumProfile, _sinc, reference_medium
 from oracles import profile_to_dict
 
 ALPHA = 1.0
@@ -86,6 +86,23 @@ class TestFourierForms:
         fz = 4.0 * np.sin(-0.9 * 2.0) / (-0.9 * 2.0)
         assert ee[0, 0, 0] == pytest.approx(0.01 * ftx * fy * fz, rel=1e-12)
         assert np.allclose(ee[0], ee[0, 0, 0] * np.eye(3))
+
+    def test_sinc_real_input_stays_real(self):
+        # the second-Born quadrature passes only real momenta; either side of
+        # the series switch at 1e-5 the float path matches the complex one
+        x = np.array([0.0, 1e-6, 1e-5, 1.0, 100.0])
+        real, cplx = _sinc(x), _sinc(x.astype(complex))
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert np.all(np.abs(real - cplx) <= 1e-15 * np.abs(cplx))
+        box = TransverseBox(0.01, 3.0, 4.0)
+        assert box.ft_y(x).dtype == np.float64 and box.ft_z(x).dtype == np.float64
+
+    def test_ft_z_imaginary_frequency(self):
+        # evanescent channels: ft_z(i t) = lz sinh(t lz/2) / (t lz/2)
+        box = TransverseBox(0.01, 3.0, 4.0)
+        t = np.array([1e-7, 0.05, 0.7, 2.0])
+        x = t * box.lz / 2
+        assert np.allclose(box.ft_z(1j * t), box.lz * np.sinh(x) / x, rtol=1e-14, atol=0)
 
     def test_eta3_is_z_integral_of_eta2(self, gausserf_medium):
         # independent z-quadrature of the 2D transform over the slab

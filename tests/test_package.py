@@ -23,6 +23,12 @@ BAD_CALLS = {
     "fibonacci_hemisphere n=0": lambda m: bornexact.fibonacci_hemisphere(0),
     "QuadratureSpec method": lambda m: bornexact.QuadratureSpec(method="pvv"),
     "QuadratureSpec method ieps": lambda m: bornexact.QuadratureSpec(method="ieps"),
+    "QuadratureSpec n_phi=0": lambda m: bornexact.QuadratureSpec(24, 48, 0),
+    "QuadratureSpec n_radial=0": lambda m: bornexact.QuadratureSpec(0, 48, 48),
+    "QuadratureSpec n_mu=-48": lambda m: bornexact.QuadratureSpec(24, -48, 48),
+    "QuadratureSpec n_mu=2.5": lambda m: bornexact.QuadratureSpec(24, 2.5, 48),
+    "QuadratureSpec p_max_over_k=3": lambda m: bornexact.QuadratureSpec(p_max_over_k=3.0),
+    "QuadratureSpec panel over cap": lambda m: bornexact.QuadratureSpec(256, 256, 256),
     "TransverseBox ly<0": lambda m: bornexact.TransverseBox(0.01, -1, 4),
     "rotate_to_x non-unit": lambda m: bornexact.rotate_to_x(m, (1, 1)),
     "varpi k=0": lambda m: em.varpi(np.zeros(2), 0.0),
