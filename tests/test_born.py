@@ -17,12 +17,7 @@ from bornexact import (
     second_born_amplitude,
     support_overlap,
 )
-from bornexact.errors import (
-    BoundsViolated,
-    InvalidArgument,
-    InvalidResolution,
-    QuadratureNotConverged,
-)
+from bornexact.errors import BoundsViolated, QuadratureNotConverged
 from oracles import ieps_second_born
 
 ALPHA = 1.0
@@ -213,18 +208,6 @@ class TestSecondBorn:
                 F_t = second_born_amplitude(fwd, w, d, quad)
                 assert np.linalg.norm(F) > 1e-5
                 assert np.linalg.norm(F_t - F) <= 1e-12 * np.linalg.norm(F)
-
-    def test_spec_rejects_p_max_inside_panels_and_oversized_panels(self):
-        # at p_max_over_k <= 4.5 the panels ran past p_max while the
-        # principal-value log term used p_max (F2 14 % off at 3.0, NaN at 0.5)
-        for bad in (0.5, 3.0, 4.5, np.inf, np.nan):
-            with pytest.raises(InvalidArgument, match="p_max_over_k"):
-                QuadratureSpec(p_max_over_k=bad)
-        # 16.8 M points per radial panel, ~17 GB on the tensor route; the
-        # doubled criterion-4 spec still fits
-        with pytest.raises(InvalidResolution, match="cap"):
-            QuadratureSpec(256, 256, 256)
-        assert QuadratureSpec(24, 48, 48).doubled().n_phi == 96
 
 
 class TestInvisibility:

@@ -28,6 +28,8 @@ BAD_CALLS = {
     "QuadratureSpec n_mu=-48": lambda m: bornexact.QuadratureSpec(24, -48, 48),
     "QuadratureSpec n_mu=2.5": lambda m: bornexact.QuadratureSpec(24, 2.5, 48),
     "QuadratureSpec p_max_over_k=3": lambda m: bornexact.QuadratureSpec(p_max_over_k=3.0),
+    "QuadratureSpec p_max_over_k=4.5": lambda m: bornexact.QuadratureSpec(p_max_over_k=4.5),
+    "QuadratureSpec p_max_over_k=nan": lambda m: bornexact.QuadratureSpec(p_max_over_k=np.nan),
     "QuadratureSpec panel over cap": lambda m: bornexact.QuadratureSpec(256, 256, 256),
     "TransverseBox ly<0": lambda m: bornexact.TransverseBox(0.01, -1, 4),
     "rotate_to_x non-unit": lambda m: bornexact.rotate_to_x(m, (1, 1)),
