@@ -32,11 +32,9 @@ from .medium import (
     support_report,
 )
 from .born import (
-    AmplitudeMap,
     MAGNETIC_SIGN,
     OverlapRegion,
     QuadratureSpec,
-    amplitude_map,
     fibonacci_hemisphere,
     first_born_amplitude,
     invisibility_report,
@@ -51,7 +49,6 @@ from .transfer import (
     TSolution,
     amplitude_from_T,
     build_momentum_grid,
-    deltaH_block,
     dyson_second_order_norm,
     firstorder_kernel,
     identity_id101_residual,
@@ -61,7 +58,6 @@ from .transfer import (
 
 __all__ = [
     "ANNULUS_GUARD",
-    "AmplitudeMap",
     "BoundsReport",
     "DetectorDirection",
     "GaussErfProfile",
@@ -79,10 +75,8 @@ __all__ = [
     "TransferKernel",
     "TransverseBox",
     "amplitude_from_T",
-    "amplitude_map",
     "bounds_check",
     "build_momentum_grid",
-    "deltaH_block",
     "dyson_second_order_norm",
     "fibonacci_hemisphere",
     "first_born_amplitude",

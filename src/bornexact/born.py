@@ -16,19 +16,13 @@ unmodulated Gaussian control supplies the nonzero contrast baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
-import json
 import numpy as np
 
 from .em import DetectorDirection, IncidentWave
-from .errors import (
-    BoundsViolated,
-    InvalidArgument,
-    InvalidResolution,
-    QuadratureNotConverged,
-)
+from .errors import BoundsViolated, InvalidArgument, InvalidResolution
 from .medium import MEMORY_CAP_BYTES, MediumProfile, bounds_check
 
 # Sign of the magnetic term in the first-order amplitude, fixed by requiring
@@ -213,8 +207,6 @@ def second_born_amplitude(
     w: IncidentWave,
     d: DetectorDirection,
     quad: QuadratureSpec | None = None,
-    check_convergence: bool = False,
-    convergence_tol: float = 1e-6,
 ):
     """Second Born far-field amplitude F2 by 3D momentum quadrature.
 
@@ -269,18 +261,7 @@ def second_born_amplitude(
     pref = (k * k / (4 * np.pi)) / (2 * np.pi) ** 3
     F = pref * total
     rhat = d.r_hat
-    F = F - rhat * np.dot(rhat, F)
-
-    if check_convergence:
-        F2b = second_born_amplitude(profile, w, d, quad.doubled())
-        scale = max(np.linalg.norm(F2b), 1e-300)
-        if np.linalg.norm(F - F2b) / scale > convergence_tol:
-            raise QuadratureNotConverged(
-                f"second Born changed by {np.linalg.norm(F - F2b) / scale:.2e} "
-                f"under grid doubling (tol {convergence_tol:g})"
-            )
-        return F2b
-    return F
+    return F - rhat * np.dot(rhat, F)
 
 
 @dataclass(frozen=True)
@@ -414,47 +395,3 @@ def scaling_check(
         f1_rel_err=f1_num / max(f1_den, 1e-300),
         f2_rel_err=(f2_num / max(f2_den, 1e-300)) if quad is not None else None,
     )
-
-
-@dataclass
-class AmplitudeMap:
-    """Far-field amplitudes over a direction set, with export helpers."""
-
-    entries: list  # of (DetectorDirection, ndarray F)
-    incident: IncidentWave
-    order: int = 1
-    tolerances: dict = field(default_factory=dict)
-
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("theta,phi,ReFx,ImFx,ReFy,ImFy,ReFz,ImFz\n")
-            for d, F in self.entries:
-                cells = [repr(float(d.theta)), repr(float(d.phi))]
-                for c in F:
-                    cells += [repr(float(np.real(c))), repr(float(np.imag(c)))]
-                fh.write(",".join(cells) + "\n")
-
-    def sidecar(self) -> dict:
-        w = self.incident
-        return {
-            "incident": {
-                "k": w.k,
-                "theta0": w.theta0,
-                "phi0": w.phi0,
-                "e_i": [[float(c.real), float(c.imag)] for c in w.e_i],
-            },
-            "order": self.order,
-            "tolerances": self.tolerances,
-        }
-
-    def write(self, csv_path, sidecar_path):
-        self.to_csv(csv_path)
-        with open(sidecar_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.sidecar(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-
-def amplitude_map(profile: MediumProfile, w: IncidentWave, directions) -> AmplitudeMap:
-    """Evaluate the first Born amplitude F1 over a direction set."""
-    entries = [(d, first_born_amplitude(profile, w, d)) for d in directions]
-    return AmplitudeMap(entries=entries, incident=w)

@@ -134,8 +134,31 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path: Path, header: str, rows):
+    """CSV with LF endings; every cell but a str is written as repr(float)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            cells = (c if isinstance(c, str) else repr(float(c)) for c in row)
+            fh.write(",".join(cells) + "\n")
+
+
+def _write_amplitudes(stem: Path, entries, w: IncidentWave, order: int, tolerances):
+    """stem.csv, one row per (direction, F) entry, and its stem.json sidecar."""
+    _write_csv(
+        stem.with_suffix(".csv"),
+        "theta,phi,ReFx,ImFx,ReFy,ImFy,ReFz,ImFz",
+        ([d.theta, d.phi] + [v for c in F for v in (c.real, c.imag)] for d, F in entries),
+    )
+    incident = {
+        "k": w.k,
+        "theta0": w.theta0,
+        "phi0": w.phi0,
+        "e_i": [[float(c.real), float(c.imag)] for c in w.e_i],
+    }
+    _write_json(stem.with_suffix(".json"),
+                {"incident": incident, "order": order, "tolerances": tolerances})
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +322,15 @@ def cmd_born(cfg: RunConfig, out_dir: Path, args):
     w = cfg.wave
     dirs = cfg.detectors
     tolctx = {"quadrature": cfg.quad.__dict__, "n_disk": cfg.grid.n_r}
-    amap = born_mod.amplitude_map(cfg.medium, w, dirs)
-    amap.tolerances.update(tolctx)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    amap.write(out_dir / "born_f1.csv", out_dir / "born_f1.json")
-    summary = {"max_f1": float(max(np.linalg.norm(F) for _, F in amap.entries))}
+    entries = [(d, born_mod.first_born_amplitude(cfg.medium, w, d)) for d in dirs]
+    _write_amplitudes(out_dir / "born_f1", entries, w, 1, tolctx)
+    summary = {"max_f1": float(max(np.linalg.norm(F) for _, F in entries))}
     if args.order >= 2:
         entries2 = [
             (d, born_mod.second_born_amplitude(cfg.medium, w, d, cfg.quad))
             for d in dirs
         ]
-        amap2 = born_mod.AmplitudeMap(entries2, w, order=2, tolerances=tolctx)
-        amap2.write(out_dir / "born_f2.csv", out_dir / "born_f2.json")
+        _write_amplitudes(out_dir / "born_f2", entries2, w, 2, tolctx)
         max_f2 = float(max(np.linalg.norm(F) for _, F in entries2))
         summary["max_f2"] = max_f2
         summary["ratio_f2_f1"] = max_f2 / max(summary["max_f1"], 1e-300)
@@ -330,11 +350,8 @@ def cmd_profile(cfg: RunConfig, out_dir: Path, args):
     pts[:, 0] = xs
     ee, _ = prof.eval_eta(pts)
     eta = ee[:, 0, 0]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "profile.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,Re_eta,Im_eta\n")
-        for x, v in zip(xs, eta):
-            fh.write(f"{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)}\n")
+    _write_csv(out_dir / "profile.csv", "x,Re_eta,Im_eta",
+               ((x, v.real, v.imag) for x, v in zip(xs, eta)))
     alpha = prof.alpha if prof.alpha is not None else 1.0
     rep = support_report(prof, alpha)
     brep = bounds_check(prof, 20000, seed=cfg.seed)
@@ -360,24 +377,17 @@ def cmd_profile(cfg: RunConfig, out_dir: Path, args):
 
 def cmd_transfer(cfg: RunConfig, out_dir: Path, args):
     entries, rel = _transfer_vs_born(cfg, cfg.detectors)
-    amap = born_mod.AmplitudeMap(entries, cfg.wave, order=1,
-                                 tolerances={"n_disk": cfg.grid.n_r})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    amap.write(out_dir / "transfer_f.csv", out_dir / "transfer_f.json")
+    _write_amplitudes(out_dir / "transfer_f", entries, cfg.wave, 1, {"n_disk": cfg.grid.n_r})
     print(f"transfer vs first-Born max rel diff = {rel:.3e}")
     return 0
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, args):
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for k in cfg.sweep_ks:
         rep = born_mod.invisibility_report(cfg.medium, k, n_pairs=min(cfg.n_pairs, 32))
         rows.append((k, rep.max_f1, rep.bound, rep.verdict))
-    with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,max_f1,bound,verdict\n")
-        for k, f1, b, v in rows:
-            fh.write(f"{_fmt(k)},{_fmt(f1)},{_fmt(b)},{v}\n")
+    _write_csv(out_dir / "sweep.csv", "k,max_f1,bound,verdict", rows)
     for k, f1, b, v in rows:
         print(f"k={k:g}: max|F1|={f1:.3e} ({v})")
     return 0

@@ -29,10 +29,6 @@ class WindowTooSmall(BornexactError):
     """Truncation window does not cover the profile's support or decay region."""
 
 
-class QuadratureNotConverged(BornexactError):
-    """Self-convergence estimate of a quadrature exceeded its tolerance."""
-
-
 class BoundsViolated(BornexactError):
     """Permittivity/permeability 33-component bounds (positive real part) fail."""
 

@@ -47,10 +47,6 @@ class Grid1D:
     def x(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.dx
 
-    @property
-    def k_max(self) -> float:
-        return self.n // 2 * self.dk
-
     def synth(self, spectrum):
         """Position samples of a function with the given (centered) spectrum."""
         scale = self.n * self.dk / (2 * np.pi)
@@ -63,12 +59,10 @@ class Grid1D:
 
 @dataclass
 class HalfLineSpectrumFunction:
-    """1D sample with spectrum supported strictly above a built edge beta."""
+    """1D position samples on a Grid1D, with spectral-leak measurement."""
 
     values: np.ndarray
     grid: Grid1D
-    alpha: float
-    beta: float
 
     def spectrum(self):
         return self.grid.measure(self.values)
@@ -121,14 +115,14 @@ def make_salpha_sample(
     sup = np.abs(vals).max()
     if sup > 0:
         vals = vals * (amplitude / sup)  # amplitude = sup-norm in x space
-    return HalfLineSpectrumFunction(vals, grid, alpha, beta)
+    return HalfLineSpectrumFunction(vals, grid)
 
 
 def pi_k(f: HalfLineSpectrumFunction, k_cut: float) -> HalfLineSpectrumFunction:
     """Disk projection: zero the spectrum on |k| >= k_cut."""
     spec = f.spectrum()
     spec[np.abs(f.grid.k) >= k_cut] = 0.0
-    return HalfLineSpectrumFunction(f.grid.synth(spec), f.grid, f.alpha, -k_cut)
+    return HalfLineSpectrumFunction(f.grid.synth(spec), f.grid)
 
 
 @dataclass(frozen=True)
@@ -149,9 +143,7 @@ def product_support_check(
     tolerance: float = 1e-10,
 ) -> SupportCheckReport:
     """Pointwise products add support edges: f1 f2 has spectrum above 2 alpha."""
-    prod = HalfLineSpectrumFunction(
-        f1.values * f2.values, f1.grid, alpha, f1.beta + f2.beta
-    )
+    prod = HalfLineSpectrumFunction(f1.values * f2.values, f1.grid)
     return SupportCheckReport(prod.leak_below(2 * alpha), 2 * alpha, tolerance)
 
 
@@ -193,12 +185,12 @@ def reciprocal_support_check(
             f"bounds fail: min Re f = {re_min:.3g}, max |f| = {np.abs(f).max():.3g}"
         )
     recip = 1.0 / f - 1.0
-    h = HalfLineSpectrumFunction(recip, eta.grid, alpha, eta.beta)
+    h = HalfLineSpectrumFunction(recip, eta.grid)
     leak = h.leak_below(alpha)
 
     quotient_leak = None
     if g is not None:
-        q = HalfLineSpectrumFunction(g.values / f, eta.grid, alpha, g.beta)
+        q = HalfLineSpectrumFunction(g.values / f, eta.grid)
         quotient_leak = q.leak_below(alpha)
 
     eta_inf = float(np.abs(eta.values).max())
@@ -226,10 +218,6 @@ class Grid2D:
     @property
     def k(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.dk
-
-    @property
-    def k_max(self) -> float:
-        return self.n // 2 * self.dk
 
 
 def _cyclic_conv2(a, b):

@@ -17,6 +17,7 @@ multilinear interpolation in momentum.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -97,6 +98,29 @@ def _interp_axis(coords, x0, dx, n):
     return i0c, frac, inside
 
 
+def _interp(data, coords, starts, steps):
+    """Multilinear interpolation of data over its leading axes at coords.
+
+    coords (..., n) are positions along the first n axes of data, whose
+    node j on axis a sits at starts[a] + j steps[a].  Positions clamp to
+    the outermost cells, and the result is zero more than half a cell
+    outside the nodes.
+    """
+    coords = np.asarray(coords, dtype=float)
+    n = coords.shape[-1]
+    axes = [_interp_axis(coords[..., a], starts[a], steps[a], data.shape[a])
+            for a in range(n)]
+    out = np.zeros(coords.shape[:-1] + data.shape[n:], dtype=complex)
+    for corner in itertools.product((0, 1), repeat=n):
+        w, node = 1.0, []
+        for b, (i0, frac, _) in zip(corner, axes):
+            w = w * (frac if b else 1 - frac)
+            node.append(i0 + b)
+        out += _trailing(w, out.ndim) * data[tuple(node)]
+    out *= _trailing(np.logical_and.reduce([ok for _, _, ok in axes]), out.ndim)
+    return out
+
+
 class SampledProfile(MediumProfile):
     """Tensor-valued medium ingested as a regular grid plus declared slab."""
 
@@ -111,9 +135,9 @@ class SampledProfile(MediumProfile):
         self.origin = tuple(map(float, origin))
         self.spacing = tuple(map(float, spacing))
         self.alpha = alpha
-        z_lo = self.origin[2]
-        z_hi = self.origin[2] + (nz - 1) * self.spacing[2]
-        self.slab = tuple(slab) if slab is not None else (z_lo, z_hi)
+        # eval_eta reaches half a cell past the end nodes
+        z0, dz = self.origin[2], self.spacing[2]
+        self.slab = tuple(slab) if slab is not None else (z0 - dz / 2, z0 + (nz - 0.5) * dz)
         self._px = np.fft.fftshift(np.fft.fftfreq(nx, self.spacing[0])) * 2 * np.pi
         self._py = np.fft.fftshift(np.fft.fftfreq(ny, self.spacing[1])) * 2 * np.pi
         self._ft_cache = {}
@@ -127,27 +151,9 @@ class SampledProfile(MediumProfile):
         write_grid(path, self.ee, self.origin, self.spacing, self.em)
 
     # -- position space ----------------------------------------------------
-    def _trilinear(self, data, r):
-        r = np.asarray(r, dtype=float)
-        nx, ny, nz = data.shape[:3]
-        ix, fx, okx = _interp_axis(r[..., 0], self.origin[0], self.spacing[0], nx)
-        iy, fy, oky = _interp_axis(r[..., 1], self.origin[1], self.spacing[1], ny)
-        iz, fz, okz = _interp_axis(r[..., 2], self.origin[2], self.spacing[2], nz)
-        out = np.zeros(r.shape[:-1] + (3, 3), dtype=complex)
-        for bx in (0, 1):
-            for by in (0, 1):
-                for bz in (0, 1):
-                    w = (
-                        (fx if bx else 1 - fx)
-                        * (fy if by else 1 - fy)
-                        * (fz if bz else 1 - fz)
-                    )
-                    out += w[..., None, None] * data[ix + bx, iy + by, iz + bz]
-        out *= (okx & oky & okz)[..., None, None]
-        return out
-
     def eval_eta(self, r):
-        return self._trilinear(self.ee, r), self._trilinear(self.em, r)
+        return (_interp(self.ee, r, self.origin, self.spacing),
+                _interp(self.em, r, self.origin, self.spacing))
 
     # -- momentum space ------------------------------------------------------
     # Each grid array ("ee" eta_eps, "em" eta_mu, and the reciprocal symbols
@@ -171,16 +177,7 @@ class SampledProfile(MediumProfile):
 
     def _interp_p2(self, F, p2):
         px, py = self._px, self._py
-        p2 = np.asarray(p2, dtype=float)
-        ix, fx, okx = _interp_axis(p2[..., 0], px[0], px[1] - px[0], px.size)
-        iy, fy, oky = _interp_axis(p2[..., 1], py[0], py[1] - py[0], py.size)
-        out = np.zeros(p2.shape[:-1] + F.shape[2:], dtype=complex)
-        for bx in (0, 1):
-            for by in (0, 1):
-                w = (fx if bx else 1 - fx) * (fy if by else 1 - fy)
-                out += _trailing(w, out.ndim) * F[ix + bx, iy + by]
-        out *= _trailing(okx & oky, out.ndim)
-        return out
+        return _interp(F, p2, (px[0], py[0]), (px[1] - px[0], py[1] - py[0]))
 
     def _at_z(self, key, p2, z):
         """2D transform of grid array key at p2 on the slice nearest z."""

@@ -40,32 +40,31 @@ from .medium import MEMORY_CAP_BYTES, MediumProfile, _sinc
 class MomentumGrid:
     """Disk + outer-box sampling of transverse momentum space.
 
-    Disk points come first (shell-major polar layout, equal-area shells,
-    i.e. uniform in varpi^2, which clusters nodes at the rim); box points
-    cover k(1+eps_ann) < |p| <= p_max on a Cartesian lattice for Dyson
-    intermediates.  The annulus around |p| = k is excluded entirely.
+    The first n_r * n_phi points are the disk (shell-major polar layout,
+    equal-area shells, i.e. uniform in varpi^2, which clusters nodes at the
+    rim); the rest are the outer box, a Cartesian lattice over
+    k(1+eps_ann) < |p| <= p_max for Dyson intermediates.  The annulus
+    around |p| = k is excluded entirely.
     """
 
     k: float
     points: np.ndarray      # (N, 2)
     weights: np.ndarray     # (N,)
-    in_disk: np.ndarray     # (N,) bool
-    varpi: np.ndarray       # (N,) complex
     eps_ann: float
     n_r: int
     n_phi: int
 
     @property
+    def n_disk_points(self) -> int:
+        return self.n_r * self.n_phi
+
+    @property
     def disk_points(self):
-        return self.points[self.in_disk]
+        return self.points[: self.n_disk_points]
 
     @property
     def disk_weights(self):
-        return self.weights[self.in_disk]
-
-    @property
-    def n_disk_points(self) -> int:
-        return int(np.count_nonzero(self.in_disk))
+        return self.weights[: self.n_disk_points]
 
     @property
     def rho_max(self) -> float:
@@ -106,16 +105,10 @@ def build_momentum_grid(
         keep = np.linalg.norm(box, axis=1) > k * (1.0 + eps_ann)
         pts.append(box[keep])
         wts.append(np.full(int(keep.sum()), h * h))
-    points = np.concatenate(pts, axis=0)
-    weights = np.concatenate(wts, axis=0)
-    in_disk = np.zeros(points.shape[0], dtype=bool)
-    in_disk[: disk.shape[0]] = True
     return MomentumGrid(
         k=k,
-        points=points,
-        weights=weights,
-        in_disk=in_disk,
-        varpi=np.asarray(em.varpi(points, k, eps_ann)),
+        points=np.concatenate(pts, axis=0),
+        weights=np.concatenate(wts, axis=0),
         eps_ann=eps_ann,
         n_r=n_disk,
         n_phi=n_phi,
@@ -156,38 +149,18 @@ def _assemble_v(p, q, k, Te, Tm, re, rm):
     return V / (4.0 * np.pi**2)
 
 
-def deltaH_block(profile: MediumProfile, z, p, q, k: float):
-    """Kernel of pi deltaH~(z) pi between transverse momenta p and q.
-
-    Multiplication symbols are realized as eta~(p - q, z)/(2 pi)^2; momentum
-    factors sit at the operator positions (left factors at p, right at q).
-    Reciprocal symbols eta_{1/eps33}, eta_{1/mu33} enter through the
-    profile's exact series/pointwise transforms.
-    """
-    single = np.asarray(p).ndim == 1
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    dp = p - q
-    Te, Tm = profile.eta2_tensors(dp, z)
-    re = profile.recip33_ft2(dp, z, "eps")
-    rm = profile.recip33_ft2(dp, z, "mu")
-    out = _assemble_v(p, q, k, Te, Tm, re, rm)
-    return out[0] if single else out
-
-
 def _bblock_zft(profile: MediumProfile, p, q, w, k: float):
     """z-Fourier transform of the interaction block at frequency -w.
 
     Equals int dz e^{i z w} (deltaH kernel)(p, q; z); computed from the 3D
     medium transforms at q_z = -w (complex w supported: the slab is finite,
-    so the transform is entire in w).
+    so the transform is entire in w).  w broadcasts against p - q.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     dp = p - q
-    q3 = np.concatenate(
-        [dp.astype(complex), -np.asarray(w, dtype=complex)[..., None]], axis=-1
-    )
+    qz = np.broadcast_to(-np.asarray(w, dtype=complex), dp.shape[:-1])
+    q3 = np.concatenate([dp.astype(complex), qz[..., None]], axis=-1)
     Te, Tm = profile.eta3_tensors(q3)
     re = profile.recip33_ft3(q3, "eps")
     rm = profile.recip33_ft3(q3, "mu")
@@ -295,7 +268,8 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
     profile.z_constant: eta independent of z inside profile.slab and zero
     outside it.  Raises UnsupportedProfile for any other profile.
 
-    With C the mid-slab interaction blocks, E the slab transform _slab_ft,
+    With C = B~(., .; 0) / (a_hi - a_lo) the transverse interaction blocks
+    (exact for a z-constant medium), E the slab transform _slab_ft,
     intermediate channel m at r and w1 = omega_m(r) - omega_l(q):
 
         D = -sum_{j,m} Pi_j(p) [sum_l E(omega_j(p) - omega_l(q)) A_m B_ml
@@ -325,10 +299,10 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
     Xd, wd = em.channels(Pd, k, grid.eps_ann)
     Xr, wr = em.channels(Pr, k, grid.eps_ann)
 
-    # z-constant transverse kernels: evaluate the 2D transform mid-slab
-    z_mid = 0.5 * (a_lo + a_hi)
-    C_dr = deltaH_block(profile, z_mid, Pd[:, None], Pr[None], k)  # (Nd, Nr, 4, 4)
-    C_rd = deltaH_block(profile, z_mid, Pr[:, None], Pd[None], k)  # (Nr, Nd, 4, 4)
+    C_dr = _bblock_zft(profile, Pd[:, None], Pr[None], 0.0, k)  # (Nd, Nr, 4, 4)
+    C_rd = _bblock_zft(profile, Pr[:, None], Pd[None], 0.0, k)  # (Nr, Nd, 4, 4)
+    C_dr /= a_hi - a_lo
+    C_rd /= a_hi - a_lo
 
     def E(w):
         return _slab_ft(w, a_lo, a_hi)[..., None, None]

@@ -16,7 +16,25 @@ from bornexact.medium import (
     GaussianControlProfile,
     RationalEnvelopeProfile,
 )
-from bornexact.transfer import deltaH_block
+from bornexact.transfer import _assemble_v
+
+
+def deltaH_block(profile, z, p, q, k):
+    """Kernel of pi deltaH~(z) pi between transverse momenta p and q.
+
+    The interaction block of transfer._assemble_v built from the medium's
+    2D transforms at height z (eta2_tensors, recip33_ft2), where the
+    package builds it from the 3D transforms at q_z (transfer._bblock_zft).
+    """
+    single = np.asarray(p).ndim == 1
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    dp = p - q
+    Te, Tm = profile.eta2_tensors(dp, z)
+    re = profile.recip33_ft2(dp, z, "eps")
+    rm = profile.recip33_ft2(dp, z, "mu")
+    out = _assemble_v(p, q, k, Te, Tm, re, rm)
+    return out[0] if single else out
 
 
 def zquad_kernel(profile, k, p, q, nz=48, eps_ann=ANNULUS_GUARD):

@@ -8,7 +8,6 @@ from bornexact import (
     QuadratureSpec,
     RationalEnvelopeProfile,
     TransverseBox,
-    amplitude_map,
     fibonacci_hemisphere,
     first_born_amplitude,
     invisibility_report,
@@ -17,7 +16,7 @@ from bornexact import (
     second_born_amplitude,
     support_overlap,
 )
-from bornexact.errors import BoundsViolated, QuadratureNotConverged
+from bornexact.errors import BoundsViolated
 from oracles import ieps_second_born
 
 ALPHA = 1.0
@@ -155,15 +154,6 @@ class TestSecondBorn:
         with pytest.raises(ValueError, match="pvv"):
             QuadratureSpec(method="pvv")
 
-    def test_quadrature_not_converged_raises(self, control_medium):
-        d = DetectorDirection(1.1, 0.3)
-        w = IncidentWave.linear(K, 1.0, np.pi, 0.0)
-        with pytest.raises(QuadratureNotConverged):
-            second_born_amplitude(
-                control_medium, w, d, QuadratureSpec(2, 4, 4),
-                check_convergence=True, convergence_tol=1e-12,
-            )
-
     def test_transversality(self, control_medium):
         d = DetectorDirection(0.9, -0.4)
         w = IncidentWave.linear(K, 1.0, np.pi, 0.4)
@@ -255,20 +245,6 @@ class TestScaling:
         )
         with pytest.raises(BoundsViolated):
             scaling_check(neg, 80.0, W_TILTED, self.DIRS)
-
-
-class TestAmplitudeMap:
-    def test_csv_schema_and_determinism(self, reference_medium, tmp_path):
-        dirs = fibonacci_hemisphere(6, 1) + fibonacci_hemisphere(6, -1)
-        amap = amplitude_map(reference_medium, W_TILTED, dirs)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        amap.to_csv(p1)
-        amap.to_csv(p2)
-        text = p1.read_text()
-        assert text == p2.read_text()
-        lines = text.strip().split("\n")
-        assert lines[0] == "theta,phi,ReFx,ImFx,ReFy,ImFy,ReFz,ImFz"
-        assert len(lines) == 13
 
 
 def test_fibonacci_hemisphere_sides():

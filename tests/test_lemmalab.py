@@ -57,7 +57,7 @@ class TestProjectionAndInclusion:
         rng = np.random.default_rng(5)
         g = ll.Grid1D()
         vals = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
-        f = ll.HalfLineSpectrumFunction(vals, g, ALPHA, -np.inf)
+        f = ll.HalfLineSpectrumFunction(vals, g)
         k_cut = 0.8
         proj = ll.pi_k(f, k_cut)
         assert proj.leak_below(-k_cut) < 1e-12
@@ -76,7 +76,7 @@ class TestProjectionAndInclusion:
         xi = np.exp(1j * rng.uniform(0, 2 * np.pi) * np.tanh(g.k / 5.0)) * (
             0.3 + rng.uniform(0, 1)
         )
-        h = ll.HalfLineSpectrumFunction(g.synth(f.spectrum() * xi), g, ALPHA, f.beta)
+        h = ll.HalfLineSpectrumFunction(g.synth(f.spectrum() * xi), g)
         assert h.leak_below(ALPHA) < 1e-10
 
     def test_pointwise_product_keeps_higher_edge(self):
@@ -85,9 +85,7 @@ class TestProjectionAndInclusion:
         f = ll.make_salpha_sample(ALPHA, "gaussian", seed=10, beta=1.2)
         g = ll.make_salpha_sample(ALPHA, "gaussian", seed=11, beta=3.0)
         grid = f.grid
-        prod = ll.HalfLineSpectrumFunction(
-            grid.synth(f.spectrum() * g.spectrum()), grid, ALPHA, g.beta
-        )
+        prod = ll.HalfLineSpectrumFunction(grid.synth(f.spectrum() * g.spectrum()), grid)
         assert prod.leak_below(3.0) < 1e-10
 
 

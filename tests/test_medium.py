@@ -444,6 +444,30 @@ class TestSampledProfile:
         ee, em = sampled.eval_eta(np.array([[100.0, 0.0, 0.0]]))
         assert not np.any(ee) and not np.any(em)
 
+    def test_default_slab_is_the_medium_z_extent(self):
+        # 5 z-nodes 1 apart from z = -2: eval_eta reaches half a cell past
+        # the end nodes, so the default slab is (-2.5, 2.5), not (-2, 2)
+        rng = np.random.default_rng(2)
+        column = 0.01 * (1 + rng.uniform(0, 1, (4, 3)) + 1j * rng.uniform(0, 1, (4, 3)))
+        ee = np.zeros((4, 3, 5, 3, 3), complex)
+        for i in range(3):
+            ee[..., i, i] = column[:, :, None]
+        samp = SampledProfile(ee, None, (-2.0, -1.0, -2.0), (1.0, 1.0, 1.0))
+        lo, hi = samp.slab
+        assert (lo, hi) == (-2.5, 2.5)
+
+        def eta_at(zs):
+            return samp.eval_eta(np.stack(np.broadcast_arrays(0.0, 0.0, zs), axis=-1))[0]
+
+        assert not np.any(eta_at(np.array([lo - 1e-9, hi + 1e-9, lo - 0.3, hi + 0.1])))
+        assert np.all(eta_at(np.array([lo + 1e-9, -0.7, 2.3, hi - 1e-9]))[:, 0, 0] != 0)
+        # z-constant grid: the q_z = 0 transform is the slab width times the 2D one
+        p2 = np.array([[0.3, 0.2], [-1.1, 0.9]])
+        e2, _ = samp.eta2_tensors(p2, 0.0)
+        e3, _ = samp.eta3_tensors(np.concatenate([p2, np.zeros((2, 1))], axis=1))
+        assert np.abs(e2).min(axis=0)[0, 0] > 0
+        assert np.abs(e3 - (hi - lo) * e2).max() <= 1e-14 * np.abs(e2).max()
+
 
 def test_reference_medium_parameters():
     med = reference_medium()

@@ -66,3 +66,28 @@ def test_no_bare_builtin_raises():
     src = Path(bornexact.__file__).parent
     found = [hit for path in sorted(src.glob("*.py")) for hit in _raised_builtins(path)]
     assert found == []
+
+
+_BLOCK_2D = ("eta2_tensors", "recip33_ft2")
+
+
+def _block_2d_calls(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _BLOCK_2D:
+                yield f"{path.name}:{node.lineno} calls {name}"
+
+
+def test_one_production_block_route():
+    """Only the media call their own 2D transforms; every production block
+    is built from the 3D transforms (transfer._bblock_zft)."""
+    src = Path(bornexact.__file__).parent
+    found = [
+        hit
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("medium.py", "sampled.py")
+        for hit in _block_2d_calls(path)
+    ]
+    assert found == []

@@ -5,13 +5,14 @@ import pytest
 
 from bornexact import (
     DetectorDirection,
+    GaussErfProfile,
+    GaussianControlProfile,
     IncidentWave,
     RationalEnvelopeProfile,
     SampledProfile,
     TransverseBox,
     amplitude_from_T,
     build_momentum_grid,
-    deltaH_block,
     dyson_second_order_norm,
     first_born_amplitude,
     firstorder_kernel,
@@ -28,8 +29,8 @@ from bornexact.errors import (
     InvalidResolution,
     UnsupportedProfile,
 )
-from bornexact.transfer import _KERNEL_COLUMN_BYTES, _KERNEL_PAIR_BYTES
-from oracles import zquad_kernel
+from bornexact.transfer import _KERNEL_COLUMN_BYTES, _KERNEL_PAIR_BYTES, _bblock_zft
+from oracles import deltaH_block, zquad_kernel
 
 ALPHA = 1.0
 K = 0.8
@@ -38,6 +39,12 @@ W_TILTED = IncidentWave.linear(K, 1.0, np.pi, 0.7)
 
 def vacuum_profile():
     return RationalEnvelopeProfile(ALPHA, 2.0, 1, TransverseBox(0.0, 3.0, 4.0))
+
+
+def dyson_block(profile, p, q):
+    """The Dyson diagnostic's transverse block: B~(p, q; 0) over the slab width."""
+    a_lo, a_hi = profile.slab
+    return _bblock_zft(profile, p, q, 0.0, K) / (a_hi - a_lo)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +71,7 @@ class TestGrid:
         assert np.linalg.norm(grid.disk_points, axis=1).max() < K * (1 - grid.eps_ann)
 
     def test_box_outside_annulus(self, grid_with_box):
-        box = grid_with_box.points[~grid_with_box.in_disk]
+        box = grid_with_box.points[grid_with_box.n_disk_points:]
         assert np.linalg.norm(box, axis=1).min() > K * (1 + grid_with_box.eps_ann)
 
     def test_refinement_halves_spacing(self):
@@ -134,8 +141,7 @@ class TestKernel:
             assert np.abs(K1 - zquad_kernel(medium, K, p, q, nz=48)).max() < gate * scale
 
     def test_deltaH_vacuum(self):
-        blk = deltaH_block(vacuum_profile(), 0.0, np.array([0.1, 0.0]),
-                           np.array([0.0, 0.2]), K)
+        blk = dyson_block(vacuum_profile(), np.array([0.1, 0.0]), np.array([0.0, 0.2]))
         assert not np.any(blk)
 
     def test_deltaH_nonmagnetic_structure(self, reference_medium):
@@ -143,7 +149,7 @@ class TestKernel:
         # blocks carry the reciprocal and plain symbols
         p = np.array([0.3, 0.1])
         q = np.array([-0.9, 0.05])
-        blk = deltaH_block(reference_medium, 0.0, p, q, K)
+        blk = dyson_block(reference_medium, p, q)
         assert not np.any(blk[0:2, 0:2])
         assert not np.any(blk[2:4, 2:4])
         ee, _ = reference_medium.eta2_tensors((p - q)[None, :], 0.0)
@@ -151,6 +157,29 @@ class TestKernel:
         s2 = np.array([[0, -1j], [1j, 0]])
         v21 = 1j * K * eta * s2 / (4 * np.pi**2)
         assert np.abs(blk[2:4, 0:2] - v21).max() < 1e-15 * abs(eta)
+
+    @pytest.mark.parametrize("lz", [4.0, 3.0])
+    def test_dyson_block_equals_mid_slab_block(self, lz):
+        # the 3D transform at q_z = 0 over the slab width against the 2D
+        # transform mid-slab: equal for z-constant media, bit for bit when
+        # the width is a power of two
+        box = TransverseBox(0.01, 3.0, lz)
+        control = GaussianControlProfile(2.0, TransverseBox(np.sqrt(np.pi) * 0.01, 3.0, lz))
+        media = (RationalEnvelopeProfile(ALPHA, 2.0, 1, box), GaussErfProfile(ALPHA, 2.0, box),
+                 control, rotate_to_x(control, (0.6, 0.8)))
+        g = build_momentum_grid(K, 6 * K, 8, 8)
+        Pd, Pr = g.disk_points, g.points
+        for medium in media:
+            z_mid = 0.5 * (medium.slab[0] + medium.slab[1])
+            for p, q in ((Pd[:, None], Pr[None]), (Pr[:, None], Pd[None])):
+                C = dyson_block(medium, p, q)
+                ref = deltaH_block(medium, z_mid, p, q, K)
+                assert np.any(ref)
+                if lz == 4.0:
+                    assert np.array_equal(C, ref)
+                else:
+                    assert np.array_equal(C == 0, ref == 0)
+                    assert np.abs(C - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_memory_guard(self, reference_medium, grid):
         with pytest.raises(InvalidResolution):
