@@ -28,7 +28,6 @@ from .medium import (
     bounds_check,
     profile_from_dict,
     rotate_to_x,
-    reference_medium,
     support_report,
 )
 from .born import (
@@ -91,7 +90,6 @@ __all__ = [
     "scaling_check",
     "second_born_amplitude",
     "solve_T",
-    "reference_medium",
     "support_report",
     "support_overlap",
     "transfer_first_order",

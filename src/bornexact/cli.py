@@ -62,7 +62,6 @@ class RunConfig:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict) or "medium" not in raw:
             raise ConfigError("config must be a JSON object with a 'medium' entry")
-        self.raw = raw
         try:
             self._parse(raw)
         except ConfigError:
@@ -111,9 +110,6 @@ class RunConfig:
         self.tolerances = {name: float(v) for name, v in tols.items()}
         self.sweep_ks = [float(v) for v in raw.get("sweep", {}).get("k_over_alpha", [0.3, 0.5, 0.8])]
         self.seed = int(raw.get("seed", 0))
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
 
 
 def load_config(path) -> RunConfig:

@@ -31,9 +31,6 @@ from .errors import (
 # integral this package evaluates.
 ANNULUS_GUARD = 1e-3
 
-# The 2x2 matrix [[0, -i], [i, 0]] used throughout the kernel algebra.
-_SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
 
 def varpi(p, k: float, eps_ann: float = ANNULUS_GUARD):
     """Longitudinal wavenumber varpi(p) = sqrt(k^2 - |p|^2).
@@ -88,12 +85,7 @@ def projector(j: int, p, k: float, eps_ann: float = ANNULUS_GUARD):
     """
     if j not in (1, 2):
         raise InvalidArgument("projector index j must be 1 or 2")
-    p = np.asarray(p, dtype=float)
-    w = varpi(p, k, eps_ann)
-    H = free_hamiltonian(p, k)
-    eye = np.broadcast_to(np.eye(4, dtype=complex), H.shape)
-    sign = (-1.0) ** j
-    return 0.5 * (eye + sign * H / np.asarray(w)[..., None, None])
+    return channels(p, k, eps_ann)[0][j - 1]
 
 
 def channels(p, k: float, eps_ann: float = ANNULUS_GUARD):
@@ -104,7 +96,9 @@ def channels(p, k: float, eps_ann: float = ANNULUS_GUARD):
     a channel with its eigenvalue; callers zip the two tuples.
     """
     w = np.asarray(varpi(p, k, eps_ann))
-    return (projector(1, p, k, eps_ann), projector(2, p, k, eps_ann)), (-w, w)
+    R = free_hamiltonian(p, k) / w[..., None, None]
+    eye = np.eye(4)
+    return (0.5 * (eye - R), 0.5 * (eye + R)), (-w, w)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import dawsn, gammaln
+from scipy.special import dawsn, gammaln, lambertw
 
 from .errors import BoundsViolated, ConfigError, InvalidArgument, WindowTooSmall
 
@@ -64,10 +64,10 @@ def _sinc(z):
     return out
 
 
-def _scalar_to_tensor(s):
-    """Promote a scalar field (...,) to an isotropic tensor field (..., 3, 3)."""
-    s = np.asarray(s, dtype=complex)
-    return s[..., None, None] * _EYE3
+def _isotropic(s):
+    """(s I, 0): the (eta_eps, eta_mu) tensors of an isotropic nonmagnetic scalar s."""
+    ee = np.asarray(s, dtype=complex)[..., None, None] * _EYE3
+    return ee, np.zeros_like(ee)
 
 
 @dataclass(frozen=True)
@@ -184,34 +184,30 @@ class _EnvelopeProfile(MediumProfile):
         return self.envelope_x(r[..., 0]) * self.footprint.value(r[..., 1], r[..., 2])
 
     def eval_eta(self, r):
-        ee = _scalar_to_tensor(self.scalar_eta(r))
-        return ee, np.zeros_like(ee)
+        return _isotropic(self.scalar_eta(r))
 
-    def scalar_eta2(self, p2, z):
-        p2 = np.asarray(p2, dtype=float)
-        return (
-            self.ft_env_pow(1, p2[..., 0])
-            * self.footprint.zeta
-            * self.footprint.ft_y(p2[..., 1])
-            * self.footprint.indicator_z(z)
-        )
+    def _ft(self, x_ft, p, z_ft, z):
+        """x_ft(p_x) ft_y(p_y) z_ft(z): a separable transform at transverse p.
+
+        z_ft is the footprint's z-indicator (2D transforms at height z) or its
+        z-transform (3D transforms at z = q_z); it is evaluated last, so that
+        no more than one full-size factor is held while another is built.
+        """
+        p = np.real(p)
+        return x_ft(p[..., 0]) * self.footprint.ft_y(p[..., 1]) * z_ft(z)
+
+    def _eta_ft_x(self, K):
+        return self.ft_env_pow(1, K) * self.footprint.zeta
 
     def scalar_eta3(self, q3):
         q3 = np.asarray(q3)
-        return (
-            self.ft_env_pow(1, np.real(q3[..., 0]))
-            * self.footprint.zeta
-            * self.footprint.ft_y(np.real(q3[..., 1]))
-            * self.footprint.ft_z(q3[..., 2])
-        )
+        return self._ft(self._eta_ft_x, q3[..., :2], self.footprint.ft_z, q3[..., 2])
 
     def eta2_tensors(self, p2, z):
-        ee = _scalar_to_tensor(self.scalar_eta2(p2, z))
-        return ee, np.zeros_like(ee)
+        return _isotropic(self._ft(self._eta_ft_x, p2, self.footprint.indicator_z, z))
 
     def eta3_tensors(self, q3):
-        ee = _scalar_to_tensor(self.scalar_eta3(q3))
-        return ee, np.zeros_like(ee)
+        return _isotropic(self.scalar_eta3(q3))
 
     # reciprocal symbol: 1/(1 + eta) - 1 = sum_n (-1)^n eta^n, with each
     # power's x-transform known per family (one-sided support preserved
@@ -240,23 +236,14 @@ class _EnvelopeProfile(MediumProfile):
 
     def recip33_ft2(self, p2, z, which: str):
         if which == "mu":
-            return np.zeros(np.asarray(p2).shape[:-1], dtype=complex)
-        p2 = np.asarray(p2, dtype=float)
-        return (
-            self._recip_ft_x(p2[..., 0])
-            * self.footprint.ft_y(p2[..., 1])
-            * self.footprint.indicator_z(z)
-        )
+            return np.zeros(np.shape(p2)[:-1], dtype=complex)
+        return self._ft(self._recip_ft_x, p2, self.footprint.indicator_z, z)
 
     def recip33_ft3(self, q3, which: str):
         if which == "mu":
-            return np.zeros(np.asarray(q3).shape[:-1], dtype=complex)
+            return np.zeros(np.shape(q3)[:-1], dtype=complex)
         q3 = np.asarray(q3)
-        return (
-            self._recip_ft_x(np.real(q3[..., 0]))
-            * self.footprint.ft_y(np.real(q3[..., 1]))
-            * self.footprint.ft_z(q3[..., 2])
-        )
+        return self._ft(self._recip_ft_x, q3[..., :2], self.footprint.ft_z, q3[..., 2])
 
     def scaled(self, sigma: float):
         out = self.__class__.__new__(self.__class__)
@@ -319,19 +306,11 @@ class RationalEnvelopeProfile(_EnvelopeProfile):
         return 1.0
 
     def spectral_extent(self, rel_tol: float = 1e-9) -> float:
-        # solve (aK)^m e^{-aK} = rel_tol * peak by bisection on aK > m
+        # (aK)^m e^{-aK} = rel_tol m^m e^{-m} on aK > m: the lower real
+        # branch aK = -m W_{-1}(-rel_tol^{1/m} / e)
         m = self.m_exp
-        pk = m**m * np.exp(-m)
-        lo, hi = float(m), float(m)
-        while hi**m * np.exp(-hi) > rel_tol * pk:
-            hi *= 2.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid**m * np.exp(-mid) > rel_tol * pk:
-                lo = mid
-            else:
-                hi = mid
-        return (self.alpha or 0.0) + hi / self.a
+        aK = -m * lambertw(-rel_tol ** (1.0 / m) / np.e, -1).real
+        return (self.alpha or 0.0) + aK / self.a
 
     def default_window(self) -> float:
         return 100.0 * self.a
@@ -455,26 +434,24 @@ class RotatedProfile(MediumProfile):
         R = self._R3[:2, :2]
         return p2 @ R  # R^{-1} p = R^T p applied to row vectors
 
-    def eval_eta(self, r):
-        r = np.asarray(r, dtype=float)
-        r_old = r @ self._R3  # R^{-1} r for row vectors
-        ee, em = self.base.eval_eta(r_old)
+    def _conj(self, tensors):
+        """R T R^T for each of the base profile's tensors T."""
         R = self._R3
-        return R @ ee @ R.T, R @ em @ R.T
+        return tuple(R @ t @ R.T for t in tensors)
+
+    def eval_eta(self, r):
+        r_old = np.asarray(r, dtype=float) @ self._R3  # R^{-1} r for row vectors
+        return self._conj(self.base.eval_eta(r_old))
 
     def eta2_tensors(self, p2, z):
-        ee, em = self.base.eta2_tensors(self._back2(p2), z)
-        R = self._R3
-        return R @ ee @ R.T, R @ em @ R.T
+        return self._conj(self.base.eta2_tensors(self._back2(p2), z))
 
     def _back3(self, q3):
         q3 = np.asarray(q3)
         return np.concatenate([self._back2(np.real(q3[..., :2])), q3[..., 2:]], axis=-1)
 
     def eta3_tensors(self, q3):
-        ee, em = self.base.eta3_tensors(self._back3(q3))
-        R = self._R3
-        return R @ ee @ R.T, R @ em @ R.T
+        return self._conj(self.base.eta3_tensors(self._back3(q3)))
 
     def scalar_eta3(self, q3):
         # an isotropic scalar is invariant under z-rotations
@@ -741,10 +718,3 @@ def profile_from_dict(cfg: dict) -> MediumProfile:
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad medium config: {exc}") from exc
     raise ConfigError(f"unknown medium type {kind!r}")
-
-
-def reference_medium() -> RationalEnvelopeProfile:
-    """The reference rational medium: zeta=0.01, m=1, a=2, ly=3, lz=4 (alpha=1)."""
-    return RationalEnvelopeProfile(
-        alpha=1.0, a=2.0, m_exp=1, footprint=TransverseBox(0.01, 3.0, 4.0)
-    )

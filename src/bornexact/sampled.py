@@ -127,6 +127,8 @@ class SampledProfile(MediumProfile):
     def __init__(self, eta_eps, eta_mu, origin, spacing, alpha=None, slab=None):
         self.ee = np.asarray(eta_eps, dtype=complex)
         nx, ny, nz = self.ee.shape[:3]
+        if min(nx, ny) < 2:
+            raise InvalidArgument(f"momentum tables interpolate: need nx, ny >= 2, got {nx}x{ny}")
         self.em = (
             np.asarray(eta_mu, dtype=complex)
             if eta_mu is not None
@@ -147,9 +149,6 @@ class SampledProfile(MediumProfile):
         ee, em, origin, spacing = read_grid(path)
         return cls(ee, em, origin, spacing, alpha=alpha)
 
-    def save(self, path):
-        write_grid(path, self.ee, self.origin, self.spacing, self.em)
-
     # -- position space ----------------------------------------------------
     def eval_eta(self, r):
         return (_interp(self.ee, r, self.origin, self.spacing),
@@ -158,8 +157,8 @@ class SampledProfile(MediumProfile):
     # -- momentum space ------------------------------------------------------
     # Each grid array ("ee" eta_eps, "em" eta_mu, and the reciprocal symbols
     # "eps" eta_{1/eps33} = 1/(1 + eta_eps,33) - 1 and "mu" eta_{1/mu33}) is
-    # transformed over (x, y) once per z-slice and cached; the 2D transforms
-    # pick the nearest slice, the 3D ones sum over slices.
+    # transformed over (x, y) once per z-slice and cached; _slice_sum weights
+    # the slices: each point's nearest one in 2D, e^{-i q_z z_n} dz in 3D.
     def _ft2(self, key):
         if key not in self._ft_cache:
             if key in ("ee", "em"):
@@ -175,36 +174,46 @@ class SampledProfile(MediumProfile):
             self._ft_cache[key] = F * (dx * dy) * _trailing(phase, data.ndim)
         return self._ft_cache[key]
 
-    def _interp_p2(self, F, p2):
-        px, py = self._px, self._py
-        return _interp(F, p2, (px[0], py[0]), (px[1] - px[0], py[1] - py[0]))
+    def _slice_sum(self, key, p2, weights):
+        """sum_n weights(n) F_n(p2) over the cached slice transforms F_n of key.
 
-    def _at_z(self, key, p2, z):
-        """2D transform of grid array key at p2 on the slice nearest z."""
-        nz = self.ee.shape[2]
+        One slice is interpolated and accumulated at a time, so the working set
+        is a few arrays of the result's size; zero slices and weights are skipped.
+        """
+        F = self._ft2(key)
+        px, py = self._px, self._py
+        start, step = (px[0], py[0]), (px[1] - px[0], py[1] - py[0])
+        out = np.zeros(p2.shape[:-1] + F.shape[3:], dtype=complex)
+        for n in range(F.shape[2]):
+            w = weights(n) if np.any(F[:, :, n]) else 0
+            if np.any(w):
+                out += _trailing(w, out.ndim) * _interp(F[:, :, n], p2, start, step)
+        return out
+
+    def _nearest_slice(self, key, p2, z):
+        """2D transform of key at p2 on each point's nearest slice to z."""
         iz = np.rint((np.asarray(z, dtype=float) - self.origin[2]) / self.spacing[2])
-        F = self._ft2(key)[:, :, np.clip(iz.astype(int), 0, nz - 1)]
-        return self._interp_p2(F, p2) * ((iz >= 0) & (iz <= nz - 1))
+        p2 = np.asarray(p2, dtype=float)
+        p2 = np.broadcast_to(p2, np.broadcast_shapes(p2.shape[:-1], iz.shape) + (2,))
+        return self._slice_sum(key, p2, lambda n: iz == n)
 
     def _z_sum(self, key, q3):
-        """3D transform of grid array key by direct z-summation of its slice
-        transforms, so that complex q_z (evanescent channels) is supported."""
+        """3D transform of key by direct z-summation of its slice transforms,
+        so that complex q_z (evanescent channels) is supported."""
         q3 = np.asarray(q3)
         dz = self.spacing[2]
         z = self.origin[2] + np.arange(self.ee.shape[2]) * dz
-        w = np.exp(-1j * np.multiply.outer(q3[..., 2], z)) * dz
-        F = self._interp_p2(self._ft2(key), np.real(q3[..., :2]))
-        out = np.einsum("...z,...zc->...c", w, F.reshape(w.shape + (-1,)))
-        return out.reshape(F.shape[: w.ndim - 1] + F.shape[w.ndim :])
+        return self._slice_sum(key, np.real(q3[..., :2]),
+                               lambda n: np.exp(-1j * q3[..., 2] * z[n]) * dz)
 
     def eta2_tensors(self, p2, z):
-        return self._at_z("ee", p2, z), self._at_z("em", p2, z)
+        return self._nearest_slice("ee", p2, z), self._nearest_slice("em", p2, z)
 
     def eta3_tensors(self, q3):
         return self._z_sum("ee", q3), self._z_sum("em", q3)
 
     def recip33_ft2(self, p2, z, which):
-        return self._at_z(which, p2, z)
+        return self._nearest_slice(which, p2, z)
 
     def recip33_ft3(self, q3, which):
         return self._z_sum(which, q3)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import em
-from .em import _SIGMA2, ANNULUS_GUARD, DetectorDirection, IncidentWave, xi_contract
+from .em import ANNULUS_GUARD, DetectorDirection, IncidentWave, xi_contract
 from .errors import (
     DirectionOnRim,
     IncidenceOutsideDisk,
@@ -119,9 +119,9 @@ def build_momentum_grid(
 # interaction kernel blocks
 
 
-def _rot_rows(T):
-    """J T on the first two rows of T, with J = -i sigma_2 = [[0, -1], [1, 0]]."""
-    return np.stack([-T[..., 1, :], T[..., 0, :]], axis=-2)
+def _J(a, axis=-1):
+    """J a with J = [[0, -1], [1, 0]] acting on the 2-vector axis of a."""
+    return np.stack([-a.take(1, axis), a.take(0, axis)], axis)
 
 
 def _assemble_v(p, q, k, Te, Tm, re, rm):
@@ -130,23 +130,30 @@ def _assemble_v(p, q, k, Te, Tm, re, rm):
     p, q: (..., 2) momenta at the operator positions (left/right of the
     convolution); Te, Tm: (..., 3, 3) transforms of eta_eps, eta_mu at the
     transfer p - q; re, rm: transforms of eta_{1/eps33}, eta_{1/mu33} there.
-    The 1/(2 pi)^2 convolution measure is folded in.
+    With J q = (-q_y, q_x) and (x) the outer product, the block is
+
+        V = (1/4 pi^2) [[p (x) Te[2,:2] + (J Tm[:2,2]) (x) Jq,
+                         (re/k) p (x) Jq + k J Tm[:2,:2]],
+                        [-(rm/k) p (x) Jq - k J Te[:2,:2],
+                         p (x) Tm[2,:2] + (J Te[:2,2]) (x) Jq]],
+
+    the 1/(2 pi)^2 convolution measure folded in.
     """
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    Jq = _J(np.asarray(q, dtype=float))
 
     def outer(a, b):
-        return np.einsum("...i,...j->...ij", a, b)
+        return a[..., :, None] * b[..., None, :]
 
-    pq = outer(p, q) @ _SIGMA2
-    JTe, JTm = _rot_rows(Te), _rot_rows(Tm)
-    V = np.block([
-        [outer(p, Te[..., 2, :2]) + 1j * (outer(JTm[..., 2], q) @ _SIGMA2),
-         (1j / k) * pq * re[..., None, None] + k * JTm[..., :2]],
-        [-(1j / k) * pq * rm[..., None, None] - k * JTe[..., :2],
-         outer(p, Tm[..., 2, :2]) + 1j * (outer(JTe[..., 2], q) @ _SIGMA2)],
-    ])
-    return V / (4.0 * np.pi**2)
+    pJq = outer(p, Jq)
+    shape = np.broadcast_shapes(pJq.shape[:-2], Te.shape[:-2], np.shape(re))
+    V = np.empty(shape + (4, 4), dtype=complex)
+    V[..., :2, :2] = outer(p, Te[..., 2, :2]) + outer(_J(Tm[..., :2, 2]), Jq)
+    V[..., :2, 2:] = (re / k)[..., None, None] * pJq + k * _J(Tm[..., :2, :2], -2)
+    V[..., 2:, :2] = -(rm / k)[..., None, None] * pJq - k * _J(Te[..., :2, :2], -2)
+    V[..., 2:, 2:] = outer(p, Tm[..., 2, :2]) + outer(_J(Te[..., :2, 2]), Jq)
+    V /= 4.0 * np.pi**2
+    return V
 
 
 def _bblock_zft(profile: MediumProfile, p, q, w, k: float):
@@ -209,9 +216,10 @@ class TransferKernel:
         return float(np.abs(self.K).max())
 
 
-# working set of firstorder_kernel: about seven 4x4 complex blocks per (p, q)
-# pair plus two projectors per column momentum q (tracemalloc: 1.43-1.75 kB
-# per pair and 0.5 kB per column at n_disk 8 and 16)
+# working set of firstorder_kernel: at most seven 4x4 complex blocks per
+# (p, q) pair plus two projectors per column momentum q (tracemalloc, one
+# chunk at n_disk 8 and 16: 1.15-1.18 kB per pair for the envelope families,
+# 1.29 kB for a sampled medium with 16 z-slices; 0.5 kB per column)
 _KERNEL_PAIR_BYTES = 7 * 256
 _KERNEL_COLUMN_BYTES = 2 * 256
 

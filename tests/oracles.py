@@ -16,7 +16,37 @@ from bornexact.medium import (
     GaussianControlProfile,
     RationalEnvelopeProfile,
 )
+from bornexact.sampled import _interp
 from bornexact.transfer import _assemble_v
+
+
+_SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def assemble_v_ref(p, q, k, Te, Tm, re, rm):
+    """transfer._assemble_v written with sigma_2 products and np.block.
+
+    Uses 1j * (a (x) q) sigma_2 = a (x) Jq with J = -i sigma_2, and stacks
+    J T on the full rows of each tensor before slicing.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+
+    def outer(a, b):
+        return np.einsum("...i,...j->...ij", a, b)
+
+    def rot_rows(T):
+        return np.stack([-T[..., 1, :], T[..., 0, :]], axis=-2)
+
+    pq = outer(p, q) @ _SIGMA2
+    JTe, JTm = rot_rows(Te), rot_rows(Tm)
+    V = np.block([
+        [outer(p, Te[..., 2, :2]) + 1j * (outer(JTm[..., 2], q) @ _SIGMA2),
+         (1j / k) * pq * re[..., None, None] + k * JTm[..., :2]],
+        [-(1j / k) * pq * rm[..., None, None] - k * JTe[..., :2],
+         outer(p, Tm[..., 2, :2]) + 1j * (outer(JTe[..., 2], q) @ _SIGMA2)],
+    ])
+    return V / (4.0 * np.pi**2)
 
 
 def deltaH_block(profile, z, p, q, k):
@@ -101,6 +131,24 @@ def ieps_second_born(profile, w, d, quad):
     F = (k * k / (4 * np.pi)) / (2 * np.pi) ** 3 * total
     rhat = d.r_hat
     return F - rhat * np.dot(rhat, F)
+
+
+def sampled_z_sum(profile, key, q3):
+    """3D transform of a SampledProfile grid array ("ee", "em", "eps", "mu").
+
+    Interpolates every slice transform at once and contracts the slice axis
+    with e^{-i q_z z_n} dz in one einsum, where the package accumulates one
+    slice at a time.
+    """
+    q3 = np.asarray(q3)
+    dz = profile.spacing[2]
+    z = profile.origin[2] + np.arange(profile.ee.shape[2]) * dz
+    w = np.exp(-1j * np.multiply.outer(q3[..., 2], z)) * dz
+    px, py = profile._px, profile._py
+    F = _interp(profile._ft2(key), np.real(q3[..., :2]), (px[0], py[0]),
+                (px[1] - px[0], py[1] - py[0]))
+    out = np.einsum("...z,...zc->...c", w, F.reshape(w.shape + (-1,)))
+    return out.reshape(F.shape[: w.ndim - 1] + F.shape[w.ndim:])
 
 
 def profile_to_dict(profile):

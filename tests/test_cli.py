@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bornexact.cli import main
+from bornexact.sampled import write_grid
 
 SPEC_MEDIUM = {
     "type": "rational",
@@ -119,18 +120,22 @@ class TestVerify:
             {"tolerances": {"support": "x"}},
             {"quadrature": {"method": "pvv"}},
             {"quadrature": {"p_max_over_k": 3.0}},
+            {"medium": {"type": "sampled", "path": "one_x_node.bin"}},
         ],
         ids=["k_negative", "k_text", "n_disk_text", "n_disk_4", "grazing",
              "zero_polarization", "unknown_suite", "tolerance_text", "quad_method",
-             "quad_p_max"],
+             "quad_p_max", "sampled_one_x_node"],
     )
     def test_malformed_field_exits_2_before_any_suite(self, tmp_path, monkeypatch, over):
         def no_suite(*args, **kwargs):
             raise AssertionError("a suite ran on a malformed config")
 
         monkeypatch.setattr("bornexact.cli.support_report", no_suite)
-        over = {"suites": ["support", "exactness"], **over}
-        cfg = write_config(tmp_path, SPEC_MEDIUM, **over)
+        # a well-formed file whose grid has a single node along x
+        monkeypatch.chdir(tmp_path)
+        write_grid("one_x_node.bin", np.full((1, 4, 4, 3, 3), 0.01), (0, 0, 0), (1, 1, 1))
+        over = {"suites": ["support", "exactness"], "medium": SPEC_MEDIUM, **over}
+        cfg = write_config(tmp_path, **over)
         out = tmp_path / "out"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "verify.json").exists()
@@ -242,13 +247,3 @@ def test_flags_only_where_read(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv[:1] + ["--config", str(cfg), "--out", str(tmp_path / "out")] + argv[1:])
     assert exc.value.code == 2
-
-
-def test_config_round_trip_bytes(tmp_path):
-    from bornexact.cli import load_config
-
-    cfg_path = write_config(tmp_path, SPEC_MEDIUM)
-    cfg = load_config(cfg_path)
-    once = cfg.canonical_json()
-    again = json.dumps(json.loads(once), sort_keys=True, indent=2) + "\n"
-    assert once == again

@@ -17,8 +17,9 @@ from bornexact import (
     support_report,
 )
 from bornexact.errors import BoundsViolated, ConfigError, WindowTooSmall
-from bornexact.medium import MediumProfile, _sinc, reference_medium
-from oracles import profile_to_dict
+from bornexact.medium import MediumProfile, _sinc
+from bornexact.sampled import write_grid
+from oracles import profile_to_dict, sampled_z_sum
 
 ALPHA = 1.0
 
@@ -138,6 +139,17 @@ class TestFourierForms:
         a = reference_medium.a
         u = a * (a * 0.5) * np.exp(-a * 0.5)
         assert ee[0, 2, 2] == pytest.approx(2 * np.pi * u * 0.01 * 12.0, rel=1e-14)
+
+    @pytest.mark.parametrize("m_exp", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-12])
+    def test_rational_spectral_extent_solves_its_equation(self, m_exp, rel_tol):
+        # (aK)^m e^{-aK} = rel_tol m^m e^{-m} at the extent K, on the branch aK > m
+        prof = RationalEnvelopeProfile(ALPHA, 2.0, m_exp, TransverseBox(0.01, 3.0, 4.0))
+        aK = prof.a * (prof.spectral_extent(rel_tol) - ALPHA)
+        assert aK > m_exp
+        lhs = m_exp * np.log(aK) - aK
+        rhs = np.log(rel_tol) + m_exp * np.log(m_exp) - m_exp
+        assert abs(np.expm1(lhs - rhs)) <= 1e-12
 
     def test_complex_qz_entire_continuation(self, reference_medium):
         # finite slab: the z-transform is entire; compare against direct sum
@@ -382,11 +394,12 @@ class TestProfileJson:
             profile_from_dict(dict(cfg, slab=[-3.0, 3.0]))
         assert profile_from_dict(dict(cfg, slab=[-2.0, 2.0])).slab == (-2.0, 2.0)
 
-    def test_sampled_config_errors(self, tmp_path):
+    def test_sampled_config_errors(self, tmp_path, reference_medium):
         good = tmp_path / "good.bin"
-        sample_profile(
-            reference_medium(), (8, 4, 3), (-4.0, -2.0, -2.0), (1.0, 1.0, 2.0)
-        ).save(good)
+        samp = sample_profile(
+            reference_medium, (8, 4, 3), (-4.0, -2.0, -2.0), (1.0, 1.0, 2.0)
+        )
+        write_grid(good, samp.ee, samp.origin, samp.spacing, samp.em)
         data = good.read_bytes()
         short = tmp_path / "short.bin"
         short.write_bytes(data[:40])  # inside the 88-byte header
@@ -419,7 +432,7 @@ class TestSampledProfile:
 
     def test_binary_round_trip(self, sampled, tmp_path):
         path = tmp_path / "grid.bin"
-        sampled.save(path)
+        write_grid(path, sampled.ee, sampled.origin, sampled.spacing, sampled.em)
         clone = SampledProfile.load(path, alpha=ALPHA)
         assert np.array_equal(clone.ee, sampled.ee)
         assert np.array_equal(clone.em, sampled.em)
@@ -468,12 +481,27 @@ class TestSampledProfile:
         assert np.abs(e2).min(axis=0)[0, 0] > 0
         assert np.abs(e3 - (hi - lo) * e2).max() <= 1e-14 * np.abs(e2).max()
 
+    def test_slice_sum_matches_one_pass_z_sum(self, sampled):
+        rng = np.random.default_rng(6)
+        q3 = np.concatenate([rng.uniform(-2.0, 2.0, (4, 5, 2)),
+                             rng.uniform(-1.0, 1.0, (4, 5, 1)) + 0.5j], axis=-1)
+        ee, _ = sampled.eta3_tensors(q3)
+        rec = sampled.recip33_ft3(q3, "eps")
+        for got, ref in ((ee, sampled_z_sum(sampled, "ee", q3)),
+                         (rec, sampled_z_sum(sampled, "eps", q3))):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
-def test_reference_medium_parameters():
-    med = reference_medium()
-    assert med.alpha == 1.0
-    assert med.a == 2.0
-    assert med.m_exp == 1
-    assert med.footprint.zeta == 0.01
-    assert (med.footprint.ly, med.footprint.lz) == (3.0, 4.0)
-    assert med.slab == (-2.0, 2.0)
+    def test_2d_transforms_take_one_z_per_point(self, sampled):
+        # three points, each on its own slice (one of them outside the grid)
+        rng = np.random.default_rng(4)
+        p2 = rng.uniform(-1.5, 1.5, (3, 2))
+        z = np.array([-1.3, 0.4, 9.0])
+        ee, em = sampled.eta2_tensors(p2, z)
+        rec = sampled.recip33_ft2(p2, z, "eps")
+        assert ee.shape == em.shape == (3, 3, 3) and rec.shape == (3,)
+        for i in range(3):
+            ee_i, em_i = sampled.eta2_tensors(p2[i:i + 1], z[i])
+            assert np.array_equal(ee[i], ee_i[0]) and np.array_equal(em[i], em_i[0])
+            assert np.array_equal(rec[i], sampled.recip33_ft2(p2[i:i + 1], z[i], "eps")[0])
+        assert np.any(ee[0]) and np.any(ee[1]) and not np.any(ee[2])

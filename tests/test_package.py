@@ -33,6 +33,12 @@ BAD_CALLS = {
     "QuadratureSpec panel over cap": lambda m: bornexact.QuadratureSpec(256, 256, 256),
     "TransverseBox ly<0": lambda m: bornexact.TransverseBox(0.01, -1, 4),
     "rotate_to_x non-unit": lambda m: bornexact.rotate_to_x(m, (1, 1)),
+    "SampledProfile nx=1": lambda m: bornexact.SampledProfile(
+        np.zeros((1, 4, 4, 3, 3)), None, (0, 0, 0), (1, 1, 1)
+    ),
+    "SampledProfile ny=1": lambda m: bornexact.SampledProfile(
+        np.zeros((4, 1, 4, 3, 3)), None, (0, 0, 0), (1, 1, 1)
+    ),
     "varpi k=0": lambda m: em.varpi(np.zeros(2), 0.0),
     "projector j=3": lambda m: em.projector(3, np.zeros(2), 1.0),
     "support_overlap n=0": lambda m: bornexact.support_overlap(1, 0.8, n=0),

@@ -29,8 +29,13 @@ from bornexact.errors import (
     InvalidResolution,
     UnsupportedProfile,
 )
-from bornexact.transfer import _KERNEL_COLUMN_BYTES, _KERNEL_PAIR_BYTES, _bblock_zft
-from oracles import deltaH_block, zquad_kernel
+from bornexact.transfer import (
+    _KERNEL_COLUMN_BYTES,
+    _KERNEL_PAIR_BYTES,
+    _assemble_v,
+    _bblock_zft,
+)
+from oracles import assemble_v_ref, deltaH_block, zquad_kernel
 
 ALPHA = 1.0
 K = 0.8
@@ -140,6 +145,28 @@ class TestKernel:
             assert scale > 0
             assert np.abs(K1 - zquad_kernel(medium, K, p, q, nz=48)).max() < gate * scale
 
+    @pytest.mark.parametrize(
+        "p_shape, q_shape", [((40,), (40,)), ((5, 1), (1, 8))], ids=["pairs", "broadcast"]
+    )
+    def test_block_matches_sigma2_assembly(self, p_shape, q_shape):
+        # random complex, anisotropic, magnetic tensors carry no literal
+        # zeros, so a dropped J, a swapped block or a wrong sign shows
+        rng = np.random.default_rng(11)
+        shape = np.broadcast_shapes(p_shape, q_shape)
+
+        def cplx(*s):
+            return rng.standard_normal(s) + 1j * rng.standard_normal(s)
+
+        p = rng.uniform(-1.5, 1.5, p_shape + (2,))
+        q = rng.uniform(-1.5, 1.5, q_shape + (2,))
+        k = rng.uniform(0.3, 1.0)
+        Te, Tm = cplx(*shape, 3, 3), cplx(*shape, 3, 3)
+        re, rm = cplx(*shape), cplx(*shape)
+        V = _assemble_v(p, q, k, Te, Tm, re, rm)
+        ref = assemble_v_ref(p, q, k, Te, Tm, re, rm)
+        assert V.shape == ref.shape == shape + (4, 4)
+        assert np.abs(V - ref).max() <= 1e-15 * np.abs(ref).max()
+
     def test_deltaH_vacuum(self):
         blk = dyson_block(vacuum_profile(), np.array([0.1, 0.0]), np.array([0.0, 0.2]))
         assert not np.any(blk)
@@ -198,6 +225,21 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert np.array_equal(chunked.K, one_chunk.K)
+        assert peak <= cap
+
+    def test_sampled_kernel_within_cap(self, control_medium, grid):
+        # the sampled transforms sum their z-slices one at a time, so the
+        # kernel's working set follows the chunk model as for closed forms
+        samp = sample_profile(control_medium, (32, 16, 16), (-16.0, -2.0, -2.0),
+                              (1.0, 0.25, 0.25))
+        cap = 64 * 2**20
+        tracemalloc.start()
+        try:
+            kern = transfer_first_order(samp, grid, memory_cap_bytes=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kern.norm_max > 0
         assert peak <= cap
 
     def test_m_equals_pi_below_half_alpha(self, reference_medium):
