@@ -16,7 +16,7 @@ unmodulated Gaussian control supplies the nonzero contrast baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -146,15 +146,8 @@ class QuadratureSpec:
             )
 
     def doubled(self) -> "QuadratureSpec":
-        return QuadratureSpec(
-            2 * self.n_radial,
-            2 * self.n_mu,
-            2 * self.n_phi,
-            self.p_max_over_k,
-            self.method,
-            self.eps_over_k2,
-            self.richardson,
-        )
+        return replace(self, n_radial=2 * self.n_radial, n_mu=2 * self.n_mu,
+                       n_phi=2 * self.n_phi)
 
 
 def _angular_grid(spec: QuadratureSpec):
@@ -189,10 +182,9 @@ def _chain_numerator(profile, w, d, pts):
     ee_out, em_out = profile.eta3_tensors(ks - pts)
     A = (k * k) * (ee_in @ ei) - k * np.cross(pts, em_in @ hi)
     B = (k * k) * (em_in @ hi) + k * np.cross(pts, ee_in @ ei)
-    pA = np.einsum("...i,...i->...", pts, A)
-    pB = np.einsum("...i,...i->...", pts, B)
-    E1 = A - pts * (pA / (k * k))[..., None]
-    H1 = B - pts * (pB / (k * k))[..., None]
+    # the (I - p p^T / k^2) projections of both links
+    E1, H1 = (V - pts * (np.einsum("...i,...i->...", pts, V) / (k * k))[..., None]
+              for V in (A, B))
     out = np.einsum("...ij,...j->...i", ee_out, E1)
     out_h = np.einsum("...ij,...j->...i", em_out, H1)
     if np.any(out_h):
@@ -378,20 +370,19 @@ def scaling_check(
     scaled = profile.scaled(sigma)
     if not bounds_check(scaled, 4000, seed=7).passed:
         raise BoundsViolated(f"sigma={sigma} drives Re eps33 nonpositive")
-    f1_num, f1_den = 0.0, 0.0
-    f2_num, f2_den = 0.0, 0.0
-    for d in directions:
-        F1 = first_born_amplitude(profile, w, d)
-        F1s = first_born_amplitude(scaled, w, d)
-        f1_num = max(f1_num, np.linalg.norm(F1s - sigma * F1))
-        f1_den = max(f1_den, np.linalg.norm(sigma * F1))
-        if quad is not None:
-            F2 = second_born_amplitude(profile, w, d, quad)
-            F2s = second_born_amplitude(scaled, w, d, quad)
-            f2_num = max(f2_num, np.linalg.norm(F2s - sigma * sigma * F2))
-            f2_den = max(f2_den, np.linalg.norm(sigma * sigma * F2))
+
+    def rel_err(amp, factor):
+        """max |amp(scaled) - factor amp(profile)| / max |factor amp(profile)|."""
+        num = den = 0.0
+        for d in directions:
+            F = amp(profile, d)
+            num = max(num, np.linalg.norm(amp(scaled, d) - factor * F))
+            den = max(den, np.linalg.norm(factor * F))
+        return num / max(den, 1e-300)
+
     return ScalingReport(
         sigma=sigma,
-        f1_rel_err=f1_num / max(f1_den, 1e-300),
-        f2_rel_err=(f2_num / max(f2_den, 1e-300)) if quad is not None else None,
+        f1_rel_err=rel_err(lambda m, d: first_born_amplitude(m, w, d), sigma),
+        f2_rel_err=None if quad is None else rel_err(
+            lambda m, d: second_born_amplitude(m, w, d, quad), sigma * sigma),
     )

@@ -151,11 +151,6 @@ class IncidentWave:
         e, h = self.e_i, self.h_i
         return np.array([e[0], e[1], h[0], h[1]], dtype=complex)
 
-    @property
-    def side(self) -> int:
-        """+1 for left-incident (cos(theta0) > 0), -1 for right-incident."""
-        return 1 if np.cos(self.theta0) > 0 else -1
-
     @classmethod
     def linear(cls, k: float, theta0: float, phi0: float, chi: float = 0.0):
         """Linear polarization at angle chi in the plane orthogonal to k_i.
@@ -193,10 +188,6 @@ class DetectorDirection:
     def k_s(self, k: float) -> np.ndarray:
         """Scattered wave vector k * r_hat."""
         return k * self.r_hat
-
-    def vec_k_s(self, k: float) -> np.ndarray:
-        """Transverse part of the scattered wave vector."""
-        return self.k_s(k)[:2]
 
 
 def xi_matrix(d: DetectorDirection) -> np.ndarray:

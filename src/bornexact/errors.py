@@ -41,6 +41,10 @@ class DirectionOnRim(BornexactError):
     """Detector direction maps onto the guard annulus of the momentum disk."""
 
 
+class StraddlesSupportEdge(BornexactError):
+    """A grid-mode interpolation cell has nodes on both sides of q_x = alpha."""
+
+
 class InvalidResolution(BornexactError):
     """Momentum grid resolution parameters are out of range."""
 

@@ -43,10 +43,6 @@ class Grid1D:
     def k(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.dk
 
-    @property
-    def x(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.dx
-
     def synth(self, spectrum):
         """Position samples of a function with the given (centered) spectrum."""
         scale = self.n * self.dk / (2 * np.pi)

@@ -176,15 +176,22 @@ class _EnvelopeProfile(MediumProfile):
         self.footprint = footprint
         self.slab = (-footprint.lz / 2.0, footprint.lz / 2.0)
 
-    # subclasses provide envelope_x(x) (modulation included), env_abs_max()
-    # and ft_env_pow(n, K), the x-transform of envelope_x(x)^n
+    # subclasses provide envelope_x(x) (modulation included) and ft_env_pow(n,
+    # K), the x-transform of envelope_x(x)^n.  The defaults below describe
+    # Gaussian spectral tails (Gauss-erf; the control, alpha None) and |E| <= 1
+    # (rational, the control); rational overrides the first two, Gauss-erf the last.
+    def spectral_extent(self, rel_tol: float = 1e-9) -> float:
+        return (self.alpha or 0.0) + 2.0 * np.sqrt(np.log(1.0 / rel_tol)) / self.a
 
-    def scalar_eta(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.envelope_x(r[..., 0]) * self.footprint.value(r[..., 1], r[..., 2])
+    def default_window(self) -> float:
+        return 40.0 * self.a
+
+    def env_abs_max(self) -> float:
+        return 1.0
 
     def eval_eta(self, r):
-        return _isotropic(self.scalar_eta(r))
+        r = np.asarray(r, dtype=float)
+        return _isotropic(self.envelope_x(r[..., 0]) * self.footprint.value(r[..., 1], r[..., 2]))
 
     def _ft(self, x_ft, p, z_ft, z):
         """x_ft(p_x) ft_y(p_y) z_ft(z): a separable transform at transverse p.
@@ -302,9 +309,6 @@ class RationalEnvelopeProfile(_EnvelopeProfile):
             out[pos] = np.exp(lg)
         return out
 
-    def env_abs_max(self) -> float:
-        return 1.0
-
     def spectral_extent(self, rel_tol: float = 1e-9) -> float:
         # (aK)^m e^{-aK} = rel_tol m^m e^{-m} on aK > m: the lower real
         # branch aK = -m W_{-1}(-rel_tol^{1/m} / e)
@@ -376,12 +380,6 @@ class GaussErfProfile(_EnvelopeProfile):
     def env_abs_max(self) -> float:
         return float(np.sqrt(np.pi))
 
-    def spectral_extent(self, rel_tol: float = 1e-9) -> float:
-        return (self.alpha or 0.0) + 2.0 * np.sqrt(np.log(1.0 / rel_tol)) / self.a
-
-    def default_window(self) -> float:
-        return 40.0 * self.a
-
 
 class GaussianControlProfile(_EnvelopeProfile):
     """Unmodulated Gaussian envelope: the deliberately noncompliant control.
@@ -402,15 +400,6 @@ class GaussianControlProfile(_EnvelopeProfile):
         return (self.a * np.sqrt(np.pi / n)) * np.exp(
             -((self.a * K) ** 2) / (4.0 * n)
         ).astype(complex)
-
-    def env_abs_max(self) -> float:
-        return 1.0
-
-    def spectral_extent(self, rel_tol: float = 1e-9) -> float:
-        return 2.0 * np.sqrt(np.log(1.0 / rel_tol)) / self.a
-
-    def default_window(self) -> float:
-        return 40.0 * self.a
 
 
 class RotatedProfile(MediumProfile):
@@ -579,14 +568,12 @@ def support_report(
     zs = z0 + (np.arange(nz) + 0.5) * (z1 - z0) / nz
 
     # position-space edge criterion on the raw profile
-    redge = np.stack(
-        np.broadcast_arrays(X, y[:, None], zs[None, :]), axis=-1
-    ).reshape(-1, 3)
-    ee_edge, em_edge = profile.eval_eta(redge)
-    edge_mag = max(np.abs(ee_edge).max(), np.abs(em_edge).max())
-    ctr = np.stack(np.broadcast_arrays(0.0, 0.0, 0.5 * (z0 + z1)), axis=-1)
-    ee0, em0 = profile.eval_eta(ctr.reshape(-1, 3))
-    center_mag = max(np.abs(ee0).max(), np.abs(em0).max(), 1e-300)
+    def eta_max(*xyz):
+        ee, em = profile.eval_eta(np.stack(np.broadcast_arrays(*xyz), axis=-1).reshape(-1, 3))
+        return max(np.abs(ee).max(), np.abs(em).max())
+
+    edge_mag = eta_max(X, y[:, None], zs[None, :])
+    center_mag = max(eta_max(0.0, 0.0, 0.5 * (z0 + z1)), 1e-300)
     if edge_mag > _WINDOW_TOL * center_mag:
         raise WindowTooSmall(
             f"|eta| at the window edge is {edge_mag / center_mag:.3g} of its "
@@ -630,7 +617,6 @@ class BoundsReport:
     M_eps: float
     m_mu: float
     M_mu: float
-    samples: int
 
     @property
     def m(self) -> float:
@@ -654,14 +640,8 @@ def bounds_check(profile: MediumProfile, sample_count: int = 20000, seed: int = 
     if sample_count <= 0:
         raise InvalidArgument("sample_count must be positive")
     rng = np.random.default_rng(seed)
-    (x0, x1), (y0, y1), (z0, z1) = profile.sampling_box()
-    pts = np.column_stack(
-        [
-            rng.uniform(x0, x1, sample_count),
-            rng.uniform(y0, y1, sample_count),
-            rng.uniform(z0, z1, sample_count),
-        ]
-    )
+    pts = np.column_stack([rng.uniform(lo, hi, sample_count)
+                           for lo, hi in profile.sampling_box()])
     ee, em = profile.eval_eta(pts)
     eps33 = 1.0 + ee[..., 2, 2]
     mu33 = 1.0 + em[..., 2, 2]
@@ -670,7 +650,6 @@ def bounds_check(profile: MediumProfile, sample_count: int = 20000, seed: int = 
         M_eps=float(np.abs(eps33).max()),
         m_mu=float(np.real(mu33).min()),
         M_mu=float(np.abs(mu33).max()),
-        samples=sample_count,
     )
 
 
@@ -678,17 +657,37 @@ def bounds_check(profile: MediumProfile, sample_count: int = 20000, seed: int = 
 # JSON profile schema
 
 
+def check_keys(section: dict, allowed, where: str):
+    """Raise ConfigError naming the first key of section not in allowed."""
+    unknown = [key for key in section if key not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown config key {where + unknown[0]!r}")
+
+
+# the keys profile_from_dict reads, per medium type
+_MEDIUM_KEYS = {
+    "rational": ("type", "alpha", "a", "m_exp", "footprint", "slab"),
+    "gausserf": ("type", "alpha", "a", "footprint", "slab"),
+    "gaussian": ("type", "a", "footprint", "slab"),
+    "sampled": ("type", "path", "alpha"),
+}
+
+
 def profile_from_dict(cfg: dict) -> MediumProfile:
     """Build a profile from its JSON description.
 
     Recognized types: "rational", "gausserf", "gaussian" (noncompliant
     control) and "sampled" (columnar binary grid, see bornexact.sampled).
-    An optional "slab" of a box footprint must equal its z-extent.
+    An optional "slab" of a box footprint must equal its z-extent.  A key
+    the type does not read raises ConfigError, in the footprint too.
     """
     try:
         kind = cfg["type"]
     except (KeyError, TypeError) as exc:
         raise ConfigError("medium config needs a 'type' field") from exc
+    if not isinstance(kind, str) or kind not in _MEDIUM_KEYS:
+        raise ConfigError(f"unknown medium type {kind!r}")
+    check_keys(cfg, _MEDIUM_KEYS[kind], "medium.")
 
     try:
         if kind == "sampled":
@@ -696,6 +695,7 @@ def profile_from_dict(cfg: dict) -> MediumProfile:
 
             return SampledProfile.load(os.fspath(cfg["path"]), alpha=cfg.get("alpha"))
         fp = cfg["footprint"]
+        check_keys(fp, ("type", "zeta", "ly", "lz"), "medium.footprint.")
         if fp.get("type", "box") != "box":
             raise ConfigError(f"unknown footprint type {fp.get('type')!r}")
         zr, zi = fp["zeta"]
@@ -713,8 +713,6 @@ def profile_from_dict(cfg: dict) -> MediumProfile:
             )
         if kind == "gausserf":
             return GaussErfProfile(cfg["alpha"], cfg["a"], box)
-        if kind == "gaussian":
-            return GaussianControlProfile(cfg["a"], box)
+        return GaussianControlProfile(cfg["a"], box)
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad medium config: {exc}") from exc
-    raise ConfigError(f"unknown medium type {kind!r}")

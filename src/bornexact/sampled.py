@@ -129,11 +129,8 @@ class SampledProfile(MediumProfile):
         nx, ny, nz = self.ee.shape[:3]
         if min(nx, ny) < 2:
             raise InvalidArgument(f"momentum tables interpolate: need nx, ny >= 2, got {nx}x{ny}")
-        self.em = (
-            np.asarray(eta_mu, dtype=complex)
-            if eta_mu is not None
-            else np.zeros_like(self.ee)
-        )
+        # a nonmagnetic medium (eta_mu None or all zero) keeps no eta_mu grid
+        self.em = np.asarray(eta_mu, dtype=complex) if np.any(eta_mu) else None
         self.origin = tuple(map(float, origin))
         self.spacing = tuple(map(float, spacing))
         self.alpha = alpha
@@ -151,8 +148,9 @@ class SampledProfile(MediumProfile):
 
     # -- position space ----------------------------------------------------
     def eval_eta(self, r):
-        return (_interp(self.ee, r, self.origin, self.spacing),
-                _interp(self.em, r, self.origin, self.spacing))
+        ee = _interp(self.ee, r, self.origin, self.spacing)
+        return ee, (np.zeros_like(ee) if self.em is None
+                    else _interp(self.em, r, self.origin, self.spacing))
 
     # -- momentum space ------------------------------------------------------
     # Each grid array ("ee" eta_eps, "em" eta_mu, and the reciprocal symbols
@@ -178,12 +176,15 @@ class SampledProfile(MediumProfile):
         """sum_n weights(n) F_n(p2) over the cached slice transforms F_n of key.
 
         One slice is interpolated and accumulated at a time, so the working set
-        is a few arrays of the result's size; zero slices and weights are skipped.
+        is a few arrays of the result's size; zero slices and weights are
+        skipped, and an absent eta_mu builds no table.
         """
+        out = np.zeros(p2.shape[:-1] + ((3, 3) if key in ("ee", "em") else ()), dtype=complex)
+        if self.em is None and key in ("em", "mu"):
+            return out
         F = self._ft2(key)
         px, py = self._px, self._py
         start, step = (px[0], py[0]), (px[1] - px[0], py[1] - py[0])
-        out = np.zeros(p2.shape[:-1] + F.shape[3:], dtype=complex)
         for n in range(F.shape[2]):
             w = weights(n) if np.any(F[:, :, n]) else 0
             if np.any(w):
@@ -222,7 +223,7 @@ class SampledProfile(MediumProfile):
     def scaled(self, sigma):
         return SampledProfile(
             sigma * self.ee,
-            sigma * self.em,
+            None if self.em is None else sigma * self.em,
             self.origin,
             self.spacing,
             alpha=self.alpha,
@@ -237,34 +238,25 @@ class SampledProfile(MediumProfile):
         return 0.5 * nx * self.spacing[0]
 
     def sampling_box(self):
-        nx, ny, nz = self.ee.shape[:3]
-        x0, y0, z0 = self.origin
-        dx, dy, dz = self.spacing
-        return (
-            (x0, x0 + (nx - 1) * dx),
-            (y0, y0 + (ny - 1) * dy),
-            (z0, z0 + (nz - 1) * dz),
-        )
+        return tuple((o, o + (n - 1) * h)
+                     for o, n, h in zip(self.origin, self.ee.shape[:3], self.spacing))
 
     def eta3_peak(self):
         dz = self.spacing[2]
         acc = np.abs(self._ft2("ee").sum(axis=2) * dz).max()
-        if np.any(self.em):
+        if self.em is not None:
             acc = max(acc, np.abs(self._ft2("em").sum(axis=2) * dz).max())
         return float(acc)
 
 
 def sample_profile(profile, shape, origin, spacing, alpha=None):
     """Evaluate any profile onto a regular grid as a SampledProfile."""
-    nx, ny, nz = shape
-    x = origin[0] + np.arange(nx) * spacing[0]
-    y = origin[1] + np.arange(ny) * spacing[1]
-    z = origin[2] + np.arange(nz) * spacing[2]
-    pts = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
+    axes = [o + np.arange(n) * h for o, n, h in zip(origin, shape, spacing)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     ee, em = profile.eval_eta(pts.reshape(-1, 3))
     return SampledProfile(
-        ee.reshape(nx, ny, nz, 3, 3),
-        em.reshape(nx, ny, nz, 3, 3),
+        ee.reshape(*shape, 3, 3),
+        em.reshape(*shape, 3, 3),
         origin,
         spacing,
         alpha=alpha,

@@ -31,6 +31,7 @@ from .errors import (
     IncidenceOutsideDisk,
     InvalidArgument,
     InvalidResolution,
+    StraddlesSupportEdge,
     UnsupportedProfile,
 )
 from .medium import MEMORY_CAP_BYTES, MediumProfile, _sinc
@@ -206,10 +207,6 @@ class TransferKernel:
     grid: MomentumGrid
     profile: MediumProfile
     K: np.ndarray  # (Nd, Nd, 4, 4), raw kernel without quadrature weights
-
-    @property
-    def k(self) -> float:
-        return self.grid.k
 
     @property
     def norm_max(self) -> float:
@@ -397,10 +394,9 @@ def solve_T(
     return TSolution(grid, w, profile, t_minus, t_plus)
 
 
-def _interp_disk(grid: MomentumGrid, values: np.ndarray, p2):
-    """Bilinear interpolation in (rho^2, phi) on the polar disk mesh."""
+def _disk_stencil(grid: MomentumGrid, p2):
+    """Disk-point indices and weights of bilinear interpolation in (rho^2, phi)."""
     n_r, n_phi = grid.n_r, grid.n_phi
-    vals = values.reshape(n_r, n_phi, -1)
     rho2 = float(p2[0] ** 2 + p2[1] ** 2)
     s = rho2 / grid.rho_max**2 * n_r - 0.5
     i0 = int(np.clip(np.floor(s), 0, n_r - 2))
@@ -410,13 +406,8 @@ def _interp_disk(grid: MomentumGrid, values: np.ndarray, p2):
     j0 = int(np.floor(t)) % n_phi
     ft = (t - np.floor(t))
     j1 = (j0 + 1) % n_phi
-    out = (
-        (1 - fr) * (1 - ft) * vals[i0, j0]
-        + (1 - fr) * ft * vals[i0, j1]
-        + fr * (1 - ft) * vals[i0 + 1, j0]
-        + fr * ft * vals[i0 + 1, j1]
-    )
-    return out
+    nodes = [i0 * n_phi + j0, i0 * n_phi + j1, (i0 + 1) * n_phi + j0, (i0 + 1) * n_phi + j1]
+    return nodes, [(1 - fr) * (1 - ft), (1 - fr) * ft, fr * (1 - ft), fr * ft]
 
 
 def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
@@ -424,15 +415,15 @@ def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
 
     mode "exact" evaluates the compliant closed form at vec k_s; "grid"
     interpolates t_+/- bilinearly on the polar mesh (the discretized
-    pipeline whose error contracts under grid refinement).  Known limit: the
-    grid mode is O(1) wrong within one grid cell of the support edge
-    q_x = alpha, where the Gauss-erf spectrum jumps (k 0.8, incidence (1.0,
-    pi), chi 0.81, detector (0.480, -0.474), q_x = 1.0019: relative error
-    0.669 at n_disk 64, 0.150 at 128; the exact mode gives 3e-16).
+    pipeline whose error contracts under grid refinement).  The grid mode
+    raises StraddlesSupportEdge when the medium has a threshold alpha and
+    the interpolation cell's nodes have transfers p_x - k_ix on both sides
+    of it: a spectrum that jumps there, like Gauss-erf's, would make the
+    interpolant O(1) wrong.
     """
     grid = sol.grid
     k = sol.incident.k
-    ks = d.vec_k_s(k)
+    ks = d.k_s(k)[:2]
     if np.linalg.norm(ks) >= grid.rho_max:
         raise DirectionOnRim("detector maps onto the disk rim annulus")
     side = d.side
@@ -441,8 +432,13 @@ def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
                                 ks[None, :])
         t = tp[0] if side > 0 else tm[0]
     elif mode == "grid":
+        nodes, weights = _disk_stencil(grid, ks)
+        alpha = sol.profile.alpha
+        qx = grid.disk_points[nodes, 0] - sol.incident.vec_k_i[0]
+        if alpha is not None and qx.min() <= alpha < qx.max():
+            raise StraddlesSupportEdge("grid-mode cell straddles the support edge q_x = alpha")
         vals = sol.t_plus if side > 0 else sol.t_minus
-        t = _interp_disk(grid, vals, ks)
+        t = sum(wt * vals[n] for wt, n in zip(weights, nodes))
     else:
         raise InvalidArgument(f"unknown amplitude mode {mode!r}")
     return xi_contract(d, (4 * np.pi**2) * t, k, t_side=side)

@@ -154,6 +154,10 @@ class TestSecondBorn:
         with pytest.raises(ValueError, match="pvv"):
             QuadratureSpec(method="pvv")
 
+    def test_doubled_keeps_every_other_field(self):
+        spec = QuadratureSpec(8, 16, 12, 7.5, "pv", 2e-3, False)
+        assert spec.doubled() == QuadratureSpec(16, 32, 24, 7.5, "pv", 2e-3, False)
+
     def test_transversality(self, control_medium):
         d = DetectorDirection(0.9, -0.4)
         w = IncidentWave.linear(K, 1.0, np.pi, 0.4)

@@ -1,9 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bornexact.cli import main
+from bornexact.cli import RunConfig, main
+from bornexact.errors import ConfigError
 from bornexact.sampled import write_grid
 
 SPEC_MEDIUM = {
@@ -13,6 +16,13 @@ SPEC_MEDIUM = {
     "m_exp": 1,
     "footprint": {"type": "box", "zeta": [0.01, 0.0], "ly": 3.0, "lz": 4.0},
     "slab": [-2.0, 2.0],
+}
+
+GAUSSERF_MEDIUM = {
+    "type": "gausserf",
+    "alpha": 1.0,
+    "a": 2.0,
+    "footprint": {"type": "box", "zeta": [0.01, 0.0], "ly": 3.0, "lz": 4.0},
 }
 
 CONTROL_MEDIUM = {
@@ -121,10 +131,24 @@ class TestVerify:
             {"quadrature": {"method": "pvv"}},
             {"quadrature": {"p_max_over_k": 3.0}},
             {"medium": {"type": "sampled", "path": "one_x_node.bin"}},
+            {"grid": {"n_disc": 8}},
+            {"quadrature": {"n_radail": 8}},
+            {"quadrature": {"eps_over_k2": 1e-3}},
+            {"quadrature": {"n_radial": 24.7}},
+            {"quadrature": {"n_radial": "24"}},
+            {"incident": {"theta_deg": 30.0}},
+            {"seeds": [1, 2]},
+            {"grid": {"n_disk": 8, "n_box": 8}},
+            {"tolerances": {"suport": 1e-6}},
+            {"medium": dict(GAUSSERF_MEDIUM, m_exp=2)},
+            {"medium": dict(SPEC_MEDIUM, footprint=dict(SPEC_MEDIUM["footprint"], lx=1.0))},
         ],
         ids=["k_negative", "k_text", "n_disk_text", "n_disk_4", "grazing",
              "zero_polarization", "unknown_suite", "tolerance_text", "quad_method",
-             "quad_p_max", "sampled_one_x_node"],
+             "quad_p_max", "sampled_one_x_node", "grid_n_disc", "quad_n_radail",
+             "quad_eps_over_k2", "quad_n_radial_fraction", "quad_n_radial_text",
+             "incident_theta_deg", "top_level_seeds", "grid_n_box_8",
+             "tolerance_suport", "gausserf_m_exp", "footprint_lx"],
     )
     def test_malformed_field_exits_2_before_any_suite(self, tmp_path, monkeypatch, over):
         def no_suite(*args, **kwargs):
@@ -139,6 +163,24 @@ class TestVerify:
         out = tmp_path / "out"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "verify.json").exists()
+
+    def test_unknown_key_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SPEC_MEDIUM, grid={"n_disc": 8})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config key 'grid.n_disc'" in capsys.readouterr().err
+
+    def test_benchmark_inert_keys_accepted(self, tmp_path):
+        # carried by the benchmark's config and read by nothing
+        cfg = RunConfig({
+            "medium": SPEC_MEDIUM,
+            "grid": {"n_disk": 8, "n_box": 0, "p_max_over_k": 6.0},
+            "tolerances": {"exactness_contrast": 1e-3},
+        })
+        assert cfg.grid.n_r == 8 and cfg.grid.points.shape == (8 * 32, 2)
+        for bad in ({"grid": {"p_max_over_k": "6"}},
+                    {"tolerances": {"exactness_contrast": "x"}}):
+            with pytest.raises(ConfigError, match="read by nothing"):
+                RunConfig({"medium": SPEC_MEDIUM, **bad})
 
     def test_suite_error_names_suite(self, tmp_path, capsys):
         # at 89.99 degrees the wave is not grazing, but its transverse
@@ -247,3 +289,11 @@ def test_flags_only_where_read(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv[:1] + ["--config", str(cfg), "--out", str(tmp_path / "out")] + argv[1:])
     assert exc.value.code == 2
+
+
+def test_readme_example_config_parses():
+    """The README's example run.json builds a RunConfig: it names only read keys."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Example `run.json`:\s*```json\n(.*?)```", readme, re.S)
+    cfg = RunConfig(json.loads(block.group(1)))
+    assert cfg.grid.n_r == 12 and cfg.wave.k == 0.8

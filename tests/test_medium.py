@@ -1,4 +1,6 @@
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,6 +389,21 @@ class TestProfileJson:
         with pytest.raises(ConfigError):
             profile_from_dict({"type": "rational", "alpha": 1.0})
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"m_exp": 2}, "medium.m_exp"),  # gausserf has no exponent
+        ({"alpah": 1.0}, "medium.alpah"),
+        ({"footprint": {"type": "box", "zeta": [0.01, 0.0], "ly": 3.0, "lz": 4.0,
+                        "lx": 1.0}}, "medium.footprint.lx"),
+    ])
+    def test_unknown_keys_rejected(self, gausserf_medium, extra, key):
+        cfg = profile_to_dict(gausserf_medium)
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            profile_from_dict({**cfg, **extra})
+
+    def test_control_takes_no_alpha(self, control_medium):
+        with pytest.raises(ConfigError, match="unknown config key 'medium.alpha'"):
+            profile_from_dict({**profile_to_dict(control_medium), "alpha": 1.0})
+
     def test_slab_must_equal_footprint_extent(self, reference_medium):
         cfg = profile_to_dict(reference_medium)
         assert "slab" not in cfg
@@ -433,9 +450,12 @@ class TestSampledProfile:
     def test_binary_round_trip(self, sampled, tmp_path):
         path = tmp_path / "grid.bin"
         write_grid(path, sampled.ee, sampled.origin, sampled.spacing, sampled.em)
+        # a nonmagnetic medium keeps no eta_mu and writes has_mu = 0
+        assert sampled.em is None
+        assert struct.unpack_from("<q", path.read_bytes(), 80) == (0,)
         clone = SampledProfile.load(path, alpha=ALPHA)
         assert np.array_equal(clone.ee, sampled.ee)
-        assert np.array_equal(clone.em, sampled.em)
+        assert clone.em is None
         assert clone.origin == sampled.origin
         assert clone.spacing == sampled.spacing
 
@@ -480,6 +500,28 @@ class TestSampledProfile:
         e3, _ = samp.eta3_tensors(np.concatenate([p2, np.zeros((2, 1))], axis=1))
         assert np.abs(e2).min(axis=0)[0, 0] > 0
         assert np.abs(e3 - (hi - lo) * e2).max() <= 1e-14 * np.abs(e2).max()
+
+    def test_absent_eta_mu_builds_no_table(self):
+        # 64x32x16 isotropic grid: eta_eps and its one FFT table, no zero
+        # eta_mu grid and no zero eta_mu or 1/mu33 tables
+        rng = np.random.default_rng(5)
+        ee = np.zeros((64, 32, 16, 3, 3), complex)
+        for i in range(3):
+            ee[..., i, i] = 0.01 * rng.uniform(0, 1, (64, 32, 16))
+        q3 = rng.uniform(-1.0, 1.0, (20, 3))
+        tracemalloc.start()
+        try:
+            samp = SampledProfile(ee, None, (-8.0, -2.0, -2.0), (0.25, 0.125, 0.25))
+            _, em3 = samp.eta3_tensors(q3)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert traced <= 1.2 * ee.nbytes
+        assert em3.shape == (20, 3, 3) and not np.any(em3)
+        assert not np.any(samp.recip33_ft3(q3, "mu")) and not np.any(samp.eval_eta(q3)[1])
+        assert samp.recip33_ft2(q3[:, :2], 0.0, "mu").shape == (20,)
+        assert samp.scaled(2.0).em is None
+        assert set(samp._ft_cache) == {"ee"}
 
     def test_slice_sum_matches_one_pass_z_sum(self, sampled):
         rng = np.random.default_rng(6)

@@ -27,6 +27,7 @@ from bornexact.errors import (
     DirectionOnRim,
     IncidenceOutsideDisk,
     InvalidResolution,
+    StraddlesSupportEdge,
     UnsupportedProfile,
 )
 from bornexact.transfer import (
@@ -412,6 +413,22 @@ class TestAmplitude:
             errs.append(num / den)
         assert errs[2] < errs[0]
         assert errs[2] < 5e-3
+
+    @pytest.mark.parametrize("n_disk", [64, 128])
+    def test_grid_mode_refuses_cell_on_support_edge(self, gausserf_medium, n_disk):
+        # q_x = 1.0019: the cell's node transfers run from 0.9990 to 1.0150
+        # at n_disk 64 and from 0.9949 to 1.0030 at 128, across alpha = 1,
+        # where the Gauss-erf spectrum jumps; interpolating there was wrong
+        # by 0.669 and 0.150 relative
+        w = IncidentWave.linear(K, 1.0, np.pi, 0.81)
+        d = DetectorDirection(0.480, -0.474)
+        g = build_momentum_grid(K, 6 * K, n_disk, 0)
+        sol = solve_T(None, w, method="fast", profile=gausserf_medium, grid=g)
+        with pytest.raises(StraddlesSupportEdge):
+            amplitude_from_T(sol, d, mode="grid")
+        Fb = first_born_amplitude(gausserf_medium, w, d)
+        Fe = amplitude_from_T(sol, d, mode="exact")
+        assert np.linalg.norm(Fe - Fb) < 1e-12 * np.linalg.norm(Fb)
 
     def test_rim_rejected(self, reference_medium, grid):
         sol = solve_T(None, W_TILTED, method="fast", profile=reference_medium, grid=grid)
