@@ -17,13 +17,12 @@ unmodulated Gaussian control supplies the nonzero contrast baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
 from .em import DetectorDirection, IncidentWave
 from .errors import BoundsViolated, InvalidArgument, InvalidResolution
-from .medium import MEMORY_CAP_BYTES, MediumProfile, bounds_check
+from .medium import MEMORY_CAP_BYTES, MediumProfile, bounds_check, is_count
 
 # Sign of the magnetic term in the first-order amplitude, fixed by requiring
 # agreement with the transfer-matrix route on magnetic media (regression
@@ -35,8 +34,8 @@ _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 def fibonacci_hemisphere(n: int, side: int = 1):
     """n deterministic directions quasi-uniform over one hemisphere."""
-    if n < 1:
-        raise InvalidArgument("need n >= 1 directions")
+    if not is_count(n) or n < 1:
+        raise InvalidArgument(f"need an integer n >= 1 of directions, got {n!r}")
     out = []
     for i in range(n):
         ct = (i + 0.5) / n
@@ -130,7 +129,7 @@ class QuadratureSpec:
             raise InvalidArgument(f"unknown quadrature method {self.method!r}")
         for name in ("n_radial", "n_mu", "n_phi"):
             n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            if not is_count(n) or n < 1:
                 raise InvalidArgument(f"{name} must be a positive integer, got {n!r}")
         if not (np.isfinite(self.p_max_over_k) and self.p_max_over_k > _PV_EDGES[-1]):
             raise InvalidArgument(

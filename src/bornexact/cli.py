@@ -5,15 +5,18 @@ Commands (all take --config PATH, --out DIR and --seed N):
     verify    run the selected verification suites, emit a JSON report
               (--expect-compliant asserts the compliance-dependent bounds)
     born      first (and with --order 2 second) Born amplitudes over directions
-    profile   permittivity scan along x through the footprint center
+    profile   permittivity scan along x across the medium's sampling box
     transfer  transfer-pipeline amplitudes over the same direction set
     sweep     invisibility metrics over a list of wavenumbers
 
+profile and sweep judge support and invisibility by the configured
+tolerances.support and tolerances.invisibility_factor, as verify does.
+
 The config is parsed once into a RunConfig: every field is read and checked
-(grid.n_disk >= 8, a non-grazing incidence, a nonzero polarization, known
-suite names, numeric tolerances, a valid QuadratureSpec, no key it does not
-read) before any suite runs.  Suites: projector_algebra, lemma_lab, support, id101,
-route_equivalence, invisibility, exactness.
+(grid.n_disk an integer >= 8, a non-grazing incidence, a nonzero
+polarization, known suite names, numeric tolerances, a valid QuadratureSpec,
+no key it does not read) before any suite runs.  Suites: projector_algebra,
+lemma_lab, support, id101, route_equivalence, invisibility, exactness.
 
 Exit codes: 0 all requested checks pass, 1 suite failure (the error names
 the suite), 2 config error.  All I/O uses units with the support threshold
@@ -64,7 +67,8 @@ _KEYS = {
     "": dict.fromkeys(["medium", "incident", "grid", "quadrature", "directions",
                        "sweep", "tolerances", "suites", "seed"]),
     "incident": dict.fromkeys(["k_over_alpha", "theta0_deg", "phi0_deg", "polarization"]),
-    "grid": {"n_disk": None, "eps_ann": None, "p_max_over_k": _number,
+    "grid": {"n_disk": None, "p_max_over_k": _number,
+             "eps_ann": lambda v: v == em.ANNULUS_GUARD,  # the fixed guard annulus
              "n_box": lambda v: _number(v) and v == 0},  # the CLI grid has no outer box
     "quadrature": dict.fromkeys(["n_radial", "n_mu", "n_phi", "p_max_over_k", "method"]),
     "directions": dict.fromkeys(["n_detectors", "n_pairs"]),
@@ -118,10 +122,7 @@ class RunConfig:
             raise ConfigError("polarization must be chi in degrees or [[re,im]*3]")
         grid = _section(raw, "grid")
         # disk only: no outer box, so no p_max to bound it
-        self.grid = transfer.build_momentum_grid(
-            k, np.inf, int(grid.get("n_disk", 12)), 0,
-            float(grid.get("eps_ann", em.ANNULUS_GUARD)),
-        )
+        self.grid = transfer.build_momentum_grid(k, np.inf, grid.get("n_disk", 12))
         self.quad = born_mod.QuadratureSpec(**_section(raw, "quadrature"))
         dirs = _section(raw, "directions")
         n_det = int(dirs.get("n_detectors", 32))
@@ -191,12 +192,12 @@ def _write_amplitudes(stem: Path, entries, w: IncidentWave, order: int, toleranc
 
 def _suite_projector_algebra(cfg: RunConfig, expect_compliant: bool):
     rng = np.random.default_rng(cfg.seed)
-    k, eps_ann = cfg.wave.k, cfg.grid.eps_ann
+    k = cfg.wave.k
     n = 2000
-    rho = np.sqrt(rng.uniform(0, (1 - 2 * eps_ann) ** 2, n)) * k
+    rho = np.sqrt(rng.uniform(0, (1 - 2 * em.ANNULUS_GUARD) ** 2, n)) * k
     phi = rng.uniform(0, 2 * np.pi, n)
     pts = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
-    (P1, P2), omegas = em.channels(pts, k, eps_ann)
+    (P1, P2), omegas = em.channels(pts, k)
     eye = np.eye(4)
     m = max(
         np.abs(P1 + P2 - eye).max(),
@@ -225,9 +226,14 @@ def _suite_lemma_lab(cfg: RunConfig, expect_compliant: bool):
     return {"pass": bool(metric < tol), "metric": float(metric), "tolerance": tol}
 
 
-def _suite_support(cfg: RunConfig, expect_compliant: bool):
+def _support(cfg: RunConfig):
+    """support_report at the medium's alpha (1.0 if it has none) and the configured tolerance."""
     alpha = cfg.medium.alpha if cfg.medium.alpha is not None else 1.0
-    rep = support_report(cfg.medium, alpha, tolerance=cfg.tolerances["support"])
+    return support_report(cfg.medium, alpha, tolerance=cfg.tolerances["support"])
+
+
+def _suite_support(cfg: RunConfig, expect_compliant: bool):
+    rep = _support(cfg)
     ok = rep.compliant if expect_compliant else True
     return {
         "pass": bool(ok),
@@ -365,18 +371,15 @@ def cmd_born(cfg: RunConfig, out_dir: Path, args):
 
 def cmd_profile(cfg: RunConfig, out_dir: Path, args):
     prof = cfg.medium
-    a = getattr(prof, "a", 1.0)
-    lx = 10.0 * a
-    xs = np.linspace(-lx, lx, 1001)
+    xs = np.linspace(*prof.sampling_box()[0], 1001)
     pts = np.zeros((xs.size, 3))
     pts[:, 0] = xs
     ee, _ = prof.eval_eta(pts)
     eta = ee[:, 0, 0]
     _write_csv(out_dir / "profile.csv", "x,Re_eta,Im_eta",
                ((x, v.real, v.imag) for x, v in zip(xs, eta)))
-    alpha = prof.alpha if prof.alpha is not None else 1.0
-    rep = support_report(prof, alpha)
-    brep = bounds_check(prof, 20000, seed=cfg.seed)
+    rep = _support(cfg)
+    brep = bounds_check(prof, seed=cfg.seed)
     _write_json(
         out_dir / "profile_report.json",
         {
@@ -407,7 +410,8 @@ def cmd_transfer(cfg: RunConfig, out_dir: Path, args):
 def cmd_sweep(cfg: RunConfig, out_dir: Path, args):
     rows = []
     for k in cfg.sweep_ks:
-        rep = born_mod.invisibility_report(cfg.medium, k, n_pairs=min(cfg.n_pairs, 32))
+        rep = born_mod.invisibility_report(cfg.medium, k, n_pairs=min(cfg.n_pairs, 32),
+                                           tol_factor=cfg.tolerances["invisibility_factor"])
         rows.append((k, rep.max_f1, rep.bound, rep.verdict))
     _write_csv(out_dir / "sweep.csv", "k,max_f1,bound,verdict", rows)
     for k, f1, b, v in rows:

@@ -28,24 +28,25 @@ from .errors import (
 
 # Relative half-width of the excluded annulus around |p| = k.  varpi -> 0
 # there and the projectors blow up; the circle has zero measure in every
-# integral this package evaluates.
+# integral this package evaluates.  A numerical device, not a physical
+# parameter: every grid and projector uses this one value.
 ANNULUS_GUARD = 1e-3
 
 
-def varpi(p, k: float, eps_ann: float = ANNULUS_GUARD):
+def varpi(p, k: float):
     """Longitudinal wavenumber varpi(p) = sqrt(k^2 - |p|^2).
 
     For |p| < k the positive real root is returned; for |p| > k the branch
     +i*sqrt(|p|^2 - k^2) is used so evanescent modes decay toward z -> +inf.
 
-    Raises SingularCircle if any sample lies within eps_ann*k of |p| = k.
+    Raises SingularCircle if any sample lies within ANNULUS_GUARD*k of |p| = k.
     """
     p = np.asarray(p, dtype=float)
     if k <= 0:
         raise InvalidArgument("wavenumber k must be positive")
     pn = np.sqrt(p[..., 0] ** 2 + p[..., 1] ** 2)
-    if np.any(np.abs(pn - k) < eps_ann * k):
-        raise SingularCircle(f"|p| within {eps_ann:g}*k of the circle |p| = k")
+    if np.any(np.abs(pn - k) < ANNULUS_GUARD * k):
+        raise SingularCircle(f"|p| within {ANNULUS_GUARD:g}*k of the circle |p| = k")
     w2 = k * k - pn * pn
     out = np.where(w2 >= 0.0, np.sqrt(np.abs(w2)) + 0.0j, 1j * np.sqrt(np.abs(w2)))
     return out if out.ndim else complex(out)
@@ -77,7 +78,7 @@ def free_hamiltonian(p, k: float):
     return H
 
 
-def projector(j: int, p, k: float, eps_ann: float = ANNULUS_GUARD):
+def projector(j: int, p, k: float):
     """Spectral projector Pi_j(p) = (1/2)[I + (-1)^j H0(p)/varpi(p)].
 
     j = 1 projects onto the -varpi eigenspace (left-moving content),
@@ -85,17 +86,17 @@ def projector(j: int, p, k: float, eps_ann: float = ANNULUS_GUARD):
     """
     if j not in (1, 2):
         raise InvalidArgument("projector index j must be 1 or 2")
-    return channels(p, k, eps_ann)[0][j - 1]
+    return channels(p, k)[0][j - 1]
 
 
-def channels(p, k: float, eps_ann: float = ANNULUS_GUARD):
+def channels(p, k: float):
     """The two channels of H0(p): ((Pi_1, Pi_2), (omega_1, omega_2)).
 
     Channel j has projector Pi_j(p) and eigenvalue omega_j(p) = (-1)^j
     varpi(p), so H0 Pi_j = omega_j Pi_j.  This is the one place that pairs
     a channel with its eigenvalue; callers zip the two tuples.
     """
-    w = np.asarray(varpi(p, k, eps_ann))
+    w = np.asarray(varpi(p, k))
     R = free_hamiltonian(p, k) / w[..., None, None]
     eye = np.eye(4)
     return (0.5 * (eye - R), 0.5 * (eye + R)), (-w, w)

@@ -20,53 +20,40 @@ import numpy as np
 
 from .errors import BoundsViolated, InvalidArgument
 
-# 1D default: Nyquist 76.8 in threshold units, so Neumann powers of a sample
-# with sup |eta| <= 0.3 alias below 1e-10 only at order ~21.
-DEFAULT_N1 = 512
-DEFAULT_DK1 = 0.3
-DEFAULT_N2 = 128
-DEFAULT_DK2 = 0.2
+# The fixed 1D grid, a centered conjugate pair x_j = (j - N1/2) DX1,
+# k_m = (m - N1/2) DK1: Nyquist 76.8 in threshold units, so Neumann powers
+# of a sample with sup |eta| <= 0.3 alias below 1e-10 only at order ~21.
+N1, DK1 = 512, 0.3
+DX1 = 2 * np.pi / (N1 * DK1)
+K1 = (np.arange(N1) - N1 // 2) * DK1
+# The fixed 2D grid of the chain operators: K2 x K2.
+N2, DK2 = 128, 0.2
+K2 = (np.arange(N2) - N2 // 2) * DK2
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """Centered conjugate grid pair: x_j = (j - n/2) dx, k_m = (m - n/2) dk."""
+def synth(spectrum):
+    """Samples on the 1D grid of a function with the given (centered) spectrum."""
+    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(spectrum))) * (N1 * DK1 / (2 * np.pi))
 
-    n: int = DEFAULT_N1
-    dk: float = DEFAULT_DK1
 
-    @property
-    def dx(self) -> float:
-        return 2 * np.pi / (self.n * self.dk)
-
-    @property
-    def k(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.dk
-
-    def synth(self, spectrum):
-        """Position samples of a function with the given (centered) spectrum."""
-        scale = self.n * self.dk / (2 * np.pi)
-        return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(spectrum))) * scale
-
-    def measure(self, values):
-        """Centered spectrum of position samples; inverse of synth exactly."""
-        return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values))) * self.dx
+def measure(values):
+    """Centered spectrum of samples on the 1D grid; inverse of synth exactly."""
+    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values))) * DX1
 
 
 @dataclass
 class HalfLineSpectrumFunction:
-    """1D position samples on a Grid1D, with spectral-leak measurement."""
+    """1D position samples on the fixed 1D grid, with spectral-leak measurement."""
 
     values: np.ndarray
-    grid: Grid1D
 
     def spectrum(self):
-        return self.grid.measure(self.values)
+        return measure(self.values)
 
     def leak_below(self, threshold: float) -> float:
         """Max spectral magnitude on k <= threshold - one cell, over the peak."""
         F = np.abs(self.spectrum())
-        scan = self.grid.k <= threshold - self.grid.dk
+        scan = K1 <= threshold - DK1
         peak = F.max()
         if peak == 0.0:
             return 0.0
@@ -87,13 +74,12 @@ def make_salpha_sample(
     and below beta, so membership in S_alpha holds by construction whenever
     beta >= alpha.
     """
-    grid = Grid1D()
     if beta is None:
         beta = 1.5 * alpha
-    if beta + 5.0 > 0.45 * grid.n * grid.dk:
+    if beta + 5.0 > 0.45 * N1 * DK1:
         raise InvalidArgument("support edge too close to the Nyquist frequency")
     rng = np.random.default_rng(seed)
-    k = grid.k
+    k = K1
     width = 0.4 * max(abs(alpha), 1.0)
     kk = k - beta
     if shape == "gaussian":
@@ -107,18 +93,18 @@ def make_salpha_sample(
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi) * np.tanh(kk))
     spec = prof * phase
     spec[k <= beta] = 0.0
-    vals = grid.synth(spec)
+    vals = synth(spec)
     sup = np.abs(vals).max()
     if sup > 0:
         vals = vals * (amplitude / sup)  # amplitude = sup-norm in x space
-    return HalfLineSpectrumFunction(vals, grid)
+    return HalfLineSpectrumFunction(vals)
 
 
 def pi_k(f: HalfLineSpectrumFunction, k_cut: float) -> HalfLineSpectrumFunction:
     """Disk projection: zero the spectrum on |k| >= k_cut."""
     spec = f.spectrum()
-    spec[np.abs(f.grid.k) >= k_cut] = 0.0
-    return HalfLineSpectrumFunction(f.grid.synth(spec), f.grid)
+    spec[np.abs(K1) >= k_cut] = 0.0
+    return HalfLineSpectrumFunction(synth(spec))
 
 
 @dataclass(frozen=True)
@@ -139,7 +125,7 @@ def product_support_check(
     tolerance: float = 1e-10,
 ) -> SupportCheckReport:
     """Pointwise products add support edges: f1 f2 has spectrum above 2 alpha."""
-    prod = HalfLineSpectrumFunction(f1.values * f2.values, f1.grid)
+    prod = HalfLineSpectrumFunction(f1.values * f2.values)
     return SupportCheckReport(prod.leak_below(2 * alpha), 2 * alpha, tolerance)
 
 
@@ -181,12 +167,12 @@ def reciprocal_support_check(
             f"bounds fail: min Re f = {re_min:.3g}, max |f| = {np.abs(f).max():.3g}"
         )
     recip = 1.0 / f - 1.0
-    h = HalfLineSpectrumFunction(recip, eta.grid)
+    h = HalfLineSpectrumFunction(recip)
     leak = h.leak_below(alpha)
 
     quotient_leak = None
     if g is not None:
-        q = HalfLineSpectrumFunction(g.values / f, eta.grid)
+        q = HalfLineSpectrumFunction(g.values / f)
         quotient_leak = q.leak_below(alpha)
 
     eta_inf = float(np.abs(eta.values).max())
@@ -206,16 +192,6 @@ def reciprocal_support_check(
 # 2D chain operators
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    n: int = DEFAULT_N2
-    dk: float = DEFAULT_DK2
-
-    @property
-    def k(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.dk
-
-
 def _cyclic_conv2(a, b):
     """Centered cyclic convolution sum_j a_j b_{m-j} on matching 2D grids."""
     A = np.fft.fft2(np.fft.ifftshift(a))
@@ -223,10 +199,10 @@ def _cyclic_conv2(a, b):
     return np.fft.fftshift(np.fft.ifft2(A * B))
 
 
-def _strip_symbol(grid: Grid2D, beta: float, rng) -> np.ndarray:
-    """Random smooth 2D spectrum ṽ(p) supported on p_x > beta exactly."""
-    kx = grid.k[:, None]
-    ky = grid.k[None, :]
+def _strip_symbol(beta: float, rng) -> np.ndarray:
+    """Random smooth spectrum ṽ(p) on the 2D grid, supported on p_x > beta exactly."""
+    kx = K2[:, None]
+    ky = K2[None, :]
     wx = 0.5
     cx = beta + 2.0 * wx + wx * rng.uniform(0, 1)
     wy = 2.0 + rng.uniform(0, 2)
@@ -248,25 +224,24 @@ def chain_operator_residual(
 
     The V_i are convolution operators with symbols supported on p_x > beta,
     the xi_j arbitrary bounded momentum multipliers, and pi_k the disk
-    cutoff, all on the default 2D toy grid; the probes are random
+    cutoff, all on the fixed 2D grid; the probes are random
     disk-limited fields.  The result is zero (to grid roundoff) whenever beta >= 2
     alpha / n and k <= alpha; violating the support condition produces an
     O(1) residual.
     """
     if n < 1:
         raise InvalidArgument("chain length n must be >= 1")
-    grid = Grid2D()
     rng = np.random.default_rng(seed)
-    kx = grid.k[:, None]
-    ky = grid.k[None, :]
+    kx = K2[:, None]
+    ky = K2[None, :]
     disk = (kx**2 + ky**2) < k * k
-    symbols = [_strip_symbol(grid, beta, rng) for _ in range(n)]
+    symbols = [_strip_symbol(beta, rng) for _ in range(n)]
     xis = [
         np.exp(1j * rng.uniform(0, 2 * np.pi) * np.tanh(kx / 5.0 - ky / 3.0))
         * (0.5 + rng.uniform(0, 1))
         for _ in range(n + 1)
     ]
-    conv_scale = grid.dk * grid.dk / (4 * np.pi**2)
+    conv_scale = DK2 * DK2 / (4 * np.pi**2)
     worst = 0.0
     for _ in range(6):
         phi = (rng.normal(size=disk.shape) + 1j * rng.normal(size=disk.shape)) * disk

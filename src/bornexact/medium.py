@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 from scipy.special import dawsn, gammaln, lambertw
@@ -62,6 +63,18 @@ def _sinc(z):
         zs = z[small]
         out[small] = 1.0 - zs * zs / 6.0
     return out
+
+
+def is_count(n) -> bool:
+    """True for an integer: int or numpy integer, not bool."""
+    return isinstance(n, Integral) and not isinstance(n, bool)
+
+
+def recip_key(which: str) -> str:
+    """which, checked to name a reciprocal symbol: "eps" (1/eps33) or "mu" (1/mu33)."""
+    if which not in ("eps", "mu"):
+        raise InvalidArgument(f"reciprocal symbol must be 'eps' or 'mu', got {which!r}")
+    return which
 
 
 def _isotropic(s):
@@ -242,12 +255,12 @@ class _EnvelopeProfile(MediumProfile):
         return out
 
     def recip33_ft2(self, p2, z, which: str):
-        if which == "mu":
+        if recip_key(which) == "mu":
             return np.zeros(np.shape(p2)[:-1], dtype=complex)
         return self._ft(self._recip_ft_x, p2, self.footprint.indicator_z, z)
 
     def recip33_ft3(self, q3, which: str):
-        if which == "mu":
+        if recip_key(which) == "mu":
             return np.zeros(np.shape(q3)[:-1], dtype=complex)
         q3 = np.asarray(q3)
         return self._ft(self._recip_ft_x, q3[..., :2], self.footprint.ft_z, q3[..., 2])
@@ -637,8 +650,8 @@ def bounds_check(profile: MediumProfile, sample_count: int = 20000, seed: int = 
     Returns a BoundsReport with the empirical min of the real parts and max
     of the moduli; passed requires a strictly positive lower bound.
     """
-    if sample_count <= 0:
-        raise InvalidArgument("sample_count must be positive")
+    if not is_count(sample_count) or sample_count <= 0:
+        raise InvalidArgument(f"sample_count must be a positive integer, got {sample_count!r}")
     rng = np.random.default_rng(seed)
     pts = np.column_stack([rng.uniform(lo, hi, sample_count)
                            for lo, hi in profile.sampling_box()])

@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .errors import InvalidArgument
-from .medium import MediumProfile
+from .medium import MediumProfile, recip_key
 
 _MAGIC = b"ETAGRID1"
 _HEADER = struct.Struct("<8s3q6dq")
@@ -214,10 +214,10 @@ class SampledProfile(MediumProfile):
         return self._z_sum("ee", q3), self._z_sum("em", q3)
 
     def recip33_ft2(self, p2, z, which):
-        return self._nearest_slice(which, p2, z)
+        return self._nearest_slice(recip_key(which), p2, z)
 
     def recip33_ft3(self, q3, which):
-        return self._z_sum(which, q3)
+        return self._z_sum(recip_key(which), q3)
 
     # -- metadata ----------------------------------------------------------
     def scaled(self, sigma):

@@ -9,7 +9,6 @@ import numpy as np
 
 from bornexact import em
 from bornexact.born import _PV_EDGES, _angular_grid, _chain_numerator
-from bornexact.em import ANNULUS_GUARD
 from bornexact.errors import ConfigError
 from bornexact.medium import (
     GaussErfProfile,
@@ -67,7 +66,7 @@ def deltaH_block(profile, z, p, q, k):
     return out[0] if single else out
 
 
-def zquad_kernel(profile, k, p, q, nz=48, eps_ann=ANNULUS_GUARD):
+def zquad_kernel(profile, k, p, q, nz=48):
     """First-order kernel K(p, q) with the z-integral by slab quadrature.
 
     Same channel sum as transfer.firstorder_kernel, but each block
@@ -80,8 +79,8 @@ def zquad_kernel(profile, k, p, q, nz=48, eps_ann=ANNULUS_GUARD):
     zs = 0.5 * (a_hi - a_lo) * xg + 0.5 * (a_hi + a_lo)
     ws = 0.5 * (a_hi - a_lo) * wg
     blocks = [deltaH_block(profile, z, p, q, k) for z in zs]
-    Xp, wp = em.channels(p, k, eps_ann)
-    Xq, wq = em.channels(q, k, eps_ann)
+    Xp, wp = em.channels(p, k)
+    Xq, wq = em.channels(q, k)
     out = 0
     for Pj, wj in zip(Xp, wp):
         for Pl, wl in zip(Xq, wq):

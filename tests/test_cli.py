@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from bornexact.cli import RunConfig, main
 from bornexact.errors import ConfigError
+from bornexact.medium import support_report
 from bornexact.sampled import write_grid
 
 SPEC_MEDIUM = {
@@ -142,13 +144,16 @@ class TestVerify:
             {"tolerances": {"suport": 1e-6}},
             {"medium": dict(GAUSSERF_MEDIUM, m_exp=2)},
             {"medium": dict(SPEC_MEDIUM, footprint=dict(SPEC_MEDIUM["footprint"], lx=1.0))},
+            {"grid": {"n_disk": 8, "eps_ann": 1e-4}},
+            {"grid": {"n_disk": 8.5}},
         ],
         ids=["k_negative", "k_text", "n_disk_text", "n_disk_4", "grazing",
              "zero_polarization", "unknown_suite", "tolerance_text", "quad_method",
              "quad_p_max", "sampled_one_x_node", "grid_n_disc", "quad_n_radail",
              "quad_eps_over_k2", "quad_n_radial_fraction", "quad_n_radial_text",
              "incident_theta_deg", "top_level_seeds", "grid_n_box_8",
-             "tolerance_suport", "gausserf_m_exp", "footprint_lx"],
+             "tolerance_suport", "gausserf_m_exp", "footprint_lx", "grid_eps_ann_1e-4",
+             "grid_n_disk_fraction"],
     )
     def test_malformed_field_exits_2_before_any_suite(self, tmp_path, monkeypatch, over):
         def no_suite(*args, **kwargs):
@@ -173,7 +178,7 @@ class TestVerify:
         # carried by the benchmark's config and read by nothing
         cfg = RunConfig({
             "medium": SPEC_MEDIUM,
-            "grid": {"n_disk": 8, "n_box": 0, "p_max_over_k": 6.0},
+            "grid": {"n_disk": 8, "n_box": 0, "p_max_over_k": 6.0, "eps_ann": 1e-3},
             "tolerances": {"exactness_contrast": 1e-3},
         })
         assert cfg.grid.n_r == 8 and cfg.grid.points.shape == (8 * 32, 2)
@@ -240,11 +245,26 @@ class TestProfileCommand:
         assert mid[1] == pytest.approx(0.01, abs=1e-12)
         assert mid[2] == pytest.approx(0.0, abs=1e-12)
         edge = data[-1]
-        assert edge[0] == pytest.approx(20.0)
-        assert np.hypot(edge[1], edge[2]) == pytest.approx(0.01 / 101.0, rel=1e-12)
+        assert edge[0] == pytest.approx(40.0)  # the sampling box, max(20 a, 3 ly)
+        assert np.hypot(edge[1], edge[2]) == pytest.approx(0.01 / 401.0, rel=1e-12)
         report = json.loads((out / "profile_report.json").read_text())
         assert report["support"]["verdict"] == "compliant"
         assert report["bounds"]["passed"] is True
+
+    def test_sampled_medium_spans_its_grid(self, tmp_path, monkeypatch):
+        # the default 512 x 512 x 64 support scan of a sampled medium takes ~35 s (2 CPUs)
+        monkeypatch.setattr("bornexact.cli.support_report",
+                            functools.partial(support_report, grid=(512, 8, 4)))
+        x = -12.0 + 0.75 * np.arange(32)
+        ee = 0.01 * np.exp(-(x / 3.0) ** 2)[:, None, None, None, None] * np.eye(3)
+        write_grid(tmp_path / "g.bin", np.broadcast_to(ee, (32, 4, 4, 3, 3)),
+                   (-12.0, -1.5, -1.5), (0.75, 1.0, 1.0))
+        cfg = write_config(tmp_path, {"type": "sampled", "path": str(tmp_path / "g.bin")})
+        out = tmp_path / "out"
+        assert main(["profile", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "profile.csv").read_text().strip().split("\n")[1:]
+        assert float(rows[0].split(",")[0]) == -12.0
+        assert float(rows[-1].split(",")[0]) == 11.25
 
 
 class TestTransferCommand:
@@ -272,6 +292,20 @@ class TestSweepCommand:
         verdicts = [r.split(",")[-1] for r in rows[1:]]
         assert verdicts[0] == "invisible" and verdicts[1] == "invisible"
         assert verdicts[2] == "visible"
+
+
+def test_profile_and_sweep_read_configured_tolerances(tmp_path, capsys):
+    # verify fails support at 1e-13 (leak 6.5e-12) and clears k = 0.6 by 1e3
+    cfg = write_config(tmp_path, SPEC_MEDIUM, sweep={"k_over_alpha": [0.6]},
+                       tolerances={"support": 1e-13, "invisibility_factor": 1e3})
+    out = tmp_path / "out"
+    assert main(["profile", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "profile_report.json").read_text())
+    assert report["support"]["verdict"] == "noncompliant"
+    assert (out / "sweep.csv").read_text().strip().split("\n")[1].endswith(",invisible")
+    printed = capsys.readouterr().out
+    assert "support: noncompliant" in printed and "(invisible)" in printed
 
 
 @pytest.mark.parametrize(

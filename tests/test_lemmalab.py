@@ -22,16 +22,15 @@ class TestSamples:
         assert f.leak_below(ALPHA) == 0.0
 
     def test_shifting_beta_shifts_measured_edge(self):
-        g = ll.Grid1D()
         f1 = ll.make_salpha_sample(ALPHA, "gaussian", seed=3, beta=1.5)
         f2 = ll.make_salpha_sample(ALPHA, "gaussian", seed=3, beta=2.5)
 
         def edge(f):
             F = np.abs(f.spectrum())
             nz = np.nonzero(F > 1e-10 * F.max())[0]
-            return f.grid.k[nz[0]]
+            return ll.K1[nz[0]]
 
-        assert edge(f2) - edge(f1) == pytest.approx(1.0, abs=2 * g.dk)
+        assert edge(f2) - edge(f1) == pytest.approx(1.0, abs=2 * ll.DK1)
 
     def test_seed_reproducible(self):
         a = ll.make_salpha_sample(ALPHA, "gaussian", seed=9)
@@ -55,9 +54,8 @@ class TestProjectionAndInclusion:
 
     def test_pi_k_lands_in_s_minus_k(self):
         rng = np.random.default_rng(5)
-        g = ll.Grid1D()
-        vals = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
-        f = ll.HalfLineSpectrumFunction(vals, g)
+        vals = rng.normal(size=ll.N1) + 1j * rng.normal(size=ll.N1)
+        f = ll.HalfLineSpectrumFunction(vals)
         k_cut = 0.8
         proj = ll.pi_k(f, k_cut)
         assert proj.leak_below(-k_cut) < 1e-12
@@ -72,11 +70,10 @@ class TestProjectionAndInclusion:
         # variable cannot create content below the support edge
         f = ll.make_salpha_sample(ALPHA, "gaussian", seed=7)
         rng = np.random.default_rng(8)
-        g = f.grid
-        xi = np.exp(1j * rng.uniform(0, 2 * np.pi) * np.tanh(g.k / 5.0)) * (
+        xi = np.exp(1j * rng.uniform(0, 2 * np.pi) * np.tanh(ll.K1 / 5.0)) * (
             0.3 + rng.uniform(0, 1)
         )
-        h = ll.HalfLineSpectrumFunction(g.synth(f.spectrum() * xi), g)
+        h = ll.HalfLineSpectrumFunction(ll.synth(f.spectrum() * xi))
         assert h.leak_below(ALPHA) < 1e-10
 
     def test_pointwise_product_keeps_higher_edge(self):
@@ -84,8 +81,7 @@ class TestProjectionAndInclusion:
         # vanish there as well
         f = ll.make_salpha_sample(ALPHA, "gaussian", seed=10, beta=1.2)
         g = ll.make_salpha_sample(ALPHA, "gaussian", seed=11, beta=3.0)
-        grid = f.grid
-        prod = ll.HalfLineSpectrumFunction(grid.synth(f.spectrum() * g.spectrum()), grid)
+        prod = ll.HalfLineSpectrumFunction(ll.synth(f.spectrum() * g.spectrum()))
         assert prod.leak_below(3.0) < 1e-10
 
 
@@ -167,17 +163,16 @@ class TestChainOperators:
 class TestConvolutionShift:
     def test_convolution_shifts_support(self):
         # V psi lands in S_{alpha+beta} when psi in S_alpha, symbol in S_beta
-        g2 = ll.Grid2D()
         rng = np.random.default_rng(22)
-        kx = g2.k[:, None]
-        ky = g2.k[None, :]
+        kx = ll.K2[:, None]
+        ky = ll.K2[None, :]
         beta = 1.5
-        v = ll._strip_symbol(g2, beta, rng)
+        v = ll._strip_symbol(beta, rng)
         a_edge = 0.8
         psi = (rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape))
         # keep psi in a bounded strip so the convolution cannot wrap
         psi[np.broadcast_to((kx <= a_edge) | (kx > 4.0), psi.shape)] = 0.0
         psi[np.broadcast_to(np.abs(ky) > 4.0, psi.shape)] = 0.0
-        out = ll._cyclic_conv2(v, psi) * (g2.dk**2 / (4 * np.pi**2))
-        scan = np.broadcast_to(kx <= a_edge + beta - g2.dk, out.shape)
+        out = ll._cyclic_conv2(v, psi) * (ll.DK2**2 / (4 * np.pi**2))
+        scan = np.broadcast_to(kx <= a_edge + beta - ll.DK2, out.shape)
         assert np.abs(out[scan]).max() < 1e-12 * np.abs(out).max()

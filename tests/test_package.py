@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import bornexact
-from bornexact import em, lemmalab, transfer
+from bornexact import cli, em, lemmalab, transfer
 from bornexact.errors import BornexactError
+from oracles import profile_to_dict
 
 
 def test_all_names_resolve():
@@ -17,10 +18,13 @@ def test_all_names_resolve():
 
 _GRID = transfer.build_momentum_grid(0.8, 4.8, 8, 0)
 _WAVE = em.IncidentWave.linear(0.8, 1.0, np.pi, 0.2)
+_NONMAGNETIC = bornexact.SampledProfile(np.full((2, 2, 2, 3, 3), 0.01), None, (0, 0, 0), (1, 1, 1))
+_Q3 = np.zeros((1, 3))
 
 BAD_CALLS = {
     "IncidentWave k<0": lambda m: em.IncidentWave(-0.8, 0.1, 0.0),
     "fibonacci_hemisphere n=0": lambda m: bornexact.fibonacci_hemisphere(0),
+    "fibonacci_hemisphere n=2.5": lambda m: bornexact.fibonacci_hemisphere(2.5),
     "QuadratureSpec method": lambda m: bornexact.QuadratureSpec(method="pvv"),
     "QuadratureSpec method ieps": lambda m: bornexact.QuadratureSpec(method="ieps"),
     "QuadratureSpec n_phi=0": lambda m: bornexact.QuadratureSpec(24, 48, 0),
@@ -43,6 +47,20 @@ BAD_CALLS = {
     "projector j=3": lambda m: em.projector(3, np.zeros(2), 1.0),
     "support_overlap n=0": lambda m: bornexact.support_overlap(1, 0.8, n=0),
     "bounds_check no samples": lambda m: bornexact.bounds_check(m, 0),
+    "bounds_check 1.5 samples": lambda m: bornexact.bounds_check(m, 1.5),
+    "recip33_ft3 which rational": lambda m: m.recip33_ft3(_Q3, "foo"),
+    "recip33_ft2 which rational": lambda m: m.recip33_ft2(_Q3[:, :2], 0.0, "foo"),
+    "recip33_ft3 which sampled": lambda m: _NONMAGNETIC.recip33_ft3(_Q3, "foo"),
+    "recip33_ft2 which sampled": lambda m: _NONMAGNETIC.recip33_ft2(_Q3[:, :2], 0.0, "foo"),
+    "build_momentum_grid k<0": lambda m: transfer.build_momentum_grid(-0.8, 4.8, 8, 0),
+    "build_momentum_grid n_disk=8.5": lambda m: transfer.build_momentum_grid(0.8, 4.8, 8.5, 0),
+    "build_momentum_grid n_box=8.5": lambda m: transfer.build_momentum_grid(0.8, 4.8, 8, 8.5),
+    "build_momentum_grid eps_ann=1e-4": lambda m: transfer.build_momentum_grid(
+        0.8, 4.8, 8, 0, 1e-4
+    ),
+    "RunConfig grid.eps_ann=1e-4": lambda m: cli.RunConfig(
+        {"medium": profile_to_dict(m), "grid": {"eps_ann": 1e-4}}
+    ),
     "make_salpha_sample shape": lambda m: lemmalab.make_salpha_sample(1, "x"),
     "solve_T method": lambda m: transfer.solve_T(
         None, _WAVE, method="generic", profile=m, grid=_GRID

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bornexact import (
+    ANNULUS_GUARD,
     DetectorDirection,
     GaussErfProfile,
     GaussianControlProfile,
@@ -74,11 +75,11 @@ class TestGrid:
         assert grid.disk_weights.sum() == pytest.approx(area, rel=1e-12)
 
     def test_disk_points_inside(self, grid):
-        assert np.linalg.norm(grid.disk_points, axis=1).max() < K * (1 - grid.eps_ann)
+        assert np.linalg.norm(grid.disk_points, axis=1).max() < K * (1 - ANNULUS_GUARD)
 
     def test_box_outside_annulus(self, grid_with_box):
         box = grid_with_box.points[grid_with_box.n_disk_points:]
-        assert np.linalg.norm(box, axis=1).min() > K * (1 + grid_with_box.eps_ann)
+        assert np.linalg.norm(box, axis=1).min() > K * (1 + ANNULUS_GUARD)
 
     def test_refinement_halves_spacing(self):
         def max_nn(g):
