@@ -39,6 +39,7 @@ from .born import (
     invisibility_report,
     scaling_check,
     second_born_amplitude,
+    second_born_amplitudes,
     support_overlap,
 )
 from .sampled import SampledProfile, sample_profile
@@ -89,6 +90,7 @@ __all__ = [
     "sample_profile",
     "scaling_check",
     "second_born_amplitude",
+    "second_born_amplitudes",
     "solve_T",
     "support_report",
     "support_overlap",

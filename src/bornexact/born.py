@@ -98,10 +98,28 @@ def first_born_amplitude(profile: MediumProfile, w: IncidentWave, d: DetectorDir
 _PV_EDGES = np.array([0.0, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 4.5])
 
 # working set of one radial panel per quadrature point on the tensor route,
-# the larger of the two (tracemalloc on the control at (12, 24, 24) to
-# (24, 64, 64): 925-932 B per point on the tensor route, 125-131 B on the
-# scalar one)
-_F2_PANEL_BYTES_PER_POINT = 1024
+# the larger of the two, for a block of P polarizations:
+# _F2_PANEL_BYTES_PER_POINT + P * _F2_PANEL_BYTES_PER_POLARIZATION.
+# tracemalloc on the control at (12, 24, 24) to (24, 64, 64), with 1 and 4
+# detectors: 668-676 B per point at P = 1, 988-1018 at P = 2 and 1324-1332
+# at P = 3 on the tensor route (3005-3012 at P = 8, at (12, 24, 24) and
+# (24, 48, 48)); 109-149 B at any P on the scalar route, which holds the
+# incident link across detectors.
+_F2_PANEL_BYTES_PER_POINT = 384
+_F2_PANEL_BYTES_PER_POLARIZATION = 352
+
+
+def _check_panel(spec, n_pol: int):
+    """Raise InvalidResolution if one radial panel of spec at n_pol
+    polarizations would exceed medium.MEMORY_CAP_BYTES."""
+    points = int(spec.n_radial) * int(spec.n_mu) * int(spec.n_phi)
+    need = points * (_F2_PANEL_BYTES_PER_POINT + n_pol * _F2_PANEL_BYTES_PER_POLARIZATION)
+    if need > MEMORY_CAP_BYTES:
+        raise InvalidResolution(
+            f"one radial panel of {spec.n_radial}x{spec.n_mu}x{spec.n_phi} points "
+            f"at {n_pol} polarizations needs ~{need / 2**30:.3g} GiB > cap "
+            f"{MEMORY_CAP_BYTES / 2**30:.3g} GiB"
+        )
 
 
 @dataclass(frozen=True)
@@ -113,7 +131,7 @@ class QuadratureSpec:
     principal-value + residue split.  eps_over_k2 and richardson are read
     only by the i*eps cross-check route kept with the tests.  p_max_over_k
     must exceed the last panel edge, 4.5; a panel (n_radial * n_mu * n_phi
-    points) must fit in medium.MEMORY_CAP_BYTES.
+    points) at two polarizations must fit in medium.MEMORY_CAP_BYTES.
     """
 
     n_radial: int = 24
@@ -136,13 +154,7 @@ class QuadratureSpec:
                 f"p_max_over_k must be finite and exceed the last panel edge "
                 f"{_PV_EDGES[-1]:g}, got {self.p_max_over_k!r}"
             )
-        points = int(self.n_radial) * int(self.n_mu) * int(self.n_phi)
-        need = points * _F2_PANEL_BYTES_PER_POINT
-        if need > MEMORY_CAP_BYTES:
-            raise InvalidResolution(
-                f"one radial panel of {self.n_radial}x{self.n_mu}x{self.n_phi} points "
-                f"needs ~{need / 2**30:.3g} GiB > cap {MEMORY_CAP_BYTES / 2**30:.3g} GiB"
-            )
+        _check_panel(self, 2)  # invisibility_report's two polarizations
 
     def doubled(self) -> "QuadratureSpec":
         return replace(self, n_radial=2 * self.n_radial, n_mu=2 * self.n_mu,
@@ -165,32 +177,120 @@ def _angular_grid(spec: QuadratureSpec):
     return dirs, wts
 
 
-def _chain_numerator(profile, w, d, pts):
-    """Second-order chain vector at momentum points pts (..., 3), tensor route.
+def _radial_panels(spec: QuadratureSpec, k: float):
+    """Gauss-Legendre (nodes, weights) of each radial panel, and p_max."""
+    xg, wg = np.polynomial.legendre.leggauss(spec.n_radial)
+    edges = np.append(k * _PV_EDGES, spec.p_max_over_k * k)
+    panels = [(0.5 * (b - a) * xg + 0.5 * (a + b), 0.5 * (b - a) * wg)
+              for a, b in zip(edges[:-1], edges[1:])]
+    return panels, edges[-1]
 
-    Returns the integrand numerator (without the propagator denominator):
-    eta_eps(ks-p) E1num(p) - rhat x [eta_mu(ks-p) H1num(p)] contracted with
-    the transverse projector at the outer vertex applied by the caller.
-    second_born_amplitude takes this route for media without scalar_eta3.
+
+def _incident_link(profile, k, ki, E, H, pts):
+    """First-order fields at momentum points pts (..., 3), tensor route.
+
+    For the polarization blocks E = [e_i ...] and H = [h_i ...] (3, P),
+    returns the (I - p p^T / k^2) projections of
+    k^2 eta_eps(p - k_i) E - k p x eta_mu(p - k_i) H and
+    k^2 eta_mu(p - k_i) H + k p x eta_eps(p - k_i) E, each (..., 3, P).
     """
-    k = w.k
-    ks = d.k_s(k)
-    ki = w.k_i
-    ei, hi = w.e_i, w.h_i
     ee_in, em_in = profile.eta3_tensors(pts - ki)
-    ee_out, em_out = profile.eta3_tensors(ks - pts)
-    A = (k * k) * (ee_in @ ei) - k * np.cross(pts, em_in @ hi)
-    B = (k * k) * (em_in @ hi) + k * np.cross(pts, ee_in @ ei)
-    # the (I - p p^T / k^2) projections of both links
-    E1, H1 = (V - pts * (np.einsum("...i,...i->...", pts, V) / (k * k))[..., None]
-              for V in (A, B))
-    out = np.einsum("...ij,...j->...i", ee_out, E1)
-    out_h = np.einsum("...ij,...j->...i", em_out, H1)
+    eE, mH = ee_in @ E, em_in @ H
+    p = pts[..., None]
+    A = (k * k) * eE - k * np.cross(p, mH, axis=-2)
+    B = (k * k) * mH + k * np.cross(p, eE, axis=-2)
+    return tuple(V - p * (np.einsum("...i,...ip->...p", pts, V) / (k * k))[..., None, :]
+                 for V in (A, B))
+
+
+def _chain_numerator(profile, k, d, pts, E1, H1):
+    """Second-order chain numerator at pts (..., 3), tensor route: (..., 3, P).
+
+    eta_eps(k_s - p) E1 - rhat x [eta_mu(k_s - p) H1] for the incident
+    link's fields E1, H1 (..., 3, P) from _incident_link, without the
+    propagator denominator; the caller applies the transverse projector at
+    the outer vertex.  second_born_amplitudes takes this route for media
+    without scalar_eta3.
+    """
+    ee_out, em_out = profile.eta3_tensors(d.k_s(k) - pts)
+    out = ee_out @ E1
+    out_h = em_out @ H1
     if np.any(out_h):
-        out = out + MAGNETIC_SIGN * np.cross(
-            np.broadcast_to(d.r_hat, out_h.shape), out_h
-        )
+        out = out + MAGNETIC_SIGN * np.cross(d.r_hat[:, None], out_h, axis=-2)
     return out
+
+
+def second_born_amplitudes(
+    profile: MediumProfile,
+    waves,
+    detectors,
+    quad: QuadratureSpec | None = None,
+):
+    """Second Born far-field amplitudes F2 of one incidence: (n_waves, n_detectors, 3).
+
+    F2 = (k^4/4pi)(I - rhat rhat^T) int d^3p/(2pi)^3
+            eta~(k_s - p) G~(p) eta~(p - k_i) e_i
+    for nonmagnetic media, with the magnetic/anisotropic chains assembled
+    from the same Fourier factors and curl insertions on magnetic links.
+    The waves must share k and k_i, so that they differ only in e_i; F2 is
+    linear in e_i, so one response per detector serves every polarization.
+
+    The angular integral N(r) = r^2 int dOmega (numerator at p = r d) is
+    taken one radial panel at a time.  Per panel the incident link
+    eta~(p - k_i) is evaluated once, then each detector's outgoing link
+    eta~(k_s - p).  For media with scalar_eta3 the numerator is
+    s(p) (k^2 E - p (p.E)) with s = eta~(p - k_i) eta~(k_s - p) and
+    E = [e_i ...] (3, P), so N(r) = r^2 [k^2 S0(r) E - r^2 M(r) E] from
+    the moments S0 = sum_j w_j s_j and M = sum_j w_j s_j d_j d_j^T of the
+    panel's pointwise products; other media take the tensor chain
+    _incident_link / _chain_numerator.  Each panel's scalar_eta3 call on
+    the incident link picks the route, so no extra call probes the medium.
+    """
+    quad = quad or QuadratureSpec()
+    waves, detectors = list(waves), list(detectors)
+    if not waves or not detectors:
+        raise InvalidArgument("second_born_amplitudes needs at least one wave and one detector")
+    k, ki = waves[0].k, waves[0].k_i
+    if any(w.k != k or not np.array_equal(w.k_i, ki) for w in waves):
+        raise InvalidArgument("second_born_amplitudes needs waves of one k and one k_i")
+    _check_panel(quad, len(waves))
+    E = np.stack([w.e_i for w in waves], axis=-1)
+    H = np.stack([w.h_i for w in waves], axis=-1)
+    dirs, wts = _angular_grid(quad)
+    # second-moment weights w_j d_j d_j^T, one row of 9 per direction
+    wdd = (wts[:, None, None] * dirs[:, :, None] * dirs[:, None, :]).reshape(-1, 9)
+
+    def ang_numer(radii):
+        """N(r) at each radius for every detector: (D, R, 3, P)."""
+        r2 = (radii * radii)[:, None, None]
+        pts = radii[:, None, None] * dirs[None, :, :]
+        s_in = profile.scalar_eta3(pts - ki)
+        if s_in is None:
+            E1, H1 = _incident_link(profile, k, ki, E, H, pts)
+            N = [(_chain_numerator(profile, k, d, pts, E1, H1)
+                  * wts[None, :, None, None]).sum(axis=1) for d in detectors]
+        else:
+            N = []
+            for d in detectors:
+                s = s_in * profile.scalar_eta3(d.k_s(k) - pts)
+                M_E = (s @ wdd).reshape(-1, 3, 3) @ E
+                N.append((k * k) * (s @ wts)[:, None, None] * E - r2 * M_E)
+        return np.stack(N) * r2
+
+    panels, p_max = _radial_panels(quad, k)
+    Nk = ang_numer(np.array([k]))[:, 0]
+    hk = Nk / (2 * k)
+    total = np.zeros(Nk.shape, dtype=complex)
+    for pp, ww in panels:
+        h = ang_numer(pp) / (pp + k)[:, None, None]
+        total += (ww[:, None, None] * (h - hk[:, None]) / (pp - k)[:, None, None]).sum(axis=1)
+    total += hk * np.log((p_max - k) / k)
+    total += 1j * np.pi * Nk / (2 * k)
+
+    pref = (k * k / (4 * np.pi)) / (2 * np.pi) ** 3
+    # (I - rhat rhat^T) at each detector, per wave
+    return np.array([[F - d.r_hat * np.dot(d.r_hat, F) for F, d in zip(Fw, detectors)]
+                     for Fw in np.moveaxis(pref * total, -1, 0)])
 
 
 def second_born_amplitude(
@@ -199,60 +299,8 @@ def second_born_amplitude(
     d: DetectorDirection,
     quad: QuadratureSpec | None = None,
 ):
-    """Second Born far-field amplitude F2 by 3D momentum quadrature.
-
-    F2 = (k^4/4pi)(I - rhat rhat^T) int d^3p/(2pi)^3
-            eta~(k_s - p) G~(p) eta~(p - k_i) e_i
-    for nonmagnetic media, with the magnetic/anisotropic chains assembled
-    from the same Fourier factors and curl insertions on magnetic links.
-
-    The angular integral N(r) = r^2 int dOmega (numerator at p = r d) is
-    taken one radial panel at a time.  For media with scalar_eta3 the
-    numerator is s(p) (k^2 e_i - p (p.e_i)) with s = eta~(p - k_i)
-    eta~(k_s - p), so N(r) = r^2 [k^2 S0(r) e_i - r^2 M(r) e_i] from the
-    moments S0 = sum_j w_j s_j and M = sum_j w_j s_j d_j d_j^T of the
-    panel's pointwise products; other media take the tensor chain
-    _chain_numerator.  Each panel's scalar_eta3 call on the incident link
-    picks the route, so no extra call probes the medium.
-    """
-    quad = quad or QuadratureSpec()
-    k = w.k
-    ki, ks, ei = w.k_i, d.k_s(k), w.e_i
-    p_max = quad.p_max_over_k * k
-    dirs, wts = _angular_grid(quad)
-    # second-moment weights w_j d_j d_j^T, one row of 9 per direction
-    wdd = (wts[:, None, None] * dirs[:, :, None] * dirs[:, None, :]).reshape(-1, 9)
-
-    def ang_numer(radii):
-        r2 = (radii * radii)[:, None]
-        pts = radii[:, None, None] * dirs[None, :, :]
-        s_in = profile.scalar_eta3(pts - ki)
-        if s_in is None:
-            N = (_chain_numerator(profile, w, d, pts) * wts[None, :, None]).sum(axis=1)
-        else:
-            s = s_in * profile.scalar_eta3(ks - pts)
-            M_ei = (s @ wdd).reshape(-1, 3, 3) @ ei
-            N = (k * k) * (s @ wts)[:, None] * ei - r2 * M_ei
-        return N * r2
-
-    xg, wg = np.polynomial.legendre.leggauss(quad.n_radial)
-    edges = np.append(k * _PV_EDGES, p_max)
-
-    Nk = ang_numer(np.array([k]))[0]
-    hk = Nk / (2 * k)
-    total = np.zeros(3, dtype=complex)
-    for a0, b0 in zip(edges[:-1], edges[1:]):
-        pp = 0.5 * (b0 - a0) * xg + 0.5 * (a0 + b0)
-        ww = 0.5 * (b0 - a0) * wg
-        h = ang_numer(pp) / (pp + k)[:, None]
-        total += (ww[:, None] * (h - hk[None, :]) / (pp - k)[:, None]).sum(axis=0)
-    total += hk * np.log((p_max - k) / k)
-    total += 1j * np.pi * Nk / (2 * k)
-
-    pref = (k * k / (4 * np.pi)) / (2 * np.pi) ** 3
-    F = pref * total
-    rhat = d.r_hat
-    return F - rhat * np.dot(rhat, F)
+    """Second Born far-field amplitude F2 of wave w at detector d (see second_born_amplitudes)."""
+    return second_born_amplitudes(profile, [w], [d], quad)[0, 0]
 
 
 @dataclass(frozen=True)
@@ -323,21 +371,25 @@ def invisibility_report(
     """Scan incident/detector pairs and both polarizations for scattering.
 
     The invisibility bound is tol_factor * peak|eta3| * k^2/(4 pi), the
-    natural scale of the first-order amplitude.
+    natural scale of the first-order amplitude.  With order 2, F2 takes one
+    second_born_amplitudes call per distinct incidence, for both
+    polarizations and all of that incidence's detectors.
     """
     pairs = direction_pairs(n_pairs)
     bound = tol_factor * profile.eta3_peak() * k * k / (4 * np.pi)
+    detectors_of = {}  # incidence angles -> its detectors, in pair order
+    for inc, d in pairs:
+        detectors_of.setdefault(inc, []).append(d)
     max_f1 = 0.0
     max_f2 = 0.0 if order >= 2 else None
-    for (th0, ph0), d in pairs:
-        for chi in (0.0, np.pi / 2):
-            wave = IncidentWave.linear(k, th0, ph0, chi)
-            max_f1 = max(max_f1, np.linalg.norm(first_born_amplitude(profile, wave, d)))
-            if order >= 2:
-                max_f2 = max(
-                    max_f2,
-                    np.linalg.norm(second_born_amplitude(profile, wave, d, quad)),
-                )
+    for (th0, ph0), dets in detectors_of.items():
+        waves = [IncidentWave.linear(k, th0, ph0, chi) for chi in (0.0, np.pi / 2)]
+        for wave in waves:
+            for d in dets:
+                max_f1 = max(max_f1, np.linalg.norm(first_born_amplitude(profile, wave, d)))
+        if order >= 2:
+            F2 = second_born_amplitudes(profile, waves, dets, quad)
+            max_f2 = max(max_f2, *(np.linalg.norm(F) for F in F2.reshape(-1, 3)))
     verdict = "invisible" if max_f1 <= bound else "visible"
     return InvisibilityReport(
         k=k, max_f1=max_f1, max_f2=max_f2, bound=bound, n_pairs=len(pairs),
@@ -366,22 +418,25 @@ def scaling_check(
     """
     if sigma <= 0:
         raise InvalidArgument("sigma must be positive")
+    directions = list(directions)
+    if not directions:
+        raise InvalidArgument("scaling_check needs at least one direction")
     scaled = profile.scaled(sigma)
     if not bounds_check(scaled, 4000, seed=7).passed:
         raise BoundsViolated(f"sigma={sigma} drives Re eps33 nonpositive")
 
-    def rel_err(amp, factor):
-        """max |amp(scaled) - factor amp(profile)| / max |factor amp(profile)|."""
-        num = den = 0.0
-        for d in directions:
-            F = amp(profile, d)
-            num = max(num, np.linalg.norm(amp(scaled, d) - factor * F))
-            den = max(den, np.linalg.norm(factor * F))
+    def rel_err(amps, factor):
+        """max |amps(scaled) - factor amps(profile)| / max |factor amps(profile)|
+        over the directions; amps(medium) is (n_directions, 3)."""
+        F = factor * amps(profile)
+        num = max(np.linalg.norm(Fs - Fp) for Fs, Fp in zip(amps(scaled), F))
+        den = max(np.linalg.norm(Fp) for Fp in F)
         return num / max(den, 1e-300)
 
     return ScalingReport(
         sigma=sigma,
-        f1_rel_err=rel_err(lambda m, d: first_born_amplitude(m, w, d), sigma),
+        f1_rel_err=rel_err(
+            lambda m: np.array([first_born_amplitude(m, w, d) for d in directions]), sigma),
         f2_rel_err=None if quad is None else rel_err(
-            lambda m, d: second_born_amplitude(m, w, d, quad), sigma * sigma),
+            lambda m: second_born_amplitudes(m, [w], directions, quad)[0], sigma * sigma),
     )

@@ -13,10 +13,12 @@ profile and sweep judge support and invisibility by the configured
 tolerances.support and tolerances.invisibility_factor, as verify does.
 
 The config is parsed once into a RunConfig: every field is read and checked
-(grid.n_disk an integer >= 8, a non-grazing incidence, a nonzero
-polarization, known suite names, numeric tolerances, a valid QuadratureSpec,
-no key it does not read) before any suite runs.  Suites: projector_algebra,
-lemma_lab, support, id101, route_equivalence, invisibility, exactness.
+(grid.n_disk an integer >= 8, directions.n_detectors an integer >= 2,
+directions.n_pairs an integer >= 1, seed an integer >= 0, a non-grazing
+incidence, a nonzero polarization, known suite names, numeric tolerances, a
+valid QuadratureSpec, no key it does not read) before any suite runs.
+Suites: projector_algebra, lemma_lab, support, id101, route_equivalence,
+invisibility, exactness.
 
 Exit codes: 0 all requested checks pass, 1 suite failure (the error names
 the suite), 2 config error.  All I/O uses units with the support threshold
@@ -40,6 +42,7 @@ from .medium import (
     MediumProfile,
     bounds_check,
     check_keys,
+    is_count,
     profile_from_dict,
     support_report,
 )
@@ -88,6 +91,14 @@ def _section(raw: dict, name: str) -> dict:
     return sec
 
 
+def _count(sec: dict, key: str, default: int, least: int, where: str) -> int:
+    """sec[key] (default if absent), checked to be a JSON integer >= least."""
+    n = sec.get(key, default)
+    if not is_count(n) or n < least:
+        raise ConfigError(f"{where}{key} must be an integer >= {least}, got {n!r}")
+    return n
+
+
 class RunConfig:
     """One parsed run: every field read, converted and checked once.
 
@@ -125,11 +136,12 @@ class RunConfig:
         self.grid = transfer.build_momentum_grid(k, np.inf, grid.get("n_disk", 12))
         self.quad = born_mod.QuadratureSpec(**_section(raw, "quadrature"))
         dirs = _section(raw, "directions")
-        n_det = int(dirs.get("n_detectors", 32))
-        half = max(1, n_det // 2)
+        # at least one detector per hemisphere
+        n_det = _count(dirs, "n_detectors", 32, 2, "directions.")
+        half = n_det // 2
         self.detectors = (born_mod.fibonacci_hemisphere(half, 1)
                           + born_mod.fibonacci_hemisphere(n_det - half, -1))
-        self.n_pairs = int(dirs.get("n_pairs", 64))
+        self.n_pairs = _count(dirs, "n_pairs", 64, 1, "directions.")
         self.suites = list(raw.get("suites", _DEFAULT_SUITES))
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
@@ -138,7 +150,7 @@ class RunConfig:
         self.tolerances = {name: float(v) for name, v in tols.items()}
         self.sweep_ks = [float(v) for v in
                          _section(raw, "sweep").get("k_over_alpha", [0.3, 0.5, 0.8])]
-        self.seed = int(raw.get("seed", 0))
+        self.seed = _count(raw, "seed", 0, 0, "")
 
 
 def load_config(path) -> RunConfig:
@@ -308,8 +320,8 @@ def _born_pass(cfg: RunConfig, dirs, order: int = 2):
     """
     entries = {1: [(d, born_mod.first_born_amplitude(cfg.medium, cfg.wave, d)) for d in dirs]}
     if order >= 2:
-        entries[2] = [(d, born_mod.second_born_amplitude(cfg.medium, cfg.wave, d, cfg.quad))
-                      for d in dirs]
+        F2 = born_mod.second_born_amplitudes(cfg.medium, [cfg.wave], dirs, cfg.quad)[0]
+        entries[2] = list(zip(dirs, F2))
     summary = {f"max_f{n}": float(max(np.linalg.norm(F) for _, F in e))
                for n, e in entries.items()}
     if order >= 2:

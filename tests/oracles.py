@@ -8,7 +8,7 @@ package never calls them.
 import numpy as np
 
 from bornexact import em
-from bornexact.born import _PV_EDGES, _angular_grid, _chain_numerator
+from bornexact.born import _PV_EDGES, _angular_grid, _chain_numerator, _incident_link
 from bornexact.errors import ConfigError
 from bornexact.medium import (
     GaussErfProfile,
@@ -121,7 +121,9 @@ def ieps_second_born(profile, w, d, quad):
         for a0, b0 in zip(edges[:-1], edges[1:]):
             pp = 0.5 * (b0 - a0) * xg + 0.5 * (a0 + b0)
             ww = 0.5 * (b0 - a0) * wg
-            N = _chain_numerator(profile, w, d, pp[:, None, None] * dirs[None])
+            pts = pp[:, None, None] * dirs[None]
+            E1, H1 = _incident_link(profile, k, w.k_i, w.e_i[:, None], w.h_i[:, None], pts)
+            N = _chain_numerator(profile, k, d, pts, E1, H1)[..., 0]
             N = (N * wts[None, :, None]).sum(axis=1) * (pp * pp)[:, None]
             acc += (ww[:, None] * N / (pp * pp - k * k - 1j * eps)[:, None]).sum(axis=0)
         return acc

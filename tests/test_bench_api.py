@@ -50,3 +50,36 @@ def test_benchmark_calls_resolve():
     assert tracer.counts["em.projector.points"] == grid.n_disk_points
     assert tracer.counts["medium.recip.calls"] >= 3
     assert bx.transfer.transfer_first_order.__module__ == "bornexact.transfer"
+
+
+def test_traced_second_born_calls():
+    # the exactness fan calls second_born_amplitude with quad positional and
+    # _count_f2 binds it by name; the sweep's order-2 invisibility report
+    # batches its F2 per incidence through second_born_amplitudes
+    wl = _load("workloads")
+    quad = wl.QUAD_SWEEP
+    medium = wl.control_medium()
+    w = bx.IncidentWave.linear(wl.K8, 1.0, np.pi, 0.7)
+    d = bx.DetectorDirection(1.1, 0.3)
+    F = bx.born.second_born_amplitude(medium, w, d, quad)
+    rep = bx.born.invisibility_report(medium, wl.K8, n_pairs=8, order=2, quad=quad)
+
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        F_traced = bx.born.second_born_amplitude(medium, w, d, wl.QUAD_SWEEP)
+        counted = dict(tracer.counts)
+        rep_traced = bx.born.invisibility_report(medium, wl.K8, n_pairs=8, order=2, quad=quad)
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(F_traced, F) and rep_traced == rep
+    link = (len(bx.born._PV_EDGES) * quad.n_radial + 1) * quad.n_mu * quad.n_phi
+    assert counted["born.f2.calls"] == 1
+    assert counted["born.f2.quad_points"] == quad.n_radial * quad.n_mu * quad.n_phi
+    assert counted["medium.eta3.points"] == 2 * link
+    # 8 pairs over 5 distinct incidences: one incident link per incidence
+    # and one outgoing link per pair, for both polarizations at once, plus
+    # one point per F1 (8 pairs x 2 polarizations)
+    assert tracer.counts["born.invisibility.calls"] == 1
+    assert tracer.counts["medium.eta3.points"] - counted["medium.eta3.points"] == (
+        (5 + 8) * link + 2 * 8)

@@ -14,9 +14,11 @@ from bornexact import (
     scaling_check,
     rotate_to_x,
     second_born_amplitude,
+    second_born_amplitudes,
     support_overlap,
 )
-from bornexact.errors import BoundsViolated
+from bornexact.born import _PV_EDGES, direction_pairs
+from bornexact.errors import BoundsViolated, InvalidArgument, InvalidResolution
 from oracles import ieps_second_born
 
 ALPHA = 1.0
@@ -29,6 +31,44 @@ W_NORMAL = IncidentWave.linear(K, 0.0, 0.0, 0.0)
 
 def vacuum_profile():
     return RationalEnvelopeProfile(ALPHA, 2.0, 1, TransverseBox(0.0, 3.0, 4.0))
+
+
+class MagneticTensorProfile(MediumProfile):
+    """A base medium's scalar transform times constant random complex,
+    non-symmetric 3x3 tensors for eta_eps and eta_mu: anisotropic and
+    magnetic, with no scalar form, so F2 takes the tensor chain."""
+
+    def __init__(self, base, seed=0):
+        rng = np.random.default_rng(seed)
+        self.base, self.alpha, self.slab = base, base.alpha, base.slab
+        self.A_eps, self.A_mu = (
+            0.5 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+            for _ in range(2)
+        )
+
+    def eta3_tensors(self, q3):
+        s = self.base.scalar_eta3(q3)[..., None, None]
+        return s * self.A_eps, s * self.A_mu
+
+
+class CountingProfile(MediumProfile):
+    """Forwards the 3D transforms of base and counts the points asked for;
+    with scalar=False it hides the base's scalar form."""
+
+    def __init__(self, base, scalar=True):
+        self.base, self.alpha, self.slab = base, base.alpha, base.slab
+        self.scalar = scalar
+        self.points = 0
+
+    def scalar_eta3(self, q3):
+        if not self.scalar:
+            return None
+        self.points += q3.size // 3
+        return self.base.scalar_eta3(q3)
+
+    def eta3_tensors(self, q3):
+        self.points += q3.size // 3
+        return self.base.eta3_tensors(q3)
 
 
 class TestFirstBorn:
@@ -204,6 +244,87 @@ class TestSecondBorn:
                 assert np.linalg.norm(F_t - F) <= 1e-12 * np.linalg.norm(F)
 
 
+class TestBatchedSecondBorn:
+    QUAD = QuadratureSpec(12, 24, 24)
+    DETS = [DetectorDirection(1.2, 0.0), DetectorDirection(1.1, 0.3),
+            DetectorDirection(2.0, -0.6)]
+
+    @staticmethod
+    def waves(k):
+        return [IncidentWave.linear(k, 1.0, np.pi, chi) for chi in (0.7, 0.7 + np.pi / 2)]
+
+    @pytest.mark.parametrize("case", ["control_k08", "reference_k13", "magnetic_tensor"])
+    def test_matches_per_pair(self, case, control_medium, reference_medium):
+        # one batched call equals the per-pair calls for every polarization
+        # and detector; at k = 1.3 the compliant F2 is nonzero (above threshold)
+        medium, k = {
+            "control_k08": (control_medium, K),
+            "reference_k13": (reference_medium, 1.3),
+            "magnetic_tensor": (MagneticTensorProfile(control_medium), K),
+        }[case]
+        waves = self.waves(k)
+        F = second_born_amplitudes(medium, waves, self.DETS, self.QUAD)
+        assert F.shape == (2, 3, 3)
+        for i, w in enumerate(waves):
+            for j, d in enumerate(self.DETS):
+                Fs = second_born_amplitude(medium, w, d, self.QUAD)
+                assert np.linalg.norm(Fs) > 1e-7
+                assert np.linalg.norm(F[i, j] - Fs) <= 1e-13 * np.linalg.norm(Fs)
+
+    def test_rejects_mixed_incidence_and_empty_lists(self, control_medium):
+        w = IncidentWave.linear(K, 1.0, np.pi, 0.7)
+        for other in (IncidentWave.linear(K, 1.1, np.pi, 0.7),
+                      IncidentWave.linear(K, 1.0, np.pi - 0.1, 0.7),
+                      IncidentWave.linear(0.9, 1.0, np.pi, 0.7)):
+            with pytest.raises(InvalidArgument, match="one k and one k_i"):
+                second_born_amplitudes(control_medium, [w, other], self.DETS, self.QUAD)
+        with pytest.raises(InvalidArgument, match="at least one"):
+            second_born_amplitudes(control_medium, [w], [], self.QUAD)
+        with pytest.raises(InvalidArgument, match="at least one"):
+            second_born_amplitudes(control_medium, [], self.DETS, self.QUAD)
+
+    def test_panel_guard_counts_polarizations(self, control_medium):
+        # a panel that fits at two polarizations but not at three is refused
+        # before anything is evaluated
+        quad = QuadratureSpec(24, 280, 280)
+        medium = CountingProfile(control_medium)
+        waves = [IncidentWave.linear(K, 1.0, np.pi, chi) for chi in (0.0, 0.5, 1.0)]
+        with pytest.raises(InvalidResolution, match="3 polarizations"):
+            second_born_amplitudes(medium, waves, self.DETS, quad)
+        assert medium.points == 0
+
+    @pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "tensor"])
+    def test_one_incident_link_and_no_early_exit(self, scalar, gausserf_medium,
+                                                 control_medium):
+        # per call: one incident-link pass plus one outgoing pass per
+        # detector, whatever the number of polarizations; the compliant
+        # medium, whose F2 is an exact zero, is evaluated at every point the
+        # control is
+        quad = QuadratureSpec(8, 12, 12)
+        link = (len(_PV_EDGES) * quad.n_radial + 1) * quad.n_mu * quad.n_phi
+        for n_det in (1, 3):
+            for n_pol in (1, 2, 3):
+                waves = [IncidentWave.linear(K, 1.0, np.pi, c) for c in (0.0, 0.5, 1.0)[:n_pol]]
+                points = []
+                for base in (gausserf_medium, control_medium):
+                    medium = CountingProfile(base, scalar)
+                    F = second_born_amplitudes(medium, waves, self.DETS[:n_det], quad)
+                    points.append(medium.points)
+                    assert np.any(F) == (base is control_medium)
+                assert points == [(1 + n_det) * link] * 2
+
+    def test_invisibility_report_matches_per_pair_scan(self, control_medium):
+        quad = QuadratureSpec(8, 16, 16)
+        rep = invisibility_report(control_medium, K, 16, order=2, quad=quad)
+        max_f2 = max(
+            np.linalg.norm(second_born_amplitude(
+                control_medium, IncidentWave.linear(K, th0, ph0, chi), d, quad))
+            for (th0, ph0), d in direction_pairs(16) for chi in (0.0, np.pi / 2)
+        )
+        assert rep.max_f2 > 0
+        assert abs(rep.max_f2 - max_f2) <= 1e-13 * max_f2
+
+
 class TestInvisibility:
     def test_invisible_at_half_alpha(self, reference_medium):
         rep = invisibility_report(reference_medium, 0.5 * ALPHA, 64)
@@ -238,6 +359,10 @@ class TestScaling:
             control_medium, 0.37, w, self.DIRS[:2], quad=QuadratureSpec(12, 24, 24)
         )
         assert rep.f2_rel_err < 1e-12
+
+    def test_needs_a_direction(self, reference_medium):
+        with pytest.raises(InvalidArgument, match="at least one direction"):
+            scaling_check(reference_medium, 0.5, W_TILTED, [])
 
     def test_bounds_violation(self):
         # a negative-amplitude control loses the positive lower bound on

@@ -146,6 +146,13 @@ class TestVerify:
             {"medium": dict(SPEC_MEDIUM, footprint=dict(SPEC_MEDIUM["footprint"], lx=1.0))},
             {"grid": {"n_disk": 8, "eps_ann": 1e-4}},
             {"grid": {"n_disk": 8.5}},
+            {"directions": {"n_detectors": "8"}},
+            {"directions": {"n_detectors": 8.0}},
+            {"directions": {"n_pairs": 16.7}},
+            {"directions": {"n_pairs": 0}},
+            {"seed": "3"},
+            {"seed": -1},
+            {"seed": True},
         ],
         ids=["k_negative", "k_text", "n_disk_text", "n_disk_4", "grazing",
              "zero_polarization", "unknown_suite", "tolerance_text", "quad_method",
@@ -153,7 +160,8 @@ class TestVerify:
              "quad_eps_over_k2", "quad_n_radial_fraction", "quad_n_radial_text",
              "incident_theta_deg", "top_level_seeds", "grid_n_box_8",
              "tolerance_suport", "gausserf_m_exp", "footprint_lx", "grid_eps_ann_1e-4",
-             "grid_n_disk_fraction"],
+             "grid_n_disk_fraction", "n_detectors_text", "n_detectors_float",
+             "n_pairs_fraction", "n_pairs_0", "seed_text", "seed_negative", "seed_bool"],
     )
     def test_malformed_field_exits_2_before_any_suite(self, tmp_path, monkeypatch, over):
         def no_suite(*args, **kwargs):
@@ -168,6 +176,12 @@ class TestVerify:
         out = tmp_path / "out"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "verify.json").exists()
+
+    def test_one_detector_names_the_key(self, tmp_path, capsys):
+        # the lower hemisphere would get no detector
+        cfg = write_config(tmp_path, SPEC_MEDIUM, directions={"n_detectors": 1})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "directions.n_detectors must be an integer >= 2, got 1" in capsys.readouterr().err
 
     def test_unknown_key_is_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SPEC_MEDIUM, grid={"n_disc": 8})
