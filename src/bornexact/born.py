@@ -53,6 +53,8 @@ def direction_pairs(n_pairs: int = 64):
     transfers q_x close to 2k, which quasi-uniform sampling misses, and are
     what first exceeds the support threshold when k crosses alpha/2.
     """
+    if not is_count(n_pairs) or n_pairs < 1:
+        raise InvalidArgument(f"n_pairs must be an integer >= 1, got {n_pairs!r}")
     pairs = []
     n_fib = n_pairs - (4 if n_pairs >= 8 else 0)
     inc = fibonacci_hemisphere((n_fib + 1) // 2, side=1)

@@ -93,13 +93,28 @@ def channels(p, k: float):
     """The two channels of H0(p): ((Pi_1, Pi_2), (omega_1, omega_2)).
 
     Channel j has projector Pi_j(p) and eigenvalue omega_j(p) = (-1)^j
-    varpi(p), so H0 Pi_j = omega_j Pi_j.  This is the one place that pairs
-    a channel with its eigenvalue; callers zip the two tuples.
+    varpi(p), so H0 Pi_j = omega_j Pi_j; channel_factors pairs the same
+    channels in rank-2 form.  Callers zip the two tuples.
     """
     w = np.asarray(varpi(p, k))
     R = free_hamiltonian(p, k) / w[..., None, None]
     eye = np.eye(4)
     return (0.5 * (eye - R), 0.5 * (eye + R)), (-w, w)
+
+
+def channel_factors(p, k: float):
+    """Rank-2 factors of the channels: (U, V, omega), stacked over j = 1, 2.
+
+    With s_j = (-1)^j and Lw = L0(p)/varpi(p), U_j = [I; -s_j Lw] (4x2) and
+    V_j = [I, s_j Lw] (2x4).  As L0^2 = -varpi^2 I, Pi_j = U_j V_j / 2 and
+    V_j U_m = 2 delta_jm I; omega_j = s_j varpi pairs them as in channels.
+    Shapes (2, ..., 4, 2), (2, ..., 2, 4) and (2, ...).
+    """
+    w = np.asarray(varpi(p, k))
+    sLw = np.multiply.outer([-1.0, 1.0], l0_block(p, k) / w[..., None, None])
+    eye = np.broadcast_to(np.eye(2), sLw.shape)
+    return (np.concatenate([eye, -sLw], axis=-2), np.concatenate([eye, sLw], axis=-1),
+            np.multiply.outer([-1.0, 1.0], w))
 
 
 @dataclass(frozen=True)

@@ -254,11 +254,58 @@ def transfer_first_order(
 # second-order Dyson diagnostic
 
 
+# traced peaks of _dyson_matrix (n_disk 8, 12; n_box 8, 20): 1.03-1.29 kB
+# per (disk, intermediate) pair while one core is held and the other C block
+# is evaluated and reduced, then about 1 kB per disk pair in the expansion
+_DYSON_PAIR_BYTES, _DYSON_DISK_PAIR_BYTES = 6 * 256, 4 * 256
+
+
 def _slab_ft(w, a_lo, a_hi):
     """E(w) = int_{a_lo}^{a_hi} e^{i w z} dz, stable for small/complex w."""
     L = a_hi - a_lo
     zbar = 0.5 * (a_hi + a_lo)
     return L * np.exp(1j * w * zbar) * _sinc(0.5 * L * w)
+
+
+def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
+    """The projected second-order Dyson term D(p, q) on disk x disk, (Nd, Nd, 4, 4)."""
+    if not profile.z_constant:
+        raise UnsupportedProfile(
+            "second-order Dyson diagnostic needs a z-constant profile; "
+            f"{type(profile).__name__} is not"
+        )
+    Pd, Pr, k = grid.disk_points, grid.points, grid.k
+    Nd, Nr = len(Pd), len(Pr)
+    if Nd == Nr:
+        raise InvalidResolution("grid has no outer box for intermediate momenta")
+    need = Nd * (Nr * _DYSON_PAIR_BYTES + Nd * _DYSON_DISK_PAIR_BYTES)
+    if need > MEMORY_CAP_BYTES:
+        raise InvalidResolution(f"Dyson needs {need >> 20} MiB > cap {MEMORY_CAP_BYTES >> 20} MiB")
+    a_lo, a_hi = profile.slab
+    Ud, Vd, wd = em.channel_factors(Pd, k)
+    Ur, Vr, wr = em.channel_factors(Pr, k)
+
+    def gap(wp, wq):  # omega(p) - omega(q), laid out (p, j, 1, q, m, 1)
+        return (wp.T[:, :, None, None] - wq.T)[:, :, None, :, :, None]
+
+    def core(V, p, q, U):  # V_j(p) C(p, q) U_m(q), laid out (p, j, x, q, m, y)
+        C = _bblock_zft(profile, p[:, None], q[None], 0.0, k) / (a_hi - a_lo)
+        return np.ascontiguousarray(np.einsum("jpxa,pqab,mqby->pjxqmy", V, C, U, optimize=True))
+
+    def gemm(A, B):
+        return (A.reshape(4 * Nd, -1) @ B.reshape(4 * Nr, -1)).reshape(Nd, 2, 2, Nd, 2, 2)
+
+    a = core(Vd, Pd, Pr, Ur)
+    b = core(Vr, Pr, Pd, Ud)
+    w1 = gap(wr, wd)
+    w1 = np.where(np.abs(w1) < 1e-9 * k, 1e-9 * k, w1)
+    b *= grid.weights[:, None, None, None, None, None] / (1j * w1)
+    T = gemm(a, b) * _slab_ft(gap(wd, wd), a_lo, a_hi)
+    a *= _slab_ft(gap(wd, wr), a_lo, a_hi)
+    b *= np.exp(1j * w1 * a_lo)
+    T -= gemm(a, b)
+    del a, b
+    return np.einsum("jpax,pjxqlz,lqzb->pqab", Ud, T, Vd, optimize=True) / -8.0
 
 
 def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float:
@@ -269,70 +316,29 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
     evanescent branch of varpi enters the interaction-picture phases.  The
     z-ordered double integral over the slab is closed-form, which requires
     profile.z_constant: eta independent of z inside profile.slab and zero
-    outside it.  Raises UnsupportedProfile for any other profile.
+    outside it.  Raises UnsupportedProfile for any other profile, and
+    InvalidResolution, before any transform, past MEMORY_CAP_BYTES.
 
     With C = B~(., .; 0) / (a_hi - a_lo) the transverse interaction blocks
     (exact for a z-constant medium), E the slab transform _slab_ft,
     intermediate channel m at r and w1 = omega_m(r) - omega_l(q):
 
-        D = -sum_{j,m} Pi_j(p) [sum_l E(omega_j(p) - omega_l(q)) A_m B_ml
-                                - (A_m E(omega_j(p) - omega_m(r))) H_m],
-        A_m = C(p, r) Pi_m(r),  B_ml = C(r, q) Pi_l(q) weight_r / (i w1),
-        H_m = sum_l B_ml e^{i w1 a_lo}.
+        D = -sum_{j,m,l} Pi_j(p) [E(omega_j(p) - omega_l(q)) sum_r G_ml
+                                  - sum_r E(omega_j(p) - omega_m(r)) G_ml e^{i w1 a_lo}],
+        G_ml = C(p, r) Pi_m(r) C(r, q) Pi_l(q) weight_r / (i w1).
 
-    Each factor is built at the loop depth where it varies: m outermost,
-    then l (A_m B_ml and H_m), then j.  That is 8 contractions over r.
+    With Pi_j = U_j V_j / 2 and V_j U_m = 2 delta_jm I (em.channel_factors),
+    C reduces to 2x2 cores a_jm(p, r) = V_j(p) C(p, r) U_m(r) and
+    b_ml(r, q) = V_m(r) C(r, q) U_l(q) that absorb the r-dependent factors,
+    the two r-sums are two complex (4 Nd x 4 Nr)(4 Nr x 4 Nd) GEMMs giving
+    T_jl(p, q), and D = -(1/8) sum_{j,l} U_j(p) T_jl(p, q) V_l(q).
 
     Known limit: the Cartesian outer box is invariant only under quarter
     turns, so the result depends on the medium's orientation.  On
     build_momentum_grid(0.8, 4.8, 8, 8) the Gaussian control reads 8.707
     unrotated and 2027 after rotate_to_x(control, (0.6, 0.8)).
     """
-    if not profile.z_constant:
-        raise UnsupportedProfile(
-            "second-order Dyson diagnostic needs a z-constant profile; "
-            f"{type(profile).__name__} is not"
-        )
-    if grid.n_disk_points == grid.points.shape[0]:
-        raise InvalidResolution("grid has no outer box for intermediate momenta")
-    a_lo, a_hi = profile.slab
-    k = grid.k
-    Pd = grid.disk_points
-    Pr = grid.points
-    Xd, wd = em.channels(Pd, k)
-    Xr, wr = em.channels(Pr, k)
-
-    C_dr = _bblock_zft(profile, Pd[:, None], Pr[None], 0.0, k)  # (Nd, Nr, 4, 4)
-    C_rd = _bblock_zft(profile, Pr[:, None], Pd[None], 0.0, k)  # (Nr, Nd, 4, 4)
-    C_dr /= a_hi - a_lo
-    C_rd /= a_hi - a_lo
-
-    def E(w):
-        return _slab_ft(w, a_lo, a_hi)[..., None, None]
-
-    def contract(A, B):
-        return np.einsum("prab,rqbc->pqac", A, B, optimize=True)
-
-    wfloor = 1e-9 * k
-    wr_fold = grid.weights[:, None, None, None]
-    D = np.zeros((Pd.shape[0], Pd.shape[0], 4, 4), dtype=complex)
-    for Pm, wm in zip(Xr, wr):
-        A = np.einsum("prab,rbc->prac", C_dr, Pm, optimize=True)
-        H = np.zeros_like(C_rd)
-        M = []
-        for Pl, wl in zip(Xd, wd):
-            w1 = wm[:, None] - wl[None, :]
-            w1 = np.where(np.abs(w1) < wfloor, wfloor, w1)
-            B = np.einsum("rqab,qbc->rqac", C_rd, Pl, optimize=True)
-            B *= wr_fold / (1j * w1[..., None, None])
-            M.append(contract(A, B))
-            H += B * np.exp(1j * w1 * a_lo)[..., None, None]
-            del B
-        for Pj, wj in zip(Xd, wd):
-            inner = sum(E(wj[:, None] - wl[None, :]) * Ml for wl, Ml in zip(wd, M))
-            inner -= contract(A * E(wj[:, None] - wm[None, :]), H)
-            D -= Pj[:, None] @ inner  # (-i)^2 overall
-    return float(np.abs(D).max())
+    return float(np.abs(_dyson_matrix(profile, grid)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from bornexact.medium import (
     RationalEnvelopeProfile,
 )
 from bornexact.sampled import _interp
-from bornexact.transfer import _assemble_v
+from bornexact.transfer import _assemble_v, _bblock_zft, _slab_ft
 
 
 _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -91,6 +91,51 @@ def zquad_kernel(profile, k, p, q, nz=48):
             )
             out = out + Pj @ B @ Pl
     return -1j * out
+
+
+def dyson_matrix_ref(profile, grid):
+    """The full second-order Dyson term D (Nd, Nd, 4, 4) from 4x4 projectors.
+
+    Same sum as transfer._dyson_matrix, with the projectors Pi_j of
+    em.channels kept whole: for each intermediate channel m and disk channel
+    l it forms A_m = C(p, r) Pi_m(r) and B_ml = C(r, q) Pi_l(q) weight_r /
+    (i w1), and contracts them over r eight times, where the package reduces
+    C to rank-2 cores and makes two contractions.
+    """
+    a_lo, a_hi = profile.slab
+    k = grid.k
+    Pd = grid.disk_points
+    Pr = grid.points
+    Xd, wd = em.channels(Pd, k)
+    Xr, wr = em.channels(Pr, k)
+    C_dr = _bblock_zft(profile, Pd[:, None], Pr[None], 0.0, k) / (a_hi - a_lo)
+    C_rd = _bblock_zft(profile, Pr[:, None], Pd[None], 0.0, k) / (a_hi - a_lo)
+
+    def E(w):
+        return _slab_ft(w, a_lo, a_hi)[..., None, None]
+
+    def contract(A, B):
+        return np.einsum("prab,rqbc->pqac", A, B, optimize=True)
+
+    wfloor = 1e-9 * k
+    wr_fold = grid.weights[:, None, None, None]
+    D = np.zeros((Pd.shape[0], Pd.shape[0], 4, 4), dtype=complex)
+    for Pm, wm in zip(Xr, wr):
+        A = np.einsum("prab,rbc->prac", C_dr, Pm, optimize=True)
+        H = np.zeros_like(C_rd)
+        M = []
+        for Pl, wl in zip(Xd, wd):
+            w1 = wm[:, None] - wl[None, :]
+            w1 = np.where(np.abs(w1) < wfloor, wfloor, w1)
+            B = np.einsum("rqab,qbc->rqac", C_rd, Pl, optimize=True)
+            B *= wr_fold / (1j * w1[..., None, None])
+            M.append(contract(A, B))
+            H += B * np.exp(1j * w1 * a_lo)[..., None, None]
+        for Pj, wj in zip(Xd, wd):
+            inner = sum(E(wj[:, None] - wl[None, :]) * Ml for wl, Ml in zip(wd, M))
+            inner -= contract(A * E(wj[:, None] - wm[None, :]), H)
+            D -= Pj[:, None] @ inner  # (-i)^2 overall
+    return D
 
 
 def ieps_second_born(profile, w, d, quad):

@@ -326,6 +326,13 @@ class TestBatchedSecondBorn:
 
 
 class TestInvisibility:
+    @pytest.mark.parametrize("n_pairs", [0, 2.5, True])
+    def test_bad_n_pairs_named(self, reference_medium, n_pairs):
+        for call in (lambda: direction_pairs(n_pairs),
+                     lambda: invisibility_report(reference_medium, 0.8, n_pairs)):
+            with pytest.raises(InvalidArgument, match=f"n_pairs .*got {n_pairs!r}$"):
+                call()
+
     def test_invisible_at_half_alpha(self, reference_medium):
         rep = invisibility_report(reference_medium, 0.5 * ALPHA, 64)
         assert rep.invisible

@@ -16,6 +16,13 @@ def random_disk_points(n, k, rng, margin=0.05):
     return np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
 
 
+def disk_and_evanescent_points(k, rng, n=2000):
+    """n disk and n evanescent momenta, all outside the guard annulus."""
+    rho = np.concatenate([rng.uniform(0.0, 0.95, n), rng.uniform(1.05, 4.0, n)]) * k
+    phi = rng.uniform(0, 2 * np.pi, rho.size)
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
+
+
 class TestVarpi:
     def test_center(self):
         assert em.varpi(np.array([0.0, 0.0]), 1.0) == pytest.approx(1.0)
@@ -99,11 +106,8 @@ class TestProjectors:
             em.projector(3, np.zeros(2), 1.0)
 
     def test_channels_disk_and_evanescent(self):
-        rng = np.random.default_rng(4)
         k = 0.8
-        rho = np.concatenate([rng.uniform(0.0, 0.95, 2000), rng.uniform(1.05, 4.0, 2000)]) * k
-        phi = rng.uniform(0, 2 * np.pi, rho.size)
-        pts = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
+        pts = disk_and_evanescent_points(k, np.random.default_rng(4))
         (P1, P2), (w1, w2) = em.channels(pts, k)
         assert np.array_equal(P1, em.projector(1, pts, k))
         assert np.array_equal(P2, em.projector(2, pts, k))
@@ -114,6 +118,21 @@ class TestProjectors:
         for P, w in ((P1, w1), (P2, w2)):
             resid = np.abs(H @ P - w[:, None, None] * P).max()
             assert resid < 1e-12 * scale * np.abs(w).max()
+
+    def test_channel_factors_rebuild_projectors(self):
+        # Pi_j = U_j V_j / 2 and V_j U_m = 2 delta_jm I on the disk and on
+        # evanescent momenta outside the guard annulus
+        k = 0.8
+        pts = disk_and_evanescent_points(k, np.random.default_rng(5))
+        U, V, omega = em.channel_factors(pts, k)
+        assert U.shape == (2, len(pts), 4, 2) and V.shape == (2, len(pts), 2, 4)
+        Pis, ws = em.channels(pts, k)
+        assert np.array_equal(omega, np.stack(ws))
+        for j, Pi in enumerate(Pis):
+            assert np.abs(U[j] @ V[j] / 2 - Pi).max() <= 1e-14 * np.abs(Pi).max()
+            for m in range(2):
+                resid = np.abs(V[j] @ U[m] - 2.0 * (j == m) * np.eye(2)).max()
+                assert resid <= 1e-14 * np.abs(Pi).max()
 
 
 class TestIncidentWave:

@@ -31,13 +31,15 @@ from bornexact.errors import (
     StraddlesSupportEdge,
     UnsupportedProfile,
 )
+from bornexact.medium import MediumProfile
 from bornexact.transfer import (
     _KERNEL_COLUMN_BYTES,
     _KERNEL_PAIR_BYTES,
     _assemble_v,
     _bblock_zft,
+    _dyson_matrix,
 )
-from oracles import assemble_v_ref, deltaH_block, zquad_kernel
+from oracles import assemble_v_ref, deltaH_block, dyson_matrix_ref, zquad_kernel
 
 ALPHA = 1.0
 K = 0.8
@@ -46,6 +48,23 @@ W_TILTED = IncidentWave.linear(K, 1.0, np.pi, 0.7)
 
 def vacuum_profile():
     return RationalEnvelopeProfile(ALPHA, 2.0, 1, TransverseBox(0.0, 3.0, 4.0))
+
+
+class CountingProfile(MediumProfile):
+    """Forwards the 3D transforms of a z-constant base and counts the points asked for."""
+
+    def __init__(self, base):
+        self.base, self.alpha, self.slab = base, base.alpha, base.slab
+        self.z_constant = base.z_constant
+        self.points = 0
+
+    def eta3_tensors(self, q3):
+        self.points += q3.size // 3
+        return self.base.eta3_tensors(q3)
+
+    def recip33_ft3(self, q3, which):
+        self.points += q3.size // 3
+        return self.base.recip33_ft3(q3, which)
 
 
 def dyson_block(profile, p, q):
@@ -305,6 +324,41 @@ class TestDyson:
     def test_rotated_compliant_exact_zero(self, reference_medium, small_box):
         rot = rotate_to_x(reference_medium, (0.6, 0.8))
         assert dyson_second_order_norm(rot, small_box) == 0.0
+
+    # the full matrix sees the z-ordering phase e^{i w1 a_lo}, which the
+    # max-norm pins above do not; at k = 1.2 the compliant medium is above
+    # threshold and D is nonzero.  There intermediates on the shell of q have
+    # w1 at the 1e-9 k floor, where the two r-sums cancel to O(w1) and
+    # roundoff grows by 1/w1: either route moves by up to 1.3e-7 relative
+    # when the medium is rescaled by 1 + 2^-40
+    @pytest.mark.parametrize("case, rel", [("control", 1e-10), ("control_rotated", 1e-10),
+                                           ("compliant_k12", 1e-6)])
+    def test_matrix_matches_oracle(self, case, rel, control_medium, reference_medium, small_box):
+        medium, grid = {
+            "control": (control_medium, small_box),
+            "control_rotated": (rotate_to_x(control_medium, (0.6, 0.8)), small_box),
+            "compliant_k12": (reference_medium, build_momentum_grid(1.2, 7.2, 8, 8)),
+        }[case]
+        D = _dyson_matrix(medium, grid)
+        ref = dyson_matrix_ref(medium, grid)
+        assert D.shape == ref.shape == (grid.n_disk_points,) * 2 + (4, 4)
+        assert np.abs(ref).max() > 0
+        assert np.abs(D - ref).max() <= rel * np.abs(ref).max()
+
+    def test_compliant_evaluated_like_control(self, control_medium, reference_medium, small_box):
+        points = []
+        for base in (reference_medium, control_medium):
+            medium = CountingProfile(base)
+            norm = dyson_second_order_norm(medium, small_box)
+            assert (norm == 0.0) == (base is reference_medium)
+            points.append(medium.points)
+        assert points[0] == points[1] > 0
+
+    def test_memory_guard_before_any_transform(self, reference_medium):
+        medium = CountingProfile(reference_medium)
+        with pytest.raises(InvalidResolution, match=r"needs \d+ MiB > cap"):
+            dyson_second_order_norm(medium, build_momentum_grid(K, 6 * K, 64, 256))
+        assert medium.points == 0
 
     def test_sampled_unsupported(self, reference_medium, grid_with_box):
         samp = sample_profile(
