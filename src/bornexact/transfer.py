@@ -1,21 +1,18 @@
 """Discretized fundamental transfer matrix and its amplitude pipeline.
 
 The projected interaction-picture evolution operator M = pi U(inf,-inf) pi
-acts on 4-component functions of the transverse momentum disk |p| < k.  For
-compliant media every Dyson term beyond the first vanishes by the one-sided
-support algebra, leaving the single z-integral kernel
+acts on 4-component functions of the transverse momentum disk |p| < k.  Its
+first-order kernel is
 
     K(p,q) = -i sum_{j,l} Pi_j(p) B~(p, q; omega_j(p) - omega_l(q)) Pi_l(q),
 
-where channel j of the free generator H0(p) has projector Pi_j(p) and
-eigenvalue omega_j(p) = (-1)^j varpi(p) (em.channels), and B~(p, q; w) is
-the z-Fourier transform of the projected interaction kernel at frequency -w
-(the medium's 3D transform at q_z = -w).  T_+/- then follow from the
-compliant closed forms t_+ = Pi_1 K(., k_i) Y and t_- = -Pi_2 K(., k_i) Y;
-the far-field amplitude is extracted with the Xi contraction.
-
-Nothing here assumes Hermiticity; the effective generator is generally
-non-Hermitian and all kernels are general-complex.
+with Pi_j = U_j V_j / 2 and omega_j = (-1)^j varpi the rank-2 channels of
+em.channel_factors and B~(p, q; w) the interaction block of the medium's 3D
+transform at q_z = -w.  Kernel, closed-form T and Dyson are built from the
+2x2 cores a_jl = V_j B~ U_l of _cores: one block per pair, B~ = C E(w), for
+a z-constant medium, four otherwise.  T_+/- are the first-order closed forms
+t_+ = Pi_1 K(., k_i) Y and t_- = -Pi_2 K(., k_i) Y, contracted with Xi for
+the far field.  Nothing assumes Hermiticity: all kernels are general-complex.
 """
 
 from __future__ import annotations
@@ -181,23 +178,50 @@ def _bblock_zft(profile: MediumProfile, p, q, w, k: float):
     return _assemble_v(p, q, k, Te, Tm, re, rm)
 
 
+def _slab_ft(w, a_lo, a_hi):
+    """E(w) = int_{a_lo}^{a_hi} e^{i w z} dz, stable for small/complex w."""
+    L = a_hi - a_lo
+    zbar = 0.5 * (a_hi + a_lo)
+    return L * np.exp(1j * w * zbar) * _sinc(0.5 * L * w)
+
+
+def _cores(profile: MediumProfile, k: float, p, q, transverse: bool = False):
+    """Cores a_jl(p, q) = V_j(p) B~(p, q; omega_j(p) - omega_l(q)) U_l(q), (P, j, x, ..., l, y).
+
+    p (P, ..., 2) and q (P or 1, ..., 2) broadcast.  A z-constant medium has
+    B~(p, q; w) = C(p, q) E(w), C = B~(p, q; 0) / (a_hi - a_lo), E = _slab_ft:
+    one C per pair, and E scales each (j, l) core (transverse=True: the cores
+    of C).  Other media take four 3D evaluations, at q_z = -(omega_j - omega_l).
+    """
+    (_, Vp, wp), (Uq, _, wq) = em.channel_factors(p, k), em.channel_factors(q, k)
+    # C meets the longer side's factor first (q's on a tie): chunks of rows sum alike
+    spec = "jp...xa,p...ab,lp...by->pjx...ly"
+    path = ["einsum_path", (0, 1) if Vp.size > Uq.size else (1, 2), (0, 1)]
+    if profile.z_constant:
+        a_lo, a_hi = profile.slab
+        C = _bblock_zft(profile, p, q, 0.0, k) / (a_hi - a_lo)
+        a = np.ascontiguousarray(np.einsum(spec, Vp, C, Uq, optimize=path))
+        if not transverse:  # omega_j(p) - omega_l(q), laid out as the cores
+            a *= _slab_ft(np.moveaxis(wp, 0, 1)[:, :, None, ..., None, None]
+                          - np.moveaxis(wq, 0, -1)[:, None, None, ..., :, None], a_lo, a_hi)
+        return a
+    rows = [[np.einsum(spec, Vp[j, None], _bblock_zft(profile, p, q, wp[j] - wq[l], k),
+                       Uq[l, None], optimize=path) for l in (0, 1)] for j in (0, 1)]
+    return np.concatenate([np.concatenate(r, axis=-2) for r in rows], axis=1)
+
+
 def firstorder_kernel(profile: MediumProfile, k: float, p, q):
     """First-order kernel K(p, q) of M - pi between disk momenta.
 
-    K(p,q) = -i sum_{j,l} Pi_j(p) B~(p,q; omega_j(p) - omega_l(q)) Pi_l(q),
-    summed over the channel pairs of em.channels, with the z-integral taken
-    through the medium's closed-form transforms.  p and q broadcast against
-    each other.
+    K = -(i/4) sum_{j,l} U_j(p) a_jl(p, q) V_l(q) from the rank-2 cores of
+    _cores, in one contraction of fixed order.  p and q broadcast.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    Xp, wp = em.channels(p, k)
-    Xq, wq = em.channels(q, k)
-    out = 0
-    for Pj, wj in zip(Xp, wp):
-        for Pl, wl in zip(Xq, wq):
-            out = out + Pj @ _bblock_zft(profile, p, q, wj - wl, k) @ Pl
-    return -1j * out
+    shape = np.broadcast_shapes(np.shape(p), np.shape(q))
+    p, q = (np.asarray(x, float)[(None,) * (max(len(shape), 2) - np.ndim(x))] for x in (p, q))
+    K = np.einsum("jp...ax,pjx...ly,lp...yb->p...ab", -0.25j * em.channel_factors(p, k)[0],
+                  _cores(profile, k, p, q), em.channel_factors(q, k)[1],
+                  optimize=["einsum_path", (0, 1), (0, 1)])
+    return K.reshape(shape[:-1] + (4, 4))
 
 
 @dataclass
@@ -213,12 +237,11 @@ class TransferKernel:
         return float(np.abs(self.K).max())
 
 
-# working set of firstorder_kernel: at most seven 4x4 complex blocks per
-# (p, q) pair plus two projectors per column momentum q (tracemalloc, one
-# chunk at n_disk 8 and 16: 1.15-1.18 kB per pair for the envelope families,
-# 1.29 kB for a sampled medium with 16 z-slices; 0.5 kB per column)
-_KERNEL_PAIR_BYTES = 7 * 256
-_KERNEL_COLUMN_BYTES = 2 * 256
+# traced working set of firstorder_kernel (n_disk 8, 16): 1.03 kB per (p, q)
+# pair for envelope media, 1.09 kB sampled (16 z-slices), plus 0.55-0.6 kB per
+# column q; solve_T, one pair and row per point: 1.31 kB, 1.38-1.41 kB sampled
+_KERNEL_PAIR_BYTES = 5 * 256
+_KERNEL_COLUMN_BYTES = 3 * 256
 
 
 def transfer_first_order(
@@ -260,15 +283,8 @@ def transfer_first_order(
 _DYSON_PAIR_BYTES, _DYSON_DISK_PAIR_BYTES = 6 * 256, 4 * 256
 
 
-def _slab_ft(w, a_lo, a_hi):
-    """E(w) = int_{a_lo}^{a_hi} e^{i w z} dz, stable for small/complex w."""
-    L = a_hi - a_lo
-    zbar = 0.5 * (a_hi + a_lo)
-    return L * np.exp(1j * w * zbar) * _sinc(0.5 * L * w)
-
-
 def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
-    """The projected second-order Dyson term D(p, q) on disk x disk, (Nd, Nd, 4, 4)."""
+    """Projected second-order Dyson term D(p, q), (Nd, Nd, 4, 4), from the cores of _cores."""
     if not profile.z_constant:
         raise UnsupportedProfile(
             "second-order Dyson diagnostic needs a z-constant profile; "
@@ -283,20 +299,16 @@ def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
         raise InvalidResolution(f"Dyson needs {need >> 20} MiB > cap {MEMORY_CAP_BYTES >> 20} MiB")
     a_lo, a_hi = profile.slab
     Ud, Vd, wd = em.channel_factors(Pd, k)
-    Ur, Vr, wr = em.channel_factors(Pr, k)
+    wr = em.channel_factors(Pr, k)[2]
 
     def gap(wp, wq):  # omega(p) - omega(q), laid out (p, j, 1, q, m, 1)
         return (wp.T[:, :, None, None] - wq.T)[:, :, None, :, :, None]
 
-    def core(V, p, q, U):  # V_j(p) C(p, q) U_m(q), laid out (p, j, x, q, m, y)
-        C = _bblock_zft(profile, p[:, None], q[None], 0.0, k) / (a_hi - a_lo)
-        return np.ascontiguousarray(np.einsum("jpxa,pqab,mqby->pjxqmy", V, C, U, optimize=True))
-
     def gemm(A, B):
         return (A.reshape(4 * Nd, -1) @ B.reshape(4 * Nr, -1)).reshape(Nd, 2, 2, Nd, 2, 2)
 
-    a = core(Vd, Pd, Pr, Ur)
-    b = core(Vr, Pr, Pd, Ud)
+    a = _cores(profile, k, Pd[:, None], Pr[None], transverse=True)
+    b = _cores(profile, k, Pr[:, None], Pd[None], transverse=True)
     w1 = gap(wr, wd)
     w1 = np.where(np.abs(w1) < 1e-9 * k, 1e-9 * k, w1)
     b *= grid.weights[:, None, None, None, None, None] / (1j * w1)
@@ -327,11 +339,9 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
                                   - sum_r E(omega_j(p) - omega_m(r)) G_ml e^{i w1 a_lo}],
         G_ml = C(p, r) Pi_m(r) C(r, q) Pi_l(q) weight_r / (i w1).
 
-    With Pi_j = U_j V_j / 2 and V_j U_m = 2 delta_jm I (em.channel_factors),
-    C reduces to 2x2 cores a_jm(p, r) = V_j(p) C(p, r) U_m(r) and
-    b_ml(r, q) = V_m(r) C(r, q) U_l(q) that absorb the r-dependent factors,
-    the two r-sums are two complex (4 Nd x 4 Nr)(4 Nr x 4 Nd) GEMMs giving
-    T_jl(p, q), and D = -(1/8) sum_{j,l} U_j(p) T_jl(p, q) V_l(q).
+    C reduces to the rank-2 cores a_jm(p, r) and b_ml(r, q) of _cores, which
+    absorb the r-dependent factors; the two r-sums are two complex GEMMs
+    giving T_jl(p, q), and D = -(1/8) sum_{j,l} U_j(p) T_jl(p, q) V_l(q).
 
     Known limit: the Cartesian outer box is invariant only under quarter
     turns, so the result depends on the medium's orientation.  On
@@ -347,7 +357,7 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
 
 @dataclass
 class TSolution:
-    """Disk amplitudes t_-, t_+ with the 4 pi^2 delta factor kept symbolic.
+    """First-order closed-form disk amplitudes t_-, t_+ of solve_T, 4 pi^2 kept symbolic.
 
     T_+/- = 4 pi^2 t_+/- relative to the delta-normalized incident state;
     the factor cancels against the delta in the far-field column extraction.
@@ -361,10 +371,13 @@ class TSolution:
 
 
 def _closed_form_t(profile, w: IncidentWave, p2):
-    """(t_-, t_+) at transverse momenta p2 (N, 2) from the compliant closed form."""
-    col = np.einsum("nab,b->na", firstorder_kernel(profile, w.k, p2, w.vec_k_i), w.upsilon)
-    (P1, P2), _ = em.channels(p2, w.k)
-    return -np.einsum("nab,nb->na", P2, col), np.einsum("nab,nb->na", P1, col)
+    """(t_-, t_+) at p2 (N, 2): t_+ = -(i/4) U_1 sum_l a_1l V_l(k_i) Y = Pi_1 K(., k_i) Y
+    and t_- = (i/4) U_2 sum_l a_2l V_l(k_i) Y = -Pi_2 K(., k_i) Y, a_jl from _cores."""
+    ki = w.vec_k_i[None]
+    VY = em.channel_factors(ki, w.k)[1][:, 0] @ w.upsilon
+    s = np.einsum("njxly,ly->jnx", _cores(profile, w.k, p2, ki), VY)
+    t1, t2 = np.einsum("jnax,jnx->jna", em.channel_factors(p2, w.k)[0], s)
+    return 0.25j * t2, -0.25j * t1
 
 
 def solve_T(
@@ -376,9 +389,10 @@ def solve_T(
 ) -> TSolution:
     """One-sided amplitudes T_+/- on the disk grid.
 
-    Evaluates the compliant closed form t_+ = Pi_1 K(., k_i) Y and
-    t_- = -Pi_2 K(., k_i) Y, exact whenever (M - pi) T_- = 0.  method must
-    be "fast", the only solver.
+    Evaluates the first-order closed form t_+ = Pi_1 K(., k_i) Y and
+    t_- = -Pi_2 K(., k_i) Y, exact only when (M - pi) Pi_2 (M - pi) = 0: not
+    above threshold (id101 is 1.3e-2 max|K|^2 at k = 1.2 alpha).  method must
+    be "fast", the only solver.  InvalidResolution past MEMORY_CAP_BYTES.
     """
     if method != "fast":
         raise InvalidArgument(f"unknown solve method {method!r}")
@@ -390,9 +404,10 @@ def solve_T(
     if abs(w.k - k) > 1e-12 * k:
         raise InvalidArgument("incident wavenumber differs from grid wavenumber")
     if np.linalg.norm(w.vec_k_i) >= grid.rho_max:
-        raise IncidenceOutsideDisk(
-            "transverse incident momentum reaches the disk rim"
-        )
+        raise IncidenceOutsideDisk("transverse incident momentum reaches the disk rim")
+    need = grid.n_disk_points * (_KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES)
+    if need > MEMORY_CAP_BYTES:
+        raise InvalidResolution(f"T needs {need >> 20} MiB > cap {MEMORY_CAP_BYTES >> 20} MiB")
     t_minus, t_plus = _closed_form_t(profile, w, grid.disk_points)
     return TSolution(grid, w, profile, t_minus, t_plus)
 

@@ -66,6 +66,26 @@ def deltaH_block(profile, z, p, q, k):
     return out[0] if single else out
 
 
+def firstorder_kernel_ref(profile, k, p, q):
+    """First-order kernel K(p, q) from four whole interaction blocks.
+
+    K = -i sum_{j,l} Pi_j(p) B~(p, q; omega_j(p) - omega_l(q)) Pi_l(q) with
+    the 4x4 projectors of em.channels, each block from the 3D transforms at
+    q_z = -(omega_j - omega_l), where transfer.firstorder_kernel reduces one
+    block per pair (z-constant media) or the four to rank-2 cores.  p and q
+    broadcast against each other.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    Xp, wp = em.channels(p, k)
+    Xq, wq = em.channels(q, k)
+    out = 0
+    for Pj, wj in zip(Xp, wp):
+        for Pl, wl in zip(Xq, wq):
+            out = out + Pj @ _bblock_zft(profile, p, q, wj - wl, k) @ Pl
+    return -1j * out
+
+
 def zquad_kernel(profile, k, p, q, nz=48):
     """First-order kernel K(p, q) with the z-integral by slab quadrature.
 

@@ -15,12 +15,14 @@ from bornexact import (
     amplitude_from_T,
     build_momentum_grid,
     dyson_second_order_norm,
+    em,
     first_born_amplitude,
     firstorder_kernel,
     identity_id101_residual,
     rotate_to_x,
     sample_profile,
     solve_T,
+    transfer,
     transfer_first_order,
 )
 from bornexact.errors import (
@@ -39,7 +41,13 @@ from bornexact.transfer import (
     _bblock_zft,
     _dyson_matrix,
 )
-from oracles import assemble_v_ref, deltaH_block, dyson_matrix_ref, zquad_kernel
+from oracles import (
+    assemble_v_ref,
+    deltaH_block,
+    dyson_matrix_ref,
+    firstorder_kernel_ref,
+    zquad_kernel,
+)
 
 ALPHA = 1.0
 K = 0.8
@@ -51,7 +59,7 @@ def vacuum_profile():
 
 
 class CountingProfile(MediumProfile):
-    """Forwards the 3D transforms of a z-constant base and counts the points asked for."""
+    """Forwards the 3D transforms of a base medium and counts the points asked for."""
 
     def __init__(self, base):
         self.base, self.alpha, self.slab = base, base.alpha, base.slab
@@ -65,6 +73,42 @@ class CountingProfile(MediumProfile):
     def recip33_ft3(self, q3, which):
         self.points += q3.size // 3
         return self.base.recip33_ft3(q3, which)
+
+
+class ShiftedProfile(MediumProfile):
+    """A z-constant medium moved by z0 along z, still z-constant.
+
+    Its slab moves by z0 and its 3D transforms gain e^{-i q_z z0}.  Every
+    closed-form medium's slab is centred on z = 0, where the slab transform
+    is even, E(w) = E(-w); off centre, a flipped frequency shows.
+    """
+
+    def __init__(self, base, z0):
+        self.base, self.z0, self.alpha = base, z0, base.alpha
+        self.slab = (base.slab[0] + z0, base.slab[1] + z0)
+        self.z_constant = base.z_constant
+
+    def _phase(self, q3):
+        return np.exp(-1j * q3[..., 2] * self.z0)
+
+    def eta3_tensors(self, q3):
+        return tuple(self._phase(q3)[..., None, None] * T for T in self.base.eta3_tensors(q3))
+
+    def recip33_ft3(self, q3, which):
+        return self._phase(q3) * self.base.recip33_ft3(q3, which)
+
+
+def cut_control(control_medium):
+    """The Gaussian control sampled on 32 z-slices of width 0.125, cut to z >= 0.
+
+    Its transform is not even in q_z, and it is not z-constant.
+    """
+    dz = 0.125
+    sampled = sample_profile(control_medium, (32, 16, 32), (-16.0, -2.0, -2.0 + dz / 2),
+                             (1.0, 0.25, dz))
+    z = -2.0 + dz / 2 + dz * np.arange(32)
+    return SampledProfile(sampled.ee * (z >= 0)[:, None, None], None, sampled.origin,
+                          sampled.spacing, slab=sampled.slab)
 
 
 def dyson_block(profile, p, q):
@@ -153,12 +197,7 @@ class TestKernel:
         # centres of 0.125-wide cells filling the slab; the z-sum then differs
         # from the slab integral by sinc(w dz / 2), at most (2k dz)^2 / 24 =
         # 1.7e-3 off 1 (measured 2.9e-4; 1.04 with q_z = +w)
-        dz = 0.125
-        sampled = sample_profile(control_medium, (32, 16, 32), (-16.0, -2.0, -2.0 + dz / 2),
-                                 (1.0, 0.25, dz))
-        z = -2.0 + dz / 2 + dz * np.arange(32)
-        cut = SampledProfile(sampled.ee * (z >= 0)[:, None, None], None, sampled.origin,
-                             sampled.spacing, slab=sampled.slab)
+        cut = cut_control(control_medium)
         for medium, gate in ((reference_medium, 1e-8), (gausserf_medium, 1e-8),
                              (control_medium, 1e-8), (cut, 2e-3)):
             K1 = firstorder_kernel(medium, K, p, q)
@@ -262,6 +301,59 @@ class TestKernel:
             tracemalloc.stop()
         assert kern.norm_max > 0
         assert peak <= cap
+
+    # z-constant media take one block per pair, scaled per channel pair by
+    # the slab transform; the sampled cut takes four 3D evaluations per pair.
+    # At k = 1.2 the compliant kernel is nonzero above threshold, and the
+    # shifted control makes the sign of the slab transform's frequency show
+    KERNEL_CASES = ["compliant", "gausserf", "control", "control_rotated", "cut",
+                    "compliant_k12", "control_shifted"]
+
+    @pytest.fixture(scope="class")
+    def oracle_case(self, request, reference_medium, gausserf_medium, control_medium, grid):
+        medium, k = {
+            "compliant": (reference_medium, K),
+            "gausserf": (gausserf_medium, K),
+            "control": (control_medium, K),
+            "control_rotated": (rotate_to_x(control_medium, (0.6, 0.8)), K),
+            "cut": (cut_control(control_medium), K),
+            "compliant_k12": (reference_medium, 1.2),
+            "control_shifted": (ShiftedProfile(control_medium, 0.7), K),
+        }[request.param]
+        g = grid if k == K else build_momentum_grid(k, 6 * k, 8, 0)
+        return medium, g, IncidentWave.linear(k, 1.0, np.pi, 0.7)
+
+    @pytest.mark.parametrize("oracle_case", KERNEL_CASES, indirect=True)
+    def test_kernel_matches_oracle(self, oracle_case):
+        medium, g, _ = oracle_case
+        P = g.disk_points
+        K1 = transfer_first_order(medium, g).K
+        ref = firstorder_kernel_ref(medium, g.k, P[:, None], P[None])
+        assert np.abs(ref).max() > 0
+        assert np.abs(K1 - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("oracle_case", KERNEL_CASES, indirect=True)
+    def test_closed_form_matches_oracle(self, oracle_case):
+        medium, g, w = oracle_case
+        P = g.disk_points
+        sol = solve_T(None, w, profile=medium, grid=g)
+        col = firstorder_kernel_ref(medium, g.k, P, w.vec_k_i) @ w.upsilon
+        (P1, P2), _ = em.channels(P, g.k)
+        for t, ref in ((sol.t_minus, -np.einsum("nab,nb->na", P2, col)),
+                       (sol.t_plus, np.einsum("nab,nb->na", P1, col))):
+            assert np.abs(ref).max() > 0
+            assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_transform_points_per_branch(self, reference_medium, control_medium, grid):
+        # per symbol (eta3 and the two reciprocals): one point per pair for
+        # z-constant media, compliant or not, and four for the sampled cut
+        n_pairs = grid.n_disk_points**2
+        points = []
+        for base in (reference_medium, control_medium, cut_control(control_medium)):
+            medium = CountingProfile(base)
+            transfer_first_order(medium, grid)
+            points.append(medium.points)
+        assert points == [3 * n_pairs, 3 * n_pairs, 3 * 4 * n_pairs]
 
     def test_m_equals_pi_below_half_alpha(self, reference_medium):
         g = build_momentum_grid(0.5, 3.0, 8, 0)
@@ -413,6 +505,24 @@ class TestSolve:
     def test_only_closed_form_method(self, ref_kernel):
         with pytest.raises(ValueError):
             solve_T(ref_kernel, W_TILTED, method="generic")
+
+    def test_memory_guard_before_any_transform(self, reference_medium, monkeypatch):
+        # 65536 disk points need 128 MiB at the working-set model
+        monkeypatch.setattr(transfer, "MEMORY_CAP_BYTES", 64 * 2**20)
+        medium = CountingProfile(reference_medium)
+        with pytest.raises(InvalidResolution, match=r"needs \d+ MiB > cap 64 MiB"):
+            solve_T(None, W_TILTED, profile=medium, grid=build_momentum_grid(K, 6 * K, 128, 0))
+        assert medium.points == 0
+
+    def test_working_set_within_model(self, gausserf_medium):
+        g = build_momentum_grid(K, 6 * K, 32, 0)
+        tracemalloc.start()
+        try:
+            solve_T(None, W_TILTED, profile=gausserf_medium, grid=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= g.n_disk_points * (_KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES)
 
     def test_incidence_outside_disk(self, reference_medium, grid):
         w = IncidentWave.linear(K, np.pi / 2 - 1e-4, 0.0, 0.0)
