@@ -209,7 +209,8 @@ def _suite_projector_algebra(cfg: RunConfig, expect_compliant: bool):
     rho = np.sqrt(rng.uniform(0, (1 - 2 * em.ANNULUS_GUARD) ** 2, n)) * k
     phi = rng.uniform(0, 2 * np.pi, n)
     pts = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
-    (P1, P2), omegas = em.channels(pts, k)
+    P1, P2 = em.projector(1, pts, k), em.projector(2, pts, k)
+    omegas = em.channel_factors(pts, k)[2]
     eye = np.eye(4)
     m = max(
         np.abs(P1 + P2 - eye).max(),

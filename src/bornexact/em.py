@@ -3,9 +3,9 @@
 The transverse field (Ex, Ey, Hx, Hy) evolves along z like a quantum state,
 with the free generator H0(p) acting pointwise in the transverse momentum p.
 This module provides the longitudinal wavenumber varpi(p), the 4x4 free
-generator, its spectral projectors and their eigenvalue pairing (channels),
-incident-state construction, and the far-field contraction that turns
-4-component amplitudes into the observable 3-vector amplitude.
+generator, its channels in rank-2 form (channel_factors) and the projectors
+built from them, incident-state construction, and the far-field contraction
+that turns 4-component amplitudes into the observable 3-vector amplitude.
 
 Conventions: wavenumbers in units of the support threshold alpha (alpha = 1),
 lengths in 1/alpha.  All functions accept batched momenta of shape (..., 2).
@@ -79,36 +79,24 @@ def free_hamiltonian(p, k: float):
 
 
 def projector(j: int, p, k: float):
-    """Spectral projector Pi_j(p) = (1/2)[I + (-1)^j H0(p)/varpi(p)].
+    """Spectral projector Pi_j(p) = U_j(p) V_j(p) / 2 from channel_factors, (..., 4, 4).
 
     j = 1 projects onto the -varpi eigenspace (left-moving content),
     j = 2 onto +varpi.  Pi_1 + Pi_2 = I and Pi_i Pi_j = delta_ij Pi_j.
     """
     if j not in (1, 2):
         raise InvalidArgument("projector index j must be 1 or 2")
-    return channels(p, k)[0][j - 1]
-
-
-def channels(p, k: float):
-    """The two channels of H0(p): ((Pi_1, Pi_2), (omega_1, omega_2)).
-
-    Channel j has projector Pi_j(p) and eigenvalue omega_j(p) = (-1)^j
-    varpi(p), so H0 Pi_j = omega_j Pi_j; channel_factors pairs the same
-    channels in rank-2 form.  Callers zip the two tuples.
-    """
-    w = np.asarray(varpi(p, k))
-    R = free_hamiltonian(p, k) / w[..., None, None]
-    eye = np.eye(4)
-    return (0.5 * (eye - R), 0.5 * (eye + R)), (-w, w)
+    U, V, _ = channel_factors(p, k)
+    return 0.5 * (U[j - 1] @ V[j - 1])
 
 
 def channel_factors(p, k: float):
-    """Rank-2 factors of the channels: (U, V, omega), stacked over j = 1, 2.
+    """The channels of H0(p) in rank-2 form, the package's one channel formula: (U, V, omega).
 
     With s_j = (-1)^j and Lw = L0(p)/varpi(p), U_j = [I; -s_j Lw] (4x2) and
     V_j = [I, s_j Lw] (2x4).  As L0^2 = -varpi^2 I, Pi_j = U_j V_j / 2 and
-    V_j U_m = 2 delta_jm I; omega_j = s_j varpi pairs them as in channels.
-    Shapes (2, ..., 4, 2), (2, ..., 2, 4) and (2, ...).
+    V_j U_m = 2 delta_jm I; H0 Pi_j = omega_j Pi_j with omega_j = s_j varpi.
+    Stacked over j = 1, 2: shapes (2, ..., 4, 2), (2, ..., 2, 4) and (2, ...).
     """
     w = np.asarray(varpi(p, k))
     sLw = np.multiply.outer([-1.0, 1.0], l0_block(p, k) / w[..., None, None])

@@ -12,7 +12,8 @@ transform at q_z = -w.  Kernel, closed-form T and Dyson are built from the
 2x2 cores a_jl = V_j B~ U_l of _cores: one block per pair, B~ = C E(w), for
 a z-constant medium, four otherwise.  T_+/- are the first-order closed forms
 t_+ = Pi_1 K(., k_i) Y and t_- = -Pi_2 K(., k_i) Y, contracted with Xi for
-the far field.  Nothing assumes Hermiticity: all kernels are general-complex.
+the far field; id101, (M - pi) Pi_2 (M - pi), is (K U_2)(V_2 W K) / 2.
+Nothing assumes Hermiticity: all kernels are general-complex.
 """
 
 from __future__ import annotations
@@ -185,15 +186,15 @@ def _slab_ft(w, a_lo, a_hi):
     return L * np.exp(1j * w * zbar) * _sinc(0.5 * L * w)
 
 
-def _cores(profile: MediumProfile, k: float, p, q, transverse: bool = False):
+def _cores(profile: MediumProfile, k: float, p, q, fp, fq, transverse: bool = False):
     """Cores a_jl(p, q) = V_j(p) B~(p, q; omega_j(p) - omega_l(q)) U_l(q), (P, j, x, ..., l, y).
 
-    p (P, ..., 2) and q (P or 1, ..., 2) broadcast.  A z-constant medium has
-    B~(p, q; w) = C(p, q) E(w), C = B~(p, q; 0) / (a_hi - a_lo), E = _slab_ft:
-    one C per pair, and E scales each (j, l) core (transverse=True: the cores
-    of C).  Other media take four 3D evaluations, at q_z = -(omega_j - omega_l).
+    p (P, ..., 2) and q (P or 1, ..., 2) broadcast; fp, fq are their channel_factors.
+    A z-constant medium has B~(p, q; w) = C(p, q) E(w), C = B~(p, q; 0) / (a_hi - a_lo),
+    E = _slab_ft: one C per pair, and E scales each (j, l) core (transverse=True:
+    the cores of C).  Other media take four 3D evaluations, at q_z = -(omega_j - omega_l).
     """
-    (_, Vp, wp), (Uq, _, wq) = em.channel_factors(p, k), em.channel_factors(q, k)
+    (_, Vp, wp), (Uq, _, wq) = fp, fq
     # C meets the longer side's factor first (q's on a tie): chunks of rows sum alike
     spec = "jp...xa,p...ab,lp...by->pjx...ly"
     path = ["einsum_path", (0, 1) if Vp.size > Uq.size else (1, 2), (0, 1)]
@@ -218,8 +219,9 @@ def firstorder_kernel(profile: MediumProfile, k: float, p, q):
     """
     shape = np.broadcast_shapes(np.shape(p), np.shape(q))
     p, q = (np.asarray(x, float)[(None,) * (max(len(shape), 2) - np.ndim(x))] for x in (p, q))
-    K = np.einsum("jp...ax,pjx...ly,lp...yb->p...ab", -0.25j * em.channel_factors(p, k)[0],
-                  _cores(profile, k, p, q), em.channel_factors(q, k)[1],
+    fp, fq = em.channel_factors(p, k), em.channel_factors(q, k)
+    K = np.einsum("jp...ax,pjx...ly,lp...yb->p...ab", -0.25j * fp[0],
+                  _cores(profile, k, p, q, fp, fq), fq[1],
                   optimize=["einsum_path", (0, 1), (0, 1)])
     return K.reshape(shape[:-1] + (4, 4))
 
@@ -298,8 +300,11 @@ def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
     if need > MEMORY_CAP_BYTES:
         raise InvalidResolution(f"Dyson needs {need >> 20} MiB > cap {MEMORY_CAP_BYTES >> 20} MiB")
     a_lo, a_hi = profile.slab
-    Ud, Vd, wd = em.channel_factors(Pd, k)
-    wr = em.channel_factors(Pr, k)[2]
+    fd, fr = em.channel_factors(Pd, k), em.channel_factors(Pr, k)
+    (Ud, Vd, wd), wr = fd, fr[2]
+
+    def at(f, axis):  # factors of the points laid out as Pd[:, None] (axis 2) or Pd[None] (1)
+        return tuple(np.expand_dims(x, axis) for x in f)
 
     def gap(wp, wq):  # omega(p) - omega(q), laid out (p, j, 1, q, m, 1)
         return (wp.T[:, :, None, None] - wq.T)[:, :, None, :, :, None]
@@ -307,8 +312,8 @@ def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
     def gemm(A, B):
         return (A.reshape(4 * Nd, -1) @ B.reshape(4 * Nr, -1)).reshape(Nd, 2, 2, Nd, 2, 2)
 
-    a = _cores(profile, k, Pd[:, None], Pr[None], transverse=True)
-    b = _cores(profile, k, Pr[:, None], Pd[None], transverse=True)
+    a = _cores(profile, k, Pd[:, None], Pr[None], at(fd, 2), at(fr, 1), transverse=True)
+    b = _cores(profile, k, Pr[:, None], Pd[None], at(fr, 2), at(fd, 1), transverse=True)
     w1 = gap(wr, wd)
     w1 = np.where(np.abs(w1) < 1e-9 * k, 1e-9 * k, w1)
     b *= grid.weights[:, None, None, None, None, None] / (1j * w1)
@@ -374,9 +379,10 @@ def _closed_form_t(profile, w: IncidentWave, p2):
     """(t_-, t_+) at p2 (N, 2): t_+ = -(i/4) U_1 sum_l a_1l V_l(k_i) Y = Pi_1 K(., k_i) Y
     and t_- = (i/4) U_2 sum_l a_2l V_l(k_i) Y = -Pi_2 K(., k_i) Y, a_jl from _cores."""
     ki = w.vec_k_i[None]
-    VY = em.channel_factors(ki, w.k)[1][:, 0] @ w.upsilon
-    s = np.einsum("njxly,ly->jnx", _cores(profile, w.k, p2, ki), VY)
-    t1, t2 = np.einsum("jnax,jnx->jna", em.channel_factors(p2, w.k)[0], s)
+    fp, fk = em.channel_factors(p2, w.k), em.channel_factors(ki, w.k)
+    VY = fk[1][:, 0] @ w.upsilon
+    s = np.einsum("njxly,ly->jnx", _cores(profile, w.k, p2, ki, fp, fk), VY)
+    t1, t2 = np.einsum("jnax,jnx->jna", fp[0], s)
     return 0.25j * t2, -0.25j * t1
 
 
@@ -461,12 +467,16 @@ def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
     return xi_contract(d, (4 * np.pi**2) * t, k, t_side=side)
 
 
+def _id101_matrix(kernel: TransferKernel) -> np.ndarray:
+    """(M - pi) Pi_2 (M - pi) on the disk grid, (Nd, Nd, 4, 4): with W the disk
+    weights, (K U_2)(V_2 W K) / 2, one GEMM over the 2 Nd inner index (r, x)."""
+    grid, Nd = kernel.grid, kernel.grid.n_disk_points
+    U, V, _ = em.channel_factors(grid.disk_points, grid.k)
+    left = np.einsum("prab,rbx->parx", kernel.K, U[1]).reshape(4 * Nd, 2 * Nd)
+    right = np.einsum("rxb,rqbc->rxqc", V[1] * grid.disk_weights[:, None, None], kernel.K)
+    return 0.5 * (left @ right.reshape(2 * Nd, 4 * Nd)).reshape(Nd, 4, Nd, 4).swapaxes(1, 2)
+
+
 def identity_id101_residual(kernel: TransferKernel) -> float:
-    """|| (M - pi) Pi_2 (M - pi) ||_max on the disk grid."""
-    grid = kernel.grid
-    P = grid.disk_points
-    P2 = em.projector(2, P, grid.k)
-    mid = P2 * grid.disk_weights[:, None, None]
-    left = np.einsum("prab,rbc->prac", kernel.K, mid, optimize=True)
-    comp = np.einsum("prab,rqbc->pqac", left, kernel.K, optimize=True)
-    return float(np.abs(comp).max())
+    """|| (M - pi) Pi_2 (M - pi) ||_max on the disk grid (see _id101_matrix)."""
+    return float(np.abs(_id101_matrix(kernel)).max())

@@ -22,6 +22,20 @@ from bornexact.transfer import _assemble_v, _bblock_zft, _slab_ft
 _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
+def channels(p, k):
+    """The two channels of H0(p): ((Pi_1, Pi_2), (omega_1, omega_2)).
+
+    Pi_j = (I + (-1)^j H0(p)/varpi(p)) / 2 from the whole 4x4 free generator,
+    where em.channel_factors builds U_j V_j / 2 from the 2x2 block L0/varpi;
+    omega_j = (-1)^j varpi, so H0 Pi_j = omega_j Pi_j.  Callers zip the two
+    tuples.
+    """
+    w = np.asarray(em.varpi(p, k))
+    R = em.free_hamiltonian(p, k) / w[..., None, None]
+    eye = np.eye(4)
+    return (0.5 * (eye - R), 0.5 * (eye + R)), (-w, w)
+
+
 def assemble_v_ref(p, q, k, Te, Tm, re, rm):
     """transfer._assemble_v written with sigma_2 products and np.block.
 
@@ -70,15 +84,15 @@ def firstorder_kernel_ref(profile, k, p, q):
     """First-order kernel K(p, q) from four whole interaction blocks.
 
     K = -i sum_{j,l} Pi_j(p) B~(p, q; omega_j(p) - omega_l(q)) Pi_l(q) with
-    the 4x4 projectors of em.channels, each block from the 3D transforms at
+    the 4x4 projectors of channels, each block from the 3D transforms at
     q_z = -(omega_j - omega_l), where transfer.firstorder_kernel reduces one
     block per pair (z-constant media) or the four to rank-2 cores.  p and q
     broadcast against each other.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    Xp, wp = em.channels(p, k)
-    Xq, wq = em.channels(q, k)
+    Xp, wp = channels(p, k)
+    Xq, wq = channels(q, k)
     out = 0
     for Pj, wj in zip(Xp, wp):
         for Pl, wl in zip(Xq, wq):
@@ -99,8 +113,8 @@ def zquad_kernel(profile, k, p, q, nz=48):
     zs = 0.5 * (a_hi - a_lo) * xg + 0.5 * (a_hi + a_lo)
     ws = 0.5 * (a_hi - a_lo) * wg
     blocks = [deltaH_block(profile, z, p, q, k) for z in zs]
-    Xp, wp = em.channels(p, k)
-    Xq, wq = em.channels(q, k)
+    Xp, wp = channels(p, k)
+    Xq, wq = channels(q, k)
     out = 0
     for Pj, wj in zip(Xp, wp):
         for Pl, wl in zip(Xq, wq):
@@ -117,7 +131,7 @@ def dyson_matrix_ref(profile, grid):
     """The full second-order Dyson term D (Nd, Nd, 4, 4) from 4x4 projectors.
 
     Same sum as transfer._dyson_matrix, with the projectors Pi_j of
-    em.channels kept whole: for each intermediate channel m and disk channel
+    channels kept whole: for each intermediate channel m and disk channel
     l it forms A_m = C(p, r) Pi_m(r) and B_ml = C(r, q) Pi_l(q) weight_r /
     (i w1), and contracts them over r eight times, where the package reduces
     C to rank-2 cores and makes two contractions.
@@ -126,8 +140,8 @@ def dyson_matrix_ref(profile, grid):
     k = grid.k
     Pd = grid.disk_points
     Pr = grid.points
-    Xd, wd = em.channels(Pd, k)
-    Xr, wr = em.channels(Pr, k)
+    Xd, wd = channels(Pd, k)
+    Xr, wr = channels(Pr, k)
     C_dr = _bblock_zft(profile, Pd[:, None], Pr[None], 0.0, k) / (a_hi - a_lo)
     C_rd = _bblock_zft(profile, Pr[:, None], Pd[None], 0.0, k) / (a_hi - a_lo)
 
@@ -156,6 +170,19 @@ def dyson_matrix_ref(profile, grid):
             inner -= contract(A * E(wj[:, None] - wm[None, :]), H)
             D -= Pj[:, None] @ inner  # (-i)^2 overall
     return D
+
+
+def id101_matrix_ref(kernel):
+    """(M - pi) Pi_2 (M - pi) (Nd, Nd, 4, 4) as a 4x4 sandwich over 4 Nd.
+
+    Same product as transfer._id101_matrix, with the whole projector Pi_2
+    of channels and the disk weights between two kernel contractions, where
+    the package contracts K U_2 with V_2 W K over 2 Nd.
+    """
+    grid = kernel.grid
+    mid = channels(grid.disk_points, grid.k)[0][1] * grid.disk_weights[:, None, None]
+    left = np.einsum("prab,rbc->prac", kernel.K, mid, optimize=True)
+    return np.einsum("prab,rqbc->pqac", left, kernel.K, optimize=True)
 
 
 def ieps_second_born(profile, w, d, quad):

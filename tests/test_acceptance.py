@@ -20,7 +20,7 @@ from bornexact import (
     invisibility_report,
     lemmalab,
     scaling_check,
-    second_born_amplitude,
+    second_born_amplitudes,
     solve_T,
     support_report,
     transfer_first_order,
@@ -103,8 +103,8 @@ def test_criterion_4_exactness(gausserf_medium, control_medium):
     max_f1 = max(
         np.linalg.norm(first_born_amplitude(gausserf_medium, W8, d)) for d in dirs
     )
-    f2 = [second_born_amplitude(gausserf_medium, W8, d, quad) for d in dirs]
-    f2d = [second_born_amplitude(gausserf_medium, W8, d, quad.doubled()) for d in dirs]
+    f2 = second_born_amplitudes(gausserf_medium, [W8], dirs, quad)[0]
+    f2d = second_born_amplitudes(gausserf_medium, [W8], dirs, quad.doubled())[0]
     max_f2 = max(np.linalg.norm(F) for F in f2)
     ratio = max_f2 / max_f1
     conv_num = max(np.linalg.norm(a - b) for a, b in zip(f2, f2d))
@@ -116,8 +116,8 @@ def test_criterion_4_exactness(gausserf_medium, control_medium):
     max_f1_c = max(
         np.linalg.norm(first_born_amplitude(control_medium, w0, d)) for d in dirs_c
     )
-    f2c = [second_born_amplitude(control_medium, w0, d, quad) for d in dirs_c]
-    f2cd = [second_born_amplitude(control_medium, w0, d, quad.doubled()) for d in dirs_c]
+    f2c = second_born_amplitudes(control_medium, [w0], dirs_c, quad)[0]
+    f2cd = second_born_amplitudes(control_medium, [w0], dirs_c, quad.doubled())[0]
     contrast = max(np.linalg.norm(F) for F in f2c) / max_f1_c
     conv_ctrl = max(np.linalg.norm(a - b) for a, b in zip(f2c, f2cd)) / max(
         np.linalg.norm(F) for F in f2cd

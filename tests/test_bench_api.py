@@ -41,6 +41,7 @@ def test_benchmark_calls_resolve():
         assert wl._grid(8, 0).points.shape == grid.points.shape
         kern = bx.transfer.transfer_first_order(medium, grid, 2**31, "zft")
         bx.transfer.identity_id101_residual(kern)
+        bx.em.projector(2, grid.disk_points, grid.k)  # the tracer binds p by name
         w = bx.IncidentWave.linear(wl.K8, 1.0, np.pi, 0.7)
         sol = bx.transfer.solve_T(None, w, method="fast", profile=medium, grid=grid)
         bx.transfer.amplitude_from_T(sol, bx.DetectorDirection(1.0, 0.3), mode="exact")

@@ -95,12 +95,12 @@ def test_no_bare_builtin_raises():
 _BLOCK_2D = ("eta2_tensors", "recip33_ft2")
 
 
-def _block_2d_calls(path: Path):
+def _calls(path: Path, names):
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in _BLOCK_2D:
+            if name in names:
                 yield f"{path.name}:{node.lineno} calls {name}"
 
 
@@ -112,6 +112,19 @@ def test_one_production_block_route():
         hit
         for path in sorted(src.glob("*.py"))
         if path.name not in ("medium.py", "sampled.py")
-        for hit in _block_2d_calls(path)
+        for hit in _calls(path, _BLOCK_2D)
+    ]
+    assert found == []
+
+
+def test_one_channel_formula():
+    """em.channel_factors is the package's one channel formula: only the CLI's
+    eigen check (H0 Pi_j = omega_j Pi_j) builds the whole free generator."""
+    src = Path(bornexact.__file__).parent
+    found = [
+        hit
+        for path in sorted(src.glob("*.py"))
+        if path.name != "cli.py"
+        for hit in _calls(path, ("free_hamiltonian",))
     ]
     assert found == []

@@ -40,12 +40,15 @@ from bornexact.transfer import (
     _assemble_v,
     _bblock_zft,
     _dyson_matrix,
+    _id101_matrix,
 )
 from oracles import (
     assemble_v_ref,
+    channels,
     deltaH_block,
     dyson_matrix_ref,
     firstorder_kernel_ref,
+    id101_matrix_ref,
     zquad_kernel,
 )
 
@@ -338,7 +341,7 @@ class TestKernel:
         P = g.disk_points
         sol = solve_T(None, w, profile=medium, grid=g)
         col = firstorder_kernel_ref(medium, g.k, P, w.vec_k_i) @ w.upsilon
-        (P1, P2), _ = em.channels(P, g.k)
+        (P1, P2), _ = channels(P, g.k)
         for t, ref in ((sol.t_minus, -np.einsum("nab,nb->na", P2, col)),
                        (sol.t_plus, np.einsum("nab,nb->na", P1, col))):
             assert np.abs(ref).max() > 0
@@ -374,6 +377,26 @@ class TestId101:
         kern = transfer_first_order(control_medium, grid)
         resid = identity_id101_residual(kern)
         assert resid > 1e-3 * kern.norm_max**2
+
+    # entrywise, not only the max: K Pi_1 W K and K Pi_2 W K have the same
+    # max-norm to 12 digits on these media but differ entrywise by 2 max|.|,
+    # so only the whole matrix tells a swapped channel apart
+    @pytest.mark.parametrize("case", ["control", "compliant_k12", "control_shifted"])
+    def test_matrix_matches_oracle(self, case, reference_medium, control_medium, grid):
+        medium, g, pinned = {
+            "control": (control_medium, grid, 1.0283507216966356e-04),
+            "compliant_k12": (reference_medium, build_momentum_grid(1.2, 7.2, 8, 0),
+                              1.349002362379778e-05),
+            "control_shifted": (ShiftedProfile(control_medium, 0.7), grid, None),
+        }[case]
+        kern = transfer_first_order(medium, g)
+        A, ref = _id101_matrix(kern), id101_matrix_ref(kern)
+        assert A.shape == ref.shape == (g.n_disk_points,) * 2 + (4, 4)
+        assert np.abs(ref).max() > 0
+        assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert identity_id101_residual(kern) == np.abs(A).max()
+        if pinned is not None:
+            assert np.abs(A).max() == pytest.approx(pinned, rel=1e-13)
 
 
 class TestDyson:
@@ -473,8 +496,6 @@ class TestSolve:
         assert not np.any(sol.t_minus) and not np.any(sol.t_plus)
 
     def test_projector_invariants(self, reference_medium, grid):
-        from bornexact import em
-
         sol = solve_T(None, W_TILTED, method="fast", profile=reference_medium, grid=grid)
         P = grid.disk_points
         P1 = em.projector(1, P, grid.k)
@@ -489,8 +510,6 @@ class TestSolve:
         # the closed form solves t_- = -Pi_2 (K_w t_- + K(., k_i) Y) exactly
         # when Pi_2 K_w t_- = 0: true for the compliant medium, not for the
         # control
-        from bornexact import em
-
         P2 = em.projector(2, grid.disk_points, grid.k)
 
         def residual(kern):
