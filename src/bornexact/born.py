@@ -265,16 +265,18 @@ def second_born_amplitudes(
     def ang_numer(radii):
         """N(r) at each radius for every detector: (D, R, 3, P)."""
         r2 = (radii * radii)[:, None, None]
-        pts = radii[:, None, None] * dirs[None, :, :]
+        # (R, n_mu, n_phi, 3): q_z = r mu - k_z repeats along each phi row
+        pts = radii[:, None, None, None] * dirs.reshape(quad.n_mu, quad.n_phi, 3)
         s_in = profile.scalar_eta3(pts - ki)
         if s_in is None:
+            pts = pts.reshape(radii.size, -1, 3)
             E1, H1 = _incident_link(profile, k, ki, E, H, pts)
             N = [(_chain_numerator(profile, k, d, pts, E1, H1)
                   * wts[None, :, None, None]).sum(axis=1) for d in detectors]
         else:
             N = []
             for d in detectors:
-                s = s_in * profile.scalar_eta3(d.k_s(k) - pts)
+                s = (s_in * profile.scalar_eta3(d.k_s(k) - pts)).reshape(radii.size, -1)
                 M_E = (s @ wdd).reshape(-1, 3, 3) @ E
                 N.append((k * k) * (s @ wts)[:, None, None] * E - r2 * M_E)
         return np.stack(N) * r2

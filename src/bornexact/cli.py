@@ -181,8 +181,8 @@ def _write_csv(path: Path, header: str, rows):
             fh.write(",".join(cells) + "\n")
 
 
-def _write_amplitudes(stem: Path, entries, w: IncidentWave, order: int, tolerances):
-    """stem.csv, one row per (direction, F) entry, and its stem.json sidecar."""
+def _write_amplitudes(stem: Path, entries, w: IncidentWave, order: int, tolerances, **extra):
+    """stem.csv, one row per (direction, F) entry, and its stem.json sidecar (extra keys appended)."""
     _write_csv(
         stem.with_suffix(".csv"),
         "theta,phi,ReFx,ImFx,ReFy,ImFy,ReFz,ImFz",
@@ -195,7 +195,7 @@ def _write_amplitudes(stem: Path, entries, w: IncidentWave, order: int, toleranc
         "e_i": [[float(c.real), float(c.imag)] for c in w.e_i],
     }
     _write_json(stem.with_suffix(".json"),
-                {"incident": incident, "order": order, "tolerances": tolerances})
+                {"incident": incident, "order": order, "tolerances": tolerances, **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,13 @@ def cmd_profile(cfg: RunConfig, out_dir: Path, args):
 
 def cmd_transfer(cfg: RunConfig, out_dir: Path, args):
     entries, rel = _transfer_vs_born(cfg, cfg.detectors)
-    _write_amplitudes(out_dir / "transfer_f", entries, cfg.wave, 1, {"n_disk": cfg.grid.n_r})
+    # the first-order closed form is exact for a compliant medium (the verify
+    # support suite checks compliance) at k <= alpha, where id101 vanishes
+    alpha = cfg.medium.alpha
+    exact = alpha is not None and cfg.wave.k <= alpha
+    _write_amplitudes(out_dir / "transfer_f", entries, cfg.wave, 1, {"n_disk": cfg.grid.n_r},
+                      closed_form_exact=exact)
+    print(f"closed form exact (compliant medium, k <= alpha): {exact}")
     print(f"transfer vs first-Born max rel diff = {rel:.3e}")
     return 0
 

@@ -10,7 +10,11 @@ where the envelope E is either rational, E(x) = 1/(1 - i x/a)^(m+1), or the
 Gauss-erf form E(x) = sqrt(pi) e^{-x^2/a^2} [1 + erf(i x/a)], and f is a box
 footprint of amplitude zeta.  Both envelopes have spectral densities u(K)
 supported on K > 0 only, so the x-transform of eta is 2 pi u(p_x - alpha)
-exactly: zero at and below the threshold.
+exactly: zero at and below the threshold.  ft_env_pow returns the real
+(float64) density of each envelope power: eta~ is the float64 product of
+u with the box factors, times zeta last, and the reciprocal symbol weights
+the densities by (-zeta)^n.  The box's z-factor is taken once per row where
+q_z is constant along the last axis (second-Born phi rows, transfer blocks).
 
 Fourier convention (matching the transfer machinery):
     eta2(p, z) = int d^2r e^{-i p.r} eta(r, z)
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -52,16 +57,18 @@ _WINDOW_TOL = 0.05
 
 
 def _sinc(z):
-    """sin(z)/z, stable near 0; float64 for real z, complex for complex z."""
+    """sin(z)/z, 1 at z = 0; float64 for real z, complex for complex z.
+
+    Near 0 the quotient needs no series: sin(z) is z (1 - z^2/6) correctly
+    rounded, so the ratio is good to an ulp or two.
+    """
     z = np.asarray(z)
     if not np.iscomplexobj(z):
         z = z.astype(float, copy=False)
-    small = np.abs(z) < 1e-5
-    zs = np.where(small, 1.0, z)
-    out = np.asarray(np.sin(zs) / zs)
-    if small.any():
-        zs = z[small]
-        out[small] = 1.0 - zs * zs / 6.0
+    out = np.asarray(np.sin(z))
+    with np.errstate(invalid="ignore"):  # 0/0 at exact zeros, patched below
+        np.divide(out, z, out=out)
+    out[z == 0] = 1.0
     return out
 
 
@@ -190,7 +197,8 @@ class _EnvelopeProfile(MediumProfile):
         self.slab = (-footprint.lz / 2.0, footprint.lz / 2.0)
 
     # subclasses provide envelope_x(x) (modulation included) and ft_env_pow(n,
-    # K), the x-transform of envelope_x(x)^n.  The defaults below describe
+    # K), the x-transform of envelope_x(x)^n: a real spectral density, returned
+    # as float64 (the footprint's zeta is applied last).  The defaults below describe
     # Gaussian spectral tails (Gauss-erf; the control, alpha None) and |E| <= 1
     # (rational, the control); rational overrides the first two, Gauss-erf the last.
     def spectral_extent(self, rel_tol: float = 1e-9) -> float:
@@ -210,21 +218,24 @@ class _EnvelopeProfile(MediumProfile):
         """x_ft(p_x) ft_y(p_y) z_ft(z): a separable transform at transverse p.
 
         z_ft is the footprint's z-indicator (2D transforms at height z) or its
-        z-transform (3D transforms at z = q_z); it is evaluated last, so that
-        no more than one full-size factor is held while another is built.
+        z-transform (3D transforms at z = q_z), taken once per row of a z
+        constant along the last axis: the same inputs give the same outputs.
         """
         p = np.real(p)
+        z = np.asarray(z)
+        if z.ndim and z.shape[-1] > 1 and (z == z[..., :1]).all():
+            z = z[..., :1]
         return x_ft(p[..., 0]) * self.footprint.ft_y(p[..., 1]) * z_ft(z)
 
-    def _eta_ft_x(self, K):
-        return self.ft_env_pow(1, K) * self.footprint.zeta
+    def _eta_ft(self, p, z_ft, z):
+        return self.footprint.zeta * self._ft(partial(self.ft_env_pow, 1), p, z_ft, z)
 
     def scalar_eta3(self, q3):
         q3 = np.asarray(q3)
-        return self._ft(self._eta_ft_x, q3[..., :2], self.footprint.ft_z, q3[..., 2])
+        return self._eta_ft(q3[..., :2], self.footprint.ft_z, q3[..., 2])
 
     def eta2_tensors(self, p2, z):
-        return _isotropic(self._ft(self._eta_ft_x, p2, self.footprint.indicator_z, z))
+        return _isotropic(self._eta_ft(p2, self.footprint.indicator_z, z))
 
     def eta3_tensors(self, q3):
         return _isotropic(self.scalar_eta3(q3))
@@ -249,9 +260,8 @@ class _EnvelopeProfile(MediumProfile):
     def _recip_ft_x(self, K):
         K = np.asarray(K, dtype=float)
         out = np.zeros(K.shape, dtype=complex)
-        zeta = self.footprint.zeta
         for n in range(1, self._recip_terms() + 1):
-            out += (-1.0) ** n * zeta**n * self.ft_env_pow(n, K)
+            out += (-self.footprint.zeta) ** n * self.ft_env_pow(n, K)
         return out
 
     def recip33_ft2(self, p2, z, which: str):
@@ -310,7 +320,7 @@ class RationalEnvelopeProfile(_EnvelopeProfile):
         K = np.asarray(K, dtype=float)
         kk = K - n * self.alpha
         M = n * (self.m_exp + 1)
-        out = np.zeros(kk.shape, dtype=complex)
+        out = np.zeros(kk.shape)
         pos = kk > 0
         if np.any(pos):
             lg = (
@@ -384,11 +394,9 @@ class GaussErfProfile(_EnvelopeProfile):
         K = np.asarray(K, dtype=float)
         kk = K - n * self.alpha
         if n == 1:
-            return 2 * np.pi * self._u1(kk).astype(complex)
+            return 2 * np.pi * self._u1(kk)
         grid, vals = self._u_pow(n)
-        out = np.interp(kk, grid, vals, left=0.0, right=0.0)
-        out[kk <= 0] = 0.0
-        return 2 * np.pi * out.astype(complex)
+        return 2 * np.pi * np.interp(kk, grid, vals, left=0.0, right=0.0) * (kk > 0)
 
     def env_abs_max(self) -> float:
         return float(np.sqrt(np.pi))
@@ -410,9 +418,7 @@ class GaussianControlProfile(_EnvelopeProfile):
 
     def ft_env_pow(self, n: int, K):
         K = np.asarray(K, dtype=float)
-        return (self.a * np.sqrt(np.pi / n)) * np.exp(
-            -((self.a * K) ** 2) / (4.0 * n)
-        ).astype(complex)
+        return (self.a * np.sqrt(np.pi / n)) * np.exp(-((self.a * K) ** 2) / (4.0 * n))
 
 
 class RotatedProfile(MediumProfile):

@@ -195,9 +195,10 @@ def _cores(profile: MediumProfile, k: float, p, q, fp, fq, transverse: bool = Fa
     the cores of C).  Other media take four 3D evaluations, at q_z = -(omega_j - omega_l).
     """
     (_, Vp, wp), (Uq, _, wq) = fp, fq
-    # C meets the longer side's factor first (q's on a tie): chunks of rows sum alike
+    # C meets the longer side's factor first, so chunks of rows sum alike; q's
+    # on a tie or when q is one momentum (one GEMM for the closed-form T)
     spec = "jp...xa,p...ab,lp...by->pjx...ly"
-    path = ["einsum_path", (0, 1) if Vp.size > Uq.size else (1, 2), (0, 1)]
+    path = ["einsum_path", (0, 1) if Vp.size > Uq.size and np.size(q) > 2 else (1, 2), (0, 1)]
     if profile.z_constant:
         a_lo, a_hi = profile.slab
         C = _bblock_zft(profile, p, q, 0.0, k) / (a_hi - a_lo)

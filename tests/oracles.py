@@ -14,6 +14,7 @@ from bornexact.medium import (
     GaussErfProfile,
     GaussianControlProfile,
     RationalEnvelopeProfile,
+    RotatedProfile,
 )
 from bornexact.sampled import _interp
 from bornexact.transfer import _assemble_v, _bblock_zft, _slab_ft
@@ -242,6 +243,31 @@ def sampled_z_sum(profile, key, q3):
                 (px[1] - px[0], py[1] - py[0]))
     out = np.einsum("...z,...zc->...c", w, F.reshape(w.shape + (-1,)))
     return out.reshape(F.shape[: w.ndim - 1] + F.shape[w.ndim:])
+
+
+def envelope_ft_ref(profile, q3, which=None):
+    """3D transform of an envelope-family medium, rotated or not, at q3 (..., 3).
+
+    The complex product X(q_x) ft_y(q_y) ft_z(q_z), every factor complex and
+    evaluated at every point, with X = zeta u_1 for eta (which=None) and the
+    Neumann sum sum_n (-1)^n zeta^n u_n for the reciprocal symbol
+    (which="eps").  The package takes the product of the real densities in
+    float64, applies the complex amplitude last and evaluates ft_z once per
+    row of a q_z constant along the last axis.
+    """
+    q3 = np.asarray(q3, dtype=complex)
+    qx, qy = q3[..., 0].real, q3[..., 1].real
+    if isinstance(profile, RotatedProfile):  # transverse momenta counter-rotate
+        c, s = np.cos(profile.phi), np.sin(profile.phi)
+        qx, qy, profile = c * qx + s * qy, c * qy - s * qx, profile.base
+    fp = profile.footprint
+    if which is None:
+        X = fp.zeta * np.asarray(profile.ft_env_pow(1, qx), dtype=complex)
+    else:
+        X = sum((-1.0) ** n * fp.zeta**n * np.asarray(profile.ft_env_pow(n, qx), dtype=complex)
+                for n in range(1, profile._recip_terms() + 1))
+    ft_z = np.array([fp.ft_z(z) for z in q3[..., 2].ravel()]).reshape(qx.shape)
+    return X * fp.ft_y(qy.astype(complex)) * ft_z
 
 
 def profile_to_dict(profile):

@@ -292,6 +292,23 @@ class TestTransferCommand:
         assert rel < 1e-10
         assert (out / "transfer_f.csv").exists()
 
+    @pytest.mark.parametrize("medium, k_over_alpha, exact", [
+        (SPEC_MEDIUM, 0.8, True), (CONTROL_MEDIUM, 0.8, False), (SPEC_MEDIUM, 1.2, False),
+    ], ids=["readme", "control", "above_alpha"])
+    def test_sidecar_states_closed_form_exactness(self, tmp_path, capsys, medium,
+                                                  k_over_alpha, exact):
+        # the closed form is the first-order T: exact only for a compliant
+        # medium at k <= alpha, where id101 vanishes
+        inc = {"k_over_alpha": k_over_alpha, "theta0_deg": 57.3, "phi0_deg": 180.0,
+               "polarization": 40.0}
+        cfg = write_config(tmp_path, medium, incident=inc)
+        out = tmp_path / "out"
+        assert main(["transfer", "--config", str(cfg), "--out", str(out)]) == 0
+        sidecar = json.loads((out / "transfer_f.json").read_text())
+        assert sidecar["closed_form_exact"] is exact
+        printed = capsys.readouterr().out
+        assert f"closed form exact (compliant medium, k <= alpha): {exact}" in printed
+
 
 class TestSweepCommand:
     def test_sweep_rows(self, tmp_path):

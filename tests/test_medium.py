@@ -21,7 +21,7 @@ from bornexact import (
 from bornexact.errors import BoundsViolated, ConfigError, WindowTooSmall
 from bornexact.medium import MediumProfile, _sinc
 from bornexact.sampled import write_grid
-from oracles import profile_to_dict, sampled_z_sum
+from oracles import envelope_ft_ref, profile_to_dict, sampled_z_sum
 
 ALPHA = 1.0
 
@@ -91,14 +91,30 @@ class TestFourierForms:
         assert np.allclose(ee[0], ee[0, 0, 0] * np.eye(3))
 
     def test_sinc_real_input_stays_real(self):
-        # the second-Born quadrature passes only real momenta; either side of
-        # the series switch at 1e-5 the float path matches the complex one
+        # the second-Born quadrature passes only real momenta; at 0, near it
+        # and far from it the float path matches the complex one
         x = np.array([0.0, 1e-6, 1e-5, 1.0, 100.0])
         real, cplx = _sinc(x), _sinc(x.astype(complex))
         assert real.dtype == np.float64 and cplx.dtype == np.complex128
         assert np.all(np.abs(real - cplx) <= 1e-15 * np.abs(cplx))
         box = TransverseBox(0.01, 3.0, 4.0)
         assert box.ft_y(x).dtype == np.float64 and box.ft_z(x).dtype == np.float64
+
+    @pytest.mark.parametrize("z", [
+        0.0, 0j, np.float64(1e-8), 1e-300, 1e-8, -1e-8, 1e-5, 1e-300 + 0j, 1e-5 + 0j,
+        1e-300j, 1e-8j, -1e-5j, 1e-6 + 1e-6j,
+    ])
+    def test_sinc_near_zero(self, z):
+        # sin(z)/z needs no series near 0 (purely imaginary z are the
+        # evanescent ft_z arguments): within 2 ulp of the Taylor series, with
+        # 0 patched to 1 and no warning from the 0/0 there
+        z2 = np.asarray(z) ** 2
+        taylor = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+        for arg in (np.asarray(z), np.array([z, 0.0 * z])):
+            out = _sinc(arg)
+            assert out.shape == arg.shape and out.dtype == np.result_type(arg, float)
+            ref = np.array([taylor, 1.0])[: out.size].reshape(out.shape)
+            assert np.all(np.abs(out - ref) <= 2 * np.spacing(np.abs(ref)))
 
     def test_ft_z_imaginary_frequency(self):
         # evanescent channels: ft_z(i t) = lz sinh(t lz/2) / (t lz/2)
@@ -211,6 +227,69 @@ class TestReciprocalSymbols:
         prof = RationalEnvelopeProfile(ALPHA, 2.0, 1, TransverseBox(0.7, 3.0, 4.0))
         with pytest.raises(BoundsViolated, match="tail bound"):
             prof.recip33_ft3(np.array([[1.5, 0.0, 0.0]]), "eps")
+
+
+_BOX = TransverseBox(0.01 + 0.004j, 3.0, 4.0)
+_FAMILIES = {
+    "rational": RationalEnvelopeProfile(ALPHA, 2.0, 1, _BOX),
+    "gausserf": GaussErfProfile(ALPHA, 2.0, _BOX),
+    "control": GaussianControlProfile(2.0, _BOX),
+    "rotated": rotate_to_x(RationalEnvelopeProfile(ALPHA, 2.0, 2, _BOX), (0.6, 0.8)),
+}
+
+
+def _panel(qz_imag=0.0):
+    """(R, M, Phi, 3) momenta p - k_i as the second-Born panels lay them out:
+    q_z = r mu - k_z repeats along each phi row; qz_imag shifts it off the
+    real axis, as the evanescent transfer blocks do."""
+    r = np.array([0.3, 1.7, 2.9])[:, None, None]
+    mu = np.polynomial.legendre.leggauss(4)[0][:, None]
+    phi = np.linspace(0.1, 6.0, 5)
+    st = np.sqrt(1 - mu**2)
+    p = np.stack(np.broadcast_arrays(r * st * np.cos(phi), r * st * np.sin(phi), r * mu), axis=-1)
+    return p - np.array([-0.67, 0.1, 0.43 - 1j * qz_imag])
+
+
+class TestEnvelopeTransforms:
+    """Real densities, a complex amplitude applied last and a z-factor shared
+    along rows, against the complex per-point product of envelope_ft_ref."""
+
+    @pytest.fixture(params=list(_FAMILIES))
+    def medium(self, request):
+        return _FAMILIES[request.param]
+
+    @pytest.mark.parametrize("qz_imag", [0.0, 0.8], ids=["real", "complex"])
+    def test_matches_reference_product(self, medium, qz_imag):
+        grid = _panel(qz_imag)
+        for q3 in (grid[1, 2, 3], grid[:1, 0, 0], grid):  # 0-d, (1, 3), (R, M, Phi, 3)
+            outs = (medium.scalar_eta3(q3), medium.eta3_tensors(q3)[0],
+                    medium.recip33_ft3(q3, "eps"))
+            ref_eta, ref_rec = envelope_ft_ref(medium, q3), envelope_ft_ref(medium, q3, "eps")
+            for got, want in zip(outs, (ref_eta, ref_eta[..., None, None] * np.eye(3), ref_rec)):
+                assert got.dtype == np.complex128 and got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.any(ref_eta)  # the grid reaches above every threshold
+
+    @pytest.mark.parametrize("qz_imag", [0.0, 0.8], ids=["real", "complex"])
+    def test_row_shared_z_factor_is_exact(self, medium, qz_imag, monkeypatch):
+        grid = _panel(qz_imag)
+        shapes = []
+        ft_z = TransverseBox.ft_z
+        monkeypatch.setattr(TransverseBox, "ft_z",
+                            lambda box, qz: shapes.append(np.shape(qz)) or ft_z(box, qz))
+        for fn in (medium.scalar_eta3, lambda q: medium.recip33_ft3(q, "eps")):
+            shapes.clear()
+            rows = fn(grid)
+            assert shapes == [grid.shape[:2] + (1,)]  # one z-factor per (r, mu) row
+            loop = np.array([fn(q[None])[0] for q in grid.reshape(-1, 3)])
+            assert np.array_equal(rows, loop.reshape(rows.shape))
+
+    def test_densities_are_float64(self, medium):
+        base = getattr(medium, "base", medium)
+        K = np.linspace(-1.0, 6.0, 9)
+        for n in (1, 2, 3):
+            u = base.ft_env_pow(n, K)
+            assert u.dtype == np.float64 and u.shape == K.shape
 
 
 class TestSupportReport:
