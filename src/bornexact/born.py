@@ -326,8 +326,8 @@ def support_overlap(alpha: float, w, d: DetectorDirection | None = None, n: int 
     k_sx = +k (and k_ix = -k for a bare wavenumber) is used, reproducing the
     global criterion: empty whenever n*alpha >= 2k.
     """
-    if n < 1:
-        raise InvalidArgument("Born order n must be >= 1")
+    if not is_count(n) or n < 1:
+        raise InvalidArgument(f"Born order n must be a positive integer, got {n!r}")
     if isinstance(w, IncidentWave):
         k = w.k
         k_ix = w.k_i[0]

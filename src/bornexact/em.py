@@ -87,7 +87,9 @@ def projector(j: int, p, k: float):
     if j not in (1, 2):
         raise InvalidArgument("projector index j must be 1 or 2")
     U, V, _ = channel_factors(p, k)
-    return 0.5 * (U[j - 1] @ V[j - 1])
+    P = 0.5 * (U[j - 1] @ V[j - 1])
+    P[..., 2:, 2:] = P[..., :2, :2]  # exactly I/2, where -Lw Lw/2 rounds near the rim
+    return P
 
 
 def channel_factors(p, k: float):

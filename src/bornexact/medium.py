@@ -19,6 +19,7 @@ q_z is constant along the last axis (second-Born phi rows, transfer blocks).
 Fourier convention (matching the transfer machinery):
     eta2(p, z) = int d^2r e^{-i p.r} eta(r, z)
     eta3(q)    = int dz  e^{-i q_z z} eta2((q_x, q_y), z)
+Profiles evaluate eta3 only; eta2 states the support condition.
 
 A plain Gaussian envelope with no modulation serves as the noncompliant
 control in all contrast baselines.
@@ -34,7 +35,8 @@ from numbers import Integral
 import numpy as np
 from scipy.special import dawsn, gammaln, lambertw
 
-from .errors import BoundsViolated, ConfigError, InvalidArgument, WindowTooSmall
+from .errors import (BoundsViolated, ConfigError, InvalidArgument, InvalidResolution,
+                     UnsupportedProfile, WindowTooSmall)
 
 _EYE3 = np.eye(3)
 
@@ -108,9 +110,6 @@ class TransverseBox:
         inside = (np.abs(y) <= self.ly / 2) & (np.abs(z) <= self.lz / 2)
         return np.where(inside, self.zeta, 0.0 + 0.0j)
 
-    def indicator_z(self, z):
-        return (np.abs(np.asarray(z, dtype=float)) <= self.lz / 2).astype(float)
-
     def ft_y(self, py):
         """1D transform of the unit box in y: ly sinc(py ly / 2), real for real py."""
         return self.ly * _sinc(np.asarray(py) * (self.ly / 2.0))
@@ -125,8 +124,8 @@ class MediumProfile:
     """Base interface shared by all profile families.
 
     Subclasses provide scalar closed forms (or grid transforms) for the
-    position-space tensors, the 2D/3D Fourier transforms and the Fourier
-    transform of the reciprocal symbols eta_{1/eps33}, eta_{1/mu33}.
+    position-space tensors, their 3D Fourier transforms and the 3D transforms
+    of the reciprocal symbols eta_{1/eps33}, eta_{1/mu33}.
     """
 
     alpha: float | None = None
@@ -139,9 +138,6 @@ class MediumProfile:
         raise NotImplementedError
 
     # -- momentum space --------------------------------------------------
-    def eta2_tensors(self, p2, z):
-        raise NotImplementedError
-
     def eta3_tensors(self, q3):
         raise NotImplementedError
 
@@ -153,11 +149,16 @@ class MediumProfile:
         """
         return None
 
-    def recip33_ft2(self, p2, z, which: str):
-        raise NotImplementedError
-
     def recip33_ft3(self, q3, which: str):
         raise NotImplementedError
+
+    # No 2D transforms at height z: stubs kept only because perfbench's tracer
+    # binds both names on every envelope class; the benchmark refresh drops them.
+    def eta2_tensors(self, p2, z):
+        raise UnsupportedProfile("2D transforms at height z are not provided")
+
+    def recip33_ft2(self, p2, z, which: str):
+        raise UnsupportedProfile("2D transforms at height z are not provided")
 
     # -- metadata ---------------------------------------------------------
     def scaled(self, sigma: float):
@@ -214,28 +215,21 @@ class _EnvelopeProfile(MediumProfile):
         r = np.asarray(r, dtype=float)
         return _isotropic(self.envelope_x(r[..., 0]) * self.footprint.value(r[..., 1], r[..., 2]))
 
-    def _ft(self, x_ft, p, z_ft, z):
-        """x_ft(p_x) ft_y(p_y) z_ft(z): a separable transform at transverse p.
+    def _ft(self, x_ft, q3):
+        """x_ft(q_x) ft_y(q_y) ft_z(q_z): a separable 3D transform at q3.
 
-        z_ft is the footprint's z-indicator (2D transforms at height z) or its
-        z-transform (3D transforms at z = q_z), taken once per row of a z
-        constant along the last axis: the same inputs give the same outputs.
+        The footprint's z-factor is taken once per row of a q_z constant along
+        the last axis: the same inputs give the same outputs.
         """
-        p = np.real(p)
-        z = np.asarray(z)
+        q3 = np.asarray(q3)
+        z = q3[..., 2]
         if z.ndim and z.shape[-1] > 1 and (z == z[..., :1]).all():
             z = z[..., :1]
-        return x_ft(p[..., 0]) * self.footprint.ft_y(p[..., 1]) * z_ft(z)
-
-    def _eta_ft(self, p, z_ft, z):
-        return self.footprint.zeta * self._ft(partial(self.ft_env_pow, 1), p, z_ft, z)
+        fp = self.footprint
+        return x_ft(np.real(q3[..., 0])) * fp.ft_y(np.real(q3[..., 1])) * fp.ft_z(z)
 
     def scalar_eta3(self, q3):
-        q3 = np.asarray(q3)
-        return self._eta_ft(q3[..., :2], self.footprint.ft_z, q3[..., 2])
-
-    def eta2_tensors(self, p2, z):
-        return _isotropic(self._eta_ft(p2, self.footprint.indicator_z, z))
+        return self.footprint.zeta * self._ft(partial(self.ft_env_pow, 1), q3)
 
     def eta3_tensors(self, q3):
         return _isotropic(self.scalar_eta3(q3))
@@ -264,16 +258,10 @@ class _EnvelopeProfile(MediumProfile):
             out += (-self.footprint.zeta) ** n * self.ft_env_pow(n, K)
         return out
 
-    def recip33_ft2(self, p2, z, which: str):
-        if recip_key(which) == "mu":
-            return np.zeros(np.shape(p2)[:-1], dtype=complex)
-        return self._ft(self._recip_ft_x, p2, self.footprint.indicator_z, z)
-
     def recip33_ft3(self, q3, which: str):
         if recip_key(which) == "mu":
             return np.zeros(np.shape(q3)[:-1], dtype=complex)
-        q3 = np.asarray(q3)
-        return self._ft(self._recip_ft_x, q3[..., :2], self.footprint.ft_z, q3[..., 2])
+        return self._ft(self._recip_ft_x, q3)
 
     def scaled(self, sigma: float):
         out = self.__class__.__new__(self.__class__)
@@ -437,11 +425,6 @@ class RotatedProfile(MediumProfile):
         # rotation taking old coordinates to new: new = R old
         self._R3 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
-    def _back2(self, p2):
-        p2 = np.asarray(p2, dtype=float)
-        R = self._R3[:2, :2]
-        return p2 @ R  # R^{-1} p = R^T p applied to row vectors
-
     def _conj(self, tensors):
         """R T R^T for each of the base profile's tensors T."""
         R = self._R3
@@ -451,12 +434,9 @@ class RotatedProfile(MediumProfile):
         r_old = np.asarray(r, dtype=float) @ self._R3  # R^{-1} r for row vectors
         return self._conj(self.base.eval_eta(r_old))
 
-    def eta2_tensors(self, p2, z):
-        return self._conj(self.base.eta2_tensors(self._back2(p2), z))
-
     def _back3(self, q3):
-        q3 = np.asarray(q3)
-        return np.concatenate([self._back2(np.real(q3[..., :2])), q3[..., 2:]], axis=-1)
+        q3 = np.asarray(q3)  # the transverse part counter-rotates: R^T p on row vectors
+        return np.concatenate([np.real(q3[..., :2]) @ self._R3[:2, :2], q3[..., 2:]], axis=-1)
 
     def eta3_tensors(self, q3):
         return self._conj(self.base.eta3_tensors(self._back3(q3)))
@@ -465,11 +445,8 @@ class RotatedProfile(MediumProfile):
         # an isotropic scalar is invariant under z-rotations
         return self.base.scalar_eta3(self._back3(q3))
 
-    def recip33_ft2(self, p2, z, which):
-        # 33-component is invariant under z-rotations
-        return self.base.recip33_ft2(self._back2(p2), z, which)
-
     def recip33_ft3(self, q3, which):
+        # 33-component is invariant under z-rotations
         return self.base.recip33_ft3(self._back3(q3), which)
 
     def scaled(self, sigma):
@@ -559,11 +536,15 @@ def support_report(
     spectral support below its own bandwidth.  max_leak is reported
     relative to the global spectral peak.
 
-    Raises WindowTooSmall, before the scan, when the untapered profile at
-    the window edge exceeds 5 % of its central value or when the grid
-    cannot resolve the profile's spectrum without aliasing into the scan
-    region.
+    Raises InvalidResolution unless grid is three integers, nx >= 2 and ny,
+    nz >= 1.  Raises WindowTooSmall, before the scan, when the untapered
+    profile at the window edge exceeds 5 % of its central value or when the
+    grid cannot resolve the profile's spectrum without aliasing into the
+    scan region.
     """
+    if not (isinstance(grid, (tuple, list)) and len(grid) == 3 and all(map(is_count, grid))
+            and grid[0] >= 2 and min(grid[1:]) >= 1):
+        raise InvalidResolution(f"grid must be three integers nx >= 2, ny, nz >= 1, got {grid!r}")
     nx, ny, nz = grid
     X = float(window) if window is not None else profile.default_window()
     sigma_w = X / _TAPER_SIGMAS

@@ -11,8 +11,8 @@ File layout (little-endian throughout):
              followed by eta_mu in the same layout when has_mu = 1.
 
 Compliance of a sampled profile is never assumed; it is measured by
-support_report.  Fourier transforms are windowed FFTs of the grid data with
-multilinear interpolation in momentum.
+support_report.  The 3D Fourier transforms sum per-slice FFTs of the grid
+data over z, with multilinear interpolation in momentum.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ class SampledProfile(MediumProfile):
     # -- momentum space ------------------------------------------------------
     # Each grid array ("ee" eta_eps, "em" eta_mu, and the reciprocal symbols
     # "eps" eta_{1/eps33} = 1/(1 + eta_eps,33) - 1 and "mu" eta_{1/mu33}) is
-    # transformed over (x, y) once per z-slice and cached; _slice_sum weights
-    # the slices: each point's nearest one in 2D, e^{-i q_z z_n} dz in 3D.
+    # transformed over (x, y) once per z-slice and cached; _z_sum weights the
+    # slices by e^{-i q_z z_n} dz.
     def _ft2(self, key):
         if key not in self._ft_cache:
             if key in ("ee", "em"):
@@ -172,49 +172,31 @@ class SampledProfile(MediumProfile):
             self._ft_cache[key] = F * (dx * dy) * _trailing(phase, data.ndim)
         return self._ft_cache[key]
 
-    def _slice_sum(self, key, p2, weights):
-        """sum_n weights(n) F_n(p2) over the cached slice transforms F_n of key.
+    def _z_sum(self, key, q3):
+        """3D transform of key, sum_n e^{-i q_z z_n} dz F_n(q_x, q_y) over its
+        slice transforms F_n; complex q_z (evanescent channels) is supported.
 
         One slice is interpolated and accumulated at a time, so the working set
-        is a few arrays of the result's size; zero slices and weights are
-        skipped, and an absent eta_mu builds no table.
+        is a few arrays of the result's size; zero slices are skipped, and an
+        absent eta_mu builds no table.
         """
+        q3 = np.asarray(q3)
+        p2 = np.real(q3[..., :2])
         out = np.zeros(p2.shape[:-1] + ((3, 3) if key in ("ee", "em") else ()), dtype=complex)
         if self.em is None and key in ("em", "mu"):
             return out
         F = self._ft2(key)
-        px, py = self._px, self._py
+        px, py, dz = self._px, self._py, self.spacing[2]
         start, step = (px[0], py[0]), (px[1] - px[0], py[1] - py[0])
+        z = self.origin[2] + np.arange(F.shape[2]) * dz
         for n in range(F.shape[2]):
-            w = weights(n) if np.any(F[:, :, n]) else 0
-            if np.any(w):
+            if np.any(F[:, :, n]):
+                w = np.exp(-1j * q3[..., 2] * z[n]) * dz
                 out += _trailing(w, out.ndim) * _interp(F[:, :, n], p2, start, step)
         return out
 
-    def _nearest_slice(self, key, p2, z):
-        """2D transform of key at p2 on each point's nearest slice to z."""
-        iz = np.rint((np.asarray(z, dtype=float) - self.origin[2]) / self.spacing[2])
-        p2 = np.asarray(p2, dtype=float)
-        p2 = np.broadcast_to(p2, np.broadcast_shapes(p2.shape[:-1], iz.shape) + (2,))
-        return self._slice_sum(key, p2, lambda n: iz == n)
-
-    def _z_sum(self, key, q3):
-        """3D transform of key by direct z-summation of its slice transforms,
-        so that complex q_z (evanescent channels) is supported."""
-        q3 = np.asarray(q3)
-        dz = self.spacing[2]
-        z = self.origin[2] + np.arange(self.ee.shape[2]) * dz
-        return self._slice_sum(key, np.real(q3[..., :2]),
-                               lambda n: np.exp(-1j * q3[..., 2] * z[n]) * dz)
-
-    def eta2_tensors(self, p2, z):
-        return self._nearest_slice("ee", p2, z), self._nearest_slice("em", p2, z)
-
     def eta3_tensors(self, q3):
         return self._z_sum("ee", q3), self._z_sum("em", q3)
-
-    def recip33_ft2(self, p2, z, which):
-        return self._nearest_slice(recip_key(which), p2, z)
 
     def recip33_ft3(self, q3, which):
         return self._z_sum(recip_key(which), q3)

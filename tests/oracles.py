@@ -5,6 +5,8 @@ that a test can compare the two on inputs where they can differ.  The
 package never calls them.
 """
 
+from functools import partial
+
 import numpy as np
 
 from bornexact import em
@@ -15,8 +17,9 @@ from bornexact.medium import (
     GaussianControlProfile,
     RationalEnvelopeProfile,
     RotatedProfile,
+    recip_key,
 )
-from bornexact.sampled import _interp
+from bornexact.sampled import SampledProfile, _interp
 from bornexact.transfer import _assemble_v, _bblock_zft, _slab_ft
 
 
@@ -63,20 +66,89 @@ def assemble_v_ref(p, q, k, Te, Tm, re, rm):
     return V / (4.0 * np.pi**2)
 
 
+def _back2(profile, p2):
+    """Transverse momenta of a RotatedProfile in its base's frame (R^T p on rows)."""
+    return np.asarray(p2, dtype=float) @ profile._R3[:2, :2]
+
+
+def _slice_table(profile, key, p2):
+    """Every slice transform of a SampledProfile grid array at p2: (..., nz[, 3, 3])."""
+    px, py = profile._px, profile._py
+    return _interp(profile._ft2(key), p2, (px[0], py[0]), (px[1] - px[0], py[1] - py[0]))
+
+
+def _nearest_slice(profile, key, p2, z):
+    """2D transform of a SampledProfile grid array at p2 on each point's nearest slice to z.
+
+    Zero for a z more than half a cell outside the slices.
+    """
+    iz = np.rint((np.asarray(z, dtype=float) - profile.origin[2]) / profile.spacing[2])
+    p2 = np.asarray(p2, dtype=float)
+    shape = np.broadcast_shapes(p2.shape[:-1], iz.shape)
+    out = np.zeros(shape + ((3, 3) if key in ("ee", "em") else ()), dtype=complex)
+    if profile.em is None and key in ("em", "mu"):
+        return out
+    table = _slice_table(profile, key, np.broadcast_to(p2, shape + (2,)))
+    iz = np.broadcast_to(iz, shape)
+    for n in range(profile.ee.shape[2]):
+        out[iz == n] = table[iz == n][:, n]
+    return out
+
+
+def _envelope_ft2(profile, x_ft, p2, z):
+    """x_ft(p_x) ft_y(p_y) [|z| <= lz/2] of an envelope-family medium."""
+    p2 = np.real(p2)
+    inside = (np.abs(np.asarray(z, dtype=float)) <= profile.footprint.lz / 2).astype(float)
+    return x_ft(p2[..., 0]) * profile.footprint.ft_y(p2[..., 1]) * inside
+
+
+def eta2_ref(profile, p2, z):
+    """2D transforms (eta_eps~, eta_mu~) at transverse momenta p2 (..., 2) and height z.
+
+    Envelope families: zeta u_1(p_x) ft_y(p_y) [|z| <= lz/2] times I, the
+    closed form whose z-transform the package evaluates (eta3_tensors).  A
+    rotated view back-rotates p and conjugates the tensors; a SampledProfile
+    takes each point's nearest slice of its cached slice transforms.
+    """
+    if isinstance(profile, RotatedProfile):
+        return profile._conj(eta2_ref(profile.base, _back2(profile, p2), z))
+    if isinstance(profile, SampledProfile):
+        return _nearest_slice(profile, "ee", p2, z), _nearest_slice(profile, "em", p2, z)
+    s = profile.footprint.zeta * _envelope_ft2(profile, partial(profile.ft_env_pow, 1), p2, z)
+    ee = np.asarray(s, dtype=complex)[..., None, None] * np.eye(3)
+    return ee, np.zeros_like(ee)
+
+
+def recip2_ref(profile, p2, z, which):
+    """2D transform of the reciprocal symbol eta_{1/eps33} ("eps") or eta_{1/mu33} ("mu").
+
+    Envelope families: the Neumann sum _recip_ft_x(p_x) ft_y(p_y) [|z| <= lz/2]
+    for "eps" and zero for "mu"; rotations leave the 33-component alone, and a
+    SampledProfile takes each point's nearest slice, as in eta2_ref.
+    """
+    if isinstance(profile, RotatedProfile):
+        return recip2_ref(profile.base, _back2(profile, p2), z, which)
+    if isinstance(profile, SampledProfile):
+        return _nearest_slice(profile, recip_key(which), p2, z)
+    if recip_key(which) == "mu":
+        return np.zeros(np.shape(p2)[:-1], dtype=complex)
+    return _envelope_ft2(profile, profile._recip_ft_x, p2, z)
+
+
 def deltaH_block(profile, z, p, q, k):
     """Kernel of pi deltaH~(z) pi between transverse momenta p and q.
 
     The interaction block of transfer._assemble_v built from the medium's
-    2D transforms at height z (eta2_tensors, recip33_ft2), where the
-    package builds it from the 3D transforms at q_z (transfer._bblock_zft).
+    2D transforms at height z (eta2_ref, recip2_ref), where the package
+    builds it from the 3D transforms at q_z (transfer._bblock_zft).
     """
     single = np.asarray(p).ndim == 1
     p = np.atleast_2d(np.asarray(p, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
     dp = p - q
-    Te, Tm = profile.eta2_tensors(dp, z)
-    re = profile.recip33_ft2(dp, z, "eps")
-    rm = profile.recip33_ft2(dp, z, "mu")
+    Te, Tm = eta2_ref(profile, dp, z)
+    re = recip2_ref(profile, dp, z, "eps")
+    rm = recip2_ref(profile, dp, z, "mu")
     out = _assemble_v(p, q, k, Te, Tm, re, rm)
     return out[0] if single else out
 
@@ -106,8 +178,9 @@ def zquad_kernel(profile, k, p, q, nz=48):
 
     Same channel sum as transfer.firstorder_kernel, but each block
     int dz e^{i z w} deltaH(p, q; z) is integrated by nz-point Gauss-Legendre
-    over the slab from the medium's 2D transforms, where the package takes
-    the closed-form 3D transform at q_z = -w.  p and q are (N, 2) pair lists.
+    over the slab from the 2D transforms of eta2_ref and recip2_ref, where the
+    package takes the closed-form 3D transform at q_z = -w.  p and q are
+    (N, 2) pair lists.
     """
     a_lo, a_hi = profile.slab
     xg, wg = np.polynomial.legendre.leggauss(nz)
@@ -238,9 +311,7 @@ def sampled_z_sum(profile, key, q3):
     dz = profile.spacing[2]
     z = profile.origin[2] + np.arange(profile.ee.shape[2]) * dz
     w = np.exp(-1j * np.multiply.outer(q3[..., 2], z)) * dz
-    px, py = profile._px, profile._py
-    F = _interp(profile._ft2(key), np.real(q3[..., :2]), (px[0], py[0]),
-                (px[1] - px[0], py[1] - py[0]))
+    F = _slice_table(profile, key, np.real(q3[..., :2]))
     out = np.einsum("...z,...zc->...c", w, F.reshape(w.shape + (-1,)))
     return out.reshape(F.shape[: w.ndim - 1] + F.shape[w.ndim:])
 

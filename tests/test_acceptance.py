@@ -191,7 +191,8 @@ def test_criterion_6_operator_identities(reference_medium):
     grid05 = build_momentum_grid(0.5 * ALPHA, 3.0, 8, 0)
     kern05 = transfer_first_order(reference_medium, grid05)
 
-    ok = alg < 1e-12 and eig < 1e-12 and id101_ok and kern05.norm_max < 1e-10
+    # the projectors' diagonal blocks are exact, so the algebra sits far below the gate
+    ok = alg <= 5e-14 and eig < 1e-12 and id101_ok and kern05.norm_max < 1e-10
     _report(
         6,
         f"operator identities (Pi algebra {alg:.1e}, eigen {eig:.1e}, "

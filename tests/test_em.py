@@ -124,6 +124,16 @@ class TestProjectors:
             resid = np.abs(H @ P - w[:, None, None] * P).max()
             assert resid < 1e-12 * scale * np.abs(w).max()
 
+    def test_lower_right_block_is_exact(self):
+        # -Lw Lw / 2 is I/2 only up to roundoff of entries near (k/varpi)^2;
+        # the projector writes both diagonal blocks as the exact I/2
+        k = 0.8
+        pts = disk_and_evanescent_points(k, np.random.default_rng(6))
+        half = np.broadcast_to(0.5 * np.eye(2), (len(pts), 2, 2))
+        for j in (1, 2):
+            P = em.projector(j, pts, k)
+            assert np.array_equal(P[:, 2:, 2:], half) and np.array_equal(P[:, :2, :2], half)
+
     def test_channel_factors_rebuild_projectors(self):
         # Pi_j = U_j V_j / 2 and V_j U_m = 2 delta_jm I on the disk and on
         # evanescent momenta outside the guard annulus

@@ -21,7 +21,7 @@ from bornexact import (
 from bornexact.errors import BoundsViolated, ConfigError, WindowTooSmall
 from bornexact.medium import MediumProfile, _sinc
 from bornexact.sampled import write_grid
-from oracles import envelope_ft_ref, profile_to_dict, sampled_z_sum
+from oracles import envelope_ft_ref, eta2_ref, profile_to_dict, recip2_ref, sampled_z_sum
 
 ALPHA = 1.0
 
@@ -74,10 +74,17 @@ class TestFourierForms:
             assert env == pytest.approx(re + 1j * im, rel=1e-10)
 
     def test_eta2_vanishes_at_and_below_threshold(self, reference_medium, gausserf_medium):
+        # in the 2D transform inside the slab, and so in the 3D one at every
+        # q_z, evanescent (complex) ones included
+        ps = np.array([[ALPHA, 0.3], [0.5, -1.0], [-2.0, 0.0], [ALPHA - 1e-12, 0.1]])
+        qz = np.array([0.0, 0.7, -1.9, 0.3j, 1.2 - 0.8j])
+        q3 = np.concatenate([np.repeat(ps, qz.size, axis=0),
+                             np.tile(qz, len(ps))[:, None]], axis=1)
         for prof in (reference_medium, gausserf_medium):
-            ps = np.array([[ALPHA, 0.3], [0.5, -1.0], [-2.0, 0.0], [ALPHA - 1e-12, 0.1]])
-            ee, _ = prof.eta2_tensors(ps, 0.0)
+            ee, _ = eta2_ref(prof, ps, 0.0)
             assert not np.any(ee)
+            ee3, _ = prof.eta3_tensors(q3)
+            assert not np.any(ee3) and not np.any(prof.recip33_ft3(q3, "eps"))
 
     def test_eta3_separable_box_factors(self, reference_medium):
         q = np.array([[1.4, 0.6, -0.9]])
@@ -127,9 +134,7 @@ class TestFourierForms:
         # independent z-quadrature of the 2D transform over the slab
         q = np.array([1.7, -0.4, 0.8])
         zs = np.linspace(-2.0, 2.0, 4001)
-        ee2, _ = gausserf_medium.eta2_tensors(
-            np.broadcast_to(q[:2], (zs.size, 2)), zs
-        )
+        ee2, _ = eta2_ref(gausserf_medium, np.broadcast_to(q[:2], (zs.size, 2)), zs)
         vals = ee2[:, 0, 0] * np.exp(-1j * q[2] * zs)
         oracle = np.trapezoid(vals, zs)
         ee3, _ = gausserf_medium.eta3_tensors(q[None, :])
@@ -173,7 +178,7 @@ class TestFourierForms:
         # finite slab: the z-transform is entire; compare against direct sum
         q = np.array([1.5, 0.2, 0.3 + 0.41j])
         zs = np.linspace(-2.0, 2.0, 8001)
-        ee2, _ = reference_medium.eta2_tensors(np.broadcast_to(q[:2].real, (zs.size, 2)), zs)
+        ee2, _ = eta2_ref(reference_medium, np.broadcast_to(q[:2].real, (zs.size, 2)), zs)
         oracle = np.trapezoid(ee2[:, 0, 0] * np.exp(-1j * q[2] * zs), zs)
         ee3, _ = reference_medium.eta3_tensors(q[None, :])
         assert ee3[0, 0, 0] == pytest.approx(oracle, rel=1e-6)
@@ -412,13 +417,21 @@ class TestRotation:
         rot = rotate_to_x(reference_medium, np.array([0.0, 1.0]))
         # base is modulated along x; the rotated view is modulated along the
         # preimage of x, so its transform at (px,py) equals the base's at
-        # the back-rotated momentum
-        p_new = np.array([[1.4, 0.3]])
+        # the back-rotated momentum, in 3D (any q_z) and in 2D mid-slab; the
+        # second momentum maps above the threshold, the first below it
+        p_new = np.array([[1.4, 0.3], [0.3, -1.4]])
         c, s = np.cos(-np.pi / 2), np.sin(-np.pi / 2)
-        p_old = np.array([[c * 1.4 + s * 0.3, -s * 1.4 + c * 0.3]])
-        ee_new, _ = rot.eta2_tensors(p_new, 0.0)
-        ee_old, _ = reference_medium.eta2_tensors(p_old, 0.0)
-        assert ee_new[0, 2, 2] == pytest.approx(ee_old[0, 2, 2], rel=1e-12)
+        p_old = np.stack([c * p_new[:, 0] + s * p_new[:, 1],
+                          -s * p_new[:, 0] + c * p_new[:, 1]], axis=-1)
+        for qz in (0.0, 0.6, 0.4j):
+            ee_new, _ = rot.eta3_tensors(np.append(p_new, [[qz], [qz]], axis=1))
+            ee_old, _ = reference_medium.eta3_tensors(np.append(p_old, [[qz], [qz]], axis=1))
+            assert ee_old[0, 2, 2] == 0 and ee_old[1, 2, 2] != 0
+            assert ee_new[:, 2, 2] == pytest.approx(ee_old[:, 2, 2], rel=1e-12)
+        ee_new, _ = eta2_ref(rot, p_new, 0.0)
+        ee_old, _ = eta2_ref(reference_medium, p_old, 0.0)
+        assert ee_old[1, 2, 2] != 0
+        assert ee_new[:, 2, 2] == pytest.approx(ee_old[:, 2, 2], rel=1e-12)
 
     def test_scalar_tensor_invariance(self, reference_medium):
         rot = rotate_to_x(reference_medium, np.array([0.0, 1.0]))
@@ -575,7 +588,7 @@ class TestSampledProfile:
         assert np.all(eta_at(np.array([lo + 1e-9, -0.7, 2.3, hi - 1e-9]))[:, 0, 0] != 0)
         # z-constant grid: the q_z = 0 transform is the slab width times the 2D one
         p2 = np.array([[0.3, 0.2], [-1.1, 0.9]])
-        e2, _ = samp.eta2_tensors(p2, 0.0)
+        e2, _ = eta2_ref(samp, p2, 0.0)
         e3, _ = samp.eta3_tensors(np.concatenate([p2, np.zeros((2, 1))], axis=1))
         assert np.abs(e2).min(axis=0)[0, 0] > 0
         assert np.abs(e3 - (hi - lo) * e2).max() <= 1e-14 * np.abs(e2).max()
@@ -598,7 +611,7 @@ class TestSampledProfile:
         assert traced <= 1.2 * ee.nbytes
         assert em3.shape == (20, 3, 3) and not np.any(em3)
         assert not np.any(samp.recip33_ft3(q3, "mu")) and not np.any(samp.eval_eta(q3)[1])
-        assert samp.recip33_ft2(q3[:, :2], 0.0, "mu").shape == (20,)
+        assert recip2_ref(samp, q3[:, :2], 0.0, "mu").shape == (20,)
         assert samp.scaled(2.0).em is None
         assert set(samp._ft_cache) == {"ee"}
 
@@ -612,17 +625,3 @@ class TestSampledProfile:
                          (rec, sampled_z_sum(sampled, "eps", q3))):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-
-    def test_2d_transforms_take_one_z_per_point(self, sampled):
-        # three points, each on its own slice (one of them outside the grid)
-        rng = np.random.default_rng(4)
-        p2 = rng.uniform(-1.5, 1.5, (3, 2))
-        z = np.array([-1.3, 0.4, 9.0])
-        ee, em = sampled.eta2_tensors(p2, z)
-        rec = sampled.recip33_ft2(p2, z, "eps")
-        assert ee.shape == em.shape == (3, 3, 3) and rec.shape == (3,)
-        for i in range(3):
-            ee_i, em_i = sampled.eta2_tensors(p2[i:i + 1], z[i])
-            assert np.array_equal(ee[i], ee_i[0]) and np.array_equal(em[i], em_i[0])
-            assert np.array_equal(rec[i], sampled.recip33_ft2(p2[i:i + 1], z[i], "eps")[0])
-        assert np.any(ee[0]) and np.any(ee[1]) and not np.any(ee[2])

@@ -46,12 +46,13 @@ BAD_CALLS = {
     "varpi k=0": lambda m: em.varpi(np.zeros(2), 0.0),
     "projector j=3": lambda m: em.projector(3, np.zeros(2), 1.0),
     "support_overlap n=0": lambda m: bornexact.support_overlap(1, 0.8, n=0),
+    "support_overlap n=2.5": lambda m: bornexact.support_overlap(1.0, 0.8, None, n=2.5),
+    "support_report grid ny=0": lambda m: bornexact.support_report(m, 1.0, grid=(512, 0, 64)),
+    "support_report grid nz=0": lambda m: bornexact.support_report(m, 1.0, grid=(512, 4, 0)),
     "bounds_check no samples": lambda m: bornexact.bounds_check(m, 0),
     "bounds_check 1.5 samples": lambda m: bornexact.bounds_check(m, 1.5),
     "recip33_ft3 which rational": lambda m: m.recip33_ft3(_Q3, "foo"),
-    "recip33_ft2 which rational": lambda m: m.recip33_ft2(_Q3[:, :2], 0.0, "foo"),
     "recip33_ft3 which sampled": lambda m: _NONMAGNETIC.recip33_ft3(_Q3, "foo"),
-    "recip33_ft2 which sampled": lambda m: _NONMAGNETIC.recip33_ft2(_Q3[:, :2], 0.0, "foo"),
     "build_momentum_grid k<0": lambda m: transfer.build_momentum_grid(-0.8, 4.8, 8, 0),
     "build_momentum_grid n_disk=8.5": lambda m: transfer.build_momentum_grid(0.8, 4.8, 8.5, 0),
     "build_momentum_grid n_box=8.5": lambda m: transfer.build_momentum_grid(0.8, 4.8, 8, 8.5),
@@ -104,17 +105,28 @@ def _calls(path: Path, names):
                 yield f"{path.name}:{node.lineno} calls {name}"
 
 
+def _class_attrs(path: Path, names):
+    """Methods and class-level assignments of path named in names."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                defined = [item.name] if isinstance(item, ast.FunctionDef) else [
+                    t.id for t in getattr(item, "targets", []) if isinstance(t, ast.Name)]
+                yield from (f"{path.name}:{node.name}.{n}" for n in defined if n in names)
+
+
 def test_one_production_block_route():
-    """Only the media call their own 2D transforms; every production block
-    is built from the 3D transforms (transfer._bblock_zft)."""
-    src = Path(bornexact.__file__).parent
-    found = [
-        hit
-        for path in sorted(src.glob("*.py"))
-        if path.name not in ("medium.py", "sampled.py")
-        for hit in _calls(path, _BLOCK_2D)
+    """Every production block is built from the 3D transforms
+    (transfer._bblock_zft): no module calls a 2D transform at height z, and
+    only MediumProfile keeps their names, as stubs the benchmark's tracer
+    binds."""
+    paths = sorted(Path(bornexact.__file__).parent.glob("*.py"))
+    assert [hit for path in paths for hit in _calls(path, _BLOCK_2D)] == []
+    gone = _BLOCK_2D + ("_nearest_slice", "indicator_z")
+    assert [hit for path in paths for hit in _class_attrs(path, gone)] == [
+        "medium.py:MediumProfile.eta2_tensors",
+        "medium.py:MediumProfile.recip33_ft2",
     ]
-    assert found == []
 
 
 def test_one_channel_formula():

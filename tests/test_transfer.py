@@ -47,6 +47,7 @@ from oracles import (
     channels,
     deltaH_block,
     dyson_matrix_ref,
+    eta2_ref,
     firstorder_kernel_ref,
     id101_matrix_ref,
     zquad_kernel,
@@ -242,7 +243,7 @@ class TestKernel:
         blk = dyson_block(reference_medium, p, q)
         assert not np.any(blk[0:2, 0:2])
         assert not np.any(blk[2:4, 2:4])
-        ee, _ = reference_medium.eta2_tensors((p - q)[None, :], 0.0)
+        ee, _ = eta2_ref(reference_medium, (p - q)[None, :], 0.0)
         eta = ee[0, 0, 0]
         s2 = np.array([[0, -1j], [1j, 0]])
         v21 = 1j * K * eta * s2 / (4 * np.pi**2)
