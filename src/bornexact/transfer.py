@@ -9,10 +9,14 @@ first-order kernel is
 with Pi_j = U_j V_j / 2 and omega_j = (-1)^j varpi the rank-2 channels of
 em.channel_factors and B~(p, q; w) the interaction block of the medium's 3D
 transform at q_z = -w.  Kernel, closed-form T and Dyson are built from the
-2x2 cores a_jl = V_j B~ U_l of _cores: one block per pair, B~ = C E(w), for
-a z-constant medium, four otherwise.  T_+/- are the first-order closed forms
-t_+ = Pi_1 K(., k_i) Y and t_- = -Pi_2 K(., k_i) Y, contracted with Xi for
-the far field; id101, (M - pi) Pi_2 (M - pi), is (K U_2)(V_2 W K) / 2.
+2x2 cores a_jl = V_j B~ U_l of _cores: one frequency per pair, B~ = C E(w),
+for a z-constant medium, four otherwise.  A medium with a scalar form
+(scalar_eta3: eta_eps~ = s I, eta_mu~ = 0) has them in closed form,
+a_jl = -(1/4 pi^2) [re (p (x) q) / omega_l(q) + s (p (x) p - k^2 I) / omega_j(p)],
+re the reciprocal symbol eta_{1/eps33}; any other contracts the 4x4 block.
+T_+/- are the first-order closed forms t_+ = Pi_1 K(., k_i) Y and t_- =
+-Pi_2 K(., k_i) Y, contracted with Xi for the far field; id101,
+(M - pi) Pi_2 (M - pi), is (K U_2)(V_2 W K) / 2.
 Nothing assumes Hermiticity: all kernels are general-complex.
 """
 
@@ -161,6 +165,13 @@ def _assemble_v(p, q, k, Te, Tm, re, rm):
     return V
 
 
+def _q3(p, q, w):
+    """(p - q, -w): the 3D momentum at which the block at frequency w reads the medium."""
+    dp = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+    qz = np.broadcast_to(-np.asarray(w, dtype=complex), dp.shape[:-1])
+    return np.concatenate([dp.astype(complex), qz[..., None]], axis=-1)
+
+
 def _bblock_zft(profile: MediumProfile, p, q, w, k: float):
     """z-Fourier transform of the interaction block at frequency -w.
 
@@ -168,11 +179,7 @@ def _bblock_zft(profile: MediumProfile, p, q, w, k: float):
     medium transforms at q_z = -w (complex w supported: the slab is finite,
     so the transform is entire in w).  w broadcasts against p - q.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    dp = p - q
-    qz = np.broadcast_to(-np.asarray(w, dtype=complex), dp.shape[:-1])
-    q3 = np.concatenate([dp.astype(complex), qz[..., None]], axis=-1)
+    q3 = _q3(p, q, w)
     Te, Tm = profile.eta3_tensors(q3)
     re = profile.recip33_ft3(q3, "eps")
     rm = profile.recip33_ft3(q3, "mu")
@@ -186,29 +193,50 @@ def _slab_ft(w, a_lo, a_hi):
     return L * np.exp(1j * w * zbar) * _sinc(0.5 * L * w)
 
 
+def _core(profile: MediumProfile, k: float, p, q, fp, fq, w, width: float = 1.0):
+    """Cores V_j(p) B~(p, q; w) U_l(q) / width over the channels of fp, fq: (P, j, x, ..., l, y).
+
+    With a scalar form, Te = s I and Tm = rm = 0, only V's off-diagonal blocks
+    survive, and L0(q)^T Jq = k q, k L0(p) J = p (x) p - k^2 I give the closed
+    form of the module docstring; other media contract the 4x4 _bblock_zft.
+    """
+    (_, Vp, wp), (Uq, _, wq) = fp, fq
+    q3 = _q3(p, q, w)
+    s = profile.scalar_eta3(q3)
+    if s is None:
+        # the block meets the longer side's factor first, so chunks of rows sum
+        # alike; q's on a tie or when q is one momentum (one GEMM for the closed-form T)
+        path = ["einsum_path", (0, 1) if Vp.size > Uq.size and np.size(q) > 2 else (1, 2), (0, 1)]
+        return np.einsum("jp...xa,p...ab,lp...by->pjx...ly", Vp,
+                         _bblock_zft(profile, p, q, w, k) / width, Uq, optimize=path)
+    c = -0.25 / (np.pi**2 * width)
+    sw = (c * s)[..., None] / np.moveaxis(wp, 0, -1)  # (P, ..., j)
+    pp = p[..., :, None] * p[..., None, :] - k * k * np.eye(2)
+    rp = (c * profile.recip33_ft3(q3, "eps"))[..., None] * p
+    qw = q[..., None, :] / np.moveaxis(wq, 0, -1)[..., None]  # (P, ..., l, y)
+    return np.add(np.moveaxis(sw, -1, 1)[:, :, None, ..., None, None]
+                  * np.moveaxis(pp, -2, 1)[:, None, ..., None, :],
+                  np.moveaxis(rp, -1, 1)[:, None, ..., None, None] * qw[:, None, None], order="C")
+
+
 def _cores(profile: MediumProfile, k: float, p, q, fp, fq, transverse: bool = False):
     """Cores a_jl(p, q) = V_j(p) B~(p, q; omega_j(p) - omega_l(q)) U_l(q), (P, j, x, ..., l, y).
 
     p (P, ..., 2) and q (P or 1, ..., 2) broadcast; fp, fq are their channel_factors.
     A z-constant medium has B~(p, q; w) = C(p, q) E(w), C = B~(p, q; 0) / (a_hi - a_lo),
-    E = _slab_ft: one C per pair, and E scales each (j, l) core (transverse=True:
-    the cores of C).  Other media take four 3D evaluations, at q_z = -(omega_j - omega_l).
+    E = _slab_ft: _core at w = 0 once per pair, and E scales each (j, l) core
+    (transverse=True: the cores of C).  Other media call _core at the four
+    frequencies omega_j - omega_l, one channel pair each.
     """
-    (_, Vp, wp), (Uq, _, wq) = fp, fq
-    # C meets the longer side's factor first, so chunks of rows sum alike; q's
-    # on a tie or when q is one momentum (one GEMM for the closed-form T)
-    spec = "jp...xa,p...ab,lp...by->pjx...ly"
-    path = ["einsum_path", (0, 1) if Vp.size > Uq.size and np.size(q) > 2 else (1, 2), (0, 1)]
     if profile.z_constant:
         a_lo, a_hi = profile.slab
-        C = _bblock_zft(profile, p, q, 0.0, k) / (a_hi - a_lo)
-        a = np.ascontiguousarray(np.einsum(spec, Vp, C, Uq, optimize=path))
+        a = np.ascontiguousarray(_core(profile, k, p, q, fp, fq, 0.0, a_hi - a_lo))
         if not transverse:  # omega_j(p) - omega_l(q), laid out as the cores
-            a *= _slab_ft(np.moveaxis(wp, 0, 1)[:, :, None, ..., None, None]
-                          - np.moveaxis(wq, 0, -1)[:, None, None, ..., :, None], a_lo, a_hi)
+            a *= _slab_ft(np.moveaxis(fp[2], 0, 1)[:, :, None, ..., None, None]
+                          - np.moveaxis(fq[2], 0, -1)[:, None, None, ..., :, None], a_lo, a_hi)
         return a
-    rows = [[np.einsum(spec, Vp[j, None], _bblock_zft(profile, p, q, wp[j] - wq[l], k),
-                       Uq[l, None], optimize=path) for l in (0, 1)] for j in (0, 1)]
+    rows = [[_core(profile, k, p, q, [f[j:j + 1] for f in fp], [f[l:l + 1] for f in fq],
+                   fp[2][j] - fq[2][l]) for l in (0, 1)] for j in (0, 1)]
     return np.concatenate([np.concatenate(r, axis=-2) for r in rows], axis=1)
 
 
@@ -242,7 +270,8 @@ class TransferKernel:
 
 # traced working set of firstorder_kernel (n_disk 8, 16): 1.03 kB per (p, q)
 # pair for envelope media, 1.09 kB sampled (16 z-slices), plus 0.55-0.6 kB per
-# column q; solve_T, one pair and row per point: 1.31 kB, 1.38-1.41 kB sampled
+# column q; solve_T, one pair and row per point: 1.31 kB, 1.38-1.41 kB sampled.
+# Scalar cores keep the kernel at 1.03 kB; solve_T's whole peak is 1.23-1.28 kB (1.57 tensor)
 _KERNEL_PAIR_BYTES = 5 * 256
 _KERNEL_COLUMN_BYTES = 3 * 256
 
@@ -282,7 +311,8 @@ def transfer_first_order(
 
 # traced peaks of _dyson_matrix (n_disk 8, 12; n_box 8, 20): 1.03-1.29 kB
 # per (disk, intermediate) pair while one core is held and the other C block
-# is evaluated and reduced, then about 1 kB per disk pair in the expansion
+# is evaluated and reduced, then about 1 kB per disk pair in the expansion; with
+# scalar cores the whole peak is 0.94-1.05 kB per pair (1.33 kB tensor route)
 _DYSON_PAIR_BYTES, _DYSON_DISK_PAIR_BYTES = 6 * 256, 4 * 256
 
 

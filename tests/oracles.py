@@ -159,8 +159,9 @@ def firstorder_kernel_ref(profile, k, p, q):
     K = -i sum_{j,l} Pi_j(p) B~(p, q; omega_j(p) - omega_l(q)) Pi_l(q) with
     the 4x4 projectors of channels, each block from the 3D transforms at
     q_z = -(omega_j - omega_l), where transfer.firstorder_kernel reduces one
-    block per pair (z-constant media) or the four to rank-2 cores.  p and q
-    broadcast against each other.
+    block per pair (z-constant media) or the four to rank-2 cores, and builds
+    the cores of a medium with a scalar form in closed form, without any
+    block.  p and q broadcast against each other.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -208,7 +209,8 @@ def dyson_matrix_ref(profile, grid):
     channels kept whole: for each intermediate channel m and disk channel
     l it forms A_m = C(p, r) Pi_m(r) and B_ml = C(r, q) Pi_l(q) weight_r /
     (i w1), and contracts them over r eight times, where the package reduces
-    C to rank-2 cores and makes two contractions.
+    C to rank-2 cores (in closed form, without C, for a medium with a scalar
+    form) and makes two contractions.
     """
     a_lo, a_hi = profile.slab
     k = grid.k

@@ -96,13 +96,18 @@ def test_no_bare_builtin_raises():
 _BLOCK_2D = ("eta2_tensors", "recip33_ft2")
 
 
-def _calls(path: Path, names):
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+def _call_names(tree, names):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name in names:
-                yield f"{path.name}:{node.lineno} calls {name}"
+                yield node.lineno, name
+
+
+def _calls(path: Path, names):
+    for lineno, name in _call_names(ast.parse(path.read_text(), str(path)), names):
+        yield f"{path.name}:{lineno} calls {name}"
 
 
 def _class_attrs(path: Path, names):
@@ -116,10 +121,9 @@ def _class_attrs(path: Path, names):
 
 
 def test_one_production_block_route():
-    """Every production block is built from the 3D transforms
-    (transfer._bblock_zft): no module calls a 2D transform at height z, and
-    only MediumProfile keeps their names, as stubs the benchmark's tracer
-    binds."""
+    """Every production block is built from the 3D transforms (transfer._core):
+    no module calls a 2D transform at height z, and only MediumProfile keeps
+    their names, as stubs the benchmark's tracer binds."""
     paths = sorted(Path(bornexact.__file__).parent.glob("*.py"))
     assert [hit for path in paths for hit in _calls(path, _BLOCK_2D)] == []
     gone = _BLOCK_2D + ("_nearest_slice", "indicator_z")
@@ -140,3 +144,34 @@ def test_one_channel_formula():
         for hit in _calls(path, ("free_hamiltonian",))
     ]
     assert found == []
+
+
+def _callers(path: Path, names):
+    """Who calls names in path: a function, class.method, class body or <module>."""
+    for top in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(top, ast.ClassDef):
+            scopes = [(f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                       else top.name, item) for item in top.body]
+        else:
+            scopes = [(top.name if isinstance(top, ast.FunctionDef) else "<module>", top)]
+        for owner, tree in scopes:
+            for _, name in _call_names(tree, names):
+                yield f"{path.stem}.{owner} calls {name}"
+
+
+def test_one_route_selector_per_layer():
+    """scalar_eta3 picks the route once per layer: in second_born_amplitudes
+    for Born and in transfer._core for the transfer blocks; besides them only
+    the media's own forwards read it.  Only the tensor route, _bblock_zft
+    (called from _core alone), assembles the 4x4 block."""
+    paths = sorted(Path(bornexact.__file__).parent.glob("*.py"))
+    found = sorted({hit for path in paths
+                    for hit in _callers(path, ("scalar_eta3", "_assemble_v", "_bblock_zft"))})
+    assert found == [
+        "born.second_born_amplitudes calls scalar_eta3",
+        "medium.RotatedProfile.scalar_eta3 calls scalar_eta3",
+        "medium._EnvelopeProfile.eta3_tensors calls scalar_eta3",
+        "transfer._bblock_zft calls _assemble_v",
+        "transfer._core calls _bblock_zft",
+        "transfer._core calls scalar_eta3",
+    ]

@@ -35,10 +35,14 @@ from bornexact.errors import (
 )
 from bornexact.medium import MediumProfile
 from bornexact.transfer import (
+    _DYSON_DISK_PAIR_BYTES,
+    _DYSON_PAIR_BYTES,
     _KERNEL_COLUMN_BYTES,
     _KERNEL_PAIR_BYTES,
     _assemble_v,
     _bblock_zft,
+    _closed_form_t,
+    _core,
     _dyson_matrix,
     _id101_matrix,
 )
@@ -62,13 +66,34 @@ def vacuum_profile():
     return RationalEnvelopeProfile(ALPHA, 2.0, 1, TransverseBox(0.0, 3.0, 4.0))
 
 
-class CountingProfile(MediumProfile):
-    """Forwards the 3D transforms of a base medium and counts the points asked for."""
+class TensorView(MediumProfile):
+    """A base medium's 3D tensor transforms without its scalar form, so the
+    transfer layer takes the tensor route (the 4x4 block) on it."""
 
     def __init__(self, base):
         self.base, self.alpha, self.slab = base, base.alpha, base.slab
         self.z_constant = base.z_constant
+
+    def eta3_tensors(self, q3):
+        return self.base.eta3_tensors(q3)
+
+    def recip33_ft3(self, q3, which):
+        return self.base.recip33_ft3(q3, which)
+
+
+class CountingProfile(TensorView):
+    """Forwards the 3D transforms of a base medium, its scalar form included,
+    and counts the points they evaluate (none where the base has no scalar form)."""
+
+    def __init__(self, base):
+        super().__init__(base)
         self.points = 0
+
+    def scalar_eta3(self, q3):
+        s = self.base.scalar_eta3(q3)
+        if s is not None:
+            self.points += q3.size // 3
+        return s
 
     def eta3_tensors(self, q3):
         self.points += q3.size // 3
@@ -349,20 +374,88 @@ class TestKernel:
             assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_transform_points_per_branch(self, reference_medium, control_medium, grid):
-        # per symbol (eta3 and the two reciprocals): one point per pair for
-        # z-constant media, compliant or not, and four for the sampled cut
+        # z-constant media take one frequency per pair, the sampled cut four.
+        # With a scalar form a frequency reads s and the eps reciprocal, and
+        # no eta_mu symbol; the tensor route reads eta3 and both reciprocals
         n_pairs = grid.n_disk_points**2
         points = []
-        for base in (reference_medium, control_medium, cut_control(control_medium)):
+        for base in (reference_medium, control_medium, cut_control(control_medium),
+                     TensorView(reference_medium)):
             medium = CountingProfile(base)
             transfer_first_order(medium, grid)
             points.append(medium.points)
-        assert points == [3 * n_pairs, 3 * n_pairs, 3 * 4 * n_pairs]
+        assert points == [2 * n_pairs, 2 * n_pairs, 3 * 4 * n_pairs, 3 * n_pairs]
 
     def test_m_equals_pi_below_half_alpha(self, reference_medium):
         g = build_momentum_grid(0.5, 3.0, 8, 0)
         kern = transfer_first_order(reference_medium, g)
         assert kern.norm_max == 0.0
+
+
+# the scalar route against the tensor route on the same medium: rational
+# m = 1, 2, Gauss-erf, the control and the control rotated off the axes
+SCALAR_MEDIA = ["rational_m1", "rational_m2", "gausserf", "control", "control_rotated"]
+
+
+@pytest.fixture(scope="module")
+def scalar_medium(request, control_medium):
+    box = TransverseBox(0.01, 3.0, 4.0)
+    return {
+        "rational_m1": lambda: RationalEnvelopeProfile(ALPHA, 2.0, 1, box),
+        "rational_m2": lambda: RationalEnvelopeProfile(ALPHA, 2.0, 2, box),
+        "gausserf": lambda: GaussErfProfile(ALPHA, 2.0, box),
+        "control": lambda: control_medium,
+        "control_rotated": lambda: rotate_to_x(control_medium, (0.6, 0.8)),
+    }[request.param]()
+
+
+class TestScalarRoute:
+    @pytest.mark.parametrize("k", [0.8, 1.2])
+    @pytest.mark.parametrize("scalar_medium", SCALAR_MEDIA, indirect=True)
+    def test_cores_match_tensor_route(self, scalar_medium, k):
+        # every 4th disk point against the disk (real varpi) and against the
+        # outer box (evanescent varpi), at q_z = 0 and at the four channel
+        # frequencies omega_j(p) - omega_l(q), complex on the box
+        g = build_momentum_grid(k, 6 * k, 8, 8)
+        n = g.n_disk_points
+        fd = em.channel_factors(g.disk_points, k)
+        p, fp = g.disk_points[::4, None], tuple(f[:, ::4, None] for f in fd)
+        for q2 in (g.disk_points, g.points[n:]):
+            q, fq = q2[None], tuple(f[:, None] for f in em.channel_factors(q2, k))
+            for w in [0.0] + [fp[2][j] - fq[2][l] for j in (0, 1) for l in (0, 1)]:
+                a = _core(scalar_medium, k, p, q, fp, fq, w)
+                ref = _core(TensorView(scalar_medium), k, p, q, fp, fq, w)
+                assert a.shape == ref.shape == (n // 4, 2, 2, q2.shape[0], 2, 2)
+                assert np.abs(ref).max() > 0
+                assert np.abs(a - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k", [0.8, 1.2])
+    @pytest.mark.parametrize("scalar_medium", SCALAR_MEDIA, indirect=True)
+    def test_kernel_and_closed_form_match_tensor_route(self, scalar_medium, k):
+        g = build_momentum_grid(k, 6 * k, 8, 0)
+        w = IncidentWave.linear(k, 1.0, np.pi, 0.7)
+        tensor = TensorView(scalar_medium)
+        K1, ref = (transfer_first_order(m, g).K for m in (scalar_medium, tensor))
+        assert np.abs(ref).max() > 0
+        assert np.abs(K1 - ref).max() <= 1e-13 * np.abs(ref).max()
+        for t, t_ref in zip(_closed_form_t(scalar_medium, w, g.disk_points),
+                            _closed_form_t(tensor, w, g.disk_points)):
+            assert np.abs(t_ref).max() > 0
+            assert np.abs(t - t_ref).max() <= 1e-13 * np.abs(t_ref).max()
+
+    # the tolerances of TestDyson.test_matrix_matches_oracle
+    @pytest.mark.parametrize("case, rel", [("control", 1e-10), ("control_rotated", 1e-10),
+                                           ("compliant_k12", 1e-6)])
+    def test_dyson_matches_tensor_route(self, case, rel, control_medium, reference_medium):
+        medium, grid = {
+            "control": (control_medium, build_momentum_grid(K, 6 * K, 8, 8)),
+            "control_rotated": (rotate_to_x(control_medium, (0.6, 0.8)),
+                                build_momentum_grid(K, 6 * K, 8, 8)),
+            "compliant_k12": (reference_medium, build_momentum_grid(1.2, 7.2, 8, 8)),
+        }[case]
+        D, ref = _dyson_matrix(medium, grid), _dyson_matrix(TensorView(medium), grid)
+        assert np.abs(ref).max() > 0
+        assert np.abs(D - ref).max() <= rel * np.abs(ref).max()
 
 
 class TestId101:
@@ -475,6 +568,19 @@ class TestDyson:
         with pytest.raises(InvalidResolution, match=r"needs \d+ MiB > cap"):
             dyson_second_order_norm(medium, build_momentum_grid(K, 6 * K, 64, 256))
         assert medium.points == 0
+
+    @pytest.mark.parametrize("route", ["scalar", "tensor"])
+    def test_working_set_within_model(self, control_medium, route):
+        g = build_momentum_grid(K, 6 * K, 8, 8)
+        medium = control_medium if route == "scalar" else TensorView(control_medium)
+        Nd, Nr = g.n_disk_points, g.points.shape[0]
+        tracemalloc.start()
+        try:
+            _dyson_matrix(medium, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= Nd * (Nr * _DYSON_PAIR_BYTES + Nd * _DYSON_DISK_PAIR_BYTES)
 
     def test_sampled_unsupported(self, reference_medium, grid_with_box):
         samp = sample_profile(
