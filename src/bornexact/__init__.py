@@ -36,6 +36,7 @@ from .born import (
     QuadratureSpec,
     fibonacci_hemisphere,
     first_born_amplitude,
+    first_born_amplitudes,
     invisibility_report,
     scaling_check,
     second_born_amplitude,
@@ -80,6 +81,7 @@ __all__ = [
     "dyson_second_order_norm",
     "fibonacci_hemisphere",
     "first_born_amplitude",
+    "first_born_amplitudes",
     "firstorder_kernel",
     "free_hamiltonian",
     "identity_id101_residual",

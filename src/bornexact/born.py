@@ -1,13 +1,13 @@
 """Direct Born-series computations in momentum space.
 
-First-order amplitudes are closed forms in the 3D Fourier transform of the
-scattering potentials.  The second-order amplitude is a 3D momentum
-quadrature against the dyadic propagator (I - p p/k^2)/(|p|^2 - k^2 - i0),
-evaluated by a principal-value/residue split at the shell |p| = k, which is
+Both orders take the waves of one incidence (one k and k_i) and the
+detectors, and return (n_waves, n_detectors, 3): first_born_amplitudes is
+the outer vertex on the incident wave, in closed form; second_born_amplitudes
+a 3D momentum quadrature against the dyadic propagator (I - p p/k^2)/(|p|^2
+- k^2 - i0), split into principal value and residue at the shell |p| = k,
 exact in the regulator.  For scalar media the angular integral is a
-second-moment contraction of the pointwise product of the two links'
-transforms (real-arithmetic box factors at the real quadrature momenta);
-media without a scalar form take the tensor chain.
+second-moment contraction of the two links' pointwise product; other media
+take the tensor chain to the same outer vertex.
 
 For a compliant medium the chain of one-sided Fourier supports empties the
 second-order integrand pointwise, so quadrature returns an exact zero; the
@@ -24,9 +24,8 @@ from .em import DetectorDirection, IncidentWave
 from .errors import BoundsViolated, InvalidArgument, InvalidResolution
 from .medium import MEMORY_CAP_BYTES, MediumProfile, bounds_check, is_count
 
-# Sign of the magnetic term in the first-order amplitude, fixed by requiring
-# agreement with the transfer-matrix route on magnetic media (regression
-# tested there); do not change independently of that test.
+# Sign of the magnetic term at the outer vertex of both Born orders, fixed by
+# agreement with the transfer route on magnetic media (regression tested there).
 MAGNETIC_SIGN = -1.0
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -75,24 +74,57 @@ def direction_pairs(n_pairs: int = 64):
     return pairs[:n_pairs]
 
 
-def first_born_amplitude(profile: MediumProfile, w: IncidentWave, d: DetectorDirection):
-    """First Born far-field amplitude F1 at detector direction d.
+def _incidence(waves, detectors):
+    """k, k_i, polarization blocks E = [e_i ...], H = [h_i ...] (3, P) and rhat (D, 3).
 
-    F1 = (k^2/4pi) [ -rhat x (rhat x (eta_eps~(q) e_i))
-                     + s * rhat x (eta_mu~(q) h_i) ],  q = k_s - k_i,
-    with the magnetic sign s = MAGNETIC_SIGN.  Transversality rhat.F1 = 0 is
-    built in by the double cross product.
+    The waves must share k and k_i, so that they differ only in e_i: both
+    Born orders are linear in e_i, so one evaluation serves every polarization.
     """
-    k = w.k
-    rhat = d.r_hat
-    q = d.k_s(k) - w.k_i
-    ee, em = profile.eta3_tensors(q[None, :])
-    ve = ee[0] @ w.e_i
-    F = (k * k / (4 * np.pi)) * (ve - rhat * np.dot(rhat, ve))
+    waves, rhat = list(waves), np.array([d.r_hat for d in detectors])
+    if not waves or not rhat.size:
+        raise InvalidArgument("Born amplitudes need at least one wave and one detector")
+    k, ki = waves[0].k, waves[0].k_i
+    if any(w.k != k or not np.array_equal(w.k_i, ki) for w in waves[1:]):
+        raise InvalidArgument("Born amplitudes need waves of one k and one k_i")
+    kx, ky, kz = ki
+    E = np.array([w.e_i for w in waves]).T  # h_i = k_i x e_i / k, by k_i's cross matrix
+    return k, ki, E, np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]]) @ E / k, rhat
+
+
+def _outer_vertex(profile, q, rhat, E1, H1):
+    """Outer vertex eta_eps~(q) E1 + s rhat x [eta_mu~(q) H1], s = MAGNETIC_SIGN: (..., 3, P).
+
+    At momenta q (..., 3) into directions rhat (..., 3), for fields E1, H1
+    (..., 3, P): the incident polarization blocks for F1, the incident link's for F2.
+    """
+    ee, em = profile.eta3_tensors(q)
+    out = ee @ E1
     if np.any(em):
-        vm = em[0] @ w.h_i
-        F = F + MAGNETIC_SIGN * (k * k / (4 * np.pi)) * np.cross(rhat, vm)
-    return F
+        out = out + MAGNETIC_SIGN * np.cross(rhat[..., None], em @ H1, axis=-2)
+    return out
+
+
+def _far_field(F, rhat):
+    """Transverse far-field amplitudes (I - rhat rhat^T) F: F (D, 3, P) -> (P, D, 3)."""
+    F = F.transpose(2, 0, 1)
+    return F - rhat * (rhat * F).sum(axis=-1, keepdims=True)
+
+
+def first_born_amplitudes(profile: MediumProfile, waves, detectors):
+    """First Born far-field amplitudes F1 of one incidence: (n_waves, n_detectors, 3).
+
+    F1 = (k^2/4pi) (I - rhat rhat^T) [eta_eps~(q) e_i + s rhat x (eta_mu~(q) h_i)],
+    q = k_s - k_i, s = MAGNETIC_SIGN: F2's outer vertex on the incident wave,
+    one eta3_tensors call for every detector.  The waves share k and k_i.
+    """
+    k, ki, E, H, rhat = _incidence(waves, detectors)
+    F = _outer_vertex(profile, k * rhat - ki, rhat, E, H)
+    return _far_field((k * k / (4 * np.pi)) * F, rhat)
+
+
+def first_born_amplitude(profile: MediumProfile, w: IncidentWave, d: DetectorDirection):
+    """First Born far-field amplitude F1 of wave w at detector d (see first_born_amplitudes)."""
+    return first_born_amplitudes(profile, [w], [d])[0, 0]
 
 
 # radial panel edges (in units of k) refined around the shell |p| = k; the
@@ -205,23 +237,6 @@ def _incident_link(profile, k, ki, E, H, pts):
                  for V in (A, B))
 
 
-def _chain_numerator(profile, k, d, pts, E1, H1):
-    """Second-order chain numerator at pts (..., 3), tensor route: (..., 3, P).
-
-    eta_eps(k_s - p) E1 - rhat x [eta_mu(k_s - p) H1] for the incident
-    link's fields E1, H1 (..., 3, P) from _incident_link, without the
-    propagator denominator; the caller applies the transverse projector at
-    the outer vertex.  second_born_amplitudes takes this route for media
-    without scalar_eta3.
-    """
-    ee_out, em_out = profile.eta3_tensors(d.k_s(k) - pts)
-    out = ee_out @ E1
-    out_h = em_out @ H1
-    if np.any(out_h):
-        out = out + MAGNETIC_SIGN * np.cross(d.r_hat[:, None], out_h, axis=-2)
-    return out
-
-
 def second_born_amplitudes(
     profile: MediumProfile,
     waves,
@@ -234,8 +249,7 @@ def second_born_amplitudes(
             eta~(k_s - p) G~(p) eta~(p - k_i) e_i
     for nonmagnetic media, with the magnetic/anisotropic chains assembled
     from the same Fourier factors and curl insertions on magnetic links.
-    The waves must share k and k_i, so that they differ only in e_i; F2 is
-    linear in e_i, so one response per detector serves every polarization.
+    The waves share k and k_i, as in first_born_amplitudes.
 
     The angular integral N(r) = r^2 int dOmega (numerator at p = r d) is
     taken one radial panel at a time.  Per panel the incident link
@@ -245,19 +259,12 @@ def second_born_amplitudes(
     E = [e_i ...] (3, P), so N(r) = r^2 [k^2 S0(r) E - r^2 M(r) E] from
     the moments S0 = sum_j w_j s_j and M = sum_j w_j s_j d_j d_j^T of the
     panel's pointwise products; other media take the tensor chain
-    _incident_link / _chain_numerator.  Each panel's scalar_eta3 call on
+    _incident_link / _outer_vertex.  Each panel's scalar_eta3 call on
     the incident link picks the route, so no extra call probes the medium.
     """
     quad = quad or QuadratureSpec()
-    waves, detectors = list(waves), list(detectors)
-    if not waves or not detectors:
-        raise InvalidArgument("second_born_amplitudes needs at least one wave and one detector")
-    k, ki = waves[0].k, waves[0].k_i
-    if any(w.k != k or not np.array_equal(w.k_i, ki) for w in waves):
-        raise InvalidArgument("second_born_amplitudes needs waves of one k and one k_i")
-    _check_panel(quad, len(waves))
-    E = np.stack([w.e_i for w in waves], axis=-1)
-    H = np.stack([w.h_i for w in waves], axis=-1)
+    k, ki, E, H, rhat = _incidence(waves, detectors)
+    _check_panel(quad, E.shape[1])
     dirs, wts = _angular_grid(quad)
     # second-moment weights w_j d_j d_j^T, one row of 9 per direction
     wdd = (wts[:, None, None] * dirs[:, :, None] * dirs[:, None, :]).reshape(-1, 9)
@@ -271,12 +278,12 @@ def second_born_amplitudes(
         if s_in is None:
             pts = pts.reshape(radii.size, -1, 3)
             E1, H1 = _incident_link(profile, k, ki, E, H, pts)
-            N = [(_chain_numerator(profile, k, d, pts, E1, H1)
-                  * wts[None, :, None, None]).sum(axis=1) for d in detectors]
+            N = [(_outer_vertex(profile, k * r - pts, r, E1, H1)
+                  * wts[None, :, None, None]).sum(axis=1) for r in rhat]
         else:
             N = []
-            for d in detectors:
-                s = (s_in * profile.scalar_eta3(d.k_s(k) - pts)).reshape(radii.size, -1)
+            for r in rhat:
+                s = (s_in * profile.scalar_eta3(k * r - pts)).reshape(radii.size, -1)
                 M_E = (s @ wdd).reshape(-1, 3, 3) @ E
                 N.append((k * k) * (s @ wts)[:, None, None] * E - r2 * M_E)
         return np.stack(N) * r2
@@ -291,10 +298,7 @@ def second_born_amplitudes(
     total += hk * np.log((p_max - k) / k)
     total += 1j * np.pi * Nk / (2 * k)
 
-    pref = (k * k / (4 * np.pi)) / (2 * np.pi) ** 3
-    # (I - rhat rhat^T) at each detector, per wave
-    return np.array([[F - d.r_hat * np.dot(d.r_hat, F) for F, d in zip(Fw, detectors)]
-                     for Fw in np.moveaxis(pref * total, -1, 0)])
+    return _far_field((k * k / (4 * np.pi)) / (2 * np.pi) ** 3 * total, rhat)
 
 
 def second_born_amplitude(
@@ -375,23 +379,24 @@ def invisibility_report(
     """Scan incident/detector pairs and both polarizations for scattering.
 
     The invisibility bound is tol_factor * peak|eta3| * k^2/(4 pi), the
-    natural scale of the first-order amplitude.  With order 2, F2 takes one
-    second_born_amplitudes call per distinct incidence, for both
-    polarizations and all of that incidence's detectors.
+    natural scale of the first-order amplitude.  order is 1 or 2; each Born
+    order takes one call per distinct incidence, for both polarizations and
+    all of that incidence's detectors.
     """
+    if not (is_count(order) and order in (1, 2)):
+        raise InvalidArgument(f"order must be 1 or 2, got {order!r}")
     pairs = direction_pairs(n_pairs)
     bound = tol_factor * profile.eta3_peak() * k * k / (4 * np.pi)
     detectors_of = {}  # incidence angles -> its detectors, in pair order
     for inc, d in pairs:
         detectors_of.setdefault(inc, []).append(d)
     max_f1 = 0.0
-    max_f2 = 0.0 if order >= 2 else None
+    max_f2 = 0.0 if order == 2 else None
     for (th0, ph0), dets in detectors_of.items():
         waves = [IncidentWave.linear(k, th0, ph0, chi) for chi in (0.0, np.pi / 2)]
-        for wave in waves:
-            for d in dets:
-                max_f1 = max(max_f1, np.linalg.norm(first_born_amplitude(profile, wave, d)))
-        if order >= 2:
+        F1 = first_born_amplitudes(profile, waves, dets)
+        max_f1 = max(max_f1, *(np.linalg.norm(F) for F in F1.reshape(-1, 3)))
+        if order == 2:
             F2 = second_born_amplitudes(profile, waves, dets, quad)
             max_f2 = max(max_f2, *(np.linalg.norm(F) for F in F2.reshape(-1, 3)))
     verdict = "invisible" if max_f1 <= bound else "visible"
@@ -440,7 +445,7 @@ def scaling_check(
     return ScalingReport(
         sigma=sigma,
         f1_rel_err=rel_err(
-            lambda m: np.array([first_born_amplitude(m, w, d) for d in directions]), sigma),
+            lambda m: first_born_amplitudes(m, [w], directions)[0], sigma),
         f2_rel_err=None if quad is None else rel_err(
             lambda m: second_born_amplitudes(m, [w], directions, quad)[0], sigma * sigma),
     )

@@ -153,10 +153,15 @@ class RunConfig:
         self.seed = _count(raw, "seed", 0, 0, "")
 
 
+def _no_constant(name: str):
+    raise ConfigError(f"config holds the non-finite JSON literal {name}")
+
+
 def load_config(path) -> RunConfig:
+    """Parse the JSON file at path; the NaN and Infinity literals are refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_no_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -269,16 +274,16 @@ def _transfer_vs_born(cfg: RunConfig, dirs):
     """Transfer amplitudes at dirs (rim detectors skipped) and max rel. |F - F1|."""
     sol = transfer.solve_T(None, cfg.wave, method="fast", profile=cfg.medium, grid=cfg.grid)
     entries = []
-    num = den = 0.0
     for d in dirs:
         try:
-            Ft = transfer.amplitude_from_T(sol, d, mode="exact")
+            entries.append((d, transfer.amplitude_from_T(sol, d, mode="exact")))
         except BornexactError:
             continue
-        entries.append((d, Ft))
-        Fb = born_mod.first_born_amplitude(cfg.medium, cfg.wave, d)
-        num = max(num, float(np.linalg.norm(Ft - Fb)))
-        den = max(den, float(np.linalg.norm(Fb)))
+    if not entries:
+        return entries, 0.0
+    F1 = born_mod.first_born_amplitudes(cfg.medium, [cfg.wave], [d for d, _ in entries])[0]
+    num = max(float(np.linalg.norm(Ft - Fb)) for (_, Ft), Fb in zip(entries, F1))
+    den = max(float(np.linalg.norm(Fb)) for Fb in F1)
     return entries, (num / den if den > 0 else num)
 
 
@@ -319,7 +324,7 @@ def _born_pass(cfg: RunConfig, dirs, order: int = 2):
     The summary holds max_f1 and, for order 2, max_f2 and ratio_f2_f1 =
     max|F2|/max|F1|, the metric of the exactness suite.
     """
-    entries = {1: [(d, born_mod.first_born_amplitude(cfg.medium, cfg.wave, d)) for d in dirs]}
+    entries = {1: list(zip(dirs, born_mod.first_born_amplitudes(cfg.medium, [cfg.wave], dirs)[0]))}
     if order >= 2:
         F2 = born_mod.second_born_amplitudes(cfg.medium, [cfg.wave], dirs, cfg.quad)[0]
         entries[2] = list(zip(dirs, F2))

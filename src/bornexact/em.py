@@ -13,6 +13,7 @@ lengths in 1/alpha.  All functions accept batched momenta of shape (..., 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,11 +123,16 @@ class IncidentWave:
     e_i: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.k, self.theta0, self.phi0))):
+            raise InvalidArgument(f"k, theta0 and phi0 must be finite, got "
+                                  f"{self.k!r}, {self.theta0!r}, {self.phi0!r}")
         if self.k <= 0:
             raise InvalidArgument("wavenumber k must be positive")
         if abs(np.cos(self.theta0)) < 1e-9:
             raise GrazingIncidence("cos(theta0) = 0: wave propagates in the slab plane")
         e = np.asarray(self.e_i, dtype=complex)
+        if not np.isfinite(e).all():
+            raise InvalidPolarization(f"e_i must be finite, got {self.e_i!r}")
         norm2 = float(np.real(np.vdot(e, e)))
         if norm2 < 1e-30:
             raise InvalidPolarization("zero polarization vector")
@@ -177,6 +183,11 @@ class DetectorDirection:
 
     theta: float
     phi: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise InvalidArgument(f"detector angles must be finite, got "
+                                  f"theta={self.theta!r}, phi={self.phi!r}")
 
     @property
     def r_hat(self) -> np.ndarray:

@@ -27,10 +27,11 @@ control in all contrast baselines.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import dawsn, gammaln, lambertw
@@ -79,6 +80,11 @@ def is_count(n) -> bool:
     return isinstance(n, Integral) and not isinstance(n, bool)
 
 
+def is_finite_real(x) -> bool:
+    """True for a finite real number (int or float, numpy ones too), not bool."""
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def recip_key(which: str) -> str:
     """which, checked to name a reciprocal symbol: "eps" (1/eps33) or "mu" (1/mu33)."""
     if which not in ("eps", "mu"):
@@ -101,6 +107,9 @@ class TransverseBox:
     lz: float
 
     def __post_init__(self):
+        if not all(np.isfinite(v) for v in (self.zeta, self.ly, self.lz)):
+            raise InvalidArgument(f"box zeta, ly and lz must be finite, got "
+                                  f"{self.zeta!r}, {self.ly!r}, {self.lz!r}")
         if self.ly <= 0 or self.lz <= 0:
             raise InvalidArgument("box side lengths must be positive")
 
@@ -190,8 +199,10 @@ class _EnvelopeProfile(MediumProfile):
     z_constant = True
 
     def __init__(self, alpha, a, footprint: TransverseBox):
-        if a <= 0:
-            raise InvalidArgument("envelope length a must be positive")
+        if alpha is not None and not is_finite_real(alpha):
+            raise InvalidArgument(f"threshold alpha must be a finite real number, got {alpha!r}")
+        if not (is_finite_real(a) and a > 0):
+            raise InvalidArgument(f"envelope length a must be positive and finite, got {a!r}")
         self.alpha = alpha
         self.a = float(a)
         self.footprint = footprint
@@ -540,8 +551,10 @@ def support_report(
     nz >= 1.  Raises WindowTooSmall, before the scan, when the untapered
     profile at the window edge exceeds 5 % of its central value or when the
     grid cannot resolve the profile's spectrum without aliasing into the
-    scan region.
+    scan region.  Raises InvalidArgument unless alpha is a finite real number.
     """
+    if not is_finite_real(alpha):
+        raise InvalidArgument(f"support_report needs a finite real alpha, got {alpha!r}")
     if not (isinstance(grid, (tuple, list)) and len(grid) == 3 and all(map(is_count, grid))
             and grid[0] >= 2 and min(grid[1:]) >= 1):
         raise InvalidResolution(f"grid must be three integers nx >= 2, ny, nz >= 1, got {grid!r}")

@@ -9,7 +9,7 @@ first-order kernel is
 with Pi_j = U_j V_j / 2 and omega_j = (-1)^j varpi the rank-2 channels of
 em.channel_factors and B~(p, q; w) the interaction block of the medium's 3D
 transform at q_z = -w.  Kernel, closed-form T and Dyson are built from the
-2x2 cores a_jl = V_j B~ U_l of _cores: one frequency per pair, B~ = C E(w),
+2x2 cores a_jl = V_j B~ U_l of _core: one frequency per pair, B~ = C E(w),
 for a z-constant medium, four otherwise.  A medium with a scalar form
 (scalar_eta3: eta_eps~ = s I, eta_mu~ = 0) has them in closed form,
 a_jl = -(1/4 pi^2) [re (p (x) q) / omega_l(q) + s (p (x) p - k^2 I) / omega_j(p)],
@@ -219,21 +219,20 @@ def _core(profile: MediumProfile, k: float, p, q, fp, fq, w, width: float = 1.0)
                   np.moveaxis(rp, -1, 1)[:, None, ..., None, None] * qw[:, None, None], order="C")
 
 
-def _cores(profile: MediumProfile, k: float, p, q, fp, fq, transverse: bool = False):
+def _cores(profile: MediumProfile, k: float, p, q, fp, fq):
     """Cores a_jl(p, q) = V_j(p) B~(p, q; omega_j(p) - omega_l(q)) U_l(q), (P, j, x, ..., l, y).
 
     p (P, ..., 2) and q (P or 1, ..., 2) broadcast; fp, fq are their channel_factors.
     A z-constant medium has B~(p, q; w) = C(p, q) E(w), C = B~(p, q; 0) / (a_hi - a_lo),
-    E = _slab_ft: _core at w = 0 once per pair, and E scales each (j, l) core
-    (transverse=True: the cores of C).  Other media call _core at the four
-    frequencies omega_j - omega_l, one channel pair each.
+    E = _slab_ft: _core at w = 0 once per pair, and E(omega_j(p) - omega_l(q))
+    scales each (j, l) core.  Other media call _core at the four frequencies
+    omega_j - omega_l, one channel pair each.
     """
     if profile.z_constant:
         a_lo, a_hi = profile.slab
         a = np.ascontiguousarray(_core(profile, k, p, q, fp, fq, 0.0, a_hi - a_lo))
-        if not transverse:  # omega_j(p) - omega_l(q), laid out as the cores
-            a *= _slab_ft(np.moveaxis(fp[2], 0, 1)[:, :, None, ..., None, None]
-                          - np.moveaxis(fq[2], 0, -1)[:, None, None, ..., :, None], a_lo, a_hi)
+        a *= _slab_ft(np.moveaxis(fp[2], 0, 1)[:, :, None, ..., None, None]
+                      - np.moveaxis(fq[2], 0, -1)[:, None, None, ..., :, None], a_lo, a_hi)
         return a
     rows = [[_core(profile, k, p, q, [f[j:j + 1] for f in fp], [f[l:l + 1] for f in fq],
                    fp[2][j] - fq[2][l]) for l in (0, 1)] for j in (0, 1)]
@@ -317,7 +316,7 @@ _DYSON_PAIR_BYTES, _DYSON_DISK_PAIR_BYTES = 6 * 256, 4 * 256
 
 
 def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
-    """Projected second-order Dyson term D(p, q), (Nd, Nd, 4, 4), from the cores of _cores."""
+    """Projected second-order Dyson term D(p, q), (Nd, Nd, 4, 4), from the cores of _core."""
     if not profile.z_constant:
         raise UnsupportedProfile(
             "second-order Dyson diagnostic needs a z-constant profile; "
@@ -343,8 +342,8 @@ def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
     def gemm(A, B):
         return (A.reshape(4 * Nd, -1) @ B.reshape(4 * Nr, -1)).reshape(Nd, 2, 2, Nd, 2, 2)
 
-    a = _cores(profile, k, Pd[:, None], Pr[None], at(fd, 2), at(fr, 1), transverse=True)
-    b = _cores(profile, k, Pr[:, None], Pd[None], at(fr, 2), at(fd, 1), transverse=True)
+    a = _core(profile, k, Pd[:, None], Pr[None], at(fd, 2), at(fr, 1), 0.0, a_hi - a_lo)
+    b = _core(profile, k, Pr[:, None], Pd[None], at(fr, 2), at(fd, 1), 0.0, a_hi - a_lo)
     w1 = gap(wr, wd)
     w1 = np.where(np.abs(w1) < 1e-9 * k, 1e-9 * k, w1)
     b *= grid.weights[:, None, None, None, None, None] / (1j * w1)
@@ -375,7 +374,7 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
                                   - sum_r E(omega_j(p) - omega_m(r)) G_ml e^{i w1 a_lo}],
         G_ml = C(p, r) Pi_m(r) C(r, q) Pi_l(q) weight_r / (i w1).
 
-    C reduces to the rank-2 cores a_jm(p, r) and b_ml(r, q) of _cores, which
+    C reduces to the rank-2 cores a_jm(p, r) and b_ml(r, q) of _core, which
     absorb the r-dependent factors; the two r-sums are two complex GEMMs
     giving T_jl(p, q), and D = -(1/8) sum_{j,l} U_j(p) T_jl(p, q) V_l(q).
 

@@ -10,7 +10,8 @@ from functools import partial
 import numpy as np
 
 from bornexact import em
-from bornexact.born import _PV_EDGES, _angular_grid, _chain_numerator, _incident_link
+from bornexact.born import (MAGNETIC_SIGN, _PV_EDGES, _angular_grid, _incident_link,
+                            _outer_vertex)
 from bornexact.errors import ConfigError
 from bornexact.medium import (
     GaussErfProfile,
@@ -261,6 +262,21 @@ def id101_matrix_ref(kernel):
     return np.einsum("prab,rqbc->pqac", left, kernel.K, optimize=True)
 
 
+def first_born_ref(profile, w, d):
+    """First Born amplitude F1 of wave w at detector d, one pair at a time.
+
+    F1 = (k^2/4pi) [-rhat x (rhat x (eta_eps~(q) e_i)) + s rhat x (eta_mu~(q) h_i)],
+    q = k_s - k_i, s = MAGNETIC_SIGN: the double cross product, where the
+    package projects the outer vertex with (I - rhat rhat^T) for every
+    detector and polarization at once.
+    """
+    k, rhat = w.k, d.r_hat
+    ee, emu = profile.eta3_tensors((d.k_s(k) - w.k_i)[None, :])
+    F = -np.cross(rhat, np.cross(rhat, ee[0] @ w.e_i))
+    F = F + MAGNETIC_SIGN * np.cross(rhat, emu[0] @ w.h_i)
+    return (k * k / (4 * np.pi)) * F
+
+
 def ieps_second_born(profile, w, d, quad):
     """Second Born amplitude F2 with the propagator 1/(p^2 - k^2 - i eps).
 
@@ -291,7 +307,7 @@ def ieps_second_born(profile, w, d, quad):
             ww = 0.5 * (b0 - a0) * wg
             pts = pp[:, None, None] * dirs[None]
             E1, H1 = _incident_link(profile, k, w.k_i, w.e_i[:, None], w.h_i[:, None], pts)
-            N = _chain_numerator(profile, k, d, pts, E1, H1)[..., 0]
+            N = _outer_vertex(profile, d.k_s(k) - pts, d.r_hat, E1, H1)[..., 0]
             N = (N * wts[None, :, None]).sum(axis=1) * (pp * pp)[:, None]
             acc += (ww[:, None] * N / (pp * pp - k * k - 1j * eps)[:, None]).sum(axis=0)
         return acc

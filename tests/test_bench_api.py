@@ -80,7 +80,7 @@ def test_traced_second_born_calls():
     assert counted["medium.eta3.points"] == 2 * link
     # 8 pairs over 5 distinct incidences: one incident link per incidence
     # and one outgoing link per pair, for both polarizations at once, plus
-    # one point per F1 (8 pairs x 2 polarizations)
+    # one F1 point per pair, for both polarizations at once
     assert tracer.counts["born.invisibility.calls"] == 1
     assert tracer.counts["medium.eta3.points"] - counted["medium.eta3.points"] == (
-        (5 + 8) * link + 2 * 8)
+        (5 + 8) * link + 8)

@@ -7,9 +7,11 @@ from bornexact import (
     MediumProfile,
     QuadratureSpec,
     RationalEnvelopeProfile,
+    SampledProfile,
     TransverseBox,
     fibonacci_hemisphere,
     first_born_amplitude,
+    first_born_amplitudes,
     invisibility_report,
     scaling_check,
     rotate_to_x,
@@ -19,7 +21,7 @@ from bornexact import (
 )
 from bornexact.born import _PV_EDGES, direction_pairs
 from bornexact.errors import BoundsViolated, InvalidArgument, InvalidResolution
-from oracles import ieps_second_born
+from oracles import first_born_ref, ieps_second_born
 
 ALPHA = 1.0
 K = 0.8
@@ -119,6 +121,66 @@ class TestFirstBorn:
         e, rh = W_TILTED.e_i, d.r_hat
         expect = (K * K / (4 * np.pi)) * scal * (e - rh * np.dot(rh, e))
         assert np.abs(F - expect).max() < 1e-14
+
+
+def random_magnetic_sampled(seed=0):
+    """A random complex anisotropic, magnetic SampledProfile on a 6 x 5 x 4 grid."""
+    rng = np.random.default_rng(seed)
+    ee, emu = (0.01 * (rng.standard_normal((6, 5, 4, 3, 3))
+                       + 1j * rng.standard_normal((6, 5, 4, 3, 3))) for _ in range(2))
+    return SampledProfile(ee, emu, (-3.0, -2.0, -1.5), (1.0, 1.0, 1.0))
+
+
+class TestFirstBornBatch:
+    # detectors on both sides, two incidences from opposite sides
+    DETS = [DetectorDirection(t, p) for t, p in
+            [(1.0, 0.3), (1.3, -0.2), (0.4, 2.0), (2.2, 0.1), (2.8, -1.0)]]
+
+    @pytest.mark.parametrize("case", ["rational", "gausserf", "control", "rotated_control",
+                                      "magnetic_sampled"])
+    @pytest.mark.parametrize("k", [0.8, 1.3])
+    def test_matches_per_pair_and_oracle(self, case, k, reference_medium, gausserf_medium,
+                                         control_medium):
+        medium = {
+            "rational": reference_medium,
+            "gausserf": gausserf_medium,
+            "control": control_medium,
+            "rotated_control": rotate_to_x(control_medium, (0.6, 0.8)),
+            "magnetic_sampled": random_magnetic_sampled(),
+        }[case]
+        for th0, ph0 in ((1.0, np.pi), (2.5, np.pi - 0.2)):
+            waves = [IncidentWave.linear(k, th0, ph0, chi) for chi in (0.3, 0.3 + np.pi / 2)]
+            F = first_born_amplitudes(medium, waves, self.DETS)
+            assert F.shape == (2, len(self.DETS), 3)
+            scale = np.abs(F).max()
+            assert scale > 0
+            for i, w in enumerate(waves):
+                for j, d in enumerate(self.DETS):
+                    for Fs in (first_born_amplitude(medium, w, d), first_born_ref(medium, w, d)):
+                        assert np.abs(F[i, j] - Fs).max() <= 2e-15 * scale
+
+    def test_exact_zeros_at_half_alpha(self, reference_medium, gausserf_medium):
+        dets = fibonacci_hemisphere(8, 1) + fibonacci_hemisphere(8, -1)
+        waves = [IncidentWave.linear(0.5 * ALPHA, 1.2, np.pi, chi) for chi in (0.0, np.pi / 2)]
+        for medium in (reference_medium, gausserf_medium):
+            F = first_born_amplitudes(medium, waves, dets)
+            assert F.shape == (2, 16, 3) and not np.any(F)
+
+    def test_one_transform_call_per_incidence(self, control_medium):
+        medium = CountingProfile(control_medium)
+        waves = [IncidentWave.linear(K, 1.0, np.pi, chi) for chi in (0.0, 0.5, 1.0)]
+        first_born_amplitudes(medium, waves, self.DETS)
+        assert medium.points == len(self.DETS)
+
+    def test_rejects_mixed_incidence_and_empty_lists(self, control_medium):
+        w = IncidentWave.linear(K, 1.0, np.pi, 0.7)
+        for other in (IncidentWave.linear(0.9, 1.0, np.pi, 0.7),
+                      IncidentWave.linear(K, 1.0, np.pi - 0.1, 0.7)):
+            with pytest.raises(InvalidArgument, match="one k and one k_i"):
+                first_born_amplitudes(control_medium, [w, other], self.DETS)
+        for waves, dets in (([w], []), ([], self.DETS)):
+            with pytest.raises(InvalidArgument, match="at least one"):
+                first_born_amplitudes(control_medium, waves, dets)
 
 
 class TestSupportOverlap:

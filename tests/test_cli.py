@@ -112,6 +112,20 @@ class TestVerify:
         nomedium.write_text("{}")
         assert main(["verify", "--config", str(nomedium)]) == 2
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_exits_2(self, tmp_path, capsys, literal):
+        # json.dumps writes nan as the NaN literal; a NaN alpha made every
+        # transform a literal 0 and every suite pass with metric 0
+        medium = dict(SPEC_MEDIUM, alpha=float(literal.lower().replace("infinity", "inf")))
+        cfg = write_config(tmp_path, medium, suites=[
+            "support", "id101", "route_equivalence", "invisibility", "exactness"])
+        assert literal in cfg.read_text()
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--expect-compliant"]) == 2
+        assert f"literal {literal}" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
+
     def test_bad_grid_file_exits_2(self, tmp_path):
         grid = tmp_path / "grid.bin"
         grid.write_bytes(b"ETAGRID1" + bytes(20))  # cut inside the header

@@ -18,7 +18,7 @@ from bornexact import (
     sample_profile,
     support_report,
 )
-from bornexact.errors import BoundsViolated, ConfigError, WindowTooSmall
+from bornexact.errors import BoundsViolated, ConfigError, InvalidArgument, WindowTooSmall
 from bornexact.medium import MediumProfile, _sinc
 from bornexact.sampled import write_grid
 from oracles import envelope_ft_ref, eta2_ref, profile_to_dict, recip2_ref, sampled_z_sum
@@ -337,6 +337,15 @@ class TestSupportReport:
         with pytest.raises(WindowTooSmall, match="window edge"):
             support_report(Counting(), ALPHA, window=1.0, grid=(512, 64, 16))
         assert len(calls) == 2  # the edge points and the centre, no z-slice
+
+    @pytest.mark.parametrize("alpha", [np.nan, -np.inf, np.inf, None, "1.0"])
+    def test_alpha_must_be_finite_real(self, control_medium, alpha):
+        # a NaN alpha scanned nothing and certified the control compliant; a
+        # bare MediumProfile raises NotImplementedError on any evaluation, so
+        # the check comes before anything is evaluated
+        for medium in (control_medium, MediumProfile()):
+            with pytest.raises(InvalidArgument, match="finite real alpha"):
+                support_report(medium, alpha)
 
     def test_aliasing_guard(self, reference_medium):
         with pytest.raises(WindowTooSmall):

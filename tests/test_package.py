@@ -20,9 +20,40 @@ _GRID = transfer.build_momentum_grid(0.8, 4.8, 8, 0)
 _WAVE = em.IncidentWave.linear(0.8, 1.0, np.pi, 0.2)
 _NONMAGNETIC = bornexact.SampledProfile(np.full((2, 2, 2, 3, 3), 0.01), None, (0, 0, 0), (1, 1, 1))
 _Q3 = np.zeros((1, 3))
+_BOX = bornexact.TransverseBox(0.01, 3.0, 4.0)
+_DET = em.DetectorDirection(1.1, 0.3)
 
 BAD_CALLS = {
     "IncidentWave k<0": lambda m: em.IncidentWave(-0.8, 0.1, 0.0),
+    "IncidentWave k=nan": lambda m: em.IncidentWave.linear(np.nan, 1.0, np.pi),
+    "IncidentWave theta0=nan": lambda m: em.IncidentWave(0.8, np.nan, 0.0),
+    "IncidentWave phi0=inf": lambda m: em.IncidentWave(0.8, 0.1, np.inf),
+    "IncidentWave chi=nan": lambda m: em.IncidentWave.linear(0.8, 1.0, np.pi, np.nan),
+    "IncidentWave e_i=inf": lambda m: em.IncidentWave(0.8, 0.0, 0.0, np.array([np.inf, 0, 0])),
+    "DetectorDirection theta=nan": lambda m: em.DetectorDirection(np.nan, 0.0),
+    "DetectorDirection phi=-inf": lambda m: em.DetectorDirection(1.0, -np.inf),
+    "RationalEnvelopeProfile alpha=nan": lambda m: bornexact.RationalEnvelopeProfile(
+        np.nan, 2.0, 1, _BOX),
+    "RationalEnvelopeProfile a=inf": lambda m: bornexact.RationalEnvelopeProfile(
+        1.0, np.inf, 1, _BOX),
+    "GaussErfProfile alpha=inf": lambda m: bornexact.GaussErfProfile(np.inf, 2.0, _BOX),
+    "GaussErfProfile a=nan": lambda m: bornexact.GaussErfProfile(1.0, np.nan, _BOX),
+    "GaussianControlProfile a=nan": lambda m: bornexact.GaussianControlProfile(np.nan, _BOX),
+    "TransverseBox ly=nan": lambda m: bornexact.TransverseBox(0.01, np.nan, 4),
+    "TransverseBox lz=inf": lambda m: bornexact.TransverseBox(0.01, 3, np.inf),
+    "TransverseBox zeta=nan": lambda m: bornexact.TransverseBox(complex(0.01, np.nan), 3, 4),
+    "support_report alpha=nan": lambda m: bornexact.support_report(m, np.nan),
+    "support_report alpha=-inf": lambda m: bornexact.support_report(m, -np.inf),
+    "support_report alpha=None": lambda m: bornexact.support_report(m, None),
+    "invisibility_report order=0": lambda m: bornexact.invisibility_report(m, 0.8, 8, order=0),
+    "invisibility_report order=3": lambda m: bornexact.invisibility_report(m, 0.8, 8, order=3),
+    "first_born_amplitudes no waves": lambda m: bornexact.first_born_amplitudes(m, [], [_DET]),
+    "first_born_amplitudes no detectors": lambda m: bornexact.first_born_amplitudes(
+        m, [_WAVE], []),
+    "first_born_amplitudes mixed k": lambda m: bornexact.first_born_amplitudes(
+        m, [_WAVE, em.IncidentWave.linear(0.9, 1.0, np.pi, 0.2)], [_DET]),
+    "first_born_amplitudes mixed k_i": lambda m: bornexact.first_born_amplitudes(
+        m, [_WAVE, em.IncidentWave.linear(0.8, 1.1, np.pi, 0.2)], [_DET]),
     "fibonacci_hemisphere n=0": lambda m: bornexact.fibonacci_hemisphere(0),
     "fibonacci_hemisphere n=2.5": lambda m: bornexact.fibonacci_hemisphere(2.5),
     "QuadratureSpec method": lambda m: bornexact.QuadratureSpec(method="pvv"),
@@ -146,17 +177,21 @@ def test_one_channel_formula():
     assert found == []
 
 
-def _callers(path: Path, names):
-    """Who calls names in path: a function, class.method, class body or <module>."""
+def _scopes(path: Path):
+    """(owner, tree) of path's top-level scopes: a function, class.method, class body or <module>."""
     for top in ast.parse(path.read_text(), str(path)).body:
         if isinstance(top, ast.ClassDef):
-            scopes = [(f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef)
-                       else top.name, item) for item in top.body]
+            yield from ((f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                         else top.name, item) for item in top.body)
         else:
-            scopes = [(top.name if isinstance(top, ast.FunctionDef) else "<module>", top)]
-        for owner, tree in scopes:
-            for _, name in _call_names(tree, names):
-                yield f"{path.stem}.{owner} calls {name}"
+            yield top.name if isinstance(top, ast.FunctionDef) else "<module>", top
+
+
+def _callers(path: Path, names):
+    """Who calls names in path, by _scopes owner."""
+    for owner, tree in _scopes(path):
+        for _, name in _call_names(tree, names):
+            yield f"{path.stem}.{owner} calls {name}"
 
 
 def test_one_route_selector_per_layer():
@@ -174,4 +209,27 @@ def test_one_route_selector_per_layer():
         "transfer._bblock_zft calls _assemble_v",
         "transfer._core calls _bblock_zft",
         "transfer._core calls scalar_eta3",
+    ]
+
+
+def test_one_outer_vertex_per_born_layer():
+    """Both Born orders share born._outer_vertex, the one reader of
+    MAGNETIC_SIGN, and the incidence checks and far-field projection; no
+    module calls the per-pair wrappers, which the benchmark keeps."""
+    paths = sorted(Path(bornexact.__file__).parent.glob("*.py"))
+    reads = sorted({
+        f"{path.stem}.{owner} reads MAGNETIC_SIGN"
+        for path in paths for owner, tree in _scopes(path) for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "MAGNETIC_SIGN"
+            and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == "MAGNETIC_SIGN")
+    })
+    assert reads == ["born._outer_vertex reads MAGNETIC_SIGN"]
+    wrappers = ("first_born_amplitude", "second_born_amplitude")
+    assert [hit for path in paths for hit in _calls(path, wrappers)] == []
+    shared = ("_incidence", "_outer_vertex", "_far_field")
+    assert sorted({hit for path in paths for hit in _callers(path, shared)}) == [
+        f"born.{fn} calls {name}"
+        for fn in ("first_born_amplitudes", "second_born_amplitudes") for name in
+        ("_far_field", "_incidence", "_outer_vertex")
     ]
