@@ -304,8 +304,8 @@ class RationalEnvelopeProfile(_EnvelopeProfile):
     """
 
     def __init__(self, alpha, a, m_exp: int, footprint: TransverseBox):
-        if m_exp < 1 or int(m_exp) != m_exp:
-            raise InvalidArgument("m_exp must be a positive integer")
+        if not (is_count(m_exp) and m_exp >= 1):
+            raise InvalidArgument(f"m_exp must be a positive integer, got {m_exp!r}")
         super().__init__(alpha, a, footprint)
         self.m_exp = int(m_exp)
 
@@ -551,10 +551,13 @@ def support_report(
     nz >= 1.  Raises WindowTooSmall, before the scan, when the untapered
     profile at the window edge exceeds 5 % of its central value or when the
     grid cannot resolve the profile's spectrum without aliasing into the
-    scan region.  Raises InvalidArgument unless alpha is a finite real number.
+    scan region.  Raises InvalidArgument unless alpha is a finite real number
+    and window, when given, a finite positive one.
     """
     if not is_finite_real(alpha):
         raise InvalidArgument(f"support_report needs a finite real alpha, got {alpha!r}")
+    if window is not None and not (is_finite_real(window) and window > 0):
+        raise InvalidArgument(f"support_report needs a finite positive window, got {window!r}")
     if not (isinstance(grid, (tuple, list)) and len(grid) == 3 and all(map(is_count, grid))
             and grid[0] >= 2 and min(grid[1:]) >= 1):
         raise InvalidResolution(f"grid must be three integers nx >= 2, ny, nz >= 1, got {grid!r}")

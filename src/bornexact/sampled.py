@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .errors import InvalidArgument
-from .medium import MediumProfile, recip_key
+from .medium import MediumProfile, is_finite_real, recip_key
 
 _MAGIC = b"ETAGRID1"
 _HEADER = struct.Struct("<8s3q6dq")
@@ -133,6 +133,12 @@ class SampledProfile(MediumProfile):
         self.em = np.asarray(eta_mu, dtype=complex) if np.any(eta_mu) else None
         self.origin = tuple(map(float, origin))
         self.spacing = tuple(map(float, spacing))
+        if not all(np.isfinite(a).all() for a in (self.ee, self.em, self.origin) if a is not None):
+            raise InvalidArgument("eta_eps, eta_mu and origin must be finite")
+        if not (np.isfinite(self.spacing).all() and min(self.spacing) > 0):
+            raise InvalidArgument(f"spacing must be finite and positive, got {spacing!r}")
+        if alpha is not None and not is_finite_real(alpha):
+            raise InvalidArgument(f"alpha must be a finite real number or None, got {alpha!r}")
         self.alpha = alpha
         # eval_eta reaches half a cell past the end nodes
         z0, dz = self.origin[2], self.spacing[2]

@@ -96,8 +96,8 @@ def build_momentum_grid(
         raise InvalidArgument("wavenumber k must be positive")
     if not (is_count(n_disk) and is_count(n_box)) or n_disk < 8 or (n_box and n_box < 8):
         raise InvalidResolution(f"grid resolutions must be integers >= 8: {n_disk!r}, {n_box!r}")
-    if p_max <= k:
-        raise InvalidResolution("p_max must exceed k")
+    if not p_max > k or (n_box and not np.isfinite(p_max)):
+        raise InvalidResolution(f"p_max must exceed k, and be finite with an outer box: {p_max!r}")
     n_phi = 4 * n_disk
     rho_max = k * (1.0 - ANNULUS_GUARD)
     shells = np.sqrt((np.arange(n_disk) + 0.5) / n_disk) * rho_max

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import re
@@ -6,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bornexact import born, lemmalab, transfer
 from bornexact.cli import RunConfig, main
-from bornexact.errors import ConfigError
+from bornexact.errors import ConfigError, DirectionOnRim, StraddlesSupportEdge
 from bornexact.medium import support_report
 from bornexact.sampled import write_grid
 
@@ -126,6 +128,14 @@ class TestVerify:
         assert f"literal {literal}" in capsys.readouterr().err
         assert not (out / "verify.json").exists()
 
+    @pytest.mark.parametrize("spacing, value", [((1, 1, 1), np.nan), ((0, 1, 1), 0.01)],
+                             ids=["nan_data", "zero_spacing"])
+    def test_non_finite_or_flat_grid_file_exits_2(self, tmp_path, capsys, spacing, value):
+        write_grid(tmp_path / "grid.bin", np.full((4, 4, 4, 3, 3), value), (0, 0, 0), spacing)
+        cfg = write_config(tmp_path, {"type": "sampled", "path": str(tmp_path / "grid.bin")})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_bad_grid_file_exits_2(self, tmp_path):
         grid = tmp_path / "grid.bin"
         grid.write_bytes(b"ETAGRID1" + bytes(20))  # cut inside the header
@@ -228,6 +238,93 @@ class TestVerify:
         assert "disk rim" in err
 
 
+class TestVerifyReadsItsLibrary:
+    """verify takes its detectors from the run, its rim rule from
+    amplitude_from_T and its lab verdicts from the lab's own reports."""
+
+    @staticmethod
+    def _verify(tmp_path, suites, n_detectors=8):
+        cfg = write_config(tmp_path, SPEC_MEDIUM, suites=suites,
+                           directions={"n_detectors": n_detectors, "n_pairs": 16})
+        out = tmp_path / "out"
+        rc = main(["verify", "--config", str(cfg), "--out", str(out), "--expect-compliant"])
+        report = out / "verify.json"
+        return rc, (json.loads(report.read_text()) if report.exists() else None)
+
+    def test_non_rim_amplitude_error_fails_route_equivalence(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def straddles(*args, **kwargs):
+            raise StraddlesSupportEdge("planted straddle")
+
+        monkeypatch.setattr(transfer, "amplitude_from_T", straddles)
+        assert self._verify(tmp_path, ["route_equivalence"])[0] == 1
+        assert capsys.readouterr().err.startswith(
+            "error: suite route_equivalence: planted straddle")
+
+    def test_no_detector_left_fails(self, tmp_path, monkeypatch, capsys):
+        def on_rim(*args, **kwargs):
+            raise DirectionOnRim("planted rim")
+
+        monkeypatch.setattr(transfer, "amplitude_from_T", on_rim)
+        assert self._verify(tmp_path, ["route_equivalence"])[0] == 1
+        assert "every detector maps onto the disk rim" in capsys.readouterr().err
+        cfg = write_config(tmp_path, SPEC_MEDIUM)
+        assert main(["transfer", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 1
+
+    def test_route_equivalence_uses_run_detectors_off_the_rim(self, tmp_path, monkeypatch):
+        asked, compared = [], []
+        real_amp, real_f1 = transfer.amplitude_from_T, born.first_born_amplitudes
+
+        def amp(sol, d, mode="exact"):
+            asked.append(d)
+            return real_amp(sol, d, mode)
+
+        def f1(medium, waves, dirs):
+            compared.extend(dirs)
+            return real_f1(medium, waves, dirs)
+
+        monkeypatch.setattr(transfer, "amplitude_from_T", amp)
+        monkeypatch.setattr(born, "first_born_amplitudes", f1)
+        rc, report = self._verify(tmp_path, ["route_equivalence"], n_detectors=32)
+        assert rc == 0 and report["route_equivalence"]["metric"] < 1e-10
+        cfg = RunConfig(json.loads((tmp_path / "config.json").read_text()))
+        off_rim = [d for d in cfg.detectors
+                   if np.linalg.norm(d.k_s(cfg.wave.k)[:2]) < cfg.grid.rho_max]
+        assert asked == cfg.detectors
+        assert compared == off_rim and len(off_rim) == 30
+
+    def test_lab_report_verdict_fails_lemma_lab(self, tmp_path, monkeypatch, capsys):
+        real = lemmalab.reciprocal_support_check
+
+        def gap_over_bound(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            return dataclasses.replace(rep, series_gap=2 * rep.series_bound + 1e-3)
+
+        monkeypatch.setattr(lemmalab, "reciprocal_support_check", gap_over_bound)
+        rc, report = self._verify(tmp_path, ["lemma_lab"])
+        assert rc == 1
+        # the metric, the largest residual and leak, still clears its tolerance
+        assert report["lemma_lab"]["pass"] is False
+        assert report["lemma_lab"]["metric"] < report["lemma_lab"]["tolerance"]
+        assert "lemma_lab: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n_detectors", [5, 8, 32])
+    def test_exactness_detectors_on_both_sides(self, tmp_path, monkeypatch, n_detectors):
+        seen = []
+
+        def f2(medium, waves, dirs, quad):
+            seen.extend(dirs)
+            return np.zeros((len(waves), len(dirs), 3), dtype=complex)
+
+        monkeypatch.setattr(born, "second_born_amplitudes", f2)
+        assert self._verify(tmp_path, ["exactness"], n_detectors)[0] == 0
+        detectors = RunConfig(json.loads((tmp_path / "config.json").read_text())).detectors
+        assert {d.side for d in seen} == {1, -1}
+        assert len(seen) == min(n_detectors, 8) and set(seen) <= set(detectors)
+        if n_detectors <= 8:
+            assert seen == detectors
+
+
 class TestBornCommand:
     def test_emits_csv_and_summary(self, tmp_path):
         cfg = write_config(tmp_path, SPEC_MEDIUM)
@@ -305,6 +402,13 @@ class TestTransferCommand:
         rel = float(msg.strip().split("=")[-1])
         assert rel < 1e-10
         assert (out / "transfer_f.csv").exists()
+
+    def test_skips_rim_detectors_only(self, tmp_path):
+        # two of the 32 detectors map onto the rim annulus at k = 0.8
+        cfg = write_config(tmp_path, SPEC_MEDIUM, directions={"n_detectors": 32})
+        out = tmp_path / "out"
+        assert main(["transfer", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "transfer_f.csv").read_text().strip().split("\n")) == 1 + 30
 
     @pytest.mark.parametrize("medium, k_over_alpha, exact", [
         (SPEC_MEDIUM, 0.8, True), (CONTROL_MEDIUM, 0.8, False), (SPEC_MEDIUM, 1.2, False),

@@ -22,6 +22,7 @@ _NONMAGNETIC = bornexact.SampledProfile(np.full((2, 2, 2, 3, 3), 0.01), None, (0
 _Q3 = np.zeros((1, 3))
 _BOX = bornexact.TransverseBox(0.01, 3.0, 4.0)
 _DET = em.DetectorDirection(1.1, 0.3)
+_ETA = np.full((2, 2, 2, 3, 3), 0.01)
 
 BAD_CALLS = {
     "IncidentWave k<0": lambda m: em.IncidentWave(-0.8, 0.1, 0.0),
@@ -36,6 +37,12 @@ BAD_CALLS = {
         np.nan, 2.0, 1, _BOX),
     "RationalEnvelopeProfile a=inf": lambda m: bornexact.RationalEnvelopeProfile(
         1.0, np.inf, 1, _BOX),
+    "RationalEnvelopeProfile m_exp='2'": lambda m: bornexact.RationalEnvelopeProfile(
+        1.0, 2.0, "2", _BOX),
+    "RationalEnvelopeProfile m_exp=nan": lambda m: bornexact.RationalEnvelopeProfile(
+        1.0, 2.0, np.nan, _BOX),
+    "RationalEnvelopeProfile m_exp=True": lambda m: bornexact.RationalEnvelopeProfile(
+        1.0, 2.0, True, _BOX),
     "GaussErfProfile alpha=inf": lambda m: bornexact.GaussErfProfile(np.inf, 2.0, _BOX),
     "GaussErfProfile a=nan": lambda m: bornexact.GaussErfProfile(1.0, np.nan, _BOX),
     "GaussianControlProfile a=nan": lambda m: bornexact.GaussianControlProfile(np.nan, _BOX),
@@ -45,6 +52,8 @@ BAD_CALLS = {
     "support_report alpha=nan": lambda m: bornexact.support_report(m, np.nan),
     "support_report alpha=-inf": lambda m: bornexact.support_report(m, -np.inf),
     "support_report alpha=None": lambda m: bornexact.support_report(m, None),
+    "support_report window=nan": lambda m: bornexact.support_report(m, 1.0, window=np.nan),
+    "support_report window=0": lambda m: bornexact.support_report(m, 1.0, window=0.0),
     "invisibility_report order=0": lambda m: bornexact.invisibility_report(m, 0.8, 8, order=0),
     "invisibility_report order=3": lambda m: bornexact.invisibility_report(m, 0.8, 8, order=3),
     "first_born_amplitudes no waves": lambda m: bornexact.first_born_amplitudes(m, [], [_DET]),
@@ -74,6 +83,24 @@ BAD_CALLS = {
     "SampledProfile ny=1": lambda m: bornexact.SampledProfile(
         np.zeros((4, 1, 4, 3, 3)), None, (0, 0, 0), (1, 1, 1)
     ),
+    "SampledProfile alpha=nan": lambda m: bornexact.SampledProfile(
+        _ETA, None, (0, 0, 0), (1, 1, 1), alpha=np.nan),
+    "SampledProfile alpha=inf": lambda m: bornexact.SampledProfile(
+        _ETA, None, (0, 0, 0), (1, 1, 1), alpha=np.inf),
+    "SampledProfile eta_eps all nan": lambda m: bornexact.SampledProfile(
+        np.full_like(_ETA, np.nan), None, (0, 0, 0), (1, 1, 1)),
+    "SampledProfile eta_mu inf": lambda m: bornexact.SampledProfile(
+        _ETA, np.full_like(_ETA, np.inf), (0, 0, 0), (1, 1, 1)),
+    "SampledProfile origin=nan": lambda m: bornexact.SampledProfile(
+        _ETA, None, (0, np.nan, 0), (1, 1, 1)),
+    "SampledProfile spacing=0": lambda m: bornexact.SampledProfile(
+        _ETA, None, (0, 0, 0), (0, 1, 1)),
+    "SampledProfile spacing<0": lambda m: bornexact.SampledProfile(
+        _ETA, None, (0, 0, 0), (1, 1, -1)),
+    "SampledProfile spacing=inf": lambda m: bornexact.SampledProfile(
+        _ETA, None, (0, 0, 0), (1, np.inf, 1)),
+    "sample_profile spacing=0": lambda m: bornexact.sample_profile(
+        m, (2, 2, 2), (0, 0, 0), (0, 1, 1)),
     "varpi k=0": lambda m: em.varpi(np.zeros(2), 0.0),
     "projector j=3": lambda m: em.projector(3, np.zeros(2), 1.0),
     "support_overlap n=0": lambda m: bornexact.support_overlap(1, 0.8, n=0),
@@ -90,6 +117,10 @@ BAD_CALLS = {
     "build_momentum_grid eps_ann=1e-4": lambda m: transfer.build_momentum_grid(
         0.8, 4.8, 8, 0, 1e-4
     ),
+    "build_momentum_grid p_max=nan n_box=8": lambda m: transfer.build_momentum_grid(
+        0.8, np.nan, 8, 8),
+    "build_momentum_grid p_max=inf n_box=8": lambda m: transfer.build_momentum_grid(
+        0.8, np.inf, 8, 8),
     "RunConfig grid.eps_ann=1e-4": lambda m: cli.RunConfig(
         {"medium": profile_to_dict(m), "grid": {"eps_ann": 1e-4}}
     ),
@@ -233,3 +264,33 @@ def test_one_outer_vertex_per_born_layer():
         for fn in ("first_born_amplitudes", "second_born_amplitudes") for name in
         ("_far_field", "_incidence", "_outer_vertex")
     ]
+
+
+_CATCH_ALL = {"BornexactError", "Exception", "BaseException"}
+
+
+def _catch_alls(path: Path):
+    """(owner, handler) of each except clause in path that names nothing or a catch-all type."""
+    for owner, tree in _scopes(path):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler):
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names = {getattr(t, "id", getattr(t, "attr", None)) for t in types}
+                if node.type is None or names & _CATCH_ALL:
+                    yield f"{path.stem}.{owner}", node
+
+
+def test_no_silent_catch_all():
+    """Only the CLI's config parse, suite loop and entry point catch every package
+    error, and each re-raises it or returns with its text: a skip that swallows
+    errors would let a failing check read as a pass."""
+    paths = sorted(Path(bornexact.__file__).parent.glob("*.py"))
+    found = [hit for path in paths for hit in _catch_alls(path)]
+    assert [owner for owner, _ in found] == ["cli.RunConfig.__init__", "cli.cmd_verify",
+                                             "cli.main"]
+    for owner, node in found:
+        inner = list(ast.walk(node))
+        reraises = any(isinstance(n, ast.Raise) for n in inner)
+        reports = (node.name is not None and any(isinstance(n, ast.Return) for n in node.body)
+                   and any(isinstance(n, ast.Name) and n.id == node.name for n in inner))
+        assert reraises or reports, owner
