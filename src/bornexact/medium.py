@@ -34,7 +34,6 @@ from functools import partial
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.special import dawsn, gammaln, lambertw
 
 from .errors import (BoundsViolated, ConfigError, InvalidArgument, InvalidResolution,
                      UnsupportedProfile, WindowTooSmall)
@@ -57,6 +56,32 @@ MEMORY_CAP_BYTES = 2**31
 _TAPER_SIGMAS = 6.5
 _MARGIN_SIGMAS = 7.0
 _WINDOW_TOL = 0.05
+
+
+# J. A. C. Weideman's rational expansion of the Faddeeva function on Im z >= 0
+# (SIAM J. Numer. Anal. 31, 1497 (1994)), N terms: w(z) = 2 p(Z) / (L - iz)^2
+# + 1 / (sqrt(pi) (L - iz)), Z = (L + iz) / (L - iz), p of coefficients A.
+def _weideman(n):
+    """(L, A): the scale L and p's coefficients A, highest degree first."""
+    L = math.sqrt(n / math.sqrt(2.0))
+    t = L * np.tan(np.arange(1 - 2 * n, 2 * n) * np.pi / (4 * n))
+    f = np.concatenate([[0.0], np.exp(-(t**2)) * (L**2 + t**2)])
+    return L, (np.fft.fft(np.fft.fftshift(f)).real / (4 * n))[n:0:-1]
+
+
+_WEIDEMAN_L, _WEIDEMAN_A = _weideman(48)
+
+
+def _lambertw_lower(x):
+    """W_{-1}(x) for real x in (-1/e, 0): Halley steps on w e^w = x from the
+    asymptotic guess L1 - L2 + L2/L1, L1 = ln(-x), L2 = ln(-L1)."""
+    L1 = math.log(-x)
+    L2 = math.log(-L1)
+    w = L1 - L2 + L2 / L1
+    for _ in range(8):
+        f = w * math.exp(w) - x
+        w -= f / (math.exp(w) * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    return w
 
 
 def _sinc(z):
@@ -326,7 +351,7 @@ class RationalEnvelopeProfile(_EnvelopeProfile):
                 np.log(2 * np.pi * self.a)
                 + (M - 1) * np.log(self.a * kk[pos])
                 - self.a * kk[pos]
-                - gammaln(M)
+                - math.lgamma(M)
             )
             out[pos] = np.exp(lg)
         return out
@@ -335,7 +360,7 @@ class RationalEnvelopeProfile(_EnvelopeProfile):
         # (aK)^m e^{-aK} = rel_tol m^m e^{-m} on aK > m: the lower real
         # branch aK = -m W_{-1}(-rel_tol^{1/m} / e)
         m = self.m_exp
-        aK = -m * lambertw(-rel_tol ** (1.0 / m) / np.e, -1).real
+        aK = -m * _lambertw_lower(-rel_tol ** (1.0 / m) / np.e)
         return (self.alpha or 0.0) + aK / self.a
 
     def default_window(self) -> float:
@@ -345,11 +370,13 @@ class RationalEnvelopeProfile(_EnvelopeProfile):
 class GaussErfProfile(_EnvelopeProfile):
     """eta(r) = sqrt(pi) e^{i alpha x} e^{-x^2/a^2} [1 + erf(i x/a)] f(y,z).
 
-    Evaluated through the Dawson function, sqrt(pi) e^{-s^2} erf(is) =
-    2 i D(s), which stays bounded for large |x| (the envelope decays like
-    i a/x, not super-exponentially).  Spectral density u(K) = a e^{-a^2K^2/4}
-    on K > 0.  Neumann powers beyond n = 1 are built by cached numerical
-    self-convolution of u.
+    With s = x/a the envelope is sqrt(pi) w(s), w the Faddeeva function: the
+    real part sqrt(pi) e^{-s^2} is exact, and the imaginary part (2 D(s), D
+    Dawson's integral) comes from Weideman's rational expansion.  It stays
+    bounded for large |x| (the envelope decays like i a/x, not
+    super-exponentially).  Spectral density u(K) = a e^{-a^2K^2/4} on K > 0.
+    Neumann powers beyond n = 1 are cached self-convolutions of u, taken by
+    FFT with the trapezoid end corrections.
     """
 
     def __init__(self, alpha, a, footprint: TransverseBox):
@@ -361,14 +388,21 @@ class GaussErfProfile(_EnvelopeProfile):
     def envelope_x(self, x):
         x = np.asarray(x, dtype=float)
         s = x / self.a
-        env = np.sqrt(np.pi) * np.exp(-(s**2)) + 2j * dawsn(s)
+        d = 1.0 / (_WEIDEMAN_L - 1j * s)
+        p = np.polyval(_WEIDEMAN_A, (_WEIDEMAN_L + 1j * s) * d)
+        env = np.sqrt(np.pi) * np.exp(-(s**2)) + 1j * (2.0 * np.sqrt(np.pi) * p * d**2 + d).imag
         return np.exp(1j * self.alpha * x) * env
 
     def _u1(self, kk):
         return self.a * np.exp(-((self.a * kk) ** 2) / 4.0) * (kk > 0)
 
     def _u_pow(self, n: int):
-        """n-fold autoconvolution of u on a cached grid over [0, n*Kmax]."""
+        """n-fold autoconvolution of u on a cached grid over [0, n*Kmax].
+
+        Trapezoid rule: U_{n+1} = dk U_n * B less half a cell at each end of
+        [0, K], dk (b0 U_n + U_n[0] B) / 2 with U_n[0] = 0 for n >= 2, taken
+        in one zero-padded FFT of n * nk points (no wrap-around).
+        """
         if n in self._u_cache:
             return self._u_cache[n]
         kmax1 = 14.0 / self.a
@@ -377,16 +411,12 @@ class GaussErfProfile(_EnvelopeProfile):
         base_k = np.arange(nk) * dk
         base = self._u1(base_k + 1e-300)  # keep K=0 sample at u(0+) limit a
         base[0] = self.a  # one-sided density: right-limit at the jump
-        cur = base
-        for _ in range(n - 1):
-            new = np.convolve(cur, base) * dk
-            # trapezoid endpoint correction: the rectangle sum double-counts
-            # half a cell at each end of [0, K]
-            new[: cur.size] -= 0.5 * dk * base[0] * cur
-            new[: base.size] -= 0.5 * dk * cur[0] * base
-            cur = new
-        grid = np.arange(cur.size) * dk
-        self._u_cache[n] = (grid, cur)
+        bhat = np.fft.rfft(base, n * nk)
+        uhat = dk * (bhat - base[0]) * bhat
+        for _ in range(n - 2):
+            uhat *= dk * (bhat - 0.5 * base[0])
+        size = n * (nk - 1) + 1
+        self._u_cache[n] = (np.arange(size) * dk, np.fft.irfft(uhat, n * nk)[:size])
         return self._u_cache[n]
 
     def ft_env_pow(self, n: int, K):

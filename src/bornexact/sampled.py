@@ -126,13 +126,24 @@ class SampledProfile(MediumProfile):
 
     def __init__(self, eta_eps, eta_mu, origin, spacing, alpha=None, slab=None):
         self.ee = np.asarray(eta_eps, dtype=complex)
+        if self.ee.ndim != 5 or self.ee.shape[3:] != (3, 3):
+            raise InvalidArgument(f"eta_eps must have shape (nx, ny, nz, 3, 3), got {self.ee.shape}")
+        if eta_mu is not None and np.shape(eta_mu) != self.ee.shape:
+            raise InvalidArgument(f"eta_mu must have eta_eps's shape {self.ee.shape}, "
+                                  f"got {np.shape(eta_mu)}")
         nx, ny, nz = self.ee.shape[:3]
         if min(nx, ny) < 2:
             raise InvalidArgument(f"momentum tables interpolate: need nx, ny >= 2, got {nx}x{ny}")
         # a nonmagnetic medium (eta_mu None or all zero) keeps no eta_mu grid
         self.em = np.asarray(eta_mu, dtype=complex) if np.any(eta_mu) else None
-        self.origin = tuple(map(float, origin))
-        self.spacing = tuple(map(float, spacing))
+        try:
+            self.origin, self.spacing = (tuple(map(float, v)) for v in (origin, spacing))
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgument(f"origin and spacing must be numbers, got {origin!r}, "
+                                  f"{spacing!r}") from exc
+        if len(self.origin) != 3 or len(self.spacing) != 3:
+            raise InvalidArgument(f"origin and spacing need 3 entries each, got {origin!r}, "
+                                  f"{spacing!r}")
         if not all(np.isfinite(a).all() for a in (self.ee, self.em, self.origin) if a is not None):
             raise InvalidArgument("eta_eps, eta_mu and origin must be finite")
         if not (np.isfinite(self.spacing).all() and min(self.spacing) > 0):

@@ -359,6 +359,30 @@ def envelope_ft_ref(profile, q3, which=None):
     return X * fp.ft_y(qy.astype(complex)) * ft_z
 
 
+def u_pow_ref(profile, n):
+    """GaussErfProfile._u_pow by direct convolution: (grid, n-fold autoconvolution of u).
+
+    The same base grid and trapezoid end corrections, each power convolved
+    in position space with np.convolve instead of multiplied in Fourier space.
+    """
+    kmax1 = 14.0 / profile.a
+    nk = 4096
+    dk = kmax1 / nk
+    base_k = np.arange(nk) * dk
+    base = profile._u1(base_k + 1e-300)  # keep K=0 sample at u(0+) limit a
+    base[0] = profile.a  # one-sided density: right-limit at the jump
+    cur = base
+    for _ in range(n - 1):
+        new = np.convolve(cur, base) * dk
+        # trapezoid endpoint correction: the rectangle sum double-counts
+        # half a cell at each end of [0, K]
+        new[: cur.size] -= 0.5 * dk * base[0] * cur
+        new[: base.size] -= 0.5 * dk * cur[0] * base
+        cur = new
+    grid = np.arange(cur.size) * dk
+    return grid, cur
+
+
 def profile_to_dict(profile):
     """Inverse of medium.profile_from_dict for the closed-form families."""
     if isinstance(profile, RationalEnvelopeProfile):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import dawsn, gammaln, lambertw
 
 from bornexact import (
     GaussErfProfile,
@@ -21,7 +22,8 @@ from bornexact import (
 from bornexact.errors import BoundsViolated, ConfigError, InvalidArgument, WindowTooSmall
 from bornexact.medium import MediumProfile, _sinc
 from bornexact.sampled import write_grid
-from oracles import envelope_ft_ref, eta2_ref, profile_to_dict, recip2_ref, sampled_z_sum
+from oracles import (envelope_ft_ref, eta2_ref, profile_to_dict, recip2_ref, sampled_z_sum,
+                     u_pow_ref)
 
 ALPHA = 1.0
 
@@ -182,6 +184,51 @@ class TestFourierForms:
         oracle = np.trapezoid(ee2[:, 0, 0] * np.exp(-1j * q[2] * zs), zs)
         ee3, _ = reference_medium.eta3_tensors(q[None, :])
         assert ee3[0, 0, 0] == pytest.approx(oracle, rel=1e-6)
+
+
+class TestSpecialFunctionsAgainstScipy:
+    """The package's numpy-only special functions against scipy.special."""
+
+    def test_gausserf_envelope_matches_dawson(self):
+        prof = GaussErfProfile(ALPHA, 2.0, TransverseBox(0.01, 3.0, 4.0))
+        s = np.concatenate([[0.0], np.linspace(-30.0, 30.0, 60001),
+                            np.logspace(-8, 4, 2001), -np.logspace(-8, 4, 2001)])
+        x = prof.a * s
+        want = (np.sqrt(np.pi) * np.exp(-(s**2)) + 2j * dawsn(s)) * np.exp(1j * ALPHA * x)
+        assert np.abs(prof.envelope_x(x) - want).max() <= 1e-14 * np.sqrt(np.pi)
+        assert prof.envelope_x(np.zeros(1))[0] == np.sqrt(np.pi)
+
+    @pytest.mark.parametrize("m_exp", range(1, 9))
+    def test_rational_spectral_extent_matches_lambertw(self, m_exp):
+        prof = RationalEnvelopeProfile(ALPHA, 2.0, m_exp, TransverseBox(0.01, 3.0, 4.0))
+        for rel_tol in 10.0 ** -np.arange(3, 16):
+            aK = -m_exp * lambertw(-rel_tol ** (1.0 / m_exp) / np.e, -1).real
+            want = ALPHA + aK / prof.a
+            assert abs(prof.spectral_extent(rel_tol) - want) <= 4 * np.spacing(want)
+
+    @pytest.mark.parametrize("m_exp", [1, 2, 5])
+    def test_rational_density_matches_gammaln(self, m_exp):
+        prof = RationalEnvelopeProfile(ALPHA, 2.0, m_exp, TransverseBox(0.01, 3.0, 4.0))
+        K = np.linspace(-1.0, 40.0, 4101)
+        for n in range(1, 5):
+            kk = K - n * ALPHA
+            M = n * (m_exp + 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.where(kk > 0, np.exp(np.log(2 * np.pi * prof.a) + (M - 1)
+                                               * np.log(prof.a * kk) - prof.a * kk - gammaln(M)),
+                                0.0)
+            got = prof.ft_env_pow(n, K)
+            assert np.array_equal(got == 0, want == 0)
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    @pytest.mark.parametrize("a", [2.0, 0.7])
+    def test_gausserf_fft_table_matches_direct_convolution(self, a):
+        prof = GaussErfProfile(ALPHA, a, TransverseBox(0.01, 3.0, 4.0))
+        for n in range(2, prof._recip_terms() + 1):
+            grid, vals = prof._u_pow(n)
+            ref_grid, ref = u_pow_ref(prof, n)
+            assert np.array_equal(grid, ref_grid)
+            assert np.abs(vals - ref).max() <= 2e-15 * ref.max()
 
 
 class TestReciprocalSymbols:

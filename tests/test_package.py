@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +102,16 @@ BAD_CALLS = {
         _ETA, None, (0, 0, 0), (1, 1, -1)),
     "SampledProfile spacing=inf": lambda m: bornexact.SampledProfile(
         _ETA, None, (0, 0, 0), (1, np.inf, 1)),
+    "SampledProfile origin 2 entries": lambda m: bornexact.SampledProfile(
+        _ETA, None, (0, 0), (1, 1, 1)),
+    "SampledProfile spacing 2 entries": lambda m: bornexact.SampledProfile(
+        _ETA, None, (0, 0, 0), (1, 1)),
+    "SampledProfile spacing='abc'": lambda m: bornexact.SampledProfile(
+        _ETA, None, (0, 0, 0), "abc"),
+    "SampledProfile eta_eps no tensor axes": lambda m: bornexact.SampledProfile(
+        np.zeros((2, 2, 2)), None, (0, 0, 0), (1, 1, 1)),
+    "SampledProfile eta_mu shape": lambda m: bornexact.SampledProfile(
+        _ETA, np.full((3, 3, 3, 3, 3), 0.01), (0, 0, 0), (1, 1, 1)),
     "sample_profile spacing=0": lambda m: bornexact.sample_profile(
         m, (2, 2, 2), (0, 0, 0), (0, 1, 1)),
     "varpi k=0": lambda m: em.varpi(np.zeros(2), 0.0),
@@ -294,3 +307,27 @@ def test_no_silent_catch_all():
         reports = (node.name is not None and any(isinstance(n, ast.Return) for n in node.body)
                    and any(isinstance(n, ast.Name) and n.id == node.name for n in inner))
         assert reraises or reports, owner
+
+
+def _imports(path: Path):
+    """Top-level package of every module that path imports."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_import_path_is_numpy_only():
+    """No module of the package imports scipy, and a fresh interpreter that
+    imports the package and its CLI has loaded no scipy module."""
+    src = Path(bornexact.__file__).parent
+    assert [f"{path.name} imports scipy" for path in sorted(src.glob("*.py"))
+            if "scipy" in set(_imports(path))] == []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src.parent), os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, bornexact, bornexact.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
