@@ -131,16 +131,19 @@ def first_born_amplitude(profile: MediumProfile, w: IncidentWave, d: DetectorDir
 # last panel runs from the last edge to p_max
 _PV_EDGES = np.array([0.0, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 4.5])
 
-# working set of one radial panel per quadrature point on the tensor route,
-# the larger of the two, for a block of P polarizations:
+# working set per quadrature point of one radial panel taken whole, on the
+# tensor route, the larger of the two, for a block of P polarizations:
 # _F2_PANEL_BYTES_PER_POINT + P * _F2_PANEL_BYTES_PER_POLARIZATION.
 # tracemalloc on the control at (12, 24, 24) to (24, 64, 64), with 1 and 4
 # detectors: 668-676 B per point at P = 1, 988-1018 at P = 2 and 1324-1332
 # at P = 3 on the tensor route (3005-3012 at P = 8, at (12, 24, 24) and
 # (24, 48, 48)); 109-149 B at any P on the scalar route, which holds the
-# incident link across detectors.
+# incident link across detectors.  F2 takes a panel in blocks of
+# _F2_BLOCK_POINTS, so this guard, which bounds a whole panel, over-counts.
 _F2_PANEL_BYTES_PER_POINT = 384
 _F2_PANEL_BYTES_PER_POLARIZATION = 352
+# points per block of a panel: one float array of it is 128 kB, cache-sized
+_F2_BLOCK_POINTS = 16384
 
 
 def _check_panel(spec, n_pol: int):
@@ -252,15 +255,17 @@ def second_born_amplitudes(
     The waves share k and k_i, as in first_born_amplitudes.
 
     The angular integral N(r) = r^2 int dOmega (numerator at p = r d) is
-    taken one radial panel at a time.  Per panel the incident link
-    eta~(p - k_i) is evaluated once, then each detector's outgoing link
-    eta~(k_s - p).  For media with scalar_eta3 the numerator is
-    s(p) (k^2 E - p (p.E)) with s = eta~(p - k_i) eta~(k_s - p) and
-    E = [e_i ...] (3, P), so N(r) = r^2 [k^2 S0(r) E - r^2 M(r) E] from
-    the moments S0 = sum_j w_j s_j and M = sum_j w_j s_j d_j d_j^T of the
-    panel's pointwise products; other media take the tensor chain
-    _incident_link / _outer_vertex.  Each panel's scalar_eta3 call on
-    the incident link picks the route, so no extra call probes the medium.
+    taken in blocks of _F2_BLOCK_POINTS points (whole radii, at least one)
+    of each radial panel, joined along the radius for the panel's weighted
+    sum.  Per block the incident link eta~(p - k_i) is evaluated once, then
+    each detector's outgoing link eta~(k_s - p), at points built
+    component-major, (3, R, n_mu, n_phi), and passed as (..., 3) views.
+    For media with scalar_eta3 the numerator is s(p) (k^2 E - p (p.E)) with
+    s = eta~(p - k_i) eta~(k_s - p) and E = [e_i ...] (3, P), so
+    N(r) = r^2 [k^2 S0(r) E - r^2 M(r) E] from the moments S0 = sum_j w_j s_j
+    and M = sum_j w_j s_j d_j d_j^T of the block's pointwise products; other
+    media take the tensor chain _incident_link / _outer_vertex.  Each
+    block's scalar_eta3 call on the incident link picks the route.
     """
     quad = quad or QuadratureSpec()
     k, ki, E, H, rhat = _incidence(waves, detectors)
@@ -268,22 +273,29 @@ def second_born_amplitudes(
     dirs, wts = _angular_grid(quad)
     # second-moment weights w_j d_j d_j^T, one row of 9 per direction
     wdd = (wts[:, None, None] * dirs[:, :, None] * dirs[:, None, :]).reshape(-1, 9)
+    dirs_cm = np.ascontiguousarray(dirs.T).reshape(3, quad.n_mu, quad.n_phi)
+    n_block = max(1, _F2_BLOCK_POINTS // (quad.n_mu * quad.n_phi))
 
     def ang_numer(radii):
         """N(r) at each radius for every detector: (D, R, 3, P)."""
         r2 = (radii * radii)[:, None, None]
-        # (R, n_mu, n_phi, 3): q_z = r mu - k_z repeats along each phi row
-        pts = radii[:, None, None, None] * dirs.reshape(quad.n_mu, quad.n_phi, 3)
-        s_in = profile.scalar_eta3(pts - ki)
+        # (3, R, n_mu, n_phi): q_z = r mu - k_z repeats along each phi row
+        pc = radii[None, :, None, None] * dirs_cm[:, None]
+
+        def outgoing(r):  # k r - p as a (..., 3) view, freed once the medium has read it
+            return np.moveaxis((k * r)[:, None, None, None] - pc, 0, -1)
+
+        s_in = profile.scalar_eta3(np.moveaxis(pc - ki[:, None, None, None], 0, -1))
         if s_in is None:
-            pts = pts.reshape(radii.size, -1, 3)
-            E1, H1 = _incident_link(profile, k, ki, E, H, pts)
-            N = [(_outer_vertex(profile, k * r - pts, r, E1, H1)
+            # a component-major view: pts - k_i keeps its layout
+            flat = (radii.size, -1, 3)
+            E1, H1 = _incident_link(profile, k, ki, E, H, np.moveaxis(pc, 0, -1).reshape(flat))
+            N = [(_outer_vertex(profile, outgoing(r).reshape(flat), r, E1, H1)
                   * wts[None, :, None, None]).sum(axis=1) for r in rhat]
         else:
             N = []
             for r in rhat:
-                s = (s_in * profile.scalar_eta3(k * r - pts)).reshape(radii.size, -1)
+                s = (s_in * profile.scalar_eta3(outgoing(r))).reshape(radii.size, -1)
                 M_E = (s @ wdd).reshape(-1, 3, 3) @ E
                 N.append((k * k) * (s @ wts)[:, None, None] * E - r2 * M_E)
         return np.stack(N) * r2
@@ -293,7 +305,8 @@ def second_born_amplitudes(
     hk = Nk / (2 * k)
     total = np.zeros(Nk.shape, dtype=complex)
     for pp, ww in panels:
-        h = ang_numer(pp) / (pp + k)[:, None, None]
+        h = np.concatenate([ang_numer(pp[i:i + n_block]) for i in range(0, pp.size, n_block)],
+                           axis=1) / (pp + k)[:, None, None]
         total += (ww[:, None, None] * (h - hk[:, None]) / (pp - k)[:, None, None]).sum(axis=1)
     total += hk * np.log((p_max - k) / k)
     total += 1j * np.pi * Nk / (2 * k)

@@ -110,6 +110,13 @@ def is_finite_real(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def spectral_tol(rel_tol: float) -> float:
+    """rel_tol, checked to be a finite real in (0, 1): a spectral_extent threshold."""
+    if not (is_finite_real(rel_tol) and 0 < rel_tol < 1):
+        raise InvalidArgument(f"rel_tol must be a finite real in (0, 1), got {rel_tol!r}")
+    return rel_tol
+
+
 def recip_key(which: str) -> str:
     """which, checked to name a reciprocal symbol: "eps" (1/eps33) or "mu" (1/mu33)."""
     if which not in ("eps", "mu"):
@@ -239,7 +246,7 @@ class _EnvelopeProfile(MediumProfile):
     # Gaussian spectral tails (Gauss-erf; the control, alpha None) and |E| <= 1
     # (rational, the control); rational overrides the first two, Gauss-erf the last.
     def spectral_extent(self, rel_tol: float = 1e-9) -> float:
-        return (self.alpha or 0.0) + 2.0 * np.sqrt(np.log(1.0 / rel_tol)) / self.a
+        return (self.alpha or 0.0) + 2.0 * np.sqrt(np.log(1.0 / spectral_tol(rel_tol))) / self.a
 
     def default_window(self) -> float:
         return 40.0 * self.a
@@ -360,7 +367,7 @@ class RationalEnvelopeProfile(_EnvelopeProfile):
         # (aK)^m e^{-aK} = rel_tol m^m e^{-m} on aK > m: the lower real
         # branch aK = -m W_{-1}(-rel_tol^{1/m} / e)
         m = self.m_exp
-        aK = -m * _lambertw_lower(-rel_tol ** (1.0 / m) / np.e)
+        aK = -m * _lambertw_lower(-spectral_tol(rel_tol) ** (1.0 / m) / np.e)
         return (self.alpha or 0.0) + aK / self.a
 
     def default_window(self) -> float:

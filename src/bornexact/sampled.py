@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .errors import InvalidArgument
-from .medium import MediumProfile, is_finite_real, recip_key
+from .medium import MediumProfile, is_finite_real, recip_key, spectral_tol
 
 _MAGIC = b"ETAGRID1"
 _HEADER = struct.Struct("<8s3q6dq")
@@ -230,6 +230,7 @@ class SampledProfile(MediumProfile):
         )
 
     def spectral_extent(self, rel_tol=1e-9):
+        spectral_tol(rel_tol)  # the grid's Nyquist momentum, whatever the threshold
         return np.pi / self.spacing[0]
 
     def default_window(self):

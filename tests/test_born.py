@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bornexact import born
 from bornexact import (
     DetectorDirection,
     IncidentWave,
@@ -71,6 +74,23 @@ class CountingProfile(MediumProfile):
     def eta3_tensors(self, q3):
         self.points += q3.size // 3
         return self.base.eta3_tensors(q3)
+
+
+class RecordingProfile(CountingProfile):
+    """A CountingProfile that also keeps every momentum array q3 it is asked for."""
+
+    def __init__(self, base, scalar=True):
+        super().__init__(base, scalar)
+        self.q3s = []
+
+    def scalar_eta3(self, q3):
+        if self.scalar:
+            self.q3s.append(q3)
+        return super().scalar_eta3(q3)
+
+    def eta3_tensors(self, q3):
+        self.q3s.append(q3)
+        return super().eta3_tensors(q3)
 
 
 class TestFirstBorn:
@@ -315,15 +335,22 @@ class TestBatchedSecondBorn:
     def waves(k):
         return [IncidentWave.linear(k, 1.0, np.pi, chi) for chi in (0.7, 0.7 + np.pi / 2)]
 
-    @pytest.mark.parametrize("case", ["control_k08", "reference_k13", "magnetic_tensor"])
-    def test_matches_per_pair(self, case, control_medium, reference_medium):
-        # one batched call equals the per-pair calls for every polarization
-        # and detector; at k = 1.3 the compliant F2 is nonzero (above threshold)
-        medium, k = {
+    @staticmethod
+    def case(name, control_medium, reference_medium):
+        """(medium, k) of a named case; at k = 1.3 the compliant F2 is
+        nonzero (above threshold), at k = 0.8 an exact zero."""
+        return {
             "control_k08": (control_medium, K),
             "reference_k13": (reference_medium, 1.3),
             "magnetic_tensor": (MagneticTensorProfile(control_medium), K),
-        }[case]
+            "reference_k08": (reference_medium, K),
+        }[name]
+
+    @pytest.mark.parametrize("case", ["control_k08", "reference_k13", "magnetic_tensor"])
+    def test_matches_per_pair(self, case, control_medium, reference_medium):
+        # one batched call equals the per-pair calls for every polarization
+        # and detector
+        medium, k = self.case(case, control_medium, reference_medium)
         waves = self.waves(k)
         F = second_born_amplitudes(medium, waves, self.DETS, self.QUAD)
         assert F.shape == (2, 3, 3)
@@ -355,13 +382,64 @@ class TestBatchedSecondBorn:
             second_born_amplitudes(medium, waves, self.DETS, quad)
         assert medium.points == 0
 
+    @pytest.mark.parametrize("case", ["control_k08", "reference_k13", "magnetic_tensor",
+                                      "reference_k08"])
+    def test_block_size_invariance(self, case, monkeypatch, control_medium,
+                                   reference_medium):
+        # one radius per block and one block per panel give the same F2, with
+        # the same exact zeros (all of them on the compliant medium at k = 0.8)
+        medium, k = self.case(case, control_medium, reference_medium)
+        F = []
+        for block in (1, 10**9):
+            monkeypatch.setattr(born, "_F2_BLOCK_POINTS", block)
+            F.append(second_born_amplitudes(medium, self.waves(k), self.DETS, self.QUAD))
+        assert np.linalg.norm(F[0] - F[1]) <= 1e-14 * np.linalg.norm(F[1])
+        assert np.array_equal(F[0] == 0, F[1] == 0)
+        assert np.any(F[1]) == (case != "reference_k08")
+
     @pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "tensor"])
-    def test_one_incident_link_and_no_early_exit(self, scalar, gausserf_medium,
-                                                 control_medium):
+    @pytest.mark.parametrize("quad", [QuadratureSpec(12, 48, 48), QuadratureSpec(2, 132, 128)],
+                             ids=["split_panels", "radius_over_block"])
+    def test_links_reach_the_medium_in_contiguous_blocks(self, quad, scalar, control_medium):
+        # each component of every momentum array the medium is handed is one
+        # contiguous array of at most a block's points (a whole radius if
+        # that is larger); here panels of 12 x 48 x 48 points exceed a block
+        medium = RecordingProfile(control_medium, scalar)
+        second_born_amplitudes(medium, self.waves(K), self.DETS[:2], quad)
+        most = max(born._F2_BLOCK_POINTS, quad.n_mu * quad.n_phi)
+        assert medium.q3s
+        for q3 in medium.q3s:
+            assert q3.shape[-1] == 3
+            for c in range(3):
+                assert q3[..., c].flags.c_contiguous
+                assert q3[..., c].size <= most
+
+    @pytest.mark.parametrize("quad", [QuadratureSpec(48, 96, 96), QuadratureSpec(48, 48, 48)],
+                             ids=["48x96x96", "48x48x48"])
+    def test_working_set_of_one_call(self, quad, control_medium):
+        # the blocks bound the traced peak of a call, whatever the panel size
+        waves = self.waves(K)
+        second_born_amplitudes(control_medium, waves, self.DETS, QuadratureSpec(2, 4, 4))
+        tracemalloc.start()
+        try:
+            second_born_amplitudes(control_medium, waves, self.DETS, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "scalar, block",
+        [(True, born._F2_BLOCK_POINTS), (False, born._F2_BLOCK_POINTS),
+         (True, 3 * 12 * 12), (False, 3 * 12 * 12)],
+        ids=["scalar", "tensor", "scalar-split_panels", "tensor-split_panels"])
+    def test_one_incident_link_and_no_early_exit(self, scalar, block, monkeypatch,
+                                                 gausserf_medium, control_medium):
         # per call: one incident-link pass plus one outgoing pass per
-        # detector, whatever the number of polarizations; the compliant
-        # medium, whose F2 is an exact zero, is evaluated at every point the
-        # control is
+        # detector, whatever the number of polarizations or blocks; the
+        # compliant medium, whose F2 is an exact zero, is evaluated at every
+        # point the control is
+        monkeypatch.setattr(born, "_F2_BLOCK_POINTS", block)
         quad = QuadratureSpec(8, 12, 12)
         link = (len(_PV_EDGES) * quad.n_radial + 1) * quad.n_mu * quad.n_phi
         for n_det in (1, 3):

@@ -122,6 +122,14 @@ BAD_CALLS = {
     "support_report grid nz=0": lambda m: bornexact.support_report(m, 1.0, grid=(512, 4, 0)),
     "bounds_check no samples": lambda m: bornexact.bounds_check(m, 0),
     "bounds_check 1.5 samples": lambda m: bornexact.bounds_check(m, 1.5),
+    "spectral_extent rel_tol=0": lambda m: m.spectral_extent(0.0),
+    "spectral_extent rel_tol=1": lambda m: m.spectral_extent(1.0),
+    "spectral_extent rel_tol=2": lambda m: m.spectral_extent(2),
+    "spectral_extent rel_tol=-1e-3": lambda m: m.spectral_extent(-1e-3),
+    "spectral_extent rel_tol=nan": lambda m: m.spectral_extent(np.nan),
+    "spectral_extent gausserf rel_tol=1": lambda m: bornexact.GaussErfProfile(
+        1.0, 2.0, _BOX).spectral_extent(1.0),
+    "spectral_extent sampled rel_tol=0": lambda m: _NONMAGNETIC.spectral_extent(0.0),
     "recip33_ft3 which rational": lambda m: m.recip33_ft3(_Q3, "foo"),
     "recip33_ft3 which sampled": lambda m: _NONMAGNETIC.recip33_ft3(_Q3, "foo"),
     "build_momentum_grid k<0": lambda m: transfer.build_momentum_grid(-0.8, 4.8, 8, 0),
