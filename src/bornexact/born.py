@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import medium
 from .em import DetectorDirection, IncidentWave
 from .errors import BoundsViolated, InvalidArgument, InvalidResolution
 from .medium import MEMORY_CAP_BYTES, MediumProfile, bounds_check, is_count
@@ -131,30 +132,34 @@ def first_born_amplitude(profile: MediumProfile, w: IncidentWave, d: DetectorDir
 # last panel runs from the last edge to p_max
 _PV_EDGES = np.array([0.0, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 4.5])
 
-# working set per quadrature point of one radial panel taken whole, on the
-# tensor route, the larger of the two, for a block of P polarizations:
-# _F2_PANEL_BYTES_PER_POINT + P * _F2_PANEL_BYTES_PER_POLARIZATION.
-# tracemalloc on the control at (12, 24, 24) to (24, 64, 64), with 1 and 4
-# detectors: 668-676 B per point at P = 1, 988-1018 at P = 2 and 1324-1332
-# at P = 3 on the tensor route (3005-3012 at P = 8, at (12, 24, 24) and
-# (24, 48, 48)); 109-149 B at any P on the scalar route, which holds the
-# incident link across detectors.  F2 takes a panel in blocks of
-# _F2_BLOCK_POINTS, so this guard, which bounds a whole panel, over-counts.
-_F2_PANEL_BYTES_PER_POINT = 384
-_F2_PANEL_BYTES_PER_POLARIZATION = 352
-# points per block of a panel: one float array of it is 128 kB, cache-sized
-_F2_BLOCK_POINTS = 16384
+# working set per quadrature point of one block, on the tensor route, the
+# larger of the two, for P polarizations: _F2_BYTES_PER_POINT +
+# P * _F2_BYTES_PER_POLARIZATION (tracemalloc on the control, per point of a
+# panel taken whole: 668-676 B at P = 1, 988-1018 at P = 2, 1324-1332 at
+# P = 3, 3005-3012 at P = 8; 109-149 B at any P on the scalar route).  With
+# the angular grid and N(r), _check_panel's model reads 23.0, 24.5 and 21.2
+# MiB where a magnetic tensor medium's call peaks at 21.3 MiB at (24, 64, 64)
+# and 22.8 at (24, 128, 128), P = 3 and one detector, and 20.0 at
+# (12, 24, 24), P = 8 and four detectors.
+_F2_BYTES_PER_POINT = 384
+_F2_BYTES_PER_POLARIZATION = 352
 
 
-def _check_panel(spec, n_pol: int):
-    """Raise InvalidResolution if one radial panel of spec at n_pol
-    polarizations would exceed medium.MEMORY_CAP_BYTES."""
-    points = int(spec.n_radial) * int(spec.n_mu) * int(spec.n_phi)
-    need = points * (_F2_PANEL_BYTES_PER_POINT + n_pol * _F2_PANEL_BYTES_PER_POLARIZATION)
+def _check_panel(spec, n_pol: int, n_det: int):
+    """Raise InvalidResolution if one block of spec at n_pol polarizations
+    (at most max(medium.BLOCK_POINTS, n_mu * n_phi) points, and at most a
+    panel) plus a radial panel's joined N(r) for n_det detectors would
+    exceed medium.MEMORY_CAP_BYTES."""
+    area = int(spec.n_mu) * int(spec.n_phi)
+    points = min(int(spec.n_radial), medium.rows_per_block(area)) * area
+    # the angular grid holds 16 floats per direction; a panel's N(r), (D, R,
+    # 3, P) complex, is held with three temporaries of its size
+    need = (points * (_F2_BYTES_PER_POINT + n_pol * _F2_BYTES_PER_POLARIZATION)
+            + area * 16 * 8 + int(spec.n_radial) * n_det * n_pol * 4 * 3 * 16)
     if need > MEMORY_CAP_BYTES:
         raise InvalidResolution(
-            f"one radial panel of {spec.n_radial}x{spec.n_mu}x{spec.n_phi} points "
-            f"at {n_pol} polarizations needs ~{need / 2**30:.3g} GiB > cap "
+            f"a block of {points} points of the {spec.n_radial}x{spec.n_mu}x{spec.n_phi} "
+            f"quadrature at {n_pol} polarizations needs ~{need / 2**30:.3g} GiB > cap "
             f"{MEMORY_CAP_BYTES / 2**30:.3g} GiB"
         )
 
@@ -167,8 +172,9 @@ class QuadratureSpec:
     cos(theta_p), periodic trapezoid in phi_p.  method must be "pv", the
     principal-value + residue split.  eps_over_k2 and richardson are read
     only by the i*eps cross-check route kept with the tests.  p_max_over_k
-    must exceed the last panel edge, 4.5; a panel (n_radial * n_mu * n_phi
-    points) at two polarizations must fit in medium.MEMORY_CAP_BYTES.
+    must exceed the last panel edge, 4.5; one block of the quadrature
+    (max(medium.BLOCK_POINTS, n_mu * n_phi) points) at two polarizations
+    must fit in medium.MEMORY_CAP_BYTES.
     """
 
     n_radial: int = 24
@@ -191,7 +197,7 @@ class QuadratureSpec:
                 f"p_max_over_k must be finite and exceed the last panel edge "
                 f"{_PV_EDGES[-1]:g}, got {self.p_max_over_k!r}"
             )
-        _check_panel(self, 2)  # invisibility_report's two polarizations
+        _check_panel(self, 2, 1)  # invisibility_report's two polarizations
 
     def doubled(self) -> "QuadratureSpec":
         return replace(self, n_radial=2 * self.n_radial, n_mu=2 * self.n_mu,
@@ -255,7 +261,7 @@ def second_born_amplitudes(
     The waves share k and k_i, as in first_born_amplitudes.
 
     The angular integral N(r) = r^2 int dOmega (numerator at p = r d) is
-    taken in blocks of _F2_BLOCK_POINTS points (whole radii, at least one)
+    taken in blocks of medium.BLOCK_POINTS points (whole radii, at least one)
     of each radial panel, joined along the radius for the panel's weighted
     sum.  Per block the incident link eta~(p - k_i) is evaluated once, then
     each detector's outgoing link eta~(k_s - p), at points built
@@ -269,12 +275,12 @@ def second_born_amplitudes(
     """
     quad = quad or QuadratureSpec()
     k, ki, E, H, rhat = _incidence(waves, detectors)
-    _check_panel(quad, E.shape[1])
+    _check_panel(quad, E.shape[1], rhat.shape[0])
     dirs, wts = _angular_grid(quad)
     # second-moment weights w_j d_j d_j^T, one row of 9 per direction
     wdd = (wts[:, None, None] * dirs[:, :, None] * dirs[:, None, :]).reshape(-1, 9)
     dirs_cm = np.ascontiguousarray(dirs.T).reshape(3, quad.n_mu, quad.n_phi)
-    n_block = max(1, _F2_BLOCK_POINTS // (quad.n_mu * quad.n_phi))
+    n_block = medium.rows_per_block(quad.n_mu * quad.n_phi)
 
     def ang_numer(radii):
         """N(r) at each radius for every detector: (D, R, 3, P)."""

@@ -50,6 +50,17 @@ _RECIP_MAX_TERMS = 64
 # here, the dense first-order kernel by default in bornexact.transfer.
 MEMORY_CAP_BYTES = 2**31
 
+# Most transform points that one step of second Born (born) or of the
+# transfer layer hands the medium at once: one float array of a block is
+# 128 kB, cache-sized.  Callers read it at call time.
+BLOCK_POINTS = 16384
+
+
+def rows_per_block(n: int) -> int:
+    """Rows of n transform points each that fill one block, at least one."""
+    return max(1, BLOCK_POINTS // n)
+
+
 # support_report: taper width sigma_w = window / _TAPER_SIGMAS, scan margin
 # _MARGIN_SIGMAS / sigma_w, and the largest |eta| at the window edge, relative
 # to its central value, that the window may cut off.

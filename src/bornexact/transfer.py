@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import em
+from . import em, medium
 from .em import ANNULUS_GUARD, DetectorDirection, IncidentWave, xi_contract
 from .errors import (
     DirectionOnRim,
@@ -267,10 +267,11 @@ class TransferKernel:
         return float(np.abs(self.K).max())
 
 
-# traced working set of firstorder_kernel (n_disk 8, 16): 1.03 kB per (p, q)
-# pair for envelope media, 1.09 kB sampled (16 z-slices), plus 0.55-0.6 kB per
-# column q; solve_T, one pair and row per point: 1.31 kB, 1.38-1.41 kB sampled.
-# Scalar cores keep the kernel at 1.03 kB; solve_T's whole peak is 1.23-1.28 kB (1.57 tensor)
+# traced working set of one chunk of transfer_first_order beyond K (n_disk 8,
+# 12, 16): 1.04-1.08 kB per (p, q) pair with scalar cores, 1.09-1.11 kB on
+# the tensor route, 1.12-1.13 kB sampled (16 z-slices), plus 0.55-0.6 kB per
+# column q.  solve_T beyond its outputs, per point of one block (n_disk 16 to
+# 128): 1.23-1.48 kB scalar, 1.62-1.68 kB tensor, 1.65-1.75 kB sampled.
 _KERNEL_PAIR_BYTES = 5 * 256
 _KERNEL_COLUMN_BYTES = 3 * 256
 
@@ -283,15 +284,20 @@ def transfer_first_order(
 ) -> TransferKernel:
     """Materialize K on disk x disk; M = pi + K as an operator on the disk.
 
-    K and the working set of one chunk of its rows together stay within
-    memory_cap_bytes.  method must be "zft", the only kernel route.
+    K is filled in chunks of rows of at most medium.BLOCK_POINTS pairs (one
+    row at least), fewer where K and one chunk's working set would exceed
+    memory_cap_bytes.  Rows are independent, so the chunks move K by no
+    more than the medium's transforms round differently on them (not at
+    all for the closed-form media).  method must be "zft", the only kernel
+    route.
     """
     if method != "zft":
         raise InvalidArgument(f"unknown kernel method {method!r}")
     Nd = grid.n_disk_points
     need = (4 * Nd) ** 2 * 16
     row_bytes = Nd * _KERNEL_PAIR_BYTES
-    rows = int((memory_cap_bytes - need - Nd * _KERNEL_COLUMN_BYTES) // row_bytes)
+    rows = min(int((memory_cap_bytes - need - Nd * _KERNEL_COLUMN_BYTES) // row_bytes),
+               medium.rows_per_block(Nd))
     if rows < 1:
         raise InvalidResolution(
             f"dense kernel needs {need/2**20:.0f} MiB plus {row_bytes/2**20:.1f} MiB "
@@ -308,15 +314,21 @@ def transfer_first_order(
 # second-order Dyson diagnostic
 
 
-# traced peaks of _dyson_matrix (n_disk 8, 12; n_box 8, 20): 1.03-1.29 kB
-# per (disk, intermediate) pair while one core is held and the other C block
-# is evaluated and reduced, then about 1 kB per disk pair in the expansion; with
-# scalar cores the whole peak is 0.94-1.05 kB per pair (1.33 kB tensor route)
-_DYSON_PAIR_BYTES, _DYSON_DISK_PAIR_BYTES = 6 * 256, 4 * 256
+# _dyson_matrix holds T and its GEMM buffer, 16 complex per disk pair each,
+# and E_pq, 4; then T and D.  Beyond those, the traced peak (n_disk 8, 12, 16;
+# n_box 8 to 20) is 1.25-1.31 kB per (disk, intermediate) pair of one block
+# with scalar cores, 1.67-1.72 kB on the tensor route
+_DYSON_PAIR_BYTES, _DYSON_DISK_PAIR_BYTES = 7 * 256, 36 * 16
 
 
 def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
-    """Projected second-order Dyson term D(p, q), (Nd, Nd, 4, 4), from the cores of _core."""
+    """Projected second-order Dyson term D(p, q), (Nd, Nd, 4, 4), from the cores of _core.
+
+    The intermediates r are summed in blocks of medium.BLOCK_POINTS (p, r)
+    pairs: per block, the cores, the w1 floor and the phases of that block,
+    and both GEMMs into one buffer, accumulated into T (E(omega_j(p) -
+    omega_l(q)) applied per block); T is projected to D in blocks of rows.
+    """
     if not profile.z_constant:
         raise UnsupportedProfile(
             "second-order Dyson diagnostic needs a z-constant profile; "
@@ -326,12 +338,13 @@ def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
     Nd, Nr = len(Pd), len(Pr)
     if Nd == Nr:
         raise InvalidResolution("grid has no outer box for intermediate momenta")
-    need = Nd * (Nr * _DYSON_PAIR_BYTES + Nd * _DYSON_DISK_PAIR_BYTES)
+    n_r = medium.rows_per_block(Nd)
+    need = Nd * (Nd * _DYSON_DISK_PAIR_BYTES + min(n_r, Nr) * _DYSON_PAIR_BYTES)
     if need > MEMORY_CAP_BYTES:
         raise InvalidResolution(f"Dyson needs {need >> 20} MiB > cap {MEMORY_CAP_BYTES >> 20} MiB")
     a_lo, a_hi = profile.slab
     fd, fr = em.channel_factors(Pd, k), em.channel_factors(Pr, k)
-    (Ud, Vd, wd), wr = fd, fr[2]
+    Ud, Vd, wd = fd
 
     def at(f, axis):  # factors of the points laid out as Pd[:, None] (axis 2) or Pd[None] (1)
         return tuple(np.expand_dims(x, axis) for x in f)
@@ -339,20 +352,33 @@ def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
     def gap(wp, wq):  # omega(p) - omega(q), laid out (p, j, 1, q, m, 1)
         return (wp.T[:, :, None, None] - wq.T)[:, :, None, :, :, None]
 
-    def gemm(A, B):
-        return (A.reshape(4 * Nd, -1) @ B.reshape(4 * Nr, -1)).reshape(Nd, 2, 2, Nd, 2, 2)
-
-    a = _core(profile, k, Pd[:, None], Pr[None], at(fd, 2), at(fr, 1), 0.0, a_hi - a_lo)
-    b = _core(profile, k, Pr[:, None], Pd[None], at(fr, 2), at(fd, 1), 0.0, a_hi - a_lo)
-    w1 = gap(wr, wd)
-    w1 = np.where(np.abs(w1) < 1e-9 * k, 1e-9 * k, w1)
-    b *= grid.weights[:, None, None, None, None, None] / (1j * w1)
-    T = gemm(a, b) * _slab_ft(gap(wd, wd), a_lo, a_hi)
-    a *= _slab_ft(gap(wd, wr), a_lo, a_hi)
-    b *= np.exp(1j * w1 * a_lo)
-    T -= gemm(a, b)
-    del a, b
-    return np.einsum("jpax,pjxqlz,lqzb->pqab", Ud, T, Vd, optimize=True) / -8.0
+    E_pq = _slab_ft(gap(wd, wd), a_lo, a_hi)
+    T = np.zeros((4 * Nd, 4 * Nd), dtype=complex)
+    buf = np.empty_like(T)
+    buf6 = buf.reshape(Nd, 2, 2, Nd, 2, 2)  # a view, to apply E_pq in place
+    for i in range(0, Nr, n_r):
+        r = slice(i, i + n_r)
+        fb = tuple(f[:, r] for f in fr)
+        a = _core(profile, k, Pd[:, None], Pr[None, r], at(fd, 2), at(fb, 1), 0.0, a_hi - a_lo)
+        b = _core(profile, k, Pr[r, None], Pd[None], at(fb, 2), at(fd, 1), 0.0, a_hi - a_lo)
+        w1 = gap(fb[2], wd)
+        w1 = np.where(np.abs(w1) < 1e-9 * k, 1e-9 * k, w1)
+        b *= grid.weights[r, None, None, None, None, None] / (1j * w1)
+        np.matmul(a.reshape(4 * Nd, -1), b.reshape(-1, 4 * Nd), out=buf)
+        buf6 *= E_pq
+        T += buf
+        a *= _slab_ft(gap(wd, fb[2]), a_lo, a_hi)
+        b *= np.exp(1j * w1 * a_lo)
+        np.matmul(a.reshape(4 * Nd, -1), b.reshape(-1, 4 * Nd), out=buf)
+        T -= buf
+    del a, b, buf, buf6
+    T = T.reshape(Nd, 2, 2, Nd, 2, 2)
+    D = np.empty((Nd, Nd, 4, 4), dtype=complex)
+    for i in range(0, Nd, n_r):
+        p = slice(i, i + n_r)
+        D[p] = np.einsum("jpax,pjxqlz,lqzb->pqab", Ud[:, p], T[p], Vd, optimize=True)
+    D /= -8.0
+    return D
 
 
 def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float:
@@ -375,8 +401,9 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
         G_ml = C(p, r) Pi_m(r) C(r, q) Pi_l(q) weight_r / (i w1).
 
     C reduces to the rank-2 cores a_jm(p, r) and b_ml(r, q) of _core, which
-    absorb the r-dependent factors; the two r-sums are two complex GEMMs
-    giving T_jl(p, q), and D = -(1/8) sum_{j,l} U_j(p) T_jl(p, q) V_l(q).
+    absorb the r-dependent factors; the two r-sums are complex GEMMs over
+    blocks of intermediates, at most medium.BLOCK_POINTS (p, r) pairs each,
+    accumulated into T_jl(p, q), and D = -(1/8) sum_{j,l} U_j(p) T_jl(p, q) V_l(q).
 
     Known limit: the Cartesian outer box is invariant only under quarter
     turns, so the result depends on the medium's orientation.  On
@@ -407,13 +434,19 @@ class TSolution:
 
 def _closed_form_t(profile, w: IncidentWave, p2):
     """(t_-, t_+) at p2 (N, 2): t_+ = -(i/4) U_1 sum_l a_1l V_l(k_i) Y = Pi_1 K(., k_i) Y
-    and t_- = (i/4) U_2 sum_l a_2l V_l(k_i) Y = -Pi_2 K(., k_i) Y, a_jl from _cores."""
+    and t_- = (i/4) U_2 sum_l a_2l V_l(k_i) Y = -Pi_2 K(., k_i) Y, a_jl from _cores,
+    in blocks of medium.BLOCK_POINTS points."""
     ki = w.vec_k_i[None]
-    fp, fk = em.channel_factors(p2, w.k), em.channel_factors(ki, w.k)
+    fk = em.channel_factors(ki, w.k)
     VY = fk[1][:, 0] @ w.upsilon
-    s = np.einsum("njxly,ly->jnx", _cores(profile, w.k, p2, ki, fp, fk), VY)
-    t1, t2 = np.einsum("jnax,jnx->jna", fp[0], s)
-    return 0.25j * t2, -0.25j * t1
+    t = np.empty((2, len(p2), 4), dtype=complex)
+    for i in range(0, len(p2), medium.BLOCK_POINTS):
+        p = p2[i:i + medium.BLOCK_POINTS]
+        fp = em.channel_factors(p, w.k)
+        s = np.einsum("njxly,ly->jnx", _cores(profile, w.k, p, ki, fp, fk), VY)
+        np.einsum("jnax,jnx->jna", fp[0], s, out=t[:, i:i + len(p)])
+    t *= np.array([-0.25j, 0.25j])[:, None, None]
+    return t[1], t[0]
 
 
 def solve_T(
@@ -441,7 +474,9 @@ def solve_T(
         raise InvalidArgument("incident wavenumber differs from grid wavenumber")
     if np.linalg.norm(w.vec_k_i) >= grid.rho_max:
         raise IncidenceOutsideDisk("transverse incident momentum reaches the disk rim")
-    need = grid.n_disk_points * (_KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES)
+    # t_-, t_+ (8 complex per point) and one block's working set
+    n = grid.n_disk_points
+    need = n * 8 * 16 + min(n, medium.BLOCK_POINTS) * (_KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES)
     if need > MEMORY_CAP_BYTES:
         raise InvalidResolution(f"T needs {need >> 20} MiB > cap {MEMORY_CAP_BYTES >> 20} MiB")
     t_minus, t_plus = _closed_form_t(profile, w, grid.disk_points)
@@ -499,12 +534,12 @@ def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
 
 def _id101_matrix(kernel: TransferKernel) -> np.ndarray:
     """(M - pi) Pi_2 (M - pi) on the disk grid, (Nd, Nd, 4, 4): with W the disk
-    weights, (K U_2)(V_2 W K) / 2, one GEMM over the 2 Nd inner index (r, x)."""
+    weights, (K U_2)(V_2 (W / 2) K), one GEMM over the 2 Nd inner index (r, x)."""
     grid, Nd = kernel.grid, kernel.grid.n_disk_points
     U, V, _ = em.channel_factors(grid.disk_points, grid.k)
     left = np.einsum("prab,rbx->parx", kernel.K, U[1]).reshape(4 * Nd, 2 * Nd)
-    right = np.einsum("rxb,rqbc->rxqc", V[1] * grid.disk_weights[:, None, None], kernel.K)
-    return 0.5 * (left @ right.reshape(2 * Nd, 4 * Nd)).reshape(Nd, 4, Nd, 4).swapaxes(1, 2)
+    right = np.einsum("rxb,rqbc->rxqc", V[1] * (0.5 * grid.disk_weights)[:, None, None], kernel.K)
+    return (left @ right.reshape(2 * Nd, 4 * Nd)).reshape(Nd, 4, Nd, 4).swapaxes(1, 2)
 
 
 def identity_id101_residual(kernel: TransferKernel) -> float:

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bornexact import born
 from bornexact import (
     DetectorDirection,
     IncidentWave,
@@ -22,8 +21,9 @@ from bornexact import (
     second_born_amplitudes,
     support_overlap,
 )
-from bornexact.born import _PV_EDGES, direction_pairs
+from bornexact.born import _PV_EDGES, _check_panel, direction_pairs
 from bornexact.errors import BoundsViolated, InvalidArgument, InvalidResolution
+from bornexact.medium import BLOCK_POINTS
 from oracles import first_born_ref, ieps_second_born
 
 ALPHA = 1.0
@@ -373,14 +373,17 @@ class TestBatchedSecondBorn:
             second_born_amplitudes(control_medium, [], self.DETS, self.QUAD)
 
     def test_panel_guard_counts_polarizations(self, control_medium):
-        # a panel that fits at two polarizations but not at three is refused
-        # before anything is evaluated
-        quad = QuadratureSpec(24, 280, 280)
+        # a block (here one radius of 1280 x 1280 points) that fits at two
+        # polarizations but not at three is refused before anything is
+        # evaluated
+        quad = QuadratureSpec(24, 1280, 1280)
         medium = CountingProfile(control_medium)
         waves = [IncidentWave.linear(K, 1.0, np.pi, chi) for chi in (0.0, 0.5, 1.0)]
         with pytest.raises(InvalidResolution, match="3 polarizations"):
             second_born_amplitudes(medium, waves, self.DETS, quad)
         assert medium.points == 0
+        # blocks of one radius of 280 x 280 points fit (a whole panel did not)
+        _check_panel(QuadratureSpec(24, 280, 280), 3, len(self.DETS))
 
     @pytest.mark.parametrize("case", ["control_k08", "reference_k13", "magnetic_tensor",
                                       "reference_k08"])
@@ -391,7 +394,7 @@ class TestBatchedSecondBorn:
         medium, k = self.case(case, control_medium, reference_medium)
         F = []
         for block in (1, 10**9):
-            monkeypatch.setattr(born, "_F2_BLOCK_POINTS", block)
+            monkeypatch.setattr("bornexact.medium.BLOCK_POINTS", block)
             F.append(second_born_amplitudes(medium, self.waves(k), self.DETS, self.QUAD))
         assert np.linalg.norm(F[0] - F[1]) <= 1e-14 * np.linalg.norm(F[1])
         assert np.array_equal(F[0] == 0, F[1] == 0)
@@ -406,7 +409,7 @@ class TestBatchedSecondBorn:
         # that is larger); here panels of 12 x 48 x 48 points exceed a block
         medium = RecordingProfile(control_medium, scalar)
         second_born_amplitudes(medium, self.waves(K), self.DETS[:2], quad)
-        most = max(born._F2_BLOCK_POINTS, quad.n_mu * quad.n_phi)
+        most = max(BLOCK_POINTS, quad.n_mu * quad.n_phi)
         assert medium.q3s
         for q3 in medium.q3s:
             assert q3.shape[-1] == 3
@@ -430,7 +433,7 @@ class TestBatchedSecondBorn:
 
     @pytest.mark.parametrize(
         "scalar, block",
-        [(True, born._F2_BLOCK_POINTS), (False, born._F2_BLOCK_POINTS),
+        [(True, BLOCK_POINTS), (False, BLOCK_POINTS),
          (True, 3 * 12 * 12), (False, 3 * 12 * 12)],
         ids=["scalar", "tensor", "scalar-split_panels", "tensor-split_panels"])
     def test_one_incident_link_and_no_early_exit(self, scalar, block, monkeypatch,
@@ -439,7 +442,7 @@ class TestBatchedSecondBorn:
         # detector, whatever the number of polarizations or blocks; the
         # compliant medium, whose F2 is an exact zero, is evaluated at every
         # point the control is
-        monkeypatch.setattr(born, "_F2_BLOCK_POINTS", block)
+        monkeypatch.setattr("bornexact.medium.BLOCK_POINTS", block)
         quad = QuadratureSpec(8, 12, 12)
         link = (len(_PV_EDGES) * quad.n_radial + 1) * quad.n_mu * quad.n_phi
         for n_det in (1, 3):

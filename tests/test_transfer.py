@@ -33,7 +33,7 @@ from bornexact.errors import (
     StraddlesSupportEdge,
     UnsupportedProfile,
 )
-from bornexact.medium import MediumProfile
+from bornexact.medium import BLOCK_POINTS, MediumProfile
 from bornexact.transfer import (
     _DYSON_DISK_PAIR_BYTES,
     _DYSON_PAIR_BYTES,
@@ -316,6 +316,17 @@ class TestKernel:
         assert np.array_equal(chunked.K, one_chunk.K)
         assert peak <= cap
 
+    def test_working_set_of_one_call(self, control_medium, grid):
+        # K plus one block of rows, whatever the cap allows
+        transfer_first_order(control_medium, grid)
+        tracemalloc.start()
+        try:
+            K = transfer_first_order(control_medium, grid).K
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= K.nbytes + 20 * 2**20
+
     def test_sampled_kernel_within_cap(self, control_medium, grid):
         # the sampled transforms sum their z-slices one at a time, so the
         # kernel's working set follows the chunk model as for closed forms
@@ -580,7 +591,20 @@ class TestDyson:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= Nd * (Nr * _DYSON_PAIR_BYTES + Nd * _DYSON_DISK_PAIR_BYTES)
+        n_r = min(BLOCK_POINTS // Nd, Nr)
+        assert peak <= Nd * (Nd * _DYSON_DISK_PAIR_BYTES + n_r * _DYSON_PAIR_BYTES)
+
+    def test_working_set_of_one_call(self, control_medium, small_box, monkeypatch):
+        # T, its GEMM buffer and one block of intermediates; whole (256 x 320)
+        # cores took 82 MiB.  The guard's estimate is 64 MiB
+        monkeypatch.setattr(transfer, "MEMORY_CAP_BYTES", 64 * 2**20)
+        tracemalloc.start()
+        try:
+            _dyson_matrix(control_medium, small_box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60 * 2**20
 
     def test_sampled_unsupported(self, reference_medium, grid_with_box):
         samp = sample_profile(
@@ -633,10 +657,11 @@ class TestSolve:
             solve_T(ref_kernel, W_TILTED, method="generic")
 
     def test_memory_guard_before_any_transform(self, reference_medium, monkeypatch):
-        # 65536 disk points need 128 MiB at the working-set model
-        monkeypatch.setattr(transfer, "MEMORY_CAP_BYTES", 64 * 2**20)
+        # 65536 disk points need 40 MiB at the working-set model: 8 MiB of
+        # t_-, t_+ and 32 MiB for one block
+        monkeypatch.setattr(transfer, "MEMORY_CAP_BYTES", 32 * 2**20)
         medium = CountingProfile(reference_medium)
-        with pytest.raises(InvalidResolution, match=r"needs \d+ MiB > cap 64 MiB"):
+        with pytest.raises(InvalidResolution, match=r"needs 40 MiB > cap 32 MiB"):
             solve_T(None, W_TILTED, profile=medium, grid=build_momentum_grid(K, 6 * K, 128, 0))
         assert medium.points == 0
 
@@ -648,12 +673,92 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= g.n_disk_points * (_KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES)
+        n = g.n_disk_points
+        block = min(n, BLOCK_POINTS) * (_KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES)
+        assert peak <= n * 8 * 16 + block
+
+    def test_working_set_of_one_call(self, gausserf_medium, monkeypatch):
+        # outputs plus one block: 65536 points at once took 76 MiB.  The
+        # guard's estimate is 40 MiB
+        monkeypatch.setattr(transfer, "MEMORY_CAP_BYTES", 40 * 2**20)
+        g = build_momentum_grid(K, 6 * K, 128, 0)
+        solve_T(None, W_TILTED, profile=gausserf_medium, grid=build_momentum_grid(K, 6 * K, 8, 0))
+        tracemalloc.start()
+        try:
+            solve_T(None, W_TILTED, profile=gausserf_medium, grid=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
     def test_incidence_outside_disk(self, reference_medium, grid):
         w = IncidentWave.linear(K, np.pi / 2 - 1e-4, 0.0, 0.0)
         with pytest.raises(IncidenceOutsideDisk):
             solve_T(None, w, method="fast", profile=reference_medium, grid=grid)
+
+
+class TestBlockSizeInvariance:
+    """One transform point per block and one block for everything.  The
+    kernel's row chunks and T's point blocks split independent work, so K,
+    id101 and t_-/+ are equal bit for bit; Dyson's blocks reorder its sum
+    over the intermediates."""
+
+    @staticmethod
+    def at_blocks(monkeypatch, run):
+        out = []
+        for block in (1, 10**9):
+            monkeypatch.setattr("bornexact.medium.BLOCK_POINTS", block)
+            out.append(run())
+        return out
+
+    @pytest.mark.parametrize("case", ["compliant", "compliant_k12", "gausserf", "control",
+                                      "tensor"])
+    def test_kernel_id101_and_t_bitwise(self, case, monkeypatch, reference_medium,
+                                        gausserf_medium, control_medium):
+        medium, k = {
+            "compliant": (reference_medium, K),
+            "compliant_k12": (reference_medium, 1.2),
+            "gausserf": (gausserf_medium, K),
+            "control": (control_medium, K),
+            "tensor": (TensorView(control_medium), K),
+        }[case]
+        g = build_momentum_grid(k, 6 * k, 8, 0)
+        w = IncidentWave.linear(k, 1.0, np.pi, 0.7)
+
+        def run():
+            kern = transfer_first_order(medium, g)
+            sol = solve_T(None, w, profile=medium, grid=g)
+            return kern.K, _id101_matrix(kern), sol.t_minus, sol.t_plus
+
+        one, whole = self.at_blocks(monkeypatch, run)
+        assert np.any(whole[0])
+        for x, y in zip(one, whole):
+            assert np.array_equal(x, y)
+
+    # compliant_k12: the pairs at the w1 floor amplify the reordered sum's
+    # rounding, as in test_matrix_matches_oracle
+    @pytest.mark.parametrize("case, rel", [("compliant", 0.0), ("control", 1e-10),
+                                           ("control_rotated", 1e-10), ("compliant_k12", 1e-6)])
+    def test_dyson_matrix(self, case, rel, monkeypatch, control_medium, reference_medium):
+        base, grid = {
+            "compliant": (reference_medium, build_momentum_grid(K, 6 * K, 8, 8)),
+            "control": (control_medium, build_momentum_grid(K, 6 * K, 8, 8)),
+            "control_rotated": (rotate_to_x(control_medium, (0.6, 0.8)),
+                                build_momentum_grid(K, 6 * K, 8, 8)),
+            "compliant_k12": (reference_medium, build_momentum_grid(1.2, 7.2, 8, 8)),
+        }[case]
+        media = []
+
+        def run():
+            media.append(CountingProfile(base))
+            return _dyson_matrix(media[-1], grid)
+
+        one, whole = self.at_blocks(monkeypatch, run)
+        assert np.any(whole) == (case != "compliant")
+        assert np.abs(one - whole).max() <= rel * np.abs(whole).max()
+        assert np.array_equal(one == 0, whole == 0)
+        # the same transform points whatever the blocks, also where D is zero
+        assert media[0].points == media[1].points > 0
 
 
 class TestAmplitude:
