@@ -264,7 +264,9 @@ class TransferKernel:
 
     @property
     def norm_max(self) -> float:
-        return float(np.abs(self.K).max())
+        """max |K|, taken over blocks of medium.rows_per_block(Nd) rows."""
+        n = medium.rows_per_block(len(self.K))
+        return float(np.max([np.abs(self.K[i:i + n]).max() for i in range(0, len(self.K), n)]))
 
 
 # traced working set of one chunk of transfer_first_order beyond K (n_disk 8,
@@ -532,16 +534,40 @@ def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
     return xi_contract(d, (4 * np.pi**2) * t, k, t_side=side)
 
 
-def _id101_matrix(kernel: TransferKernel) -> np.ndarray:
-    """(M - pi) Pi_2 (M - pi) on the disk grid, (Nd, Nd, 4, 4): with W the disk
-    weights, (K U_2)(V_2 (W / 2) K), one GEMM over the 2 Nd inner index (r, x)."""
-    grid, Nd = kernel.grid, kernel.grid.n_disk_points
+# identity_id101_residual holds right, 8 complex per disk pair, and per (p, q)
+# pair of one block of rows the left rows, the product and its absolute value,
+# 512 B; traced 0.52-0.55 kB per block pair beyond right (n_disk 8, 12, 16)
+_ID101_PAIR_BYTES, _ID101_DISK_PAIR_BYTES = 5 * 128, 8 * 16
+
+
+def _id101_rows(kernel: TransferKernel):
+    """(M - pi) Pi_2 (M - pi) on the disk grid in blocks of rows p: with W the
+    disk weights, (K U_2)(V_2 (W / 2) K), one GEMM over the 2 Nd inner index
+    (r, x) per block of medium.rows_per_block(Nd) rows.  Yields (rows, block),
+    block (len(rows), Nd, 4, 4); the rows are independent, so the blocks do
+    not move an entry."""
+    grid, K, Nd = kernel.grid, kernel.K, kernel.grid.n_disk_points
     U, V, _ = em.channel_factors(grid.disk_points, grid.k)
-    left = np.einsum("prab,rbx->parx", kernel.K, U[1]).reshape(4 * Nd, 2 * Nd)
-    right = np.einsum("rxb,rqbc->rxqc", V[1] * (0.5 * grid.disk_weights)[:, None, None], kernel.K)
-    return (left @ right.reshape(2 * Nd, 4 * Nd)).reshape(Nd, 4, Nd, 4).swapaxes(1, 2)
+    right = np.einsum("rxb,rqbc->rxqc", V[1] * (0.5 * grid.disk_weights)[:, None, None], K)
+    right = right.reshape(2 * Nd, 4 * Nd)
+    n = medium.rows_per_block(Nd)
+    for i in range(0, Nd, n):
+        rows = slice(i, min(i + n, Nd))
+        left = np.einsum("prab,rbx->parx", K[rows], U[1]).reshape(-1, 2 * Nd)
+        yield rows, (left @ right).reshape(-1, 4, Nd, 4).swapaxes(1, 2)
 
 
 def identity_id101_residual(kernel: TransferKernel) -> float:
-    """|| (M - pi) Pi_2 (M - pi) ||_max on the disk grid (see _id101_matrix)."""
-    return float(np.abs(_id101_matrix(kernel)).max())
+    """|| (M - pi) Pi_2 (M - pi) ||_max on the disk grid, the max over the
+    blocks of _id101_rows.  InvalidResolution, before anything K-sized is
+    allocated, past MEMORY_CAP_BYTES."""
+    Nd = kernel.grid.n_disk_points
+    n = min(medium.rows_per_block(Nd), Nd)
+    need = Nd * (Nd * _ID101_DISK_PAIR_BYTES + n * _ID101_PAIR_BYTES)
+    if need > MEMORY_CAP_BYTES:
+        raise InvalidResolution(f"id101 needs {need >> 20} MiB > cap {MEMORY_CAP_BYTES >> 20} MiB")
+    resid = 0.0
+    for _, block in _id101_rows(kernel):
+        resid = np.maximum(resid, np.abs(block).max())  # a NaN stays
+        del block  # before the next block's product
+    return float(resid)

@@ -252,7 +252,7 @@ def dyson_matrix_ref(profile, grid):
 def id101_matrix_ref(kernel):
     """(M - pi) Pi_2 (M - pi) (Nd, Nd, 4, 4) as a 4x4 sandwich over 4 Nd.
 
-    Same product as transfer._id101_matrix, with the whole projector Pi_2
+    Same product as the blocks of transfer._id101_rows, with the whole projector Pi_2
     of channels and the disk weights between two kernel contractions, where
     the package contracts K U_2 with V_2 W K over 2 Nd.
     """

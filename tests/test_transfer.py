@@ -37,6 +37,8 @@ from bornexact.medium import BLOCK_POINTS, MediumProfile
 from bornexact.transfer import (
     _DYSON_DISK_PAIR_BYTES,
     _DYSON_PAIR_BYTES,
+    _ID101_DISK_PAIR_BYTES,
+    _ID101_PAIR_BYTES,
     _KERNEL_COLUMN_BYTES,
     _KERNEL_PAIR_BYTES,
     _assemble_v,
@@ -44,7 +46,7 @@ from bornexact.transfer import (
     _closed_form_t,
     _core,
     _dyson_matrix,
-    _id101_matrix,
+    _id101_rows,
 )
 from oracles import (
     assemble_v_ref,
@@ -138,6 +140,15 @@ def cut_control(control_medium):
     z = -2.0 + dz / 2 + dz * np.arange(32)
     return SampledProfile(sampled.ee * (z >= 0)[:, None, None], None, sampled.origin,
                           sampled.spacing, slab=sampled.slab)
+
+
+def id101_matrix(kern):
+    """(M - pi) Pi_2 (M - pi), (Nd, Nd, 4, 4), assembled from the row blocks of _id101_rows."""
+    Nd = kern.grid.n_disk_points
+    A = np.full((Nd, Nd, 4, 4), np.nan, dtype=complex)
+    for rows, block in _id101_rows(kern):
+        A[rows] = block
+    return A
 
 
 def dyson_block(profile, p, q):
@@ -495,13 +506,46 @@ class TestId101:
             "control_shifted": (ShiftedProfile(control_medium, 0.7), grid, None),
         }[case]
         kern = transfer_first_order(medium, g)
-        A, ref = _id101_matrix(kern), id101_matrix_ref(kern)
+        A, ref = id101_matrix(kern), id101_matrix_ref(kern)
         assert A.shape == ref.shape == (g.n_disk_points,) * 2 + (4, 4)
         assert np.abs(ref).max() > 0
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
         assert identity_id101_residual(kern) == np.abs(A).max()
         if pinned is not None:
             assert np.abs(A).max() == pytest.approx(pinned, rel=1e-13)
+
+    def test_nan_reaches_residual_and_norm(self, ref_kernel):
+        # one NaN in the last block of rows: a max over blocks must not drop it
+        K = ref_kernel.K.copy()
+        K[-1, 0, 0, 0] = np.nan
+        kern = transfer.TransferKernel(ref_kernel.grid, ref_kernel.profile, K)
+        assert np.isnan(kern.norm_max)
+        assert np.isnan(identity_id101_residual(kern))
+
+    def test_working_set_within_model(self, control_medium, grid):
+        # right plus one block of rows; the whole product took 32.1 MiB
+        kern = transfer_first_order(control_medium, grid)
+        Nd = grid.n_disk_points
+        tracemalloc.start()
+        try:
+            identity_id101_residual(kern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = min(BLOCK_POINTS // Nd, Nd)
+        assert peak <= Nd * (Nd * _ID101_DISK_PAIR_BYTES + n * _ID101_PAIR_BYTES) < 2**25
+
+    def test_memory_guard_before_allocating(self, ref_kernel, monkeypatch):
+        # the estimate at n_disk 8 is 8 MiB of right plus 10 MiB for one block
+        monkeypatch.setattr(transfer, "MEMORY_CAP_BYTES", 16 * 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidResolution, match=r"id101 needs 18 MiB > cap 16 MiB"):
+                identity_id101_residual(ref_kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ref_kernel.K.nbytes // 16
 
 
 class TestDyson:
@@ -699,9 +743,10 @@ class TestSolve:
 
 class TestBlockSizeInvariance:
     """One transform point per block and one block for everything.  The
-    kernel's row chunks and T's point blocks split independent work, so K,
-    id101 and t_-/+ are equal bit for bit; Dyson's blocks reorder its sum
-    over the intermediates."""
+    kernel's row chunks, id101's row blocks and T's point blocks split
+    independent work, so K, the id101 matrix and residual, max|K| and t_-/+
+    are equal bit for bit; Dyson's blocks reorder its sum over the
+    intermediates."""
 
     @staticmethod
     def at_blocks(monkeypatch, run):
@@ -728,7 +773,8 @@ class TestBlockSizeInvariance:
         def run():
             kern = transfer_first_order(medium, g)
             sol = solve_T(None, w, profile=medium, grid=g)
-            return kern.K, _id101_matrix(kern), sol.t_minus, sol.t_plus
+            return (kern.K, id101_matrix(kern), identity_id101_residual(kern), kern.norm_max,
+                    sol.t_minus, sol.t_plus)
 
         one, whole = self.at_blocks(monkeypatch, run)
         assert np.any(whole[0])
