@@ -22,8 +22,8 @@ import numpy as np
 
 from . import medium
 from .em import DetectorDirection, IncidentWave
-from .errors import BoundsViolated, InvalidArgument, InvalidResolution
-from .medium import MEMORY_CAP_BYTES, MediumProfile, bounds_check, is_count
+from .errors import BoundsViolated, InvalidArgument
+from .medium import MediumProfile, bounds_check, is_count
 
 # Sign of the magnetic term at the outer vertex of both Born orders, fixed by
 # agreement with the transfer route on magnetic media (regression tested there).
@@ -87,9 +87,7 @@ def _incidence(waves, detectors):
     k, ki = waves[0].k, waves[0].k_i
     if any(w.k != k or not np.array_equal(w.k_i, ki) for w in waves[1:]):
         raise InvalidArgument("Born amplitudes need waves of one k and one k_i")
-    kx, ky, kz = ki
-    E = np.array([w.e_i for w in waves]).T  # h_i = k_i x e_i / k, by k_i's cross matrix
-    return k, ki, E, np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]]) @ E / k, rhat
+    return k, ki, np.array([w.e_i for w in waves]).T, np.array([w.h_i for w in waves]).T, rhat
 
 
 def _outer_vertex(profile, q, rhat, E1, H1):
@@ -156,12 +154,8 @@ def _check_panel(spec, n_pol: int, n_det: int):
     # 3, P) complex, is held with three temporaries of its size
     need = (points * (_F2_BYTES_PER_POINT + n_pol * _F2_BYTES_PER_POLARIZATION)
             + area * 16 * 8 + int(spec.n_radial) * n_det * n_pol * 4 * 3 * 16)
-    if need > MEMORY_CAP_BYTES:
-        raise InvalidResolution(
-            f"a block of {points} points of the {spec.n_radial}x{spec.n_mu}x{spec.n_phi} "
-            f"quadrature at {n_pol} polarizations needs ~{need / 2**30:.3g} GiB > cap "
-            f"{MEMORY_CAP_BYTES / 2**30:.3g} GiB"
-        )
+    medium.check_cap(f"a block of {points} points of the {spec.n_radial}x{spec.n_mu}x"
+                     f"{spec.n_phi} quadrature at {n_pol} polarizations", need)
 
 
 @dataclass(frozen=True)
@@ -280,7 +274,6 @@ def second_born_amplitudes(
     # second-moment weights w_j d_j d_j^T, one row of 9 per direction
     wdd = (wts[:, None, None] * dirs[:, :, None] * dirs[:, None, :]).reshape(-1, 9)
     dirs_cm = np.ascontiguousarray(dirs.T).reshape(3, quad.n_mu, quad.n_phi)
-    n_block = medium.rows_per_block(quad.n_mu * quad.n_phi)
 
     def ang_numer(radii):
         """N(r) at each radius for every detector: (D, R, 3, P)."""
@@ -311,7 +304,7 @@ def second_born_amplitudes(
     hk = Nk / (2 * k)
     total = np.zeros(Nk.shape, dtype=complex)
     for pp, ww in panels:
-        h = np.concatenate([ang_numer(pp[i:i + n_block]) for i in range(0, pp.size, n_block)],
+        h = np.concatenate([ang_numer(pp[b]) for b in medium.blocks(pp.size, wts.size)],
                            axis=1) / (pp + k)[:, None, None]
         total += (ww[:, None, None] * (h - hk[:, None]) / (pp - k)[:, None, None]).sum(axis=1)
     total += hk * np.log((p_max - k) / k)

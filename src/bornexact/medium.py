@@ -46,19 +46,32 @@ _EYE3 = np.eye(3)
 _RECIP_TAIL_TOL = 1e-14
 _RECIP_MAX_TERMS = 64
 
-# Largest working array a single step may allocate: one support-scan slice
-# here, the dense first-order kernel by default in bornexact.transfer.
+# The memory policy of every layer: a step holds its outputs plus one block
+# of at most BLOCK_POINTS transform points (one float array of a block is
+# 128 kB, cache-sized), and refuses, before it allocates, a working set past
+# MEMORY_CAP_BYTES.  blocks and check_cap read both at call time.
 MEMORY_CAP_BYTES = 2**31
-
-# Most transform points that one step of second Born (born) or of the
-# transfer layer hands the medium at once: one float array of a block is
-# 128 kB, cache-sized.  Callers read it at call time.
 BLOCK_POINTS = 16384
 
 
 def rows_per_block(n: int) -> int:
     """Rows of n transform points each that fill one block, at least one."""
     return max(1, BLOCK_POINTS // n)
+
+
+def blocks(n: int, width: int = 1):
+    """Slices of range(n), rows_per_block(width) rows each."""
+    step = rows_per_block(width)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def check_cap(what: str, need: int, cap: int | None = None):
+    """Raise InvalidResolution when need bytes exceed cap, MEMORY_CAP_BYTES if None;
+    the message rounds need up and cap down to whole MiB."""
+    cap = MEMORY_CAP_BYTES if cap is None else cap
+    if need > cap:
+        need_mib = (need + 2**20 - 1) >> 20
+        raise InvalidResolution(f"{what} needs {need_mib} MiB > cap {cap >> 20} MiB")
 
 
 # support_report: taper width sigma_w = window / _TAPER_SIGMAS, scan margin

@@ -36,7 +36,7 @@ from .errors import (
     StraddlesSupportEdge,
     UnsupportedProfile,
 )
-from .medium import MEMORY_CAP_BYTES, MediumProfile, _sinc, is_count
+from .medium import MediumProfile, _sinc, is_count
 
 
 @dataclass
@@ -77,6 +77,11 @@ class MomentumGrid:
         return self.k * (1.0 - ANNULUS_GUARD)
 
 
+# build_momentum_grid's traced peak per point: 64 B on the disk, 80 B in the
+# box (n_disk 8 to 512, n_box 0 to 1024)
+_GRID_POINT_BYTES = 96
+
+
 def build_momentum_grid(
     k: float,
     p_max: float,
@@ -89,6 +94,7 @@ def build_momentum_grid(
     n_box = 0 omits the outer box (sufficient for everything except the
     second-order Dyson diagnostics).  eps_ann is benchmark-inert: the
     benchmark passes it, and it is accepted only as the fixed ANNULUS_GUARD.
+    InvalidResolution, before anything is built, past medium's memory cap.
     """
     if eps_ann != ANNULUS_GUARD:
         raise InvalidArgument(f"eps_ann is fixed at {ANNULUS_GUARD:g}, got {eps_ann!r}")
@@ -98,6 +104,7 @@ def build_momentum_grid(
         raise InvalidResolution(f"grid resolutions must be integers >= 8: {n_disk!r}, {n_box!r}")
     if not p_max > k or (n_box and not np.isfinite(p_max)):
         raise InvalidResolution(f"p_max must exceed k, and be finite with an outer box: {p_max!r}")
+    medium.check_cap("momentum grid", (4 * int(n_disk) ** 2 + int(n_box) ** 2) * _GRID_POINT_BYTES)
     n_phi = 4 * n_disk
     rho_max = k * (1.0 - ANNULUS_GUARD)
     shells = np.sqrt((np.arange(n_disk) + 0.5) / n_disk) * rho_max
@@ -265,8 +272,8 @@ class TransferKernel:
     @property
     def norm_max(self) -> float:
         """max |K|, taken over blocks of medium.rows_per_block(Nd) rows."""
-        n = medium.rows_per_block(len(self.K))
-        return float(np.max([np.abs(self.K[i:i + n]).max() for i in range(0, len(self.K), n)]))
+        Nd = len(self.K)
+        return float(np.max([np.abs(self.K[rows]).max() for rows in medium.blocks(Nd, Nd)]))
 
 
 # traced working set of one chunk of transfer_first_order beyond K (n_disk 8,
@@ -281,34 +288,28 @@ _KERNEL_COLUMN_BYTES = 3 * 256
 def transfer_first_order(
     profile: MediumProfile,
     grid: MomentumGrid,
-    memory_cap_bytes: int = MEMORY_CAP_BYTES,
+    memory_cap_bytes: int | None = None,
     method: str = "zft",
 ) -> TransferKernel:
     """Materialize K on disk x disk; M = pi + K as an operator on the disk.
 
-    K is filled in chunks of rows of at most medium.BLOCK_POINTS pairs (one
-    row at least), fewer where K and one chunk's working set would exceed
-    memory_cap_bytes.  Rows are independent, so the chunks move K by no
-    more than the medium's transforms round differently on them (not at
-    all for the closed-form media).  method must be "zft", the only kernel
-    route.
+    K is filled in blocks of medium.rows_per_block(Nd) rows.  Rows are
+    independent, so the blocks move K by no more than the medium's
+    transforms round differently on them (not at all for the closed-form
+    media).  InvalidResolution, before any transform, when K plus one
+    block's working set exceeds memory_cap_bytes (None: medium's cap at call
+    time).  method must be "zft", the only kernel route.
     """
     if method != "zft":
         raise InvalidArgument(f"unknown kernel method {method!r}")
     Nd = grid.n_disk_points
-    need = (4 * Nd) ** 2 * 16
-    row_bytes = Nd * _KERNEL_PAIR_BYTES
-    rows = min(int((memory_cap_bytes - need - Nd * _KERNEL_COLUMN_BYTES) // row_bytes),
-               medium.rows_per_block(Nd))
-    if rows < 1:
-        raise InvalidResolution(
-            f"dense kernel needs {need/2**20:.0f} MiB plus {row_bytes/2**20:.1f} MiB "
-            f"per row > cap {memory_cap_bytes/2**20:.0f} MiB"
-        )
+    n = min(medium.rows_per_block(Nd), Nd)
+    medium.check_cap("dense kernel", (4 * Nd) ** 2 * 16
+                     + Nd * (n * _KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES), memory_cap_bytes)
     P = grid.disk_points
     K = np.empty((Nd, Nd, 4, 4), dtype=complex)
-    for i0 in range(0, Nd, rows):
-        K[i0:i0 + rows] = firstorder_kernel(profile, grid.k, P[i0:i0 + rows, None], P[None])
+    for rows in medium.blocks(Nd, Nd):
+        K[rows] = firstorder_kernel(profile, grid.k, P[rows, None], P[None])
     return TransferKernel(grid=grid, profile=profile, K=K)
 
 
@@ -340,10 +341,8 @@ def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
     Nd, Nr = len(Pd), len(Pr)
     if Nd == Nr:
         raise InvalidResolution("grid has no outer box for intermediate momenta")
-    n_r = medium.rows_per_block(Nd)
-    need = Nd * (Nd * _DYSON_DISK_PAIR_BYTES + min(n_r, Nr) * _DYSON_PAIR_BYTES)
-    if need > MEMORY_CAP_BYTES:
-        raise InvalidResolution(f"Dyson needs {need >> 20} MiB > cap {MEMORY_CAP_BYTES >> 20} MiB")
+    n_r = min(medium.rows_per_block(Nd), Nr)
+    medium.check_cap("Dyson", Nd * (Nd * _DYSON_DISK_PAIR_BYTES + n_r * _DYSON_PAIR_BYTES))
     a_lo, a_hi = profile.slab
     fd, fr = em.channel_factors(Pd, k), em.channel_factors(Pr, k)
     Ud, Vd, wd = fd
@@ -358,8 +357,7 @@ def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
     T = np.zeros((4 * Nd, 4 * Nd), dtype=complex)
     buf = np.empty_like(T)
     buf6 = buf.reshape(Nd, 2, 2, Nd, 2, 2)  # a view, to apply E_pq in place
-    for i in range(0, Nr, n_r):
-        r = slice(i, i + n_r)
+    for r in medium.blocks(Nr, Nd):
         fb = tuple(f[:, r] for f in fr)
         a = _core(profile, k, Pd[:, None], Pr[None, r], at(fd, 2), at(fb, 1), 0.0, a_hi - a_lo)
         b = _core(profile, k, Pr[r, None], Pd[None], at(fb, 2), at(fd, 1), 0.0, a_hi - a_lo)
@@ -376,8 +374,7 @@ def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
     del a, b, buf, buf6
     T = T.reshape(Nd, 2, 2, Nd, 2, 2)
     D = np.empty((Nd, Nd, 4, 4), dtype=complex)
-    for i in range(0, Nd, n_r):
-        p = slice(i, i + n_r)
+    for p in medium.blocks(Nd, Nd):
         D[p] = np.einsum("jpax,pjxqlz,lqzb->pqab", Ud[:, p], T[p], Vd, optimize=True)
     D /= -8.0
     return D
@@ -442,11 +439,11 @@ def _closed_form_t(profile, w: IncidentWave, p2):
     fk = em.channel_factors(ki, w.k)
     VY = fk[1][:, 0] @ w.upsilon
     t = np.empty((2, len(p2), 4), dtype=complex)
-    for i in range(0, len(p2), medium.BLOCK_POINTS):
-        p = p2[i:i + medium.BLOCK_POINTS]
+    for b in medium.blocks(len(p2)):
+        p = p2[b]
         fp = em.channel_factors(p, w.k)
         s = np.einsum("njxly,ly->jnx", _cores(profile, w.k, p, ki, fp, fk), VY)
-        np.einsum("jnax,jnx->jna", fp[0], s, out=t[:, i:i + len(p)])
+        np.einsum("jnax,jnx->jna", fp[0], s, out=t[:, b])
     t *= np.array([-0.25j, 0.25j])[:, None, None]
     return t[1], t[0]
 
@@ -478,9 +475,8 @@ def solve_T(
         raise IncidenceOutsideDisk("transverse incident momentum reaches the disk rim")
     # t_-, t_+ (8 complex per point) and one block's working set
     n = grid.n_disk_points
-    need = n * 8 * 16 + min(n, medium.BLOCK_POINTS) * (_KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES)
-    if need > MEMORY_CAP_BYTES:
-        raise InvalidResolution(f"T needs {need >> 20} MiB > cap {MEMORY_CAP_BYTES >> 20} MiB")
+    medium.check_cap("T", n * 8 * 16 + min(n, medium.BLOCK_POINTS)
+                     * (_KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES))
     t_minus, t_plus = _closed_form_t(profile, w, grid.disk_points)
     return TSolution(grid, w, profile, t_minus, t_plus)
 
@@ -550,9 +546,7 @@ def _id101_rows(kernel: TransferKernel):
     U, V, _ = em.channel_factors(grid.disk_points, grid.k)
     right = np.einsum("rxb,rqbc->rxqc", V[1] * (0.5 * grid.disk_weights)[:, None, None], K)
     right = right.reshape(2 * Nd, 4 * Nd)
-    n = medium.rows_per_block(Nd)
-    for i in range(0, Nd, n):
-        rows = slice(i, min(i + n, Nd))
+    for rows in medium.blocks(Nd, Nd):
         left = np.einsum("prab,rbx->parx", K[rows], U[1]).reshape(-1, 2 * Nd)
         yield rows, (left @ right).reshape(-1, 4, Nd, 4).swapaxes(1, 2)
 
@@ -563,9 +557,7 @@ def identity_id101_residual(kernel: TransferKernel) -> float:
     allocated, past MEMORY_CAP_BYTES."""
     Nd = kernel.grid.n_disk_points
     n = min(medium.rows_per_block(Nd), Nd)
-    need = Nd * (Nd * _ID101_DISK_PAIR_BYTES + n * _ID101_PAIR_BYTES)
-    if need > MEMORY_CAP_BYTES:
-        raise InvalidResolution(f"id101 needs {need >> 20} MiB > cap {MEMORY_CAP_BYTES >> 20} MiB")
+    medium.check_cap("id101", Nd * (Nd * _ID101_DISK_PAIR_BYTES + n * _ID101_PAIR_BYTES))
     resid = 0.0
     for _, block in _id101_rows(kernel):
         resid = np.maximum(resid, np.abs(block).max())  # a NaN stays

@@ -177,6 +177,7 @@ class TestVerify:
             {"seed": "3"},
             {"seed": -1},
             {"seed": True},
+            {"grid": {"n_disk": 100000}},
         ],
         ids=["k_negative", "k_text", "n_disk_text", "n_disk_4", "grazing",
              "zero_polarization", "unknown_suite", "tolerance_text", "quad_method",
@@ -185,7 +186,8 @@ class TestVerify:
              "incident_theta_deg", "top_level_seeds", "grid_n_box_8",
              "tolerance_suport", "gausserf_m_exp", "footprint_lx", "grid_eps_ann_1e-4",
              "grid_n_disk_fraction", "n_detectors_text", "n_detectors_float",
-             "n_pairs_fraction", "n_pairs_0", "seed_text", "seed_negative", "seed_bool"],
+             "n_pairs_fraction", "n_pairs_0", "seed_text", "seed_negative", "seed_bool",
+             "grid_n_disk_over_cap"],
     )
     def test_malformed_field_exits_2_before_any_suite(self, tmp_path, monkeypatch, over):
         def no_suite(*args, **kwargs):

@@ -9,7 +9,7 @@ import pytest
 
 import bornexact
 from bornexact import cli, em, lemmalab, transfer
-from bornexact.errors import BornexactError
+from bornexact.errors import BornexactError, InvalidResolution
 from oracles import profile_to_dict
 
 
@@ -142,6 +142,8 @@ BAD_CALLS = {
         0.8, np.nan, 8, 8),
     "build_momentum_grid p_max=inf n_box=8": lambda m: transfer.build_momentum_grid(
         0.8, np.inf, 8, 8),
+    "build_momentum_grid n_disk=100000": lambda m: transfer.build_momentum_grid(
+        0.8, 4.8, 100000, 0),
     "RunConfig grid.eps_ann=1e-4": lambda m: cli.RunConfig(
         {"medium": profile_to_dict(m), "grid": {"eps_ann": 1e-4}}
     ),
@@ -262,6 +264,59 @@ def test_one_route_selector_per_layer():
         "transfer._core calls _bblock_zft",
         "transfer._core calls scalar_eta3",
     ]
+
+
+def _stepped_ranges(path: Path):
+    """Who calls range with a step in path: a hand-written block loop."""
+    for owner, tree in _scopes(path):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range"
+                    and len(node.args) == 3):
+                yield f"{path.stem}.{owner} steps a range"
+
+
+def test_one_memory_policy():
+    """medium states the memory policy once: only medium reads
+    MEMORY_CAP_BYTES (check_cap, and the support scan's own guard), no module
+    imports the cap or the block size by name, so that both are read at call
+    time, and every block loop takes medium.blocks' slices."""
+    paths = sorted(Path(bornexact.__file__).parent.glob("*.py"))
+    reads = sorted({
+        f"{path.stem}.{owner} reads MEMORY_CAP_BYTES"
+        for path in paths for owner, tree in _scopes(path) for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "MEMORY_CAP_BYTES"
+            and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == "MEMORY_CAP_BYTES")
+    })
+    assert reads == ["medium._eta_slices reads MEMORY_CAP_BYTES",
+                     "medium.check_cap reads MEMORY_CAP_BYTES"]
+    imported = [f"{path.stem} imports {alias.name}"
+                for path in paths for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "medium"
+                for alias in node.names if alias.name in ("MEMORY_CAP_BYTES", "BLOCK_POINTS")]
+    assert imported == []
+    assert sorted({hit for path in paths for hit in _stepped_ranges(path)}) == [
+        "medium.blocks steps a range"]
+
+
+def test_patched_cap_reaches_every_guard(reference_medium, monkeypatch):
+    """Lowering bornexact.medium.MEMORY_CAP_BYTES alone makes every layer's guard refuse."""
+    grid = transfer.build_momentum_grid(0.8, 4.8, 8, 8)
+    kern = transfer.transfer_first_order(reference_medium, grid)
+    quad = bornexact.QuadratureSpec(2, 4, 4)
+    monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 0)
+    guarded = {
+        "polarizations": lambda: bornexact.second_born_amplitudes(
+            reference_medium, [_WAVE], [_DET], quad),
+        "dense kernel": lambda: transfer.transfer_first_order(reference_medium, grid),
+        "T": lambda: transfer.solve_T(None, _WAVE, profile=reference_medium, grid=grid),
+        "Dyson": lambda: transfer.dyson_second_order_norm(reference_medium, grid),
+        "id101": lambda: transfer.identity_id101_residual(kern),
+        "momentum grid": lambda: transfer.build_momentum_grid(0.8, 4.8, 8, 8),
+    }
+    for what, call in guarded.items():
+        with pytest.raises(InvalidResolution, match=rf"{what} needs \d+ MiB > cap 0 MiB"):
+            call()
 
 
 def test_one_outer_vertex_per_born_layer():

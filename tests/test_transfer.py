@@ -37,6 +37,7 @@ from bornexact.medium import BLOCK_POINTS, MediumProfile
 from bornexact.transfer import (
     _DYSON_DISK_PAIR_BYTES,
     _DYSON_PAIR_BYTES,
+    _GRID_POINT_BYTES,
     _ID101_DISK_PAIR_BYTES,
     _ID101_PAIR_BYTES,
     _KERNEL_COLUMN_BYTES,
@@ -201,6 +202,28 @@ class TestGrid:
         with pytest.raises(InvalidResolution):
             build_momentum_grid(K, 0.5 * K, 8, 0)
 
+    @pytest.mark.parametrize("n_disk, n_box", [(8, 20), (64, 0), (16, 256)])
+    def test_working_set_within_model(self, n_disk, n_box):
+        build_momentum_grid(K, 6 * K, 8, 8)
+        tracemalloc.start()
+        try:
+            build_momentum_grid(K, 6 * K, n_disk, n_box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (4 * n_disk**2 + n_box**2) * _GRID_POINT_BYTES
+
+    def test_memory_guard_before_allocating(self):
+        # 4e10 disk points, refused before np.meshgrid
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidResolution, match=r"momentum grid needs \d+ MiB > cap"):
+                build_momentum_grid(K, 6 * K, 100000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestKernel:
     def test_vacuum_kernel_zero(self, grid):
@@ -313,22 +336,28 @@ class TestKernel:
             transfer_first_order(reference_medium, grid, memory_cap_bytes=1024)
 
     def test_chunked_kernel_within_cap(self, control_medium, grid):
-        # room for K plus a quarter of its rows at a time: four chunks
+        # the guard's boundary: K plus one block of rows (36.2 MiB at n_disk
+        # 8) runs within a cap of exactly that, and 1 byte less is refused
+        # before any transform
         Nd = grid.n_disk_points
-        rows = Nd // 4
+        rows = min(BLOCK_POINTS // Nd, Nd)
         cap = (4 * Nd) ** 2 * 16 + Nd * (_KERNEL_COLUMN_BYTES + rows * _KERNEL_PAIR_BYTES)
-        one_chunk = transfer_first_order(control_medium, grid)
+        uncapped = transfer_first_order(control_medium, grid)
         tracemalloc.start()
         try:
-            chunked = transfer_first_order(control_medium, grid, memory_cap_bytes=cap)
+            at_cap = transfer_first_order(control_medium, grid, memory_cap_bytes=cap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(chunked.K, one_chunk.K)
+        assert np.array_equal(at_cap.K, uncapped.K)
         assert peak <= cap
+        medium = CountingProfile(control_medium)
+        with pytest.raises(InvalidResolution, match=r"dense kernel needs 37 MiB > cap 36 MiB"):
+            transfer_first_order(medium, grid, memory_cap_bytes=cap - 1)
+        assert medium.points == 0
 
     def test_working_set_of_one_call(self, control_medium, grid):
-        # K plus one block of rows, whatever the cap allows
+        # K plus one block of rows
         transfer_first_order(control_medium, grid)
         tracemalloc.start()
         try:
@@ -340,7 +369,7 @@ class TestKernel:
 
     def test_sampled_kernel_within_cap(self, control_medium, grid):
         # the sampled transforms sum their z-slices one at a time, so the
-        # kernel's working set follows the chunk model as for closed forms
+        # kernel's working set follows the block model as for closed forms
         samp = sample_profile(control_medium, (32, 16, 16), (-16.0, -2.0, -2.0),
                               (1.0, 0.25, 0.25))
         cap = 64 * 2**20
@@ -537,7 +566,7 @@ class TestId101:
 
     def test_memory_guard_before_allocating(self, ref_kernel, monkeypatch):
         # the estimate at n_disk 8 is 8 MiB of right plus 10 MiB for one block
-        monkeypatch.setattr(transfer, "MEMORY_CAP_BYTES", 16 * 2**20)
+        monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 16 * 2**20)
         tracemalloc.start()
         try:
             with pytest.raises(InvalidResolution, match=r"id101 needs 18 MiB > cap 16 MiB"):
@@ -561,6 +590,14 @@ class TestDyson:
         norm = dyson_second_order_norm(control_medium, grid_with_box)
         slab_w = control_medium.slab[1] - control_medium.slab[0]
         assert norm >= 1e-2 * kern.norm_max**2 * slab_w
+
+    def test_compliant_above_threshold_not_zeroed(self, reference_medium):
+        # at k = 1.2 alpha D reads 1.028e-5, 3.2e-4 of max|K| (at k = 0.8
+        # exactly 0); a norm evaluated and then zeroed fails here.  The w1
+        # floor moves D at the 1e-8 level, so it is bounded, not pinned
+        g = build_momentum_grid(1.2, 4.8, 8, 8)
+        norm_K = transfer_first_order(reference_medium, g).norm_max
+        assert dyson_second_order_norm(reference_medium, g) >= 1e-4 * norm_K
 
     def test_needs_box(self, reference_medium, grid):
         with pytest.raises(InvalidResolution):
@@ -641,7 +678,7 @@ class TestDyson:
     def test_working_set_of_one_call(self, control_medium, small_box, monkeypatch):
         # T, its GEMM buffer and one block of intermediates; whole (256 x 320)
         # cores took 82 MiB.  The guard's estimate is 64 MiB
-        monkeypatch.setattr(transfer, "MEMORY_CAP_BYTES", 64 * 2**20)
+        monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 64 * 2**20)
         tracemalloc.start()
         try:
             _dyson_matrix(control_medium, small_box)
@@ -703,7 +740,7 @@ class TestSolve:
     def test_memory_guard_before_any_transform(self, reference_medium, monkeypatch):
         # 65536 disk points need 40 MiB at the working-set model: 8 MiB of
         # t_-, t_+ and 32 MiB for one block
-        monkeypatch.setattr(transfer, "MEMORY_CAP_BYTES", 32 * 2**20)
+        monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 32 * 2**20)
         medium = CountingProfile(reference_medium)
         with pytest.raises(InvalidResolution, match=r"needs 40 MiB > cap 32 MiB"):
             solve_T(None, W_TILTED, profile=medium, grid=build_momentum_grid(K, 6 * K, 128, 0))
@@ -724,7 +761,7 @@ class TestSolve:
     def test_working_set_of_one_call(self, gausserf_medium, monkeypatch):
         # outputs plus one block: 65536 points at once took 76 MiB.  The
         # guard's estimate is 40 MiB
-        monkeypatch.setattr(transfer, "MEMORY_CAP_BYTES", 40 * 2**20)
+        monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 40 * 2**20)
         g = build_momentum_grid(K, 6 * K, 128, 0)
         solve_T(None, W_TILTED, profile=gausserf_medium, grid=build_momentum_grid(K, 6 * K, 8, 0))
         tracemalloc.start()
