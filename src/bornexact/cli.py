@@ -157,16 +157,15 @@ def _no_constant(name: str):
     raise ConfigError(f"config holds the non-finite JSON literal {name}")
 
 
-def load_config(path) -> RunConfig:
-    """Parse the JSON file at path; the NaN and Infinity literals are refused."""
+def _read_config(path):
+    """The JSON value in the file at path; the NaN and Infinity literals are refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_no_constant)
+            return json.load(fh, parse_constant=_no_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return RunConfig(raw)
 
 
 def _write_json(path: Path, payload: dict):
@@ -471,9 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
+        raw = _read_config(args.config)
+        if args.seed is not None and isinstance(raw, dict):
+            raw["seed"] = args.seed  # checked with the config's own fields
+        cfg = RunConfig(raw)
         return args.cmd(cfg, Path(args.out), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -141,21 +142,25 @@ class IncidentWave:
             raise InvalidPolarization("e_i is not orthogonal to the wave vector")
         object.__setattr__(self, "e_i", e)
 
-    @property
+    @cached_property
     def k_i(self) -> np.ndarray:
-        """Incident wave vector (3,)."""
+        """Incident wave vector (3,), computed once per wave and read-only."""
         st, ct = np.sin(self.theta0), np.cos(self.theta0)
-        return self.k * np.array([st * np.cos(self.phi0), st * np.sin(self.phi0), ct])
+        k_i = self.k * np.array([st * np.cos(self.phi0), st * np.sin(self.phi0), ct])
+        k_i.flags.writeable = False
+        return k_i
 
     @property
     def vec_k_i(self) -> np.ndarray:
         """Transverse part (k_ix, k_iy) of the incident wave vector."""
         return self.k_i[:2]
 
-    @property
+    @cached_property
     def h_i(self) -> np.ndarray:
-        """Magnetic polarization h_i = (1/k) k_i x e_i."""
-        return np.cross(self.k_i, self.e_i) / self.k
+        """Magnetic polarization h_i = (1/k) k_i x e_i, computed once per wave and read-only."""
+        h_i = np.cross(self.k_i, self.e_i) / self.k
+        h_i.flags.writeable = False
+        return h_i
 
     @property
     def upsilon(self) -> np.ndarray:

@@ -244,6 +244,17 @@ class MediumProfile:
         """max_q |eta3_eps(q)| over the scalar component (normalization scale)."""
         raise NotImplementedError
 
+    def _support_lines(self, x, y, zs):
+        """The nonzero x-lines of eta that support_report transforms: here its
+        tensors as (nx, ny, 9) arrays, one z-slice at a time, within the cap."""
+        # eta_eps, eta_mu and a transform of one of them are alive at once
+        check_cap(f"a {x.size}x{y.size} support-scan slice", 3 * x.size * y.size * 9 * 16)
+        for z in zs:
+            pts = np.stack(np.broadcast_arrays(x[:, None], y[None, :], z), axis=-1)
+            for ten in self.eval_eta(pts.reshape(-1, 3)):
+                if np.any(ten):
+                    yield ten.reshape(x.size, y.size, 9)
+
 
 class _EnvelopeProfile(MediumProfile):
     """Shared machinery of the separable isotropic nonmagnetic families.
@@ -281,6 +292,11 @@ class _EnvelopeProfile(MediumProfile):
     def eval_eta(self, r):
         r = np.asarray(r, dtype=float)
         return _isotropic(self.envelope_x(r[..., 0]) * self.footprint.value(r[..., 1], r[..., 2]))
+
+    def _support_lines(self, x, y, zs):
+        # separable, with eta_mu = 0: every (y, z) column of eta_eps inside
+        # the footprint is the same envelope line, and the others are zero
+        return [self.envelope_x(x)[:, None] * self.footprint.zeta]
 
     def _ft(self, x_ft, q3):
         """x_ft(q_x) ft_y(q_y) ft_z(q_z): a separable 3D transform at q3.
@@ -577,22 +593,6 @@ def _tapered_line_ft(vals, x, sigma_w):
     return p, F
 
 
-def _eta_slices(profile, x, y, zs):
-    """Nonzero eta tensors as (nx, ny, 9) arrays, one z-slice at a time."""
-    # eta_eps, eta_mu and a transform of one of them are alive at once
-    need = 3 * x.size * y.size * 9 * 16
-    if need > MEMORY_CAP_BYTES:
-        raise WindowTooSmall(
-            f"a {x.size}x{y.size} support-scan slice needs {need / 2**30:.3g} GiB "
-            f"> cap {MEMORY_CAP_BYTES / 2**30:.3g} GiB; pass a window and a smaller grid"
-        )
-    for z in zs:
-        pts = np.stack(np.broadcast_arrays(x[:, None], y[None, :], z), axis=-1)
-        for ten in profile.eval_eta(pts.reshape(-1, 3)):
-            if np.any(ten):
-                yield ten.reshape(x.size, y.size, 9)
-
-
 def support_report(
     profile: MediumProfile,
     alpha: float,
@@ -606,10 +606,12 @@ def support_report(
     window/6.5 before the FFT; the scan stops margin = 7/sigma_w short of
     the threshold, since a finite-window measurement cannot localize
     spectral support below its own bandwidth.  max_leak is reported
-    relative to the global spectral peak.
+    relative to the global spectral peak.  The lines are the medium's
+    _support_lines.
 
     Raises InvalidResolution unless grid is three integers, nx >= 2 and ny,
-    nz >= 1.  Raises WindowTooSmall, before the scan, when the untapered
+    nz >= 1, or when a slice of a slice-by-slice scan exceeds the memory
+    cap.  Raises WindowTooSmall, before the scan, when the untapered
     profile at the window edge exceeds 5 % of its central value or when the
     grid cannot resolve the profile's spectrum without aliasing into the
     scan region.  Raises InvalidArgument unless alpha is a finite real number
@@ -657,15 +659,9 @@ def support_report(
             f"central value (tolerance {_WINDOW_TOL:g})"
         )
 
-    if isinstance(profile, _EnvelopeProfile):
-        # separable, with eta_mu = 0: every (y, z) column of eta_eps inside
-        # the footprint is the same envelope line, and the others are zero
-        lines = [profile.envelope_x(x)[:, None] * profile.footprint.zeta]
-    else:
-        lines = _eta_slices(profile, x, y, zs)
     peak = 0.0
     leak = 0.0
-    for comps in lines:
+    for comps in profile._support_lines(x, y, zs):
         p, F = _tapered_line_ft(comps, x, sigma_w)
         mag = np.abs(F)
         peak = max(peak, float(mag.max()))

@@ -279,8 +279,8 @@ class TransferKernel:
 # traced working set of one chunk of transfer_first_order beyond K (n_disk 8,
 # 12, 16): 1.04-1.08 kB per (p, q) pair with scalar cores, 1.09-1.11 kB on
 # the tensor route, 1.12-1.13 kB sampled (16 z-slices), plus 0.55-0.6 kB per
-# column q.  solve_T beyond its outputs, per point of one block (n_disk 16 to
-# 128): 1.23-1.48 kB scalar, 1.62-1.68 kB tensor, 1.65-1.75 kB sampled.
+# column q.  _closed_form_t beyond its outputs, per point of one block (n_disk
+# 16 to 128): 1.23-1.48 kB scalar, 1.62-1.68 kB tensor, 1.65-1.75 kB sampled.
 _KERNEL_PAIR_BYTES = 5 * 256
 _KERNEL_COLUMN_BYTES = 3 * 256
 
@@ -418,7 +418,7 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
 
 @dataclass
 class TSolution:
-    """First-order closed-form disk amplitudes t_-, t_+ of solve_T, 4 pi^2 kept symbolic.
+    """The inputs of solve_T's closed form t_-, t_+, which amplitude_from_T evaluates.
 
     T_+/- = 4 pi^2 t_+/- relative to the delta-normalized incident state;
     the factor cancels against the delta in the far-field column extraction.
@@ -427,8 +427,6 @@ class TSolution:
     grid: MomentumGrid
     incident: IncidentWave
     profile: MediumProfile
-    t_minus: np.ndarray  # (Nd, 4)
-    t_plus: np.ndarray   # (Nd, 4)
 
 
 def _closed_form_t(profile, w: IncidentWave, p2):
@@ -455,12 +453,13 @@ def solve_T(
     profile: MediumProfile | None = None,
     grid: MomentumGrid | None = None,
 ) -> TSolution:
-    """One-sided amplitudes T_+/- on the disk grid.
+    """One-sided amplitudes T_+/- on the disk grid, evaluated where they are read.
 
-    Evaluates the first-order closed form t_+ = Pi_1 K(., k_i) Y and
-    t_- = -Pi_2 K(., k_i) Y, exact only when (M - pi) Pi_2 (M - pi) = 0: not
-    above threshold (id101 is 1.3e-2 max|K|^2 at k = 1.2 alpha).  method must
-    be "fast", the only solver.  InvalidResolution past MEMORY_CAP_BYTES.
+    The first-order closed form t_+ = Pi_1 K(., k_i) Y and t_- = -Pi_2 K(.,
+    k_i) Y is exact only when (M - pi) Pi_2 (M - pi) = 0: not above threshold
+    (id101 is 1.3e-2 max|K|^2 at k = 1.2 alpha).  solve_T checks its inputs
+    and evaluates nothing; amplitude_from_T calls _closed_form_t at the
+    points it reads.  method must be "fast", the only solver.
     """
     if method != "fast":
         raise InvalidArgument(f"unknown solve method {method!r}")
@@ -473,16 +472,11 @@ def solve_T(
         raise InvalidArgument("incident wavenumber differs from grid wavenumber")
     if np.linalg.norm(w.vec_k_i) >= grid.rho_max:
         raise IncidenceOutsideDisk("transverse incident momentum reaches the disk rim")
-    # t_-, t_+ (8 complex per point) and one block's working set
-    n = grid.n_disk_points
-    medium.check_cap("T", n * 8 * 16 + min(n, medium.BLOCK_POINTS)
-                     * (_KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES))
-    t_minus, t_plus = _closed_form_t(profile, w, grid.disk_points)
-    return TSolution(grid, w, profile, t_minus, t_plus)
+    return TSolution(grid, w, profile)
 
 
 def _disk_stencil(grid: MomentumGrid, p2):
-    """Disk-point indices and weights of bilinear interpolation in (rho^2, phi)."""
+    """Disk points and weights of bilinear interpolation in (rho^2, phi)."""
     n_r, n_phi = grid.n_r, grid.n_phi
     rho2 = float(p2[0] ** 2 + p2[1] ** 2)
     s = rho2 / grid.rho_max**2 * n_r - 0.5
@@ -494,19 +488,19 @@ def _disk_stencil(grid: MomentumGrid, p2):
     ft = (t - np.floor(t))
     j1 = (j0 + 1) % n_phi
     nodes = [i0 * n_phi + j0, i0 * n_phi + j1, (i0 + 1) * n_phi + j0, (i0 + 1) * n_phi + j1]
-    return nodes, [(1 - fr) * (1 - ft), (1 - fr) * ft, fr * (1 - ft), fr * ft]
+    return grid.disk_points[nodes], [(1 - fr) * (1 - ft), (1 - fr) * ft, fr * (1 - ft), fr * ft]
 
 
 def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
     """Far-field amplitude from the transfer solution at detector d.
 
-    mode "exact" evaluates the compliant closed form at vec k_s; "grid"
-    interpolates t_+/- bilinearly on the polar mesh (the discretized
-    pipeline whose error contracts under grid refinement).  The grid mode
-    raises StraddlesSupportEdge when the medium has a threshold alpha and
-    the interpolation cell's nodes have transfers p_x - k_ix on both sides
-    of it: a spectrum that jumps there, like Gauss-erf's, would make the
-    interpolant O(1) wrong.
+    mode "exact" evaluates the closed form t_+/- at vec k_s; "grid"
+    evaluates it at the four disk nodes of vec k_s's polar-mesh cell and
+    interpolates bilinearly (the discretized pipeline whose error contracts
+    under grid refinement).  The grid mode raises StraddlesSupportEdge when
+    the medium has a threshold alpha and the cell's nodes have transfers
+    p_x - k_ix on both sides of it: a spectrum that jumps there, like
+    Gauss-erf's, would make the interpolant O(1) wrong.
     """
     grid = sol.grid
     k = sol.incident.k
@@ -515,18 +509,18 @@ def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
         raise DirectionOnRim("detector maps onto the disk rim annulus")
     side = d.side
     if mode == "exact":
-        tm, tp = _closed_form_t(sol.profile, sol.incident, ks[None, :])
-        t = tp[0] if side > 0 else tm[0]
+        points, weights = ks[None, :], None
     elif mode == "grid":
-        nodes, weights = _disk_stencil(grid, ks)
+        points, weights = _disk_stencil(grid, ks)
         alpha = sol.profile.alpha
-        qx = grid.disk_points[nodes, 0] - sol.incident.vec_k_i[0]
+        qx = points[:, 0] - sol.incident.vec_k_i[0]
         if alpha is not None and qx.min() <= alpha < qx.max():
             raise StraddlesSupportEdge("grid-mode cell straddles the support edge q_x = alpha")
-        vals = sol.t_plus if side > 0 else sol.t_minus
-        t = sum(wt * vals[n] for wt, n in zip(weights, nodes))
     else:
         raise InvalidArgument(f"unknown amplitude mode {mode!r}")
+    tm, tp = _closed_form_t(sol.profile, sol.incident, points)
+    vals = tp if side > 0 else tm
+    t = vals[0] if weights is None else sum(wt * v for wt, v in zip(weights, vals))
     return xi_contract(d, (4 * np.pi**2) * t, k, t_side=side)
 
 

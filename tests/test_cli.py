@@ -203,6 +203,15 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "verify.json").exists()
 
+    def test_seed_flag_is_checked_like_the_config(self, tmp_path, capsys):
+        # the flag overrides the config's seed before the config is parsed;
+        # a negative seed reached np.random.default_rng and ended in a traceback
+        cfg = write_config(tmp_path, SPEC_MEDIUM, suites=["support"])
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
+
     def test_one_detector_names_the_key(self, tmp_path, capsys):
         # the lower hemisphere would get no detector
         cfg = write_config(tmp_path, SPEC_MEDIUM, directions={"n_detectors": 1})

@@ -183,6 +183,15 @@ class TestIncidentWave:
         assert np.linalg.norm(w.h_i) == pytest.approx(1.0)
         assert abs(np.dot(w.e_i, w.k_i)) < 1e-12
 
+    def test_vectors_computed_once_and_read_only(self):
+        w = em.IncidentWave.linear(1.0, 0.7, 1.1, 0.4)
+        for name in ("k_i", "h_i"):
+            v = getattr(w, name)
+            assert getattr(w, name) is v
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+        assert not w.vec_k_i.flags.writeable
+
     def test_grazing_raises(self):
         with pytest.raises(GrazingIncidence):
             em.IncidentWave(1.0, np.pi / 2, 0.0, np.array([0, 0, 1.0]))

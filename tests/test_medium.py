@@ -19,7 +19,8 @@ from bornexact import (
     sample_profile,
     support_report,
 )
-from bornexact.errors import BoundsViolated, ConfigError, InvalidArgument, WindowTooSmall
+from bornexact.errors import (BoundsViolated, ConfigError, InvalidArgument, InvalidResolution,
+                              WindowTooSmall)
 from bornexact.medium import MediumProfile, _sinc
 from bornexact.sampled import write_grid
 from oracles import (envelope_ft_ref, eta2_ref, profile_to_dict, recip2_ref, sampled_z_sum,
@@ -429,13 +430,42 @@ class TestSupportReport:
 
     def test_slice_memory_guard(self):
         # a rotated medium is scanned slice by slice; the auto-enlarged
-        # grid (nx = 2^20 over ny = 512) would need ~77 GB per slice
+        # grid (nx = 2^20 over ny = 512) would need 221184 MiB per slice
         wide = rotate_to_x(
             RationalEnvelopeProfile(1.0, 1e4, 1, TransverseBox(0.01, 3.0, 4.0)),
             (0.6, 0.8),
         )
-        with pytest.raises(WindowTooSmall, match="GiB"):
+        with pytest.raises(InvalidResolution, match="MiB"):
             support_report(wide, ALPHA)
+
+    def test_wrapper_scans_its_base_line(self, gausserf_medium):
+        # a wrapper that forwards _support_lines to an envelope medium scans
+        # the one envelope line, not the slices
+        calls = []
+
+        class Wrapper(MediumProfile):
+            alpha = gausserf_medium.alpha
+            slab = gausserf_medium.slab
+
+            def eval_eta(self, r):
+                calls.append(len(r))
+                return gausserf_medium.eval_eta(r)
+
+            def spectral_extent(self, rel_tol=1e-9):
+                return gausserf_medium.spectral_extent(rel_tol)
+
+            def default_window(self):
+                return gausserf_medium.default_window()
+
+            def sampling_box(self):
+                return gausserf_medium.sampling_box()
+
+            def _support_lines(self, x, y, zs):
+                return gausserf_medium._support_lines(x, y, zs)
+
+        rep = support_report(Wrapper(), ALPHA)
+        assert len(calls) == 2  # the edge points and the centre, no z-slice
+        assert rep == support_report(gausserf_medium, ALPHA)
 
 
 class TestBounds:

@@ -276,10 +276,10 @@ def _stepped_ranges(path: Path):
 
 
 def test_one_memory_policy():
-    """medium states the memory policy once: only medium reads
-    MEMORY_CAP_BYTES (check_cap, and the support scan's own guard), no module
-    imports the cap or the block size by name, so that both are read at call
-    time, and every block loop takes medium.blocks' slices."""
+    """medium states the memory policy once: only medium.check_cap reads
+    MEMORY_CAP_BYTES, no module imports the cap or the block size by name,
+    so that both are read at call time, and every block loop takes
+    medium.blocks' slices."""
     paths = sorted(Path(bornexact.__file__).parent.glob("*.py"))
     reads = sorted({
         f"{path.stem}.{owner} reads MEMORY_CAP_BYTES"
@@ -288,8 +288,7 @@ def test_one_memory_policy():
             and isinstance(node.ctx, ast.Load))
         or (isinstance(node, ast.Attribute) and node.attr == "MEMORY_CAP_BYTES")
     })
-    assert reads == ["medium._eta_slices reads MEMORY_CAP_BYTES",
-                     "medium.check_cap reads MEMORY_CAP_BYTES"]
+    assert reads == ["medium.check_cap reads MEMORY_CAP_BYTES"]
     imported = [f"{path.stem} imports {alias.name}"
                 for path in paths for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.ImportFrom) and node.module == "medium"
@@ -309,10 +308,11 @@ def test_patched_cap_reaches_every_guard(reference_medium, monkeypatch):
         "polarizations": lambda: bornexact.second_born_amplitudes(
             reference_medium, [_WAVE], [_DET], quad),
         "dense kernel": lambda: transfer.transfer_first_order(reference_medium, grid),
-        "T": lambda: transfer.solve_T(None, _WAVE, profile=reference_medium, grid=grid),
         "Dyson": lambda: transfer.dyson_second_order_norm(reference_medium, grid),
         "id101": lambda: transfer.identity_id101_residual(kern),
         "momentum grid": lambda: transfer.build_momentum_grid(0.8, 4.8, 8, 8),
+        "support-scan slice": lambda: bornexact.support_report(
+            bornexact.rotate_to_x(reference_medium, (0.6, 0.8)), 1.0, grid=(512, 8, 2)),
     }
     for what, call in guarded.items():
         with pytest.raises(InvalidResolution, match=rf"{what} needs \d+ MiB > cap 0 MiB"):

@@ -143,6 +143,11 @@ def cut_control(control_medium):
                           sampled.spacing, slab=sampled.slab)
 
 
+def disk_t(sol):
+    """(t_-, t_+) of a solve_T solution at every disk point of its grid."""
+    return _closed_form_t(sol.profile, sol.incident, sol.grid.disk_points)
+
+
 def id101_matrix(kern):
     """(M - pi) Pi_2 (M - pi), (Nd, Nd, 4, 4), assembled from the row blocks of _id101_rows."""
     Nd = kern.grid.n_disk_points
@@ -416,11 +421,11 @@ class TestKernel:
     def test_closed_form_matches_oracle(self, oracle_case):
         medium, g, w = oracle_case
         P = g.disk_points
-        sol = solve_T(None, w, profile=medium, grid=g)
+        t_minus, t_plus = disk_t(solve_T(None, w, profile=medium, grid=g))
         col = firstorder_kernel_ref(medium, g.k, P, w.vec_k_i) @ w.upsilon
         (P1, P2), _ = channels(P, g.k)
-        for t, ref in ((sol.t_minus, -np.einsum("nab,nb->na", P2, col)),
-                       (sol.t_plus, np.einsum("nab,nb->na", P1, col))):
+        for t, ref in ((t_minus, -np.einsum("nab,nb->na", P2, col)),
+                       (t_plus, np.einsum("nab,nb->na", P1, col))):
             assert np.abs(ref).max() > 0
             assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -698,25 +703,27 @@ class TestDyson:
 
 class TestSolve:
     def test_vacuum_zero(self, grid):
-        sol = solve_T(None, W_TILTED, method="fast", profile=vacuum_profile(), grid=grid)
-        assert not np.any(sol.t_minus) and not np.any(sol.t_plus)
+        t_minus, t_plus = disk_t(solve_T(None, W_TILTED, method="fast",
+                                         profile=vacuum_profile(), grid=grid))
+        assert not np.any(t_minus) and not np.any(t_plus)
 
     def test_invisible_band_zero(self, reference_medium):
         g = build_momentum_grid(0.5, 3.0, 8, 0)
         w = IncidentWave.linear(0.5, 1.0, np.pi, 0.2)
-        sol = solve_T(None, w, method="fast", profile=reference_medium, grid=g)
-        assert not np.any(sol.t_minus) and not np.any(sol.t_plus)
+        t_minus, t_plus = disk_t(solve_T(None, w, method="fast", profile=reference_medium, grid=g))
+        assert not np.any(t_minus) and not np.any(t_plus)
 
     def test_projector_invariants(self, reference_medium, grid):
-        sol = solve_T(None, W_TILTED, method="fast", profile=reference_medium, grid=grid)
+        t_minus, t_plus = disk_t(solve_T(None, W_TILTED, method="fast",
+                                         profile=reference_medium, grid=grid))
         P = grid.disk_points
         P1 = em.projector(1, P, grid.k)
         P2 = em.projector(2, P, grid.k)
-        tp = np.einsum("nab,nb->na", P1, sol.t_plus)
-        tm = np.einsum("nab,nb->na", P2, sol.t_minus)
-        scale = max(np.abs(sol.t_plus).max(), np.abs(sol.t_minus).max(), 1e-300)
-        assert np.abs(tp - sol.t_plus).max() < 1e-12 * scale
-        assert np.abs(tm - sol.t_minus).max() < 1e-12 * scale
+        tp = np.einsum("nab,nb->na", P1, t_plus)
+        tm = np.einsum("nab,nb->na", P2, t_minus)
+        scale = max(np.abs(t_plus).max(), np.abs(t_minus).max(), 1e-300)
+        assert np.abs(tp - t_plus).max() < 1e-12 * scale
+        assert np.abs(tm - t_minus).max() < 1e-12 * scale
 
     def test_t_minus_equation_residual(self, control_medium, grid, ref_kernel):
         # the closed form solves t_- = -Pi_2 (K_w t_- + K(., k_i) Y) exactly
@@ -725,10 +732,10 @@ class TestSolve:
         P2 = em.projector(2, grid.disk_points, grid.k)
 
         def residual(kern):
-            sol = solve_T(kern, W_TILTED)
-            Kw_t = np.einsum("pqab,q,qb->pa", kern.K, grid.disk_weights, sol.t_minus)
+            t_minus, t_plus = disk_t(solve_T(kern, W_TILTED))
+            Kw_t = np.einsum("pqab,q,qb->pa", kern.K, grid.disk_weights, t_minus)
             r = np.abs(np.einsum("pab,pb->pa", P2, Kw_t)).max()
-            return r / max(np.abs(sol.t_plus).max(), np.abs(sol.t_minus).max())
+            return r / max(np.abs(t_plus).max(), np.abs(t_minus).max())
 
         assert residual(ref_kernel) <= 1e-8
         assert residual(transfer_first_order(control_medium, grid)) >= 1e-4
@@ -737,20 +744,18 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_T(ref_kernel, W_TILTED, method="generic")
 
-    def test_memory_guard_before_any_transform(self, reference_medium, monkeypatch):
-        # 65536 disk points need 40 MiB at the working-set model: 8 MiB of
-        # t_-, t_+ and 32 MiB for one block
-        monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 32 * 2**20)
+    def test_evaluates_no_transform(self, reference_medium):
+        # the closed form is evaluated by amplitude_from_T where it is read
         medium = CountingProfile(reference_medium)
-        with pytest.raises(InvalidResolution, match=r"needs 40 MiB > cap 32 MiB"):
-            solve_T(None, W_TILTED, profile=medium, grid=build_momentum_grid(K, 6 * K, 128, 0))
+        sol = solve_T(None, W_TILTED, profile=medium, grid=build_momentum_grid(K, 6 * K, 128, 0))
         assert medium.points == 0
+        assert sorted(vars(sol)) == ["grid", "incident", "profile"]
 
     def test_working_set_within_model(self, gausserf_medium):
         g = build_momentum_grid(K, 6 * K, 32, 0)
         tracemalloc.start()
         try:
-            solve_T(None, W_TILTED, profile=gausserf_medium, grid=g)
+            _closed_form_t(gausserf_medium, W_TILTED, g.disk_points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -758,15 +763,14 @@ class TestSolve:
         block = min(n, BLOCK_POINTS) * (_KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES)
         assert peak <= n * 8 * 16 + block
 
-    def test_working_set_of_one_call(self, gausserf_medium, monkeypatch):
-        # outputs plus one block: 65536 points at once took 76 MiB.  The
-        # guard's estimate is 40 MiB
-        monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 40 * 2**20)
+    def test_working_set_of_one_call(self, gausserf_medium):
+        # outputs plus one block: 65536 points at once took 76 MiB, the
+        # working-set model allows 40 MiB
         g = build_momentum_grid(K, 6 * K, 128, 0)
-        solve_T(None, W_TILTED, profile=gausserf_medium, grid=build_momentum_grid(K, 6 * K, 8, 0))
+        _closed_form_t(gausserf_medium, W_TILTED, build_momentum_grid(K, 6 * K, 8, 0).disk_points)
         tracemalloc.start()
         try:
-            solve_T(None, W_TILTED, profile=gausserf_medium, grid=g)
+            _closed_form_t(gausserf_medium, W_TILTED, g.disk_points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -809,9 +813,9 @@ class TestBlockSizeInvariance:
 
         def run():
             kern = transfer_first_order(medium, g)
-            sol = solve_T(None, w, profile=medium, grid=g)
+            t_minus, t_plus = disk_t(solve_T(None, w, profile=medium, grid=g))
             return (kern.K, id101_matrix(kern), identity_id101_residual(kern), kern.norm_max,
-                    sol.t_minus, sol.t_plus)
+                    t_minus, t_plus)
 
         one, whole = self.at_blocks(monkeypatch, run)
         assert np.any(whole[0])
@@ -864,6 +868,25 @@ class TestAmplitude:
             else:
                 assert np.linalg.norm(Ft) < 1e-15
         assert checked >= 3
+
+    @pytest.mark.parametrize("mode, n_points", [("exact", 1), ("grid", 4)])
+    def test_one_closed_form_call_at_the_points_read(self, reference_medium, monkeypatch,
+                                                     mode, n_points):
+        # exact mode reads t at vec k_s, grid mode at the four disk nodes of
+        # its cell, not at the 65536 disk points; with a scalar form each
+        # (p, k_i) pair reads s and the eps reciprocal
+        calls = []
+
+        def recording(profile, w, p2):
+            calls.append(len(p2))
+            return _closed_form_t(profile, w, p2)
+
+        monkeypatch.setattr(transfer, "_closed_form_t", recording)
+        medium = CountingProfile(reference_medium)
+        sol = solve_T(None, W_TILTED, profile=medium, grid=build_momentum_grid(K, 6 * K, 128, 0))
+        assert np.any(amplitude_from_T(sol, DetectorDirection(1.15, 0.0), mode=mode))
+        assert calls == [n_points]
+        assert medium.points == 2 * n_points
 
     def test_right_incidence_route(self, reference_medium, grid):
         # right-incident (cos theta0 < 0) traveling toward -x; detector on
