@@ -114,14 +114,15 @@ class IncidentWave:
     """Plane incident wave: wavenumber, incidence angles and polarization.
 
     theta0 in (0, pi/2) gives a left-incident wave (source at z = -inf,
-    cos(theta0) > 0); theta0 in (pi/2, pi) a right-incident one.  e_i must be
-    a (possibly complex) unit vector orthogonal to the wave vector.
+    cos(theta0) > 0); theta0 in (pi/2, pi) a right-incident one.  e_i, a (possibly
+    complex) vector orthogonal to the wave vector, is kept normalized and read-only.
     """
 
     k: float
     theta0: float
     phi0: float
-    e_i: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
+    e_i: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]), compare=False)
+    _e: tuple = field(init=False, repr=False)  # waves compare and hash by (k, theta0, phi0, e_i)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.k, self.theta0, self.phi0))):
@@ -140,7 +141,9 @@ class IncidentWave:
         e = e / np.sqrt(norm2)
         if abs(np.dot(e, self.k_i)) > 1e-9 * self.k:
             raise InvalidPolarization("e_i is not orthogonal to the wave vector")
+        e.flags.writeable = False
         object.__setattr__(self, "e_i", e)
+        object.__setattr__(self, "_e", tuple(e.tolist()))
 
     @cached_property
     def k_i(self) -> np.ndarray:

@@ -23,6 +23,7 @@ Nothing assumes Hermiticity: all kernels are general-complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -211,9 +212,9 @@ def _core(profile: MediumProfile, k: float, p, q, fp, fq, w, width: float = 1.0)
     q3 = _q3(p, q, w)
     s = profile.scalar_eta3(q3)
     if s is None:
-        # the block meets the longer side's factor first, so chunks of rows sum
-        # alike; q's on a tie or when q is one momentum (one GEMM for the closed-form T)
-        path = ["einsum_path", (0, 1) if Vp.size > Uq.size and np.size(q) > 2 else (1, 2), (0, 1)]
+        # the block meets the longer side's factor first, so chunks of rows and channel
+        # subsets sum alike; q's on a tie or when q is one momentum (one GEMM for the closed-form T)
+        path = ["einsum_path", (0, 1) if np.size(p) > np.size(q) > 2 else (1, 2), (0, 1)]
         return np.einsum("jp...xa,p...ab,lp...by->pjx...ly", Vp,
                          _bblock_zft(profile, p, q, w, k) / width, Uq, optimize=path)
     c = -0.25 / (np.pi**2 * width)
@@ -233,7 +234,7 @@ def _cores(profile: MediumProfile, k: float, p, q, fp, fq):
     A z-constant medium has B~(p, q; w) = C(p, q) E(w), C = B~(p, q; 0) / (a_hi - a_lo),
     E = _slab_ft: _core at w = 0 once per pair, and E(omega_j(p) - omega_l(q))
     scales each (j, l) core.  Other media call _core at the four frequencies
-    omega_j - omega_l, one channel pair each.
+    omega_j - omega_l, one channel pair each.  Either side may hold one channel.
     """
     if profile.z_constant:
         a_lo, a_hi = profile.slab
@@ -242,7 +243,7 @@ def _cores(profile: MediumProfile, k: float, p, q, fp, fq):
                       - np.moveaxis(fq[2], 0, -1)[:, None, None, ..., :, None], a_lo, a_hi)
         return a
     rows = [[_core(profile, k, p, q, [f[j:j + 1] for f in fp], [f[l:l + 1] for f in fq],
-                   fp[2][j] - fq[2][l]) for l in (0, 1)] for j in (0, 1)]
+                   fp[2][j] - fq[2][l]) for l in range(len(fq[2]))] for j in range(len(fp[2]))]
     return np.concatenate([np.concatenate(r, axis=-2) for r in rows], axis=1)
 
 
@@ -263,26 +264,18 @@ def firstorder_kernel(profile: MediumProfile, k: float, p, q):
 
 @dataclass
 class TransferKernel:
-    """Materialized first-order kernel on the disk grid."""
+    """First-order kernel on the disk grid, which its readers evaluate in blocks of rows."""
 
     grid: MomentumGrid
     profile: MediumProfile
-    K: np.ndarray  # (Nd, Nd, 4, 4), raw kernel without quadrature weights
 
-    @property
+    @cached_property
     def norm_max(self) -> float:
-        """max |K|, taken over blocks of medium.rows_per_block(Nd) rows."""
-        Nd = len(self.K)
-        return float(np.max([np.abs(self.K[rows]).max() for rows in medium.blocks(Nd, Nd)]))
-
-
-# traced working set of one chunk of transfer_first_order beyond K (n_disk 8,
-# 12, 16): 1.04-1.08 kB per (p, q) pair with scalar cores, 1.09-1.11 kB on
-# the tensor route, 1.12-1.13 kB sampled (16 z-slices), plus 0.55-0.6 kB per
-# column q.  _closed_form_t beyond its outputs, per point of one block (n_disk
-# 16 to 128): 1.23-1.48 kB scalar, 1.62-1.68 kB tensor, 1.65-1.75 kB sampled.
-_KERNEL_PAIR_BYTES = 5 * 256
-_KERNEL_COLUMN_BYTES = 3 * 256
+        """max |K| over blocks of medium.rows_per_block(Nd) rows, or as identity_id101_residual
+        filled it."""
+        P, k = self.grid.disk_points, self.grid.k
+        return float(np.max([np.abs(firstorder_kernel(self.profile, k, P[r, None], P[None])).max()
+                             for r in medium.blocks(len(P), len(P))]))
 
 
 def transfer_first_order(
@@ -291,26 +284,16 @@ def transfer_first_order(
     memory_cap_bytes: int | None = None,
     method: str = "zft",
 ) -> TransferKernel:
-    """Materialize K on disk x disk; M = pi + K as an operator on the disk.
+    """K on disk x disk, M = pi + K as an operator on the disk, for its readers.
 
-    K is filled in blocks of medium.rows_per_block(Nd) rows.  Rows are
-    independent, so the blocks move K by no more than the medium's
-    transforms round differently on them (not at all for the closed-form
-    media).  InvalidResolution, before any transform, when K plus one
-    block's working set exceeds memory_cap_bytes (None: medium's cap at call
-    time).  method must be "zft", the only kernel route.
+    Checks its inputs and evaluates nothing; identity_id101_residual and norm_max evaluate
+    K in blocks of rows.  InvalidResolution when id101's working set, the readers' largest,
+    exceeds memory_cap_bytes (None: medium's cap at call time).  method must be "zft".
     """
     if method != "zft":
         raise InvalidArgument(f"unknown kernel method {method!r}")
-    Nd = grid.n_disk_points
-    n = min(medium.rows_per_block(Nd), Nd)
-    medium.check_cap("dense kernel", (4 * Nd) ** 2 * 16
-                     + Nd * (n * _KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES), memory_cap_bytes)
-    P = grid.disk_points
-    K = np.empty((Nd, Nd, 4, 4), dtype=complex)
-    for rows in medium.blocks(Nd, Nd):
-        K[rows] = firstorder_kernel(profile, grid.k, P[rows, None], P[None])
-    return TransferKernel(grid=grid, profile=profile, K=K)
+    medium.check_cap("transfer kernel", _id101_bytes(grid.n_disk_points), memory_cap_bytes)
+    return TransferKernel(grid=grid, profile=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -524,36 +507,49 @@ def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
     return xi_contract(d, (4 * np.pi**2) * t, k, t_side=side)
 
 
-# identity_id101_residual holds right, 8 complex per disk pair, and per (p, q)
-# pair of one block of rows the left rows, the product and its absolute value,
-# 512 B; traced 0.52-0.55 kB per block pair beyond right (n_disk 8, 12, 16)
-_ID101_PAIR_BYTES, _ID101_DISK_PAIR_BYTES = 5 * 128, 8 * 16
+# id101 holds right, 8 complex per disk pair, and one block, where firstorder_kernel
+# outlasts left and the product: traced 1.02-1.10 kB per block pair plus 1.3-1.6 kB
+# per column q (n_disk 8, 12; 4 to 32 rows; scalar, tensor, sampled)
+_ID101_PAIR_BYTES, _ID101_DISK_PAIR_BYTES, _ID101_COLUMN_BYTES = 5 * 256, 8 * 16, 8 * 256
+
+
+def _id101_bytes(Nd: int) -> int:
+    n = min(medium.rows_per_block(Nd), Nd)
+    return Nd * (Nd * _ID101_DISK_PAIR_BYTES + n * _ID101_PAIR_BYTES + _ID101_COLUMN_BYTES)
 
 
 def _id101_rows(kernel: TransferKernel):
-    """(M - pi) Pi_2 (M - pi) on the disk grid in blocks of rows p: with W the
-    disk weights, (K U_2)(V_2 (W / 2) K), one GEMM over the 2 Nd inner index
-    (r, x) per block of medium.rows_per_block(Nd) rows.  Yields (rows, block),
-    block (len(rows), Nd, 4, 4); the rows are independent, so the blocks do
-    not move an entry."""
-    grid, K, Nd = kernel.grid, kernel.K, kernel.grid.n_disk_points
-    U, V, _ = em.channel_factors(grid.disk_points, grid.k)
-    right = np.einsum("rxb,rqbc->rxqc", V[1] * (0.5 * grid.disk_weights)[:, None, None], K)
+    """(M - pi) Pi_2 (M - pi) on the disk grid, (K U_2)(V_2 (W / 2) K) with W the disk
+    weights.  right = V_2 (W / 2) K = -(i/4) W sum_l a_2l(r, q) V_l(q), as V_j U_m =
+    2 delta_jm, is built once from channel-2 cores; then per block of
+    medium.rows_per_block(Nd) rows, K[rows] from firstorder_kernel and one GEMM over
+    the 2 Nd index (r, x).  Yields (rows, K[rows], block), block (len(rows), Nd, 4, 4)."""
+    grid, profile = kernel.grid, kernel.profile
+    P, k, Nd = grid.disk_points, grid.k, grid.n_disk_points
+    fq = em.channel_factors(P[None], k)
+    right = np.empty((Nd, 2, Nd, 4), dtype=complex)
+    for r in medium.blocks(Nd, Nd):
+        f2 = [f[1:] for f in em.channel_factors(P[r, None], k)]
+        right[r] = np.einsum("rxqly,lqyb->rxqb", _cores(profile, k, P[r, None], P[None], f2,
+                                                        fq)[:, 0], fq[1][:, 0], optimize=True)
+    right *= (-0.25j * grid.disk_weights)[:, None, None, None]
     right = right.reshape(2 * Nd, 4 * Nd)
     for rows in medium.blocks(Nd, Nd):
-        left = np.einsum("prab,rbx->parx", K[rows], U[1]).reshape(-1, 2 * Nd)
-        yield rows, (left @ right).reshape(-1, 4, Nd, 4).swapaxes(1, 2)
+        K = firstorder_kernel(profile, k, P[rows, None], P[None])
+        left = np.einsum("prab,rbx->parx", K, fq[0][1, 0], optimize=True).reshape(-1, 2 * Nd)
+        yield rows, K, (left @ right).reshape(-1, 4, Nd, 4).swapaxes(1, 2)
+        del K, left  # before the next block's kernel
 
 
 def identity_id101_residual(kernel: TransferKernel) -> float:
     """|| (M - pi) Pi_2 (M - pi) ||_max on the disk grid, the max over the
-    blocks of _id101_rows.  InvalidResolution, before anything K-sized is
-    allocated, past MEMORY_CAP_BYTES."""
-    Nd = kernel.grid.n_disk_points
-    n = min(medium.rows_per_block(Nd), Nd)
-    medium.check_cap("id101", Nd * (Nd * _ID101_DISK_PAIR_BYTES + n * _ID101_PAIR_BYTES))
-    resid = 0.0
-    for _, block in _id101_rows(kernel):
-        resid = np.maximum(resid, np.abs(block).max())  # a NaN stays
-        del block  # before the next block's product
+    blocks of _id101_rows, whose kernel blocks also fill kernel.norm_max.
+    InvalidResolution, before any transform, past MEMORY_CAP_BYTES."""
+    medium.check_cap("id101", _id101_bytes(kernel.grid.n_disk_points))
+    resid = norm = 0.0
+    for _, K, block in _id101_rows(kernel):
+        norm = np.maximum(norm, np.abs(K).max())  # a NaN stays
+        resid = np.maximum(resid, np.abs(block).max())
+        del K, block
+    kernel.norm_max = float(norm)
     return float(resid)

@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 
-from bornexact import em
+from bornexact import em, medium
 from bornexact.born import (MAGNETIC_SIGN, _PV_EDGES, _angular_grid, _incident_link,
                             _outer_vertex)
 from bornexact.errors import ConfigError
@@ -21,7 +21,7 @@ from bornexact.medium import (
     recip_key,
 )
 from bornexact.sampled import SampledProfile, _interp
-from bornexact.transfer import _assemble_v, _bblock_zft, _slab_ft
+from bornexact.transfer import _assemble_v, _bblock_zft, _slab_ft, firstorder_kernel
 
 
 _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -249,17 +249,38 @@ def dyson_matrix_ref(profile, grid):
     return D
 
 
+def dense_kernel(kernel):
+    """K of a TransferKernel on disk x disk, (Nd, Nd, 4, 4), which firstorder_kernel
+    fills in the package's blocks of medium.rows_per_block(Nd) rows."""
+    P, Nd = kernel.grid.disk_points, kernel.grid.n_disk_points
+    K = np.empty((Nd, Nd, 4, 4), dtype=complex)
+    for rows in medium.blocks(Nd, Nd):
+        K[rows] = firstorder_kernel(kernel.profile, kernel.grid.k, P[rows, None], P[None])
+    return K
+
+
 def id101_matrix_ref(kernel):
     """(M - pi) Pi_2 (M - pi) (Nd, Nd, 4, 4) as a 4x4 sandwich over 4 Nd.
 
     Same product as the blocks of transfer._id101_rows, with the whole projector Pi_2
-    of channels and the disk weights between two kernel contractions, where
-    the package contracts K U_2 with V_2 W K over 2 Nd.
+    of channels and the disk weights between two contractions of the dense K,
+    where the package contracts K U_2 with V_2 W K over 2 Nd and builds V_2 W K
+    from channel-2 cores.
     """
-    grid = kernel.grid
+    grid, K = kernel.grid, dense_kernel(kernel)
     mid = channels(grid.disk_points, grid.k)[0][1] * grid.disk_weights[:, None, None]
-    left = np.einsum("prab,rbc->prac", kernel.K, mid, optimize=True)
-    return np.einsum("prab,rqbc->pqac", left, kernel.K, optimize=True)
+    left = np.einsum("prab,rbc->prac", K, mid, optimize=True)
+    return np.einsum("prab,rqbc->pqac", left, K, optimize=True)
+
+
+def id101_dense_product(kernel):
+    """(M - pi) Pi_2 (M - pi) as (K U_2)(V_2 (W / 2) K) with both factors read off the
+    dense K, where the package builds V_2 (W / 2) K from channel-2 cores."""
+    grid, K, Nd = kernel.grid, dense_kernel(kernel), kernel.grid.n_disk_points
+    U, V, _ = em.channel_factors(grid.disk_points, grid.k)
+    right = np.einsum("rxb,rqbc->rxqc", V[1] * (0.5 * grid.disk_weights)[:, None, None], K)
+    left = np.einsum("prab,rbx->parx", K, U[1]).reshape(4 * Nd, 2 * Nd)
+    return (left @ right.reshape(2 * Nd, 4 * Nd)).reshape(Nd, 4, Nd, 4).swapaxes(1, 2)
 
 
 def first_born_ref(profile, w, d):

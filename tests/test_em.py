@@ -185,12 +185,39 @@ class TestIncidentWave:
 
     def test_vectors_computed_once_and_read_only(self):
         w = em.IncidentWave.linear(1.0, 0.7, 1.1, 0.4)
-        for name in ("k_i", "h_i"):
+        for name in ("k_i", "h_i", "e_i"):
             v = getattr(w, name)
             assert getattr(w, name) is v
             with pytest.raises(ValueError):
                 v[0] = 0.0
         assert not w.vec_k_i.flags.writeable
+
+    def test_polarization_read_only_and_caller_array_kept(self):
+        # h_i is cached from e_i, so e_i must not change under it
+        e = np.array([0.0, 2.0, 0.0])
+        w = em.IncidentWave(1.0, 0.0, 0.0, e)
+        h = w.h_i.copy()
+        with pytest.raises(ValueError):
+            w.e_i[1] = -1.0
+        assert np.array_equal(w.h_i, h)
+        e[1] = -1.0  # the wave keeps its own normalized copy
+        assert np.array_equal(w.e_i, [0.0, 1.0, 0.0])
+
+    def test_value_equality_and_hash(self):
+        w = em.IncidentWave(0.8, 1.0, 0.0, np.array([0.0, 1.0, 0.0]))
+        same = em.IncidentWave(0.8, 1.0, 0.0, [0.0, 4.0, 0.0])  # normalized to w.e_i
+        others = [em.IncidentWave(0.8, 1.0, 0.0, [0.0, -1.0, 0.0]),
+                  em.IncidentWave(0.8, 1.0, 0.0, [0.0, 1.0j, 0.0]),
+                  em.IncidentWave(0.9, 1.0, 0.0, [0.0, 1.0, 0.0]),
+                  em.IncidentWave(0.8, 1.1, 0.0, [0.0, 1.0, 0.0]),
+                  em.IncidentWave(0.8, 1.0, np.pi, [0.0, 1.0, 0.0])]
+        assert w == same and hash(w) == hash(same)
+        assert em.IncidentWave.linear(0.8, 1.0, np.pi, 0.7) == em.IncidentWave.linear(
+            0.8, 1.0, np.pi, 0.7)
+        assert all(w != o for o in others)
+        assert w != tuple(w.e_i)
+        assert len({w, same, *others}) == 1 + len(others)
+        assert same in {w}
 
     def test_grazing_raises(self):
         with pytest.raises(GrazingIncidence):

@@ -307,7 +307,7 @@ def test_patched_cap_reaches_every_guard(reference_medium, monkeypatch):
     guarded = {
         "polarizations": lambda: bornexact.second_born_amplitudes(
             reference_medium, [_WAVE], [_DET], quad),
-        "dense kernel": lambda: transfer.transfer_first_order(reference_medium, grid),
+        "transfer kernel": lambda: transfer.transfer_first_order(reference_medium, grid),
         "Dyson": lambda: transfer.dyson_second_order_norm(reference_medium, grid),
         "id101": lambda: transfer.identity_id101_residual(kern),
         "momentum grid": lambda: transfer.build_momentum_grid(0.8, 4.8, 8, 8),

@@ -38,14 +38,14 @@ from bornexact.transfer import (
     _DYSON_DISK_PAIR_BYTES,
     _DYSON_PAIR_BYTES,
     _GRID_POINT_BYTES,
+    _ID101_COLUMN_BYTES,
     _ID101_DISK_PAIR_BYTES,
     _ID101_PAIR_BYTES,
-    _KERNEL_COLUMN_BYTES,
-    _KERNEL_PAIR_BYTES,
     _assemble_v,
     _bblock_zft,
     _closed_form_t,
     _core,
+    _cores,
     _dyson_matrix,
     _id101_rows,
 )
@@ -53,9 +53,11 @@ from oracles import (
     assemble_v_ref,
     channels,
     deltaH_block,
+    dense_kernel,
     dyson_matrix_ref,
     eta2_ref,
     firstorder_kernel_ref,
+    id101_dense_product,
     id101_matrix_ref,
     zquad_kernel,
 )
@@ -107,6 +109,19 @@ class CountingProfile(TensorView):
         return self.base.recip33_ft3(q3, which)
 
 
+class NanAtTransfer(TensorView):
+    """A base medium's tensor transforms with eta_eps NaN at one transfer p - q."""
+
+    def __init__(self, base, transfer):
+        super().__init__(base)
+        self.transfer = transfer
+
+    def eta3_tensors(self, q3):
+        Te, Tm = self.base.eta3_tensors(q3)
+        at = (q3[..., :2] == self.transfer).all(axis=-1)
+        return np.where(at[..., None, None], np.nan, Te), Tm
+
+
 class ShiftedProfile(MediumProfile):
     """A z-constant medium moved by z0 along z, still z-constant.
 
@@ -152,7 +167,7 @@ def id101_matrix(kern):
     """(M - pi) Pi_2 (M - pi), (Nd, Nd, 4, 4), assembled from the row blocks of _id101_rows."""
     Nd = kern.grid.n_disk_points
     A = np.full((Nd, Nd, 4, 4), np.nan, dtype=complex)
-    for rows, block in _id101_rows(kern):
+    for rows, _, block in _id101_rows(kern):
         A[rows] = block
     return A
 
@@ -240,13 +255,13 @@ class TestKernel:
         P = grid.disk_points
         dx = P[:, None, 0] - P[None, :, 0]
         kern = transfer_first_order(reference_medium, grid)
-        below = np.abs(kern.K[dx <= ALPHA]).max()
+        below = np.abs(dense_kernel(kern)[dx <= ALPHA]).max()
         assert below == 0.0
         assert kern.norm_max > 0.0  # some transfers exceed alpha at k = 0.8
 
     def test_kernel_linear_in_eta(self, reference_medium, grid, ref_kernel):
         kern_s = transfer_first_order(reference_medium.scaled(0.25), grid)
-        assert np.abs(kern_s.K - 0.25 * ref_kernel.K).max() < 1e-18
+        assert np.abs(dense_kernel(kern_s) - 0.25 * dense_kernel(ref_kernel)).max() < 1e-18
 
     def test_zft_equals_zquad(self, reference_medium, gausserf_medium, control_medium):
         # 25 pairs on each side of the support edge p_x - q_x = alpha, so
@@ -340,37 +355,42 @@ class TestKernel:
         with pytest.raises(InvalidResolution):
             transfer_first_order(reference_medium, grid, memory_cap_bytes=1024)
 
-    def test_chunked_kernel_within_cap(self, control_medium, grid):
-        # the guard's boundary: K plus one block of rows (36.2 MiB at n_disk
-        # 8) runs within a cap of exactly that, and 1 byte less is refused
+    def test_chunked_kernel_within_cap(self, control_medium, grid, monkeypatch):
+        # the guard's boundary: the readers' largest working set, id101's right
+        # plus one kernel block (28.5 MiB at n_disk 8), is accepted at a cap
+        # of exactly that and id101 runs within it; 1 byte less is refused
         # before any transform
         Nd = grid.n_disk_points
         rows = min(BLOCK_POINTS // Nd, Nd)
-        cap = (4 * Nd) ** 2 * 16 + Nd * (_KERNEL_COLUMN_BYTES + rows * _KERNEL_PAIR_BYTES)
-        uncapped = transfer_first_order(control_medium, grid)
+        cap = Nd * (Nd * _ID101_DISK_PAIR_BYTES + rows * _ID101_PAIR_BYTES + _ID101_COLUMN_BYTES)
+        at_cap = transfer_first_order(control_medium, grid, memory_cap_bytes=cap)
+        monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", cap)
         tracemalloc.start()
         try:
-            at_cap = transfer_first_order(control_medium, grid, memory_cap_bytes=cap)
+            identity_id101_residual(at_cap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(at_cap.K, uncapped.K)
         assert peak <= cap
         medium = CountingProfile(control_medium)
-        with pytest.raises(InvalidResolution, match=r"dense kernel needs 37 MiB > cap 36 MiB"):
+        with pytest.raises(InvalidResolution, match=r"transfer kernel needs 29 MiB > cap 28 MiB"):
             transfer_first_order(medium, grid, memory_cap_bytes=cap - 1)
         assert medium.points == 0
 
-    def test_working_set_of_one_call(self, control_medium, grid):
-        # K plus one block of rows
-        transfer_first_order(control_medium, grid)
+    def test_working_set_of_one_call(self, control_medium):
+        # the kernel evaluates nothing until it is read; a dense K at n_disk
+        # 16 would take 256 MiB
+        g = build_momentum_grid(K, 6 * K, 16, 0)
+        medium = CountingProfile(control_medium)
         tracemalloc.start()
         try:
-            K = transfer_first_order(control_medium, grid).K
+            kern = transfer_first_order(medium, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= K.nbytes + 20 * 2**20
+        assert medium.points == 0
+        assert peak < 2**20
+        assert sorted(vars(kern)) == ["grid", "profile"]
 
     def test_sampled_kernel_within_cap(self, control_medium, grid):
         # the sampled transforms sum their z-slices one at a time, so the
@@ -380,12 +400,36 @@ class TestKernel:
         cap = 64 * 2**20
         tracemalloc.start()
         try:
-            kern = transfer_first_order(samp, grid, memory_cap_bytes=cap)
+            norm = transfer_first_order(samp, grid, memory_cap_bytes=cap).norm_max
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert kern.norm_max > 0
+        assert norm > 0
         assert peak <= cap
+
+    @pytest.mark.parametrize("case", ["compliant", "control"])
+    def test_norm_max_is_max_of_dense_kernel(self, case, reference_medium, control_medium, grid):
+        medium = {"compliant": reference_medium, "control": control_medium}[case]
+        kern = transfer_first_order(medium, grid)
+        assert kern.norm_max > 0
+        assert np.array_equal(kern.norm_max, np.abs(dense_kernel(kern)).max())
+
+    @pytest.mark.parametrize("case", ["cut", "tensor"])
+    def test_one_channel_cores_are_slices(self, case, control_medium, grid):
+        # _cores follows the channels of the factors it is given, also where
+        # each channel pair is its own _core call (the cut is not z-constant)
+        medium = cut_control(control_medium) if case == "cut" else TensorView(control_medium)
+        P = grid.disk_points[::8]
+        p, q = P[:, None], P[None]
+        fp, fq = em.channel_factors(p, K), em.channel_factors(q, K)
+        a = _cores(medium, K, p, q, fp, fq)
+        assert np.abs(a).max() > 0
+        for j in (0, 1):
+            one = [f[j:j + 1] for f in fp]
+            assert np.array_equal(_cores(medium, K, p, q, one, fq), a[:, j:j + 1])
+        for l in (0, 1):
+            one = [f[l:l + 1] for f in fq]
+            assert np.array_equal(_cores(medium, K, p, q, fp, one), a[..., l:l + 1, :])
 
     # z-constant media take one block per pair, scaled per channel pair by
     # the slab transform; the sampled cut takes four 3D evaluations per pair.
@@ -412,7 +456,7 @@ class TestKernel:
     def test_kernel_matches_oracle(self, oracle_case):
         medium, g, _ = oracle_case
         P = g.disk_points
-        K1 = transfer_first_order(medium, g).K
+        K1 = dense_kernel(transfer_first_order(medium, g))
         ref = firstorder_kernel_ref(medium, g.k, P[:, None], P[None])
         assert np.abs(ref).max() > 0
         assert np.abs(K1 - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -430,15 +474,16 @@ class TestKernel:
             assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_transform_points_per_branch(self, reference_medium, control_medium, grid):
-        # z-constant media take one frequency per pair, the sampled cut four.
-        # With a scalar form a frequency reads s and the eps reciprocal, and
-        # no eta_mu symbol; the tensor route reads eta3 and both reciprocals
+        # on norm_max's pass, z-constant media take one frequency per pair,
+        # the sampled cut four.  With a scalar form a frequency reads s and the
+        # eps reciprocal, and no eta_mu symbol; the tensor route reads eta3
+        # and both reciprocals
         n_pairs = grid.n_disk_points**2
         points = []
         for base in (reference_medium, control_medium, cut_control(control_medium),
                      TensorView(reference_medium)):
             medium = CountingProfile(base)
-            transfer_first_order(medium, grid)
+            transfer_first_order(medium, grid).norm_max
             points.append(medium.points)
         assert points == [2 * n_pairs, 2 * n_pairs, 3 * 4 * n_pairs, 3 * n_pairs]
 
@@ -491,7 +536,7 @@ class TestScalarRoute:
         g = build_momentum_grid(k, 6 * k, 8, 0)
         w = IncidentWave.linear(k, 1.0, np.pi, 0.7)
         tensor = TensorView(scalar_medium)
-        K1, ref = (transfer_first_order(m, g).K for m in (scalar_medium, tensor))
+        K1, ref = (dense_kernel(transfer_first_order(m, g)) for m in (scalar_medium, tensor))
         assert np.abs(ref).max() > 0
         assert np.abs(K1 - ref).max() <= 1e-13 * np.abs(ref).max()
         for t, t_ref in zip(_closed_form_t(scalar_medium, w, g.disk_points),
@@ -548,16 +593,57 @@ class TestId101:
         if pinned is not None:
             assert np.abs(A).max() == pytest.approx(pinned, rel=1e-13)
 
-    def test_nan_reaches_residual_and_norm(self, ref_kernel):
-        # one NaN in the last block of rows: a max over blocks must not drop it
-        K = ref_kernel.K.copy()
-        K[-1, 0, 0, 0] = np.nan
-        kern = transfer.TransferKernel(ref_kernel.grid, ref_kernel.profile, K)
-        assert np.isnan(kern.norm_max)
+    def test_nan_reaches_residual_and_norm(self, reference_medium, grid):
+        # one NaN transfer, in the last block of rows and in the last block of
+        # right: a max over blocks must not drop it, read first or after id101
+        P = grid.disk_points
+        medium = NanAtTransfer(reference_medium, P[-1] - P[0])
+        nan_pairs = np.isnan(dense_kernel(transfer_first_order(medium, grid))).any(axis=(2, 3))
+        assert np.array_equal(np.argwhere(nan_pairs), [[len(P) - 1, 0]])
+        assert np.isnan(transfer_first_order(medium, grid).norm_max)
+        kern = transfer_first_order(medium, grid)
         assert np.isnan(identity_id101_residual(kern))
+        assert np.isnan(kern.norm_max)
+
+    def test_norm_max_after_id101_evaluates_nothing(self, control_medium, grid):
+        medium = CountingProfile(control_medium)
+        kern = transfer_first_order(medium, grid)
+        identity_id101_residual(kern)
+        points = medium.points
+        norm = kern.norm_max
+        assert medium.points == points
+        assert norm == transfer_first_order(control_medium, grid).norm_max
+
+    # V_2 (W / 2) K from channel-2 cores moves the product off the two-factor
+    # form of the dense K by its sum order only, also at one transform point
+    # per block and one block for everything
+    @pytest.mark.parametrize("case, block", [
+        *((case, None) for case in ("vacuum", "compliant", "compliant_k12", "gausserf",
+                                    "control", "control_shifted", "tensor")),
+        *((case, block) for block in (1, 10**9) for case in ("compliant", "compliant_k12",
+                                                             "control"))])
+    def test_matches_dense_product(self, case, block, monkeypatch, reference_medium,
+                                   gausserf_medium, control_medium):
+        medium, k = {
+            "vacuum": (vacuum_profile(), K),
+            "compliant": (reference_medium, K),
+            "compliant_k12": (reference_medium, 1.2),
+            "gausserf": (gausserf_medium, K),
+            "control": (control_medium, K),
+            "control_shifted": (ShiftedProfile(control_medium, 0.7), K),
+            "tensor": (TensorView(control_medium), K),
+        }[case]
+        if block is not None:
+            monkeypatch.setattr("bornexact.medium.BLOCK_POINTS", block)
+        kern = transfer_first_order(medium, build_momentum_grid(k, 6 * k, 8, 0))
+        A, ref = id101_matrix(kern), id101_dense_product(kern)
+        resid, scale = identity_id101_residual(kern), kern.norm_max**2
+        assert np.array_equal(A == 0, ref == 0)
+        assert np.abs(A - ref).max() <= 1e-14 * scale
+        assert abs(resid - np.abs(ref).max()) <= 1e-14 * scale
 
     def test_working_set_within_model(self, control_medium, grid):
-        # right plus one block of rows; the whole product took 32.1 MiB
+        # right plus one kernel block; with K held as well it took 32.3 MiB
         kern = transfer_first_order(control_medium, grid)
         Nd = grid.n_disk_points
         tracemalloc.start()
@@ -567,19 +653,23 @@ class TestId101:
         finally:
             tracemalloc.stop()
         n = min(BLOCK_POINTS // Nd, Nd)
-        assert peak <= Nd * (Nd * _ID101_DISK_PAIR_BYTES + n * _ID101_PAIR_BYTES) < 2**25
+        model = Nd * (Nd * _ID101_DISK_PAIR_BYTES + n * _ID101_PAIR_BYTES + _ID101_COLUMN_BYTES)
+        assert peak <= model < 2**25
 
-    def test_memory_guard_before_allocating(self, ref_kernel, monkeypatch):
-        # the estimate at n_disk 8 is 8 MiB of right plus 10 MiB for one block
+    def test_memory_guard_before_allocating(self, control_medium, grid, monkeypatch):
+        # the estimate at n_disk 8 is 8 MiB of right plus 20.5 MiB for one block
+        medium = CountingProfile(control_medium)
+        kern = transfer_first_order(medium, grid)
         monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 16 * 2**20)
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidResolution, match=r"id101 needs 18 MiB > cap 16 MiB"):
-                identity_id101_residual(ref_kernel)
+            with pytest.raises(InvalidResolution, match=r"id101 needs 29 MiB > cap 16 MiB"):
+                identity_id101_residual(kern)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < ref_kernel.K.nbytes // 16
+        assert peak < 2**20
+        assert medium.points == 0
 
 
 class TestDyson:
@@ -733,7 +823,7 @@ class TestSolve:
 
         def residual(kern):
             t_minus, t_plus = disk_t(solve_T(kern, W_TILTED))
-            Kw_t = np.einsum("pqab,q,qb->pa", kern.K, grid.disk_weights, t_minus)
+            Kw_t = np.einsum("pqab,q,qb->pa", dense_kernel(kern), grid.disk_weights, t_minus)
             r = np.abs(np.einsum("pab,pb->pa", P2, Kw_t)).max()
             return r / max(np.abs(t_plus).max(), np.abs(t_minus).max())
 
@@ -759,9 +849,10 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # beyond its outputs, per point of one block (n_disk 16 to 128): 1.23-1.48
+        # kB scalar, 1.62-1.68 kB tensor, 1.65-1.75 kB sampled
         n = g.n_disk_points
-        block = min(n, BLOCK_POINTS) * (_KERNEL_PAIR_BYTES + _KERNEL_COLUMN_BYTES)
-        assert peak <= n * 8 * 16 + block
+        assert peak <= n * 8 * 16 + min(n, BLOCK_POINTS) * 8 * 256
 
     def test_working_set_of_one_call(self, gausserf_medium):
         # outputs plus one block: 65536 points at once took 76 MiB, the
@@ -814,8 +905,8 @@ class TestBlockSizeInvariance:
         def run():
             kern = transfer_first_order(medium, g)
             t_minus, t_plus = disk_t(solve_T(None, w, profile=medium, grid=g))
-            return (kern.K, id101_matrix(kern), identity_id101_residual(kern), kern.norm_max,
-                    t_minus, t_plus)
+            return (dense_kernel(kern), id101_matrix(kern), identity_id101_residual(kern),
+                    kern.norm_max, t_minus, t_plus)
 
         one, whole = self.at_blocks(monkeypatch, run)
         assert np.any(whole[0])
