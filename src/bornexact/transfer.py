@@ -300,26 +300,22 @@ def transfer_first_order(
 # second-order Dyson diagnostic
 
 
-# _dyson_matrix holds T and its GEMM buffer, 16 complex per disk pair each,
-# and E_pq, 4; then T and D.  Beyond those, the traced peak (n_disk 8, 12, 16;
-# n_box 8 to 20) is 1.25-1.31 kB per (disk, intermediate) pair of one block
-# with scalar cores, 1.67-1.72 kB on the tensor route
-_DYSON_PAIR_BYTES, _DYSON_DISK_PAIR_BYTES = 7 * 256, 36 * 16
+# _dyson_rows holds T, 16 complex per disk pair, and E_pq, 4, plus one block's cores and one
+# chunk product: traced 1.00-1.05 kB per (disk, intermediate) pair of one block with scalar
+# cores, 1.41-1.47 kB on the tensor route (n_disk 8, 12, 16; n_box 8, 20)
+_DYSON_PAIR_BYTES, _DYSON_DISK_PAIR_BYTES = 6 * 256, 20 * 16
 
 
-def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
-    """Projected second-order Dyson term D(p, q), (Nd, Nd, 4, 4), from the cores of _core.
+def _dyson_rows(profile: MediumProfile, grid: MomentumGrid):
+    """Projected second-order Dyson term D(p, q) from the cores of _core, in blocks of rows.
 
-    The intermediates r are summed in blocks of medium.BLOCK_POINTS (p, r)
-    pairs: per block, the cores, the w1 floor and the phases of that block,
-    and both GEMMs into one buffer, accumulated into T (E(omega_j(p) -
-    omega_l(q)) applied per block); T is projected to D in blocks of rows.
+    Sums the intermediates r in blocks of medium.BLOCK_POINTS (p, r) pairs, with each block's
+    cores, w1 floor and phases only; both GEMMs land in T by the rows p of medium.blocks(Nd,
+    Nd), the first scaled by E(omega_j(p) - omega_l(q)).  Yields (rows, D[rows]) by those rows.
     """
     if not profile.z_constant:
-        raise UnsupportedProfile(
-            "second-order Dyson diagnostic needs a z-constant profile; "
-            f"{type(profile).__name__} is not"
-        )
+        raise UnsupportedProfile("second-order Dyson diagnostic needs a z-constant profile; "
+                                 f"{type(profile).__name__} is not")
     Pd, Pr, k = grid.disk_points, grid.points, grid.k
     Nd, Nr = len(Pd), len(Pr)
     if Nd == Nr:
@@ -328,7 +324,7 @@ def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
     medium.check_cap("Dyson", Nd * (Nd * _DYSON_DISK_PAIR_BYTES + n_r * _DYSON_PAIR_BYTES))
     a_lo, a_hi = profile.slab
     fd, fr = em.channel_factors(Pd, k), em.channel_factors(Pr, k)
-    Ud, Vd, wd = fd
+    rows = medium.blocks(Nd, Nd)
 
     def at(f, axis):  # factors of the points laid out as Pd[:, None] (axis 2) or Pd[None] (1)
         return tuple(np.expand_dims(x, axis) for x in f)
@@ -336,31 +332,35 @@ def _dyson_matrix(profile: MediumProfile, grid: MomentumGrid) -> np.ndarray:
     def gap(wp, wq):  # omega(p) - omega(q), laid out (p, j, 1, q, m, 1)
         return (wp.T[:, :, None, None] - wq.T)[:, :, None, :, :, None]
 
-    E_pq = _slab_ft(gap(wd, wd), a_lo, a_hi)
-    T = np.zeros((4 * Nd, 4 * Nd), dtype=complex)
-    buf = np.empty_like(T)
-    buf6 = buf.reshape(Nd, 2, 2, Nd, 2, 2)  # a view, to apply E_pq in place
+    def chunks(a, b):  # rows p, T[p] and the block's GEMM a b at rows p, laid out like T[p]
+        b = b.reshape(-1, 4 * Nd)
+        for p in rows:
+            yield p, T[p], (a[p].reshape(-1, len(b)) @ b).reshape(-1, 2, 2, Nd, 2, 2)
+
+    E_pq = _slab_ft(gap(fd[2], fd[2]), a_lo, a_hi)
+    T = np.zeros((Nd, 2, 2, Nd, 2, 2), dtype=complex)
     for r in medium.blocks(Nr, Nd):
         fb = tuple(f[:, r] for f in fr)
         a = _core(profile, k, Pd[:, None], Pr[None, r], at(fd, 2), at(fb, 1), 0.0, a_hi - a_lo)
         b = _core(profile, k, Pr[r, None], Pd[None], at(fb, 2), at(fd, 1), 0.0, a_hi - a_lo)
-        w1 = gap(fb[2], wd)
+        w1 = gap(fb[2], fd[2])
         w1 = np.where(np.abs(w1) < 1e-9 * k, 1e-9 * k, w1)
         b *= grid.weights[r, None, None, None, None, None] / (1j * w1)
-        np.matmul(a.reshape(4 * Nd, -1), b.reshape(-1, 4 * Nd), out=buf)
-        buf6 *= E_pq
-        T += buf
-        a *= _slab_ft(gap(wd, fb[2]), a_lo, a_hi)
+        for p, T_p, ab in chunks(a, b):
+            ab *= E_pq[p]
+            T_p += ab
+            del ab  # before the next chunk's product
+        a *= _slab_ft(gap(fd[2], fb[2]), a_lo, a_hi)
         b *= np.exp(1j * w1 * a_lo)
-        np.matmul(a.reshape(4 * Nd, -1), b.reshape(-1, 4 * Nd), out=buf)
-        T -= buf
-    del a, b, buf, buf6
-    T = T.reshape(Nd, 2, 2, Nd, 2, 2)
-    D = np.empty((Nd, Nd, 4, 4), dtype=complex)
-    for p in medium.blocks(Nd, Nd):
-        D[p] = np.einsum("jpax,pjxqlz,lqzb->pqab", Ud[:, p], T[p], Vd, optimize=True)
-    D /= -8.0
-    return D
+        for _, T_p, ab in chunks(a, b):
+            T_p -= ab
+            del ab
+        del a, b  # before the next block's cores
+    del E_pq
+    for p in rows:
+        D = np.einsum("jpax,pjxqlz,lqzb->pqab", fd[0][:, p], T[p], fd[1], optimize=True)
+        D /= -8.0
+        yield p, D
 
 
 def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float:
@@ -382,17 +382,17 @@ def dyson_second_order_norm(profile: MediumProfile, grid: MomentumGrid) -> float
                                   - sum_r E(omega_j(p) - omega_m(r)) G_ml e^{i w1 a_lo}],
         G_ml = C(p, r) Pi_m(r) C(r, q) Pi_l(q) weight_r / (i w1).
 
-    C reduces to the rank-2 cores a_jm(p, r) and b_ml(r, q) of _core, which
-    absorb the r-dependent factors; the two r-sums are complex GEMMs over
-    blocks of intermediates, at most medium.BLOCK_POINTS (p, r) pairs each,
-    accumulated into T_jl(p, q), and D = -(1/8) sum_{j,l} U_j(p) T_jl(p, q) V_l(q).
+    C reduces to the rank-2 cores a_jm(p, r) and b_ml(r, q) of _core, which absorb the
+    r-dependent factors; the two r-sums are complex GEMMs over blocks of intermediates, at
+    most medium.BLOCK_POINTS (p, r) pairs each, that land in T_jl(p, q) by rows.  D = -(1/8)
+    sum_{j,l} U_j(p) T_jl(p, q) V_l(q) is formed in blocks of rows; their max keeps a NaN.
 
     Known limit: the Cartesian outer box is invariant only under quarter
     turns, so the result depends on the medium's orientation.  On
     build_momentum_grid(0.8, 4.8, 8, 8) the Gaussian control reads 8.707
     unrotated and 2027 after rotate_to_x(control, (0.6, 0.8)).
     """
-    return float(np.abs(_dyson_matrix(profile, grid)).max())
+    return float(np.max([np.abs(D).max() for _, D in _dyson_rows(profile, grid)]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from bornexact.medium import (
     recip_key,
 )
 from bornexact.sampled import SampledProfile, _interp
-from bornexact.transfer import _assemble_v, _bblock_zft, _slab_ft, firstorder_kernel
+from bornexact.transfer import (_assemble_v, _bblock_zft, _dyson_rows, _slab_ft,
+                                firstorder_kernel)
 
 
 _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -206,7 +207,7 @@ def zquad_kernel(profile, k, p, q, nz=48):
 def dyson_matrix_ref(profile, grid):
     """The full second-order Dyson term D (Nd, Nd, 4, 4) from 4x4 projectors.
 
-    Same sum as transfer._dyson_matrix, with the projectors Pi_j of
+    Same sum as transfer._dyson_rows, with the projectors Pi_j of
     channels kept whole: for each intermediate channel m and disk channel
     l it forms A_m = C(p, r) Pi_m(r) and B_ml = C(r, q) Pi_l(q) weight_r /
     (i w1), and contracts them over r eight times, where the package reduces
@@ -246,6 +247,16 @@ def dyson_matrix_ref(profile, grid):
             inner = sum(E(wj[:, None] - wl[None, :]) * Ml for wl, Ml in zip(wd, M))
             inner -= contract(A * E(wj[:, None] - wm[None, :]), H)
             D -= Pj[:, None] @ inner  # (-i)^2 overall
+    return D
+
+
+def dyson_matrix(profile, grid):
+    """D of transfer._dyson_rows on disk x disk, (Nd, Nd, 4, 4), stacked from its
+    blocks of rows."""
+    Nd = grid.n_disk_points
+    D = np.empty((Nd, Nd, 4, 4), dtype=complex)
+    for rows, block in _dyson_rows(profile, grid):
+        D[rows] = block
     return D
 
 

@@ -33,7 +33,7 @@ from bornexact.errors import (
     StraddlesSupportEdge,
     UnsupportedProfile,
 )
-from bornexact.medium import BLOCK_POINTS, MediumProfile
+from bornexact.medium import BLOCK_POINTS, MediumProfile, blocks
 from bornexact.transfer import (
     _DYSON_DISK_PAIR_BYTES,
     _DYSON_PAIR_BYTES,
@@ -46,7 +46,7 @@ from bornexact.transfer import (
     _closed_form_t,
     _core,
     _cores,
-    _dyson_matrix,
+    _dyson_rows,
     _id101_rows,
 )
 from oracles import (
@@ -54,6 +54,7 @@ from oracles import (
     channels,
     deltaH_block,
     dense_kernel,
+    dyson_matrix,
     dyson_matrix_ref,
     eta2_ref,
     firstorder_kernel_ref,
@@ -554,7 +555,7 @@ class TestScalarRoute:
                                 build_momentum_grid(K, 6 * K, 8, 8)),
             "compliant_k12": (reference_medium, build_momentum_grid(1.2, 7.2, 8, 8)),
         }[case]
-        D, ref = _dyson_matrix(medium, grid), _dyson_matrix(TensorView(medium), grid)
+        D, ref = dyson_matrix(medium, grid), dyson_matrix(TensorView(medium), grid)
         assert np.abs(ref).max() > 0
         assert np.abs(D - ref).max() <= rel * np.abs(ref).max()
 
@@ -735,7 +736,7 @@ class TestDyson:
             "control_rotated": (rotate_to_x(control_medium, (0.6, 0.8)), small_box),
             "compliant_k12": (reference_medium, build_momentum_grid(1.2, 7.2, 8, 8)),
         }[case]
-        D = _dyson_matrix(medium, grid)
+        D = dyson_matrix(medium, grid)
         ref = dyson_matrix_ref(medium, grid)
         assert D.shape == ref.shape == (grid.n_disk_points,) * 2 + (4, 4)
         assert np.abs(ref).max() > 0
@@ -756,31 +757,61 @@ class TestDyson:
             dyson_second_order_norm(medium, build_momentum_grid(K, 6 * K, 64, 256))
         assert medium.points == 0
 
+    @staticmethod
+    def traced_peak(profile, grid):
+        tracemalloc.start()
+        try:
+            dyson_second_order_norm(profile, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("route", ["scalar", "tensor"])
     def test_working_set_within_model(self, control_medium, route):
         g = build_momentum_grid(K, 6 * K, 8, 8)
         medium = control_medium if route == "scalar" else TensorView(control_medium)
         Nd, Nr = g.n_disk_points, g.points.shape[0]
-        tracemalloc.start()
-        try:
-            _dyson_matrix(medium, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         n_r = min(BLOCK_POINTS // Nd, Nr)
-        assert peak <= Nd * (Nd * _DYSON_DISK_PAIR_BYTES + n_r * _DYSON_PAIR_BYTES)
+        model = Nd * (Nd * _DYSON_DISK_PAIR_BYTES + n_r * _DYSON_PAIR_BYTES)
+        assert self.traced_peak(medium, g) <= model
 
     def test_working_set_of_one_call(self, control_medium, small_box, monkeypatch):
-        # T, its GEMM buffer and one block of intermediates; whole (256 x 320)
-        # cores took 82 MiB.  The guard's estimate is 64 MiB
-        monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 64 * 2**20)
-        tracemalloc.start()
-        try:
-            _dyson_matrix(control_medium, small_box)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 60 * 2**20
+        # T (16 MiB), E_pq, one block of intermediates and one chunk product; T,
+        # its GEMM buffer and the whole D took 55.6 MiB, and whole (256 x 320)
+        # cores 82 MiB.  The guard's estimate is 44 MiB
+        monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 44 * 2**20)
+        assert self.traced_peak(control_medium, small_box) <= 40 * 2**20
+
+    def test_working_set_at_n_disk_12(self, control_medium, monkeypatch):
+        # T alone is 81 MiB here, so a second (4 Nd)^2 array breaks the bound; T,
+        # its GEMM buffer and the whole D took 201.9 MiB.  The guard's estimate
+        # is 125 MiB
+        monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 125 * 2**20)
+        g = build_momentum_grid(K, 6 * K, 12, 8)
+        assert self.traced_peak(control_medium, g) <= 125 * 2**20
+
+    def test_blocks_are_rows_and_their_max_is_the_norm(self, control_medium, small_box,
+                                                        control_norm):
+        Nd = small_box.n_disk_points
+        rows, norms = [], []
+        for r, block in _dyson_rows(control_medium, small_box):
+            assert block.shape == (len(range(Nd)[r]), Nd, 4, 4)
+            rows.append(r)
+            norms.append(np.abs(block).max())
+        assert rows == blocks(Nd, Nd) and len(rows) > 1
+        assert max(norms) == control_norm
+
+    def test_nan_reaches_norm(self, reference_medium, small_box):
+        # one NaN transfer, from the last disk point p (in the last block of rows)
+        # to the last intermediate r (in the last block of intermediates); by the
+        # grid's half-turn symmetry it is also the transfer from -r to -p.  Each
+        # block's max is then NaN, which a Python max over blocks drops, as
+        # max(0.0, nan) is 0.0
+        Pd, Pr = small_box.disk_points, small_box.points
+        at = Pd[-1] - Pr[-1]
+        assert np.array_equal(np.argwhere((Pd[:, None] - Pr[None] == at).all(-1)),
+                              [[len(Pd) - 1, len(Pr) - 1]])
+        assert np.isnan(dyson_second_order_norm(NanAtTransfer(reference_medium, at), small_box))
 
     def test_sampled_unsupported(self, reference_medium, grid_with_box):
         samp = sample_profile(
@@ -929,7 +960,7 @@ class TestBlockSizeInvariance:
 
         def run():
             media.append(CountingProfile(base))
-            return _dyson_matrix(media[-1], grid)
+            return dyson_matrix(media[-1], grid)
 
         one, whole = self.at_blocks(monkeypatch, run)
         assert np.any(whole) == (case != "compliant")
