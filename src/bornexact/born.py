@@ -17,6 +17,7 @@ unmodulated Gaussian control supplies the nonzero contrast baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -198,8 +199,17 @@ class QuadratureSpec:
                        n_phi=2 * self.n_phi)
 
 
+@cache
+def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], computed once, read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _angular_grid(spec: QuadratureSpec):
-    mu, wmu = np.polynomial.legendre.leggauss(spec.n_mu)
+    mu, wmu = _leggauss(spec.n_mu)
     phi = (np.arange(spec.n_phi) + 0.5) * 2 * np.pi / spec.n_phi
     st = np.sqrt(1.0 - mu**2)
     dirs = np.stack(
@@ -216,7 +226,7 @@ def _angular_grid(spec: QuadratureSpec):
 
 def _radial_panels(spec: QuadratureSpec, k: float):
     """Gauss-Legendre (nodes, weights) of each radial panel, and p_max."""
-    xg, wg = np.polynomial.legendre.leggauss(spec.n_radial)
+    xg, wg = _leggauss(spec.n_radial)
     edges = np.append(k * _PV_EDGES, spec.p_max_over_k * k)
     panels = [(0.5 * (b - a) * xg + 0.5 * (a + b), 0.5 * (b - a) * wg)
               for a, b in zip(edges[:-1], edges[1:])]

@@ -651,7 +651,7 @@ def support_report(
         ee, em = profile.eval_eta(np.stack(np.broadcast_arrays(*xyz), axis=-1).reshape(-1, 3))
         return max(np.abs(ee).max(), np.abs(em).max())
 
-    edge_mag = eta_max(X, y[:, None], zs[None, :])
+    edge_mag = max(eta_max(X, y, z) for z in zs)  # ny points at a time, not ny nz
     center_mag = max(eta_max(0.0, 0.0, 0.5 * (z0 + z1)), 1e-300)
     if edge_mag > _WINDOW_TOL * center_mag:
         raise WindowTooSmall(

@@ -222,9 +222,13 @@ def _core(profile: MediumProfile, k: float, p, q, fp, fq, w, width: float = 1.0)
     pp = p[..., :, None] * p[..., None, :] - k * k * np.eye(2)
     rp = (c * profile.recip33_ft3(q3, "eps"))[..., None] * p
     qw = q[..., None, :] / np.moveaxis(wq, 0, -1)[..., None]  # (P, ..., l, y)
-    return np.add(np.moveaxis(sw, -1, 1)[:, :, None, ..., None, None]
-                  * np.moveaxis(pp, -2, 1)[:, None, ..., None, :],
-                  np.moveaxis(rp, -1, 1)[:, None, ..., None, None] * qw[:, None, None], order="C")
+    sp = np.moveaxis(sw, -1, 1)[:, :, None, ..., None, None]
+    pq = np.moveaxis(pp, -2, 1)[:, None, ..., None, :]
+    rq = np.moveaxis(rp, -1, 1)[:, None, ..., None, None] * qw[:, None, None]
+    a = np.multiply(sp, pq, out=np.empty(np.broadcast_shapes(sp.shape, pq.shape, rq.shape),
+                                         dtype=complex))
+    a += rq
+    return a
 
 
 def _cores(profile: MediumProfile, k: float, p, q, fp, fq):
@@ -256,10 +260,14 @@ def firstorder_kernel(profile: MediumProfile, k: float, p, q):
     shape = np.broadcast_shapes(np.shape(p), np.shape(q))
     p, q = (np.asarray(x, float)[(None,) * (max(len(shape), 2) - np.ndim(x))] for x in (p, q))
     fp, fq = em.channel_factors(p, k), em.channel_factors(q, k)
-    K = np.einsum("jp...ax,pjx...ly,lp...yb->p...ab", -0.25j * fp[0],
-                  _cores(profile, k, p, q, fp, fq), fq[1],
-                  optimize=["einsum_path", (0, 1), (0, 1)])
-    return K.reshape(shape[:-1] + (4, 4))
+    return _kernel_of_cores(fp, _cores(profile, k, p, q, fp, fq), fq).reshape(shape[:-1] + (4, 4))
+
+
+def _kernel_of_cores(fp, a, fq):
+    """K = -(i/4) sum_{j,l} U_j(p) a_jl V_l(q) from the cores a of _cores and the
+    channel_factors of their momenta, (P, ..., 4, 4)."""
+    return np.einsum("jp...ax,pjx...ly,lp...yb->p...ab", -0.25j * fp[0], a, fq[1],
+                     optimize=["einsum_path", (0, 1), (0, 1)])
 
 
 @dataclass
@@ -507,49 +515,66 @@ def amplitude_from_T(sol: TSolution, d: DetectorDirection, mode: str = "exact"):
     return xi_contract(d, (4 * np.pi**2) * t, k, t_side=side)
 
 
-# id101 holds right, 8 complex per disk pair, and one block, where firstorder_kernel
-# outlasts left and the product: traced 1.02-1.10 kB per block pair plus 1.3-1.6 kB
-# per column q (n_disk 8, 12; 4 to 32 rows; scalar, tensor, sampled)
-_ID101_PAIR_BYTES, _ID101_DISK_PAIR_BYTES, _ID101_COLUMN_BYTES = 5 * 256, 8 * 16, 8 * 256
+# id101 holds right, 8 complex per disk pair, and one block's left, 8 complex per pair of
+# medium.rows_per_block(Nd) rows, plus the cores and K of one quarter block of rows or one
+# quarter block's product: traced 1.0-1.5 kB per quarter block pair (scalar, tensor and
+# four-frequency cores) plus 0.4-1.1 kB per column q (n_disk 8, 12; 1 to 16 rows)
+_ID101_DISK_PAIR_BYTES, _ID101_PAIR_BYTES, _ID101_QUARTER_PAIR_BYTES, _ID101_COLUMN_BYTES = \
+    8 * 16, 8 * 16, 6 * 256, 4 * 256
 
 
 def _id101_bytes(Nd: int) -> int:
-    n = min(medium.rows_per_block(Nd), Nd)
-    return Nd * (Nd * _ID101_DISK_PAIR_BYTES + n * _ID101_PAIR_BYTES + _ID101_COLUMN_BYTES)
+    n, s = (min(medium.rows_per_block(w), Nd) for w in (Nd, 4 * Nd))
+    return Nd * (Nd * _ID101_DISK_PAIR_BYTES + n * _ID101_PAIR_BYTES
+                 + s * _ID101_QUARTER_PAIR_BYTES + _ID101_COLUMN_BYTES)
 
 
 def _id101_rows(kernel: TransferKernel):
     """(M - pi) Pi_2 (M - pi) on the disk grid, (K U_2)(V_2 (W / 2) K) with W the disk
-    weights.  right = V_2 (W / 2) K = -(i/4) W sum_l a_2l(r, q) V_l(q), as V_j U_m =
-    2 delta_jm, is built once from channel-2 cores; then per block of
-    medium.rows_per_block(Nd) rows, K[rows] from firstorder_kernel and one GEMM over
-    the 2 Nd index (r, x).  Yields (rows, K[rows], block), block (len(rows), Nd, 4, 4)."""
+    weights, from channel cores; as V_j U_m = 2 delta_jm, K U_2 = -(i/2) sum_j U_j(p)
+    a_j2(p, r) and V_2 (W / 2) K = -(i/4) W sum_l a_2l(r, q) V_l(q).  right is built once
+    from channel-2 cores.  Per block of medium.rows_per_block(Nd) rows, left is the l = 2
+    slice of the block's cores, which also give max|K[rows]|, evaluated in quarter blocks
+    of rows; one GEMM over the 2 Nd index (r, x) per quarter block of columns.  Yields
+    (rows, cols, max|K[rows]|, block), block (len(rows), len(cols), 4, 4)."""
     grid, profile = kernel.grid, kernel.profile
     P, k, Nd = grid.disk_points, grid.k, grid.n_disk_points
     fq = em.channel_factors(P[None], k)
     right = np.empty((Nd, 2, Nd, 4), dtype=complex)
-    for r in medium.blocks(Nd, Nd):
+    for r in medium.blocks(Nd, 4 * Nd):
         f2 = [f[1:] for f in em.channel_factors(P[r, None], k)]
         right[r] = np.einsum("rxqly,lqyb->rxqb", _cores(profile, k, P[r, None], P[None], f2,
                                                         fq)[:, 0], fq[1][:, 0], optimize=True)
     right *= (-0.25j * grid.disk_weights)[:, None, None, None]
     right = right.reshape(2 * Nd, 4 * Nd)
     for rows in medium.blocks(Nd, Nd):
-        K = firstorder_kernel(profile, k, P[rows, None], P[None])
-        left = np.einsum("prab,rbx->parx", K, fq[0][1, 0], optimize=True).reshape(-1, 2 * Nd)
-        yield rows, K, (left @ right).reshape(-1, 4, Nd, 4).swapaxes(1, 2)
-        del K, left  # before the next block's kernel
+        Pb = P[rows]
+        left = np.empty((len(Pb), 4, Nd, 2), dtype=complex)
+        norm = 0.0
+        for s in medium.blocks(len(Pb), 4 * Nd):
+            fp = em.channel_factors(Pb[s, None], k)
+            a = _cores(profile, k, Pb[s, None], P[None], fp, fq)
+            norm = np.maximum(norm, np.abs(_kernel_of_cores(fp, a, fq)).max())  # a NaN stays
+            np.einsum("jpax,pjxry->pary", -0.5j * fp[0][:, :, 0], a[..., 1, :], out=left[s])
+            del a  # before the next quarter block's cores
+        left = left.reshape(-1, 2 * Nd)
+        for cols in medium.blocks(Nd, len(left)):
+            c = range(Nd)[cols]
+            block = left @ right[:, 4 * c.start:4 * c.stop]
+            yield rows, cols, norm, block.reshape(-1, 4, len(c), 4).swapaxes(1, 2)
+            del block  # before the next chunk's product
+        del left
 
 
 def identity_id101_residual(kernel: TransferKernel) -> float:
     """|| (M - pi) Pi_2 (M - pi) ||_max on the disk grid, the max over the
-    blocks of _id101_rows, whose kernel blocks also fill kernel.norm_max.
+    blocks of _id101_rows, whose max|K[rows]| also fill kernel.norm_max.
     InvalidResolution, before any transform, past MEMORY_CAP_BYTES."""
     medium.check_cap("id101", _id101_bytes(kernel.grid.n_disk_points))
     resid = norm = 0.0
-    for _, K, block in _id101_rows(kernel):
-        norm = np.maximum(norm, np.abs(K).max())  # a NaN stays
+    for _, _, norm_rows, block in _id101_rows(kernel):
+        norm = np.maximum(norm, norm_rows)  # a NaN stays
         resid = np.maximum(resid, np.abs(block).max())
-        del K, block
+        del block
     kernel.norm_max = float(norm)
     return float(resid)

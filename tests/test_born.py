@@ -21,7 +21,7 @@ from bornexact import (
     second_born_amplitudes,
     support_overlap,
 )
-from bornexact.born import _PV_EDGES, _check_panel, direction_pairs
+from bornexact.born import _PV_EDGES, _check_panel, _leggauss, direction_pairs
 from bornexact.errors import BoundsViolated, InvalidArgument, InvalidResolution
 from bornexact.medium import BLOCK_POINTS
 from oracles import first_born_ref, ieps_second_born
@@ -271,6 +271,18 @@ class TestSecondBorn:
         Fpv = second_born_amplitude(control_medium, w, d, quad)
         Fie = ieps_second_born(control_medium, w, d, quad)
         assert np.linalg.norm(Fpv - Fie) < 1e-4 * np.linalg.norm(Fpv)
+
+    def test_gauss_legendre_rules_shared_and_read_only(self):
+        # every F2 call reads its angular and radial rules; each order is
+        # computed once and handed out read-only, so no caller can change it
+        x, w = _leggauss(24)
+        assert _leggauss(24)[0] is x and _leggauss(24)[1] is w
+        ref = np.polynomial.legendre.leggauss(24)
+        assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+        for a in (x, w):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_unknown_method_rejected_at_construction(self):
         with pytest.raises(ValueError, match="pvv"):

@@ -384,7 +384,8 @@ class TestSupportReport:
 
         with pytest.raises(WindowTooSmall, match="window edge"):
             support_report(Counting(), ALPHA, window=1.0, grid=(512, 64, 16))
-        assert len(calls) == 2  # the edge points and the centre, no z-slice
+        # the edge points one z-slice at a time and the centre, no scan slice
+        assert calls == [64] * 16 + [1]
 
     @pytest.mark.parametrize("alpha", [np.nan, -np.inf, np.inf, None, "1.0"])
     def test_alpha_must_be_finite_real(self, control_medium, alpha):
@@ -428,6 +429,20 @@ class TestSupportReport:
             prof, ALPHA, grid=grid
         )
 
+    def test_working_set_of_the_edge_check(self, reference_medium):
+        # on the README medium the edge check held 512 x 64 points and two
+        # (N, 3, 3) tensors of them, 11.3 MiB; one z-slice at a time leaves
+        # the scan's envelope line
+        support_report(reference_medium, ALPHA)
+        tracemalloc.start()
+        try:
+            rep = support_report(reference_medium, ALPHA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.max_leak == 6.5016982822059305e-12
+        assert peak <= 2**20
+
     def test_slice_memory_guard(self):
         # a rotated medium is scanned slice by slice; the auto-enlarged
         # grid (nx = 2^20 over ny = 512) would need 221184 MiB per slice
@@ -464,7 +479,8 @@ class TestSupportReport:
                 return gausserf_medium._support_lines(x, y, zs)
 
         rep = support_report(Wrapper(), ALPHA)
-        assert len(calls) == 2  # the edge points and the centre, no z-slice
+        # the edge points one z-slice at a time and the centre, no scan slice
+        assert calls == [512] * 64 + [1]
         assert rep == support_report(gausserf_medium, ALPHA)
 
 

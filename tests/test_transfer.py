@@ -38,15 +38,13 @@ from bornexact.transfer import (
     _DYSON_DISK_PAIR_BYTES,
     _DYSON_PAIR_BYTES,
     _GRID_POINT_BYTES,
-    _ID101_COLUMN_BYTES,
-    _ID101_DISK_PAIR_BYTES,
-    _ID101_PAIR_BYTES,
     _assemble_v,
     _bblock_zft,
     _closed_form_t,
     _core,
     _cores,
     _dyson_rows,
+    _id101_bytes,
     _id101_rows,
 )
 from oracles import (
@@ -165,11 +163,11 @@ def disk_t(sol):
 
 
 def id101_matrix(kern):
-    """(M - pi) Pi_2 (M - pi), (Nd, Nd, 4, 4), assembled from the row blocks of _id101_rows."""
+    """(M - pi) Pi_2 (M - pi), (Nd, Nd, 4, 4), assembled from the blocks of _id101_rows."""
     Nd = kern.grid.n_disk_points
     A = np.full((Nd, Nd, 4, 4), np.nan, dtype=complex)
-    for rows, _, block in _id101_rows(kern):
-        A[rows] = block
+    for rows, cols, _, block in _id101_rows(kern):
+        A[rows, cols] = block
     return A
 
 
@@ -357,13 +355,11 @@ class TestKernel:
             transfer_first_order(reference_medium, grid, memory_cap_bytes=1024)
 
     def test_chunked_kernel_within_cap(self, control_medium, grid, monkeypatch):
-        # the guard's boundary: the readers' largest working set, id101's right
-        # plus one kernel block (28.5 MiB at n_disk 8), is accepted at a cap
-        # of exactly that and id101 runs within it; 1 byte less is refused
-        # before any transform
-        Nd = grid.n_disk_points
-        rows = min(BLOCK_POINTS // Nd, Nd)
-        cap = Nd * (Nd * _ID101_DISK_PAIR_BYTES + rows * _ID101_PAIR_BYTES + _ID101_COLUMN_BYTES)
+        # the guard's boundary: the readers' largest working set, id101's right,
+        # one block's left and one quarter block (16.25 MiB at n_disk 8), is
+        # accepted at a cap of exactly that and id101 runs within it; 1 byte
+        # less is refused before any transform
+        cap = _id101_bytes(grid.n_disk_points)
         at_cap = transfer_first_order(control_medium, grid, memory_cap_bytes=cap)
         monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", cap)
         tracemalloc.start()
@@ -374,7 +370,7 @@ class TestKernel:
             tracemalloc.stop()
         assert peak <= cap
         medium = CountingProfile(control_medium)
-        with pytest.raises(InvalidResolution, match=r"transfer kernel needs 29 MiB > cap 28 MiB"):
+        with pytest.raises(InvalidResolution, match=r"transfer kernel needs 17 MiB > cap 16 MiB"):
             transfer_first_order(medium, grid, memory_cap_bytes=cap - 1)
         assert medium.points == 0
 
@@ -643,28 +639,43 @@ class TestId101:
         assert np.abs(A - ref).max() <= 1e-14 * scale
         assert abs(resid - np.abs(ref).max()) <= 1e-14 * scale
 
-    def test_working_set_within_model(self, control_medium, grid):
-        # right plus one kernel block; with K held as well it took 32.3 MiB
-        kern = transfer_first_order(control_medium, grid)
-        Nd = grid.n_disk_points
+    @staticmethod
+    def traced_peak(kern):
         tracemalloc.start()
         try:
             identity_id101_residual(kern)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n = min(BLOCK_POINTS // Nd, Nd)
-        model = Nd * (Nd * _ID101_DISK_PAIR_BYTES + n * _ID101_PAIR_BYTES + _ID101_COLUMN_BYTES)
-        assert peak <= model < 2**25
+
+    def test_working_set_within_model(self, control_medium, grid):
+        # right, one block's left and one quarter block; with K held as well it
+        # took 32.3 MiB, and with one whole kernel block and product 24.4 MiB
+        kern = transfer_first_order(control_medium, grid)
+        assert self.traced_peak(kern) <= _id101_bytes(grid.n_disk_points) < 17 * 2**20
+
+    def test_working_set_at_n_disk_12(self, control_medium):
+        # right alone is 40.5 MiB here; one whole kernel block, left taken from
+        # it and the whole product took 57.1 MiB
+        g = build_momentum_grid(K, 6 * K, 12, 0)
+        model = _id101_bytes(g.n_disk_points)
+        assert self.traced_peak(transfer_first_order(control_medium, g)) <= model < 50 * 2**20
+
+    def test_two_transform_passes(self, control_medium, grid):
+        # right from channel-2 cores, then left and max|K| from each block's
+        # cores: one scalar form and one reciprocal per pair and pass
+        medium = CountingProfile(control_medium)
+        identity_id101_residual(transfer_first_order(medium, grid))
+        assert medium.points == 4 * grid.n_disk_points**2
 
     def test_memory_guard_before_allocating(self, control_medium, grid, monkeypatch):
-        # the estimate at n_disk 8 is 8 MiB of right plus 20.5 MiB for one block
+        # the estimate at n_disk 8 is 8 MiB of right plus 8.25 MiB for one block
         medium = CountingProfile(control_medium)
         kern = transfer_first_order(medium, grid)
         monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 16 * 2**20)
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidResolution, match=r"id101 needs 29 MiB > cap 16 MiB"):
+            with pytest.raises(InvalidResolution, match=r"id101 needs 17 MiB > cap 16 MiB"):
                 identity_id101_residual(kern)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
