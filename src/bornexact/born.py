@@ -9,9 +9,11 @@ exact in the regulator.  For scalar media the angular integral is a
 second-moment contraction of the two links' pointwise product; other media
 take the tensor chain to the same outer vertex.
 
-For a compliant medium the chain of one-sided Fourier supports empties the
-second-order integrand pointwise, so quadrature returns an exact zero; the
-unmodulated Gaussian control supplies the nonzero contrast baseline.
+For a compliant medium at k <= alpha the one-sided Fourier supports empty the
+second-order integrand pointwise, so quadrature returns an exact zero and first
+Born gives the far-field amplitude, the propagating part of the scattered wave,
+exactly; the second order is nonzero only at evanescent |p| > k, which never
+reaches the far zone.  The unmodulated Gaussian control is the nonzero baseline.
 """
 
 from __future__ import annotations

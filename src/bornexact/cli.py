@@ -15,8 +15,9 @@ tolerances.support and tolerances.invisibility_factor, as verify does.
 The config is parsed once into a RunConfig: every field is read and checked
 (grid.n_disk an integer >= 8, directions.n_detectors an integer >= 2,
 directions.n_pairs an integer >= 1, seed an integer >= 0, a non-grazing
-incidence, a nonzero polarization, known suite names, numeric tolerances, a
-valid QuadratureSpec, no key it does not read) before any suite runs.
+incidence, a nonzero polarization, known suite names, every wavenumber and
+tolerance a finite positive number (not a bool), a valid QuadratureSpec, no
+key it does not read) before any command runs.
 Suites: projector_algebra, lemma_lab, support, id101, route_equivalence,
 invisibility, exactness.
 
@@ -43,6 +44,7 @@ from .medium import (
     bounds_check,
     check_keys,
     is_count,
+    is_finite_real,
     profile_from_dict,
     support_report,
 )
@@ -91,6 +93,13 @@ def _section(raw: dict, name: str) -> dict:
     return sec
 
 
+def _positive(v, name: str) -> float:
+    """v as a float, checked to be a finite positive real that is not a bool."""
+    if not (is_finite_real(v) and v > 0):
+        raise ConfigError(f"{name} must be a finite positive number, got {v!r}")
+    return float(v)
+
+
 def _count(sec: dict, key: str, default: int, least: int, where: str) -> int:
     """sec[key] (default if absent), checked to be a JSON integer >= least."""
     n = sec.get(key, default)
@@ -120,7 +129,7 @@ class RunConfig:
         _section(raw, "")
         self.medium: MediumProfile = profile_from_dict(raw["medium"])
         inc = _section(raw, "incident")
-        k = float(inc.get("k_over_alpha", 0.8))
+        k = _positive(inc.get("k_over_alpha", 0.8), "incident.k_over_alpha")
         theta0 = np.deg2rad(float(inc.get("theta0_deg", 0.0)))
         phi0 = np.deg2rad(float(inc.get("phi0_deg", 0.0)))
         pol = inc.get("polarization", 0.0)
@@ -147,8 +156,8 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown suite {unknown[0]!r}")
         tols = {**_DEFAULT_TOLERANCES, **_section(raw, "tolerances")}
-        self.tolerances = {name: float(v) for name, v in tols.items()}
-        self.sweep_ks = [float(v) for v in
+        self.tolerances = {name: _positive(v, f"tolerances.{name}") for name, v in tols.items()}
+        self.sweep_ks = [_positive(v, "sweep.k_over_alpha") for v in
                          _section(raw, "sweep").get("k_over_alpha", [0.3, 0.5, 0.8])]
         self.seed = _count(raw, "seed", 0, 0, "")
 

@@ -17,7 +17,10 @@ re the reciprocal symbol eta_{1/eps33}; any other contracts the 4x4 block.
 T_+/- are the first-order closed forms t_+ = Pi_1 K(., k_i) Y and t_- =
 -Pi_2 K(., k_i) Y, contracted with Xi for the far field; id101,
 (M - pi) Pi_2 (M - pi), is (K U_2)(V_2 W K) / 2.
-Nothing assumes Hermiticity: all kernels are general-complex.
+Nothing assumes Hermiticity: all kernels are general-complex.  For k <= alpha
+first Born gives the far-field amplitude, the propagating part of the scattered
+wave, exactly; the second order is nonzero only at evanescent |p| > k, off the
+disk, so it never reaches the far zone.
 """
 
 from __future__ import annotations
@@ -314,6 +317,11 @@ def transfer_first_order(
 _DYSON_PAIR_BYTES, _DYSON_DISK_PAIR_BYTES = 6 * 256, 20 * 16
 
 
+def _dyson_bytes(Nd: int, Nr: int) -> int:
+    n_r = min(medium.rows_per_block(Nd), Nr)
+    return Nd * (Nd * _DYSON_DISK_PAIR_BYTES + n_r * _DYSON_PAIR_BYTES)
+
+
 def _dyson_rows(profile: MediumProfile, grid: MomentumGrid):
     """Projected second-order Dyson term D(p, q) from the cores of _core, in blocks of rows.
 
@@ -328,8 +336,7 @@ def _dyson_rows(profile: MediumProfile, grid: MomentumGrid):
     Nd, Nr = len(Pd), len(Pr)
     if Nd == Nr:
         raise InvalidResolution("grid has no outer box for intermediate momenta")
-    n_r = min(medium.rows_per_block(Nd), Nr)
-    medium.check_cap("Dyson", Nd * (Nd * _DYSON_DISK_PAIR_BYTES + n_r * _DYSON_PAIR_BYTES))
+    medium.check_cap("Dyson", _dyson_bytes(Nd, Nr))
     a_lo, a_hi = profile.slab
     fd, fr = em.channel_factors(Pd, k), em.channel_factors(Pr, k)
     rows = medium.blocks(Nd, Nd)
@@ -448,9 +455,11 @@ def solve_T(
 
     The first-order closed form t_+ = Pi_1 K(., k_i) Y and t_- = -Pi_2 K(.,
     k_i) Y is exact only when (M - pi) Pi_2 (M - pi) = 0: not above threshold
-    (id101 is 1.3e-2 max|K|^2 at k = 1.2 alpha).  solve_T checks its inputs
-    and evaluates nothing; amplitude_from_T calls _closed_form_t at the
-    points it reads.  method must be "fast", the only solver.
+    (id101 is 1.3e-2 max|K|^2 at k = 1.2 alpha).  Below it T is the first Born
+    far-field amplitude, the propagating part of the scattered wave, exactly: the
+    second order is nonzero only at evanescent |p| > k, never in the far zone.
+    solve_T checks its inputs and evaluates nothing; amplitude_from_T calls
+    _closed_form_t at the points it reads.  method must be "fast", the only solver.
     """
     if method != "fast":
         raise InvalidArgument(f"unknown solve method {method!r}")

@@ -1,14 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from bornexact import (
     DetectorDirection,
     IncidentWave,
-    MediumProfile,
     QuadratureSpec,
-    RationalEnvelopeProfile,
     SampledProfile,
     TransverseBox,
     fibonacci_hemisphere,
@@ -24,6 +20,7 @@ from bornexact import (
 from bornexact.born import _PV_EDGES, _check_panel, _leggauss, direction_pairs
 from bornexact.errors import BoundsViolated, InvalidArgument, InvalidResolution
 from bornexact.medium import BLOCK_POINTS
+from fakes import Counting, MagneticTensor, TensorView, vacuum_profile
 from oracles import first_born_ref, ieps_second_born
 
 ALPHA = 1.0
@@ -32,65 +29,6 @@ K = 0.8
 # incidence tilted toward -x so that q_x = k_sx - k_ix can exceed alpha
 W_TILTED = IncidentWave.linear(K, 1.0, np.pi, 0.7)
 W_NORMAL = IncidentWave.linear(K, 0.0, 0.0, 0.0)
-
-
-def vacuum_profile():
-    return RationalEnvelopeProfile(ALPHA, 2.0, 1, TransverseBox(0.0, 3.0, 4.0))
-
-
-class MagneticTensorProfile(MediumProfile):
-    """A base medium's scalar transform times constant random complex,
-    non-symmetric 3x3 tensors for eta_eps and eta_mu: anisotropic and
-    magnetic, with no scalar form, so F2 takes the tensor chain."""
-
-    def __init__(self, base, seed=0):
-        rng = np.random.default_rng(seed)
-        self.base, self.alpha, self.slab = base, base.alpha, base.slab
-        self.A_eps, self.A_mu = (
-            0.5 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-            for _ in range(2)
-        )
-
-    def eta3_tensors(self, q3):
-        s = self.base.scalar_eta3(q3)[..., None, None]
-        return s * self.A_eps, s * self.A_mu
-
-
-class CountingProfile(MediumProfile):
-    """Forwards the 3D transforms of base and counts the points asked for;
-    with scalar=False it hides the base's scalar form."""
-
-    def __init__(self, base, scalar=True):
-        self.base, self.alpha, self.slab = base, base.alpha, base.slab
-        self.scalar = scalar
-        self.points = 0
-
-    def scalar_eta3(self, q3):
-        if not self.scalar:
-            return None
-        self.points += q3.size // 3
-        return self.base.scalar_eta3(q3)
-
-    def eta3_tensors(self, q3):
-        self.points += q3.size // 3
-        return self.base.eta3_tensors(q3)
-
-
-class RecordingProfile(CountingProfile):
-    """A CountingProfile that also keeps every momentum array q3 it is asked for."""
-
-    def __init__(self, base, scalar=True):
-        super().__init__(base, scalar)
-        self.q3s = []
-
-    def scalar_eta3(self, q3):
-        if self.scalar:
-            self.q3s.append(q3)
-        return super().scalar_eta3(q3)
-
-    def eta3_tensors(self, q3):
-        self.q3s.append(q3)
-        return super().eta3_tensors(q3)
 
 
 class TestFirstBorn:
@@ -187,7 +125,7 @@ class TestFirstBornBatch:
             assert F.shape == (2, 16, 3) and not np.any(F)
 
     def test_one_transform_call_per_incidence(self, control_medium):
-        medium = CountingProfile(control_medium)
+        medium = Counting(control_medium)
         waves = [IncidentWave.linear(K, 1.0, np.pi, chi) for chi in (0.0, 0.5, 1.0)]
         first_born_amplitudes(medium, waves, self.DETS)
         assert medium.points == len(self.DETS)
@@ -316,19 +254,10 @@ class TestSecondBorn:
         # a profile that only provides eta3_tensors goes through the tensor
         # chain and must reproduce the envelope profile's moment form, also
         # rotated off the x-axis, for both polarizations and two detectors
-        class TensorOnly(MediumProfile):
-            def __init__(self, base):
-                self.base = base
-                self.alpha = base.alpha
-                self.slab = base.slab
-
-            def eta3_tensors(self, q3):
-                return self.base.eta3_tensors(q3)
-
         quad = QuadratureSpec(12, 24, 24)
         w_perp = IncidentWave.linear(K, 1.0, np.pi, 0.7 + np.pi / 2)
         for base in (control_medium, rotate_to_x(control_medium, (0.6, 0.8))):
-            fwd = TensorOnly(base)
+            fwd = TensorView(base)
             assert fwd.scalar_eta3(np.zeros((1, 3))) is None
             for w, d in ((W_TILTED, DetectorDirection(1.1, 0.3)),
                          (w_perp, DetectorDirection(2.0, -0.6))):
@@ -354,7 +283,7 @@ class TestBatchedSecondBorn:
         return {
             "control_k08": (control_medium, K),
             "reference_k13": (reference_medium, 1.3),
-            "magnetic_tensor": (MagneticTensorProfile(control_medium), K),
+            "magnetic_tensor": (MagneticTensor(control_medium), K),
             "reference_k08": (reference_medium, K),
         }[name]
 
@@ -389,7 +318,7 @@ class TestBatchedSecondBorn:
         # polarizations but not at three is refused before anything is
         # evaluated
         quad = QuadratureSpec(24, 1280, 1280)
-        medium = CountingProfile(control_medium)
+        medium = Counting(control_medium)
         waves = [IncidentWave.linear(K, 1.0, np.pi, chi) for chi in (0.0, 0.5, 1.0)]
         with pytest.raises(InvalidResolution, match="3 polarizations"):
             second_born_amplitudes(medium, waves, self.DETS, quad)
@@ -419,7 +348,7 @@ class TestBatchedSecondBorn:
         # each component of every momentum array the medium is handed is one
         # contiguous array of at most a block's points (a whole radius if
         # that is larger); here panels of 12 x 48 x 48 points exceed a block
-        medium = RecordingProfile(control_medium, scalar)
+        medium = Counting(control_medium if scalar else TensorView(control_medium), record=True)
         second_born_amplitudes(medium, self.waves(K), self.DETS[:2], quad)
         most = max(BLOCK_POINTS, quad.n_mu * quad.n_phi)
         assert medium.q3s
@@ -431,17 +360,13 @@ class TestBatchedSecondBorn:
 
     @pytest.mark.parametrize("quad", [QuadratureSpec(48, 96, 96), QuadratureSpec(48, 48, 48)],
                              ids=["48x96x96", "48x48x48"])
-    def test_working_set_of_one_call(self, quad, control_medium):
+    def test_working_set_of_one_call(self, quad, control_medium, traced):
         # the blocks bound the traced peak of a call, whatever the panel size
         waves = self.waves(K)
         second_born_amplitudes(control_medium, waves, self.DETS, QuadratureSpec(2, 4, 4))
-        tracemalloc.start()
-        try:
+        with traced() as mem:
             second_born_amplitudes(control_medium, waves, self.DETS, quad)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        assert mem.peak <= 4 * 2**20
 
     @pytest.mark.parametrize(
         "scalar, block",
@@ -462,7 +387,7 @@ class TestBatchedSecondBorn:
                 waves = [IncidentWave.linear(K, 1.0, np.pi, c) for c in (0.0, 0.5, 1.0)[:n_pol]]
                 points = []
                 for base in (gausserf_medium, control_medium):
-                    medium = CountingProfile(base, scalar)
+                    medium = Counting(base if scalar else TensorView(base))
                     F = second_born_amplitudes(medium, waves, self.DETS[:n_det], quad)
                     points.append(medium.points)
                     assert np.any(F) == (base is control_medium)

@@ -178,6 +178,11 @@ class TestVerify:
             {"seed": -1},
             {"seed": True},
             {"grid": {"n_disk": 100000}},
+            {"incident": {"k_over_alpha": True}},
+            {"sweep": {"k_over_alpha": [0.5, -1.0]}},
+            {"sweep": {"k_over_alpha": [True]}},
+            {"tolerances": {"support": -1}},
+            {"tolerances": {"support": True}},
         ],
         ids=["k_negative", "k_text", "n_disk_text", "n_disk_4", "grazing",
              "zero_polarization", "unknown_suite", "tolerance_text", "quad_method",
@@ -187,7 +192,8 @@ class TestVerify:
              "tolerance_suport", "gausserf_m_exp", "footprint_lx", "grid_eps_ann_1e-4",
              "grid_n_disk_fraction", "n_detectors_text", "n_detectors_float",
              "n_pairs_fraction", "n_pairs_0", "seed_text", "seed_negative", "seed_bool",
-             "grid_n_disk_over_cap"],
+             "grid_n_disk_over_cap", "k_bool", "sweep_k_negative", "sweep_k_bool",
+             "tolerance_negative", "tolerance_bool"],
     )
     def test_malformed_field_exits_2_before_any_suite(self, tmp_path, monkeypatch, over):
         def no_suite(*args, **kwargs):

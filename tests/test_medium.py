@@ -1,6 +1,5 @@
 import json
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from bornexact.errors import (BoundsViolated, ConfigError, InvalidArgument, Inva
                               WindowTooSmall)
 from bornexact.medium import MediumProfile, _sinc
 from bornexact.sampled import write_grid
+from fakes import Counting, Opaque, vacuum_profile
 from oracles import (envelope_ft_ref, eta2_ref, profile_to_dict, recip2_ref, sampled_z_sum,
                      u_pow_ref)
 
@@ -366,26 +366,11 @@ class TestSupportReport:
             support_report(reference_medium, ALPHA, window=4.0, grid=(512, 64, 16))
 
     def test_window_edge_rejected_before_scan(self, reference_medium):
-        calls = []
-
-        class Counting(MediumProfile):
-            alpha = reference_medium.alpha
-            slab = reference_medium.slab
-
-            def eval_eta(self, r):
-                calls.append(len(r))
-                return reference_medium.eval_eta(r)
-
-            def spectral_extent(self, rel_tol=1e-9):
-                return reference_medium.spectral_extent(rel_tol)
-
-            def sampling_box(self):
-                return reference_medium.sampling_box()
-
+        medium = Counting(reference_medium)
         with pytest.raises(WindowTooSmall, match="window edge"):
-            support_report(Counting(), ALPHA, window=1.0, grid=(512, 64, 16))
+            support_report(medium, ALPHA, window=1.0, grid=(512, 64, 16))
         # the edge points one z-slice at a time and the centre, no scan slice
-        assert calls == [64] * 16 + [1]
+        assert medium.eval_calls == [64] * 16 + [1]
 
     @pytest.mark.parametrize("alpha", [np.nan, -np.inf, np.inf, None, "1.0"])
     def test_alpha_must_be_finite_real(self, control_medium, alpha):
@@ -407,41 +392,19 @@ class TestSupportReport:
         # the envelope line scanned once must give exactly what the
         # slice-by-slice scan of an opaque medium gives
         prof = request.getfixturevalue(name)
-
-        class Opaque(MediumProfile):
-            alpha = prof.alpha
-            slab = prof.slab
-
-            def eval_eta(self, r):
-                return prof.eval_eta(r)
-
-            def spectral_extent(self, rel_tol=1e-9):
-                return prof.spectral_extent(rel_tol)
-
-            def default_window(self):
-                return prof.default_window()
-
-            def sampling_box(self):
-                return prof.sampling_box()
-
         grid = (512, 32, 8)
-        assert support_report(Opaque(), ALPHA, grid=grid) == support_report(
+        assert support_report(Opaque(prof), ALPHA, grid=grid) == support_report(
             prof, ALPHA, grid=grid
         )
 
-    def test_working_set_of_the_edge_check(self, reference_medium):
-        # on the README medium the edge check held 512 x 64 points and two
-        # (N, 3, 3) tensors of them, 11.3 MiB; one z-slice at a time leaves
-        # the scan's envelope line
+    def test_working_set_of_the_edge_check(self, reference_medium, traced):
+        # the edge check reads one z-slice at a time, which leaves the scan's
+        # envelope line
         support_report(reference_medium, ALPHA)
-        tracemalloc.start()
-        try:
+        with traced() as mem:
             rep = support_report(reference_medium, ALPHA)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert rep.max_leak == 6.5016982822059305e-12
-        assert peak <= 2**20
+        assert mem.peak <= 2**20
 
     def test_slice_memory_guard(self):
         # a rotated medium is scanned slice by slice; the auto-enlarged
@@ -456,38 +419,16 @@ class TestSupportReport:
     def test_wrapper_scans_its_base_line(self, gausserf_medium):
         # a wrapper that forwards _support_lines to an envelope medium scans
         # the one envelope line, not the slices
-        calls = []
-
-        class Wrapper(MediumProfile):
-            alpha = gausserf_medium.alpha
-            slab = gausserf_medium.slab
-
-            def eval_eta(self, r):
-                calls.append(len(r))
-                return gausserf_medium.eval_eta(r)
-
-            def spectral_extent(self, rel_tol=1e-9):
-                return gausserf_medium.spectral_extent(rel_tol)
-
-            def default_window(self):
-                return gausserf_medium.default_window()
-
-            def sampling_box(self):
-                return gausserf_medium.sampling_box()
-
-            def _support_lines(self, x, y, zs):
-                return gausserf_medium._support_lines(x, y, zs)
-
-        rep = support_report(Wrapper(), ALPHA)
+        wrapper = Counting(gausserf_medium)
+        rep = support_report(wrapper, ALPHA)
         # the edge points one z-slice at a time and the centre, no scan slice
-        assert calls == [512] * 64 + [1]
+        assert wrapper.eval_calls == [512] * 64 + [1]
         assert rep == support_report(gausserf_medium, ALPHA)
 
 
 class TestBounds:
     def test_vacuum(self):
-        vac = RationalEnvelopeProfile(ALPHA, 2.0, 1, TransverseBox(0.0, 3.0, 4.0))
-        rep = bounds_check(vac, 2000)
+        rep = bounds_check(vacuum_profile(), 2000)
         assert rep.m == pytest.approx(1.0)
         assert rep.M == pytest.approx(1.0)
         assert rep.passed
@@ -695,7 +636,7 @@ class TestSampledProfile:
         assert np.abs(e2).min(axis=0)[0, 0] > 0
         assert np.abs(e3 - (hi - lo) * e2).max() <= 1e-14 * np.abs(e2).max()
 
-    def test_absent_eta_mu_builds_no_table(self):
+    def test_absent_eta_mu_builds_no_table(self, traced):
         # 64x32x16 isotropic grid: eta_eps and its one FFT table, no zero
         # eta_mu grid and no zero eta_mu or 1/mu33 tables
         rng = np.random.default_rng(5)
@@ -703,14 +644,10 @@ class TestSampledProfile:
         for i in range(3):
             ee[..., i, i] = 0.01 * rng.uniform(0, 1, (64, 32, 16))
         q3 = rng.uniform(-1.0, 1.0, (20, 3))
-        tracemalloc.start()
-        try:
+        with traced() as mem:
             samp = SampledProfile(ee, None, (-8.0, -2.0, -2.0), (0.25, 0.125, 0.25))
             _, em3 = samp.eta3_tensors(q3)
-            traced = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert traced <= 1.2 * ee.nbytes
+        assert mem.current <= 1.2 * ee.nbytes
         assert em3.shape == (20, 3, 3) and not np.any(em3)
         assert not np.any(samp.recip33_ft3(q3, "mu")) and not np.any(samp.eval_eta(q3)[1])
         assert recip2_ref(samp, q3[:, :2], 0.0, "mu").shape == (20,)

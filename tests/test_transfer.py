@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -33,20 +31,20 @@ from bornexact.errors import (
     StraddlesSupportEdge,
     UnsupportedProfile,
 )
-from bornexact.medium import BLOCK_POINTS, MediumProfile, blocks
+from bornexact.medium import BLOCK_POINTS, blocks
 from bornexact.transfer import (
-    _DYSON_DISK_PAIR_BYTES,
-    _DYSON_PAIR_BYTES,
     _GRID_POINT_BYTES,
     _assemble_v,
     _bblock_zft,
     _closed_form_t,
     _core,
     _cores,
+    _dyson_bytes,
     _dyson_rows,
     _id101_bytes,
     _id101_rows,
 )
+from fakes import Counting, NanAtTransfer, Shifted, TensorView, vacuum_profile
 from oracles import (
     assemble_v_ref,
     channels,
@@ -64,84 +62,6 @@ from oracles import (
 ALPHA = 1.0
 K = 0.8
 W_TILTED = IncidentWave.linear(K, 1.0, np.pi, 0.7)
-
-
-def vacuum_profile():
-    return RationalEnvelopeProfile(ALPHA, 2.0, 1, TransverseBox(0.0, 3.0, 4.0))
-
-
-class TensorView(MediumProfile):
-    """A base medium's 3D tensor transforms without its scalar form, so the
-    transfer layer takes the tensor route (the 4x4 block) on it."""
-
-    def __init__(self, base):
-        self.base, self.alpha, self.slab = base, base.alpha, base.slab
-        self.z_constant = base.z_constant
-
-    def eta3_tensors(self, q3):
-        return self.base.eta3_tensors(q3)
-
-    def recip33_ft3(self, q3, which):
-        return self.base.recip33_ft3(q3, which)
-
-
-class CountingProfile(TensorView):
-    """Forwards the 3D transforms of a base medium, its scalar form included,
-    and counts the points they evaluate (none where the base has no scalar form)."""
-
-    def __init__(self, base):
-        super().__init__(base)
-        self.points = 0
-
-    def scalar_eta3(self, q3):
-        s = self.base.scalar_eta3(q3)
-        if s is not None:
-            self.points += q3.size // 3
-        return s
-
-    def eta3_tensors(self, q3):
-        self.points += q3.size // 3
-        return self.base.eta3_tensors(q3)
-
-    def recip33_ft3(self, q3, which):
-        self.points += q3.size // 3
-        return self.base.recip33_ft3(q3, which)
-
-
-class NanAtTransfer(TensorView):
-    """A base medium's tensor transforms with eta_eps NaN at one transfer p - q."""
-
-    def __init__(self, base, transfer):
-        super().__init__(base)
-        self.transfer = transfer
-
-    def eta3_tensors(self, q3):
-        Te, Tm = self.base.eta3_tensors(q3)
-        at = (q3[..., :2] == self.transfer).all(axis=-1)
-        return np.where(at[..., None, None], np.nan, Te), Tm
-
-
-class ShiftedProfile(MediumProfile):
-    """A z-constant medium moved by z0 along z, still z-constant.
-
-    Its slab moves by z0 and its 3D transforms gain e^{-i q_z z0}.  Every
-    closed-form medium's slab is centred on z = 0, where the slab transform
-    is even, E(w) = E(-w); off centre, a flipped frequency shows.
-    """
-
-    def __init__(self, base, z0):
-        self.base, self.z0, self.alpha = base, z0, base.alpha
-        self.slab = (base.slab[0] + z0, base.slab[1] + z0)
-        self.z_constant = base.z_constant
-
-    def _phase(self, q3):
-        return np.exp(-1j * q3[..., 2] * self.z0)
-
-    def eta3_tensors(self, q3):
-        return tuple(self._phase(q3)[..., None, None] * T for T in self.base.eta3_tensors(q3))
-
-    def recip33_ft3(self, q3, which):
-        return self._phase(q3) * self.base.recip33_ft3(q3, which)
 
 
 def cut_control(control_medium):
@@ -188,6 +108,31 @@ def grid_with_box():
 
 
 @pytest.fixture(scope="module")
+def named(reference_medium, gausserf_medium, control_medium):
+    """(medium, k) of each named case.  At k = 1.2 the compliant medium is above
+    threshold, and the shifted control makes the sign of the slab transform's
+    frequency show."""
+    return {
+        "vacuum": (vacuum_profile(), K),
+        "compliant": (reference_medium, K),
+        "compliant_k12": (reference_medium, 1.2),
+        "gausserf": (gausserf_medium, K),
+        "control": (control_medium, K),
+        "control_rotated": (rotate_to_x(control_medium, (0.6, 0.8)), K),
+        "control_shifted": (Shifted(control_medium, 0.7), K),
+        "tensor": (TensorView(control_medium), K),
+        "cut": (cut_control(control_medium), K),
+    }
+
+
+@pytest.fixture(scope="module")
+def dyson_case(named):
+    """(medium, grid) of a named case, on the n_disk 8 grid with an n_box 8 outer box."""
+    grids = {K: build_momentum_grid(K, 6 * K, 8, 8), 1.2: build_momentum_grid(1.2, 7.2, 8, 8)}
+    return lambda case: (named[case][0], grids[named[case][1]])
+
+
+@pytest.fixture(scope="module")
 def ref_kernel(reference_medium, grid):
     return transfer_first_order(reference_medium, grid)
 
@@ -222,26 +167,18 @@ class TestGrid:
             build_momentum_grid(K, 0.5 * K, 8, 0)
 
     @pytest.mark.parametrize("n_disk, n_box", [(8, 20), (64, 0), (16, 256)])
-    def test_working_set_within_model(self, n_disk, n_box):
+    def test_working_set_within_model(self, n_disk, n_box, traced):
         build_momentum_grid(K, 6 * K, 8, 8)
-        tracemalloc.start()
-        try:
+        with traced() as mem:
             build_momentum_grid(K, 6 * K, n_disk, n_box)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= (4 * n_disk**2 + n_box**2) * _GRID_POINT_BYTES
+        assert mem.peak <= (4 * n_disk**2 + n_box**2) * _GRID_POINT_BYTES
 
-    def test_memory_guard_before_allocating(self):
+    def test_memory_guard_before_allocating(self, traced):
         # 4e10 disk points, refused before np.meshgrid
-        tracemalloc.start()
-        try:
-            with pytest.raises(InvalidResolution, match=r"momentum grid needs \d+ MiB > cap"):
-                build_momentum_grid(K, 6 * K, 100000, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        with traced() as mem, pytest.raises(InvalidResolution,
+                                            match=r"momentum grid needs \d+ MiB > cap"):
+            build_momentum_grid(K, 6 * K, 100000, 0)
+        assert mem.peak < 2**20
 
 
 class TestKernel:
@@ -354,7 +291,7 @@ class TestKernel:
         with pytest.raises(InvalidResolution):
             transfer_first_order(reference_medium, grid, memory_cap_bytes=1024)
 
-    def test_chunked_kernel_within_cap(self, control_medium, grid, monkeypatch):
+    def test_chunked_kernel_within_cap(self, control_medium, grid, monkeypatch, traced):
         # the guard's boundary: the readers' largest working set, id101's right,
         # one block's left and one quarter block (16.25 MiB at n_disk 8), is
         # accepted at a cap of exactly that and id101 runs within it; 1 byte
@@ -362,60 +299,48 @@ class TestKernel:
         cap = _id101_bytes(grid.n_disk_points)
         at_cap = transfer_first_order(control_medium, grid, memory_cap_bytes=cap)
         monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", cap)
-        tracemalloc.start()
-        try:
+        with traced() as mem:
             identity_id101_residual(at_cap)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= cap
-        medium = CountingProfile(control_medium)
+        assert mem.peak <= cap
+        medium = Counting(control_medium)
         with pytest.raises(InvalidResolution, match=r"transfer kernel needs 17 MiB > cap 16 MiB"):
             transfer_first_order(medium, grid, memory_cap_bytes=cap - 1)
         assert medium.points == 0
 
-    def test_working_set_of_one_call(self, control_medium):
+    def test_working_set_of_one_call(self, control_medium, traced):
         # the kernel evaluates nothing until it is read; a dense K at n_disk
         # 16 would take 256 MiB
         g = build_momentum_grid(K, 6 * K, 16, 0)
-        medium = CountingProfile(control_medium)
-        tracemalloc.start()
-        try:
+        medium = Counting(control_medium)
+        with traced() as mem:
             kern = transfer_first_order(medium, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert medium.points == 0
-        assert peak < 2**20
+        assert mem.peak < 2**20
         assert sorted(vars(kern)) == ["grid", "profile"]
 
-    def test_sampled_kernel_within_cap(self, control_medium, grid):
+    def test_sampled_kernel_within_cap(self, control_medium, grid, traced):
         # the sampled transforms sum their z-slices one at a time, so the
         # kernel's working set follows the block model as for closed forms
         samp = sample_profile(control_medium, (32, 16, 16), (-16.0, -2.0, -2.0),
                               (1.0, 0.25, 0.25))
         cap = 64 * 2**20
-        tracemalloc.start()
-        try:
+        with traced() as mem:
             norm = transfer_first_order(samp, grid, memory_cap_bytes=cap).norm_max
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert norm > 0
-        assert peak <= cap
+        assert mem.peak <= cap
 
     @pytest.mark.parametrize("case", ["compliant", "control"])
-    def test_norm_max_is_max_of_dense_kernel(self, case, reference_medium, control_medium, grid):
-        medium = {"compliant": reference_medium, "control": control_medium}[case]
+    def test_norm_max_is_max_of_dense_kernel(self, case, named, grid):
+        medium, _ = named[case]
         kern = transfer_first_order(medium, grid)
         assert kern.norm_max > 0
         assert np.array_equal(kern.norm_max, np.abs(dense_kernel(kern)).max())
 
     @pytest.mark.parametrize("case", ["cut", "tensor"])
-    def test_one_channel_cores_are_slices(self, case, control_medium, grid):
+    def test_one_channel_cores_are_slices(self, case, named, grid):
         # _cores follows the channels of the factors it is given, also where
         # each channel pair is its own _core call (the cut is not z-constant)
-        medium = cut_control(control_medium) if case == "cut" else TensorView(control_medium)
+        medium, _ = named[case]
         P = grid.disk_points[::8]
         p, q = P[:, None], P[None]
         fp, fq = em.channel_factors(p, K), em.channel_factors(q, K)
@@ -429,23 +354,13 @@ class TestKernel:
             assert np.array_equal(_cores(medium, K, p, q, fp, one), a[..., l:l + 1, :])
 
     # z-constant media take one block per pair, scaled per channel pair by
-    # the slab transform; the sampled cut takes four 3D evaluations per pair.
-    # At k = 1.2 the compliant kernel is nonzero above threshold, and the
-    # shifted control makes the sign of the slab transform's frequency show
+    # the slab transform; the sampled cut takes four 3D evaluations per pair
     KERNEL_CASES = ["compliant", "gausserf", "control", "control_rotated", "cut",
                     "compliant_k12", "control_shifted"]
 
     @pytest.fixture(scope="class")
-    def oracle_case(self, request, reference_medium, gausserf_medium, control_medium, grid):
-        medium, k = {
-            "compliant": (reference_medium, K),
-            "gausserf": (gausserf_medium, K),
-            "control": (control_medium, K),
-            "control_rotated": (rotate_to_x(control_medium, (0.6, 0.8)), K),
-            "cut": (cut_control(control_medium), K),
-            "compliant_k12": (reference_medium, 1.2),
-            "control_shifted": (ShiftedProfile(control_medium, 0.7), K),
-        }[request.param]
+    def oracle_case(self, request, named, grid):
+        medium, k = named[request.param]
         g = grid if k == K else build_momentum_grid(k, 6 * k, 8, 0)
         return medium, g, IncidentWave.linear(k, 1.0, np.pi, 0.7)
 
@@ -479,7 +394,7 @@ class TestKernel:
         points = []
         for base in (reference_medium, control_medium, cut_control(control_medium),
                      TensorView(reference_medium)):
-            medium = CountingProfile(base)
+            medium = Counting(base)
             transfer_first_order(medium, grid).norm_max
             points.append(medium.points)
         assert points == [2 * n_pairs, 2 * n_pairs, 3 * 4 * n_pairs, 3 * n_pairs]
@@ -544,13 +459,8 @@ class TestScalarRoute:
     # the tolerances of TestDyson.test_matrix_matches_oracle
     @pytest.mark.parametrize("case, rel", [("control", 1e-10), ("control_rotated", 1e-10),
                                            ("compliant_k12", 1e-6)])
-    def test_dyson_matches_tensor_route(self, case, rel, control_medium, reference_medium):
-        medium, grid = {
-            "control": (control_medium, build_momentum_grid(K, 6 * K, 8, 8)),
-            "control_rotated": (rotate_to_x(control_medium, (0.6, 0.8)),
-                                build_momentum_grid(K, 6 * K, 8, 8)),
-            "compliant_k12": (reference_medium, build_momentum_grid(1.2, 7.2, 8, 8)),
-        }[case]
+    def test_dyson_matches_tensor_route(self, case, rel, dyson_case):
+        medium, grid = dyson_case(case)
         D, ref = dyson_matrix(medium, grid), dyson_matrix(TensorView(medium), grid)
         assert np.abs(ref).max() > 0
         assert np.abs(D - ref).max() <= rel * np.abs(ref).max()
@@ -560,10 +470,6 @@ class TestId101:
     def test_vacuum(self, grid):
         kern = transfer_first_order(vacuum_profile(), grid)
         assert identity_id101_residual(kern) == 0.0
-
-    def test_compliant(self, ref_kernel):
-        resid = identity_id101_residual(ref_kernel)
-        assert resid <= 1e-6 * ref_kernel.norm_max**2
 
     def test_control_baseline(self, control_medium, grid):
         kern = transfer_first_order(control_medium, grid)
@@ -579,7 +485,7 @@ class TestId101:
             "control": (control_medium, grid, 1.0283507216966356e-04),
             "compliant_k12": (reference_medium, build_momentum_grid(1.2, 7.2, 8, 0),
                               1.349002362379778e-05),
-            "control_shifted": (ShiftedProfile(control_medium, 0.7), grid, None),
+            "control_shifted": (Shifted(control_medium, 0.7), grid, None),
         }[case]
         kern = transfer_first_order(medium, g)
         A, ref = id101_matrix(kern), id101_matrix_ref(kern)
@@ -603,7 +509,7 @@ class TestId101:
         assert np.isnan(kern.norm_max)
 
     def test_norm_max_after_id101_evaluates_nothing(self, control_medium, grid):
-        medium = CountingProfile(control_medium)
+        medium = Counting(control_medium)
         kern = transfer_first_order(medium, grid)
         identity_id101_residual(kern)
         points = medium.points
@@ -612,24 +518,14 @@ class TestId101:
         assert norm == transfer_first_order(control_medium, grid).norm_max
 
     # V_2 (W / 2) K from channel-2 cores moves the product off the two-factor
-    # form of the dense K by its sum order only, also at one transform point
-    # per block and one block for everything
+    # form of the dense K by its sum order only, also at one block for
+    # everything (TestBlockSizeInvariance holds the one-point blocks to that)
     @pytest.mark.parametrize("case, block", [
         *((case, None) for case in ("vacuum", "compliant", "compliant_k12", "gausserf",
                                     "control", "control_shifted", "tensor")),
-        *((case, block) for block in (1, 10**9) for case in ("compliant", "compliant_k12",
-                                                             "control"))])
-    def test_matches_dense_product(self, case, block, monkeypatch, reference_medium,
-                                   gausserf_medium, control_medium):
-        medium, k = {
-            "vacuum": (vacuum_profile(), K),
-            "compliant": (reference_medium, K),
-            "compliant_k12": (reference_medium, 1.2),
-            "gausserf": (gausserf_medium, K),
-            "control": (control_medium, K),
-            "control_shifted": (ShiftedProfile(control_medium, 0.7), K),
-            "tensor": (TensorView(control_medium), K),
-        }[case]
+        *((case, 10**9) for case in ("compliant", "compliant_k12", "control"))])
+    def test_matches_dense_product(self, case, block, monkeypatch, named):
+        medium, k = named[case]
         if block is not None:
             monkeypatch.setattr("bornexact.medium.BLOCK_POINTS", block)
         kern = transfer_first_order(medium, build_momentum_grid(k, 6 * k, 8, 0))
@@ -639,64 +535,43 @@ class TestId101:
         assert np.abs(A - ref).max() <= 1e-14 * scale
         assert abs(resid - np.abs(ref).max()) <= 1e-14 * scale
 
-    @staticmethod
-    def traced_peak(kern):
-        tracemalloc.start()
-        try:
-            identity_id101_residual(kern)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    def test_working_set_within_model(self, control_medium, grid):
-        # right, one block's left and one quarter block; with K held as well it
-        # took 32.3 MiB, and with one whole kernel block and product 24.4 MiB
+    def test_working_set_within_model(self, control_medium, grid, traced):
+        # right (8 MiB), one block's left and one quarter block
         kern = transfer_first_order(control_medium, grid)
-        assert self.traced_peak(kern) <= _id101_bytes(grid.n_disk_points) < 17 * 2**20
+        with traced() as mem:
+            identity_id101_residual(kern)
+        assert mem.peak <= _id101_bytes(grid.n_disk_points) < 17 * 2**20
 
-    def test_working_set_at_n_disk_12(self, control_medium):
-        # right alone is 40.5 MiB here; one whole kernel block, left taken from
-        # it and the whole product took 57.1 MiB
+    def test_working_set_at_n_disk_12(self, control_medium, traced):
+        # right alone is 40.5 MiB here
         g = build_momentum_grid(K, 6 * K, 12, 0)
-        model = _id101_bytes(g.n_disk_points)
-        assert self.traced_peak(transfer_first_order(control_medium, g)) <= model < 50 * 2**20
+        kern = transfer_first_order(control_medium, g)
+        with traced() as mem:
+            identity_id101_residual(kern)
+        assert mem.peak <= _id101_bytes(g.n_disk_points) < 50 * 2**20
 
     def test_two_transform_passes(self, control_medium, grid):
         # right from channel-2 cores, then left and max|K| from each block's
         # cores: one scalar form and one reciprocal per pair and pass
-        medium = CountingProfile(control_medium)
+        medium = Counting(control_medium)
         identity_id101_residual(transfer_first_order(medium, grid))
         assert medium.points == 4 * grid.n_disk_points**2
 
-    def test_memory_guard_before_allocating(self, control_medium, grid, monkeypatch):
+    def test_memory_guard_before_allocating(self, control_medium, grid, monkeypatch, traced):
         # the estimate at n_disk 8 is 8 MiB of right plus 8.25 MiB for one block
-        medium = CountingProfile(control_medium)
+        medium = Counting(control_medium)
         kern = transfer_first_order(medium, grid)
         monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 16 * 2**20)
-        tracemalloc.start()
-        try:
-            with pytest.raises(InvalidResolution, match=r"id101 needs 17 MiB > cap 16 MiB"):
-                identity_id101_residual(kern)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        with traced() as mem, pytest.raises(InvalidResolution,
+                                            match=r"id101 needs 17 MiB > cap 16 MiB"):
+            identity_id101_residual(kern)
+        assert mem.peak < 2**20
         assert medium.points == 0
 
 
 class TestDyson:
     def test_vacuum(self, grid_with_box):
         assert dyson_second_order_norm(vacuum_profile(), grid_with_box) == 0.0
-
-    def test_compliant_exact_zero(self, reference_medium, grid_with_box, ref_kernel):
-        norm = dyson_second_order_norm(reference_medium, grid_with_box)
-        assert norm <= 1e-6 * ref_kernel.norm_max
-
-    def test_control_baseline(self, control_medium, grid, grid_with_box):
-        kern = transfer_first_order(control_medium, grid)
-        norm = dyson_second_order_norm(control_medium, grid_with_box)
-        slab_w = control_medium.slab[1] - control_medium.slab[0]
-        assert norm >= 1e-2 * kern.norm_max**2 * slab_w
 
     def test_compliant_above_threshold_not_zeroed(self, reference_medium):
         # at k = 1.2 alpha D reads 1.028e-5, 3.2e-4 of max|K| (at k = 0.8
@@ -741,12 +616,8 @@ class TestDyson:
     # when the medium is rescaled by 1 + 2^-40
     @pytest.mark.parametrize("case, rel", [("control", 1e-10), ("control_rotated", 1e-10),
                                            ("compliant_k12", 1e-6)])
-    def test_matrix_matches_oracle(self, case, rel, control_medium, reference_medium, small_box):
-        medium, grid = {
-            "control": (control_medium, small_box),
-            "control_rotated": (rotate_to_x(control_medium, (0.6, 0.8)), small_box),
-            "compliant_k12": (reference_medium, build_momentum_grid(1.2, 7.2, 8, 8)),
-        }[case]
+    def test_matrix_matches_oracle(self, case, rel, dyson_case):
+        medium, grid = dyson_case(case)
         D = dyson_matrix(medium, grid)
         ref = dyson_matrix_ref(medium, grid)
         assert D.shape == ref.shape == (grid.n_disk_points,) * 2 + (4, 4)
@@ -756,50 +627,43 @@ class TestDyson:
     def test_compliant_evaluated_like_control(self, control_medium, reference_medium, small_box):
         points = []
         for base in (reference_medium, control_medium):
-            medium = CountingProfile(base)
+            medium = Counting(base)
             norm = dyson_second_order_norm(medium, small_box)
             assert (norm == 0.0) == (base is reference_medium)
             points.append(medium.points)
         assert points[0] == points[1] > 0
 
     def test_memory_guard_before_any_transform(self, reference_medium):
-        medium = CountingProfile(reference_medium)
+        medium = Counting(reference_medium)
         with pytest.raises(InvalidResolution, match=r"needs \d+ MiB > cap"):
             dyson_second_order_norm(medium, build_momentum_grid(K, 6 * K, 64, 256))
         assert medium.points == 0
 
-    @staticmethod
-    def traced_peak(profile, grid):
-        tracemalloc.start()
-        try:
-            dyson_second_order_norm(profile, grid)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     @pytest.mark.parametrize("route", ["scalar", "tensor"])
-    def test_working_set_within_model(self, control_medium, route):
-        g = build_momentum_grid(K, 6 * K, 8, 8)
+    def test_working_set_within_model(self, control_medium, small_box, route, traced):
         medium = control_medium if route == "scalar" else TensorView(control_medium)
-        Nd, Nr = g.n_disk_points, g.points.shape[0]
-        n_r = min(BLOCK_POINTS // Nd, Nr)
-        model = Nd * (Nd * _DYSON_DISK_PAIR_BYTES + n_r * _DYSON_PAIR_BYTES)
-        assert self.traced_peak(medium, g) <= model
+        with traced() as mem:
+            dyson_second_order_norm(medium, small_box)
+        assert mem.peak <= _dyson_bytes(small_box.n_disk_points, len(small_box.points))
 
-    def test_working_set_of_one_call(self, control_medium, small_box, monkeypatch):
-        # T (16 MiB), E_pq, one block of intermediates and one chunk product; T,
-        # its GEMM buffer and the whole D took 55.6 MiB, and whole (256 x 320)
-        # cores 82 MiB.  The guard's estimate is 44 MiB
+    def test_working_set_of_one_call(self, control_medium, small_box, monkeypatch, traced):
+        # T (16 MiB), E_pq, one block of intermediates and one chunk product.
+        # The guard's estimate is 44 MiB
+        assert _dyson_bytes(small_box.n_disk_points, len(small_box.points)) == 44 * 2**20
         monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 44 * 2**20)
-        assert self.traced_peak(control_medium, small_box) <= 40 * 2**20
+        with traced() as mem:
+            dyson_second_order_norm(control_medium, small_box)
+        assert mem.peak <= 40 * 2**20
 
-    def test_working_set_at_n_disk_12(self, control_medium, monkeypatch):
-        # T alone is 81 MiB here, so a second (4 Nd)^2 array breaks the bound; T,
-        # its GEMM buffer and the whole D took 201.9 MiB.  The guard's estimate
-        # is 125 MiB
-        monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 125 * 2**20)
+    def test_working_set_at_n_disk_12(self, control_medium, monkeypatch, traced):
+        # T alone is 81 MiB here, so a second (4 Nd)^2 array breaks the bound.
+        # The guard's estimate is 125 MiB
         g = build_momentum_grid(K, 6 * K, 12, 8)
-        assert self.traced_peak(control_medium, g) <= 125 * 2**20
+        assert _dyson_bytes(g.n_disk_points, len(g.points)) == 124.875 * 2**20
+        monkeypatch.setattr("bornexact.medium.MEMORY_CAP_BYTES", 125 * 2**20)
+        with traced() as mem:
+            dyson_second_order_norm(control_medium, g)
+        assert mem.peak <= 125 * 2**20
 
     def test_blocks_are_rows_and_their_max_is_the_norm(self, control_medium, small_box,
                                                         control_norm):
@@ -878,36 +742,27 @@ class TestSolve:
 
     def test_evaluates_no_transform(self, reference_medium):
         # the closed form is evaluated by amplitude_from_T where it is read
-        medium = CountingProfile(reference_medium)
+        medium = Counting(reference_medium)
         sol = solve_T(None, W_TILTED, profile=medium, grid=build_momentum_grid(K, 6 * K, 128, 0))
         assert medium.points == 0
         assert sorted(vars(sol)) == ["grid", "incident", "profile"]
 
-    def test_working_set_within_model(self, gausserf_medium):
+    def test_working_set_within_model(self, gausserf_medium, traced):
         g = build_momentum_grid(K, 6 * K, 32, 0)
-        tracemalloc.start()
-        try:
+        with traced() as mem:
             _closed_form_t(gausserf_medium, W_TILTED, g.disk_points)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # beyond its outputs, per point of one block (n_disk 16 to 128): 1.23-1.48
         # kB scalar, 1.62-1.68 kB tensor, 1.65-1.75 kB sampled
         n = g.n_disk_points
-        assert peak <= n * 8 * 16 + min(n, BLOCK_POINTS) * 8 * 256
+        assert mem.peak <= n * 8 * 16 + min(n, BLOCK_POINTS) * 8 * 256
 
-    def test_working_set_of_one_call(self, gausserf_medium):
-        # outputs plus one block: 65536 points at once took 76 MiB, the
-        # working-set model allows 40 MiB
+    def test_working_set_of_one_call(self, gausserf_medium, traced):
+        # outputs plus one block; the working-set model allows 40 MiB
         g = build_momentum_grid(K, 6 * K, 128, 0)
         _closed_form_t(gausserf_medium, W_TILTED, build_momentum_grid(K, 6 * K, 8, 0).disk_points)
-        tracemalloc.start()
-        try:
+        with traced() as mem:
             _closed_form_t(gausserf_medium, W_TILTED, g.disk_points)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        assert mem.peak <= 32 * 2**20
 
     def test_incidence_outside_disk(self, reference_medium, grid):
         w = IncidentWave.linear(K, np.pi / 2 - 1e-4, 0.0, 0.0)
@@ -932,15 +787,8 @@ class TestBlockSizeInvariance:
 
     @pytest.mark.parametrize("case", ["compliant", "compliant_k12", "gausserf", "control",
                                       "tensor"])
-    def test_kernel_id101_and_t_bitwise(self, case, monkeypatch, reference_medium,
-                                        gausserf_medium, control_medium):
-        medium, k = {
-            "compliant": (reference_medium, K),
-            "compliant_k12": (reference_medium, 1.2),
-            "gausserf": (gausserf_medium, K),
-            "control": (control_medium, K),
-            "tensor": (TensorView(control_medium), K),
-        }[case]
+    def test_kernel_id101_and_t_bitwise(self, case, monkeypatch, named):
+        medium, k = named[case]
         g = build_momentum_grid(k, 6 * k, 8, 0)
         w = IncidentWave.linear(k, 1.0, np.pi, 0.7)
 
@@ -959,18 +807,12 @@ class TestBlockSizeInvariance:
     # rounding, as in test_matrix_matches_oracle
     @pytest.mark.parametrize("case, rel", [("compliant", 0.0), ("control", 1e-10),
                                            ("control_rotated", 1e-10), ("compliant_k12", 1e-6)])
-    def test_dyson_matrix(self, case, rel, monkeypatch, control_medium, reference_medium):
-        base, grid = {
-            "compliant": (reference_medium, build_momentum_grid(K, 6 * K, 8, 8)),
-            "control": (control_medium, build_momentum_grid(K, 6 * K, 8, 8)),
-            "control_rotated": (rotate_to_x(control_medium, (0.6, 0.8)),
-                                build_momentum_grid(K, 6 * K, 8, 8)),
-            "compliant_k12": (reference_medium, build_momentum_grid(1.2, 7.2, 8, 8)),
-        }[case]
+    def test_dyson_matrix(self, case, rel, monkeypatch, dyson_case):
+        base, grid = dyson_case(case)
         media = []
 
         def run():
-            media.append(CountingProfile(base))
+            media.append(Counting(base))
             return dyson_matrix(media[-1], grid)
 
         one, whole = self.at_blocks(monkeypatch, run)
@@ -1015,7 +857,7 @@ class TestAmplitude:
             return _closed_form_t(profile, w, p2)
 
         monkeypatch.setattr(transfer, "_closed_form_t", recording)
-        medium = CountingProfile(reference_medium)
+        medium = Counting(reference_medium)
         sol = solve_T(None, W_TILTED, profile=medium, grid=build_momentum_grid(K, 6 * K, 128, 0))
         assert np.any(amplitude_from_T(sol, DetectorDirection(1.15, 0.0), mode=mode))
         assert calls == [n_points]
