@@ -156,7 +156,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown suite {unknown[0]!r}")
         tols = {**_DEFAULT_TOLERANCES, **_section(raw, "tolerances")}
-        self.tolerances = {name: _positive(v, f"tolerances.{name}") for name, v in tols.items()}
+        self.tolerances = {n: _positive(tols[n], f"tolerances.{n}") for n in _DEFAULT_TOLERANCES}
         self.sweep_ks = [_positive(v, "sweep.k_over_alpha") for v in
                          _section(raw, "sweep").get("k_over_alpha", [0.3, 0.5, 0.8])]
         self.seed = _count(raw, "seed", 0, 0, "")

@@ -1,7 +1,3 @@
-import tracemalloc
-from contextlib import contextmanager
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -30,21 +26,3 @@ def gausserf_medium():
 def control_medium():
     """Unmodulated Gaussian of equal peak |eta| (sqrt(pi) * 0.01)."""
     return GaussianControlProfile(2.0, TransverseBox(np.sqrt(np.pi) * 0.01, 3.0, 4.0))
-
-
-@contextmanager
-def _traced_block():
-    mem = SimpleNamespace()
-    tracemalloc.start()
-    try:
-        yield mem
-        mem.current, mem.peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-
-
-@pytest.fixture
-def traced():
-    """The memory probe: `with traced() as mem:` traces its block with
-    tracemalloc, and on exit mem.current and mem.peak hold its traced bytes."""
-    return _traced_block

@@ -2,12 +2,30 @@
 
 A View copies its base's alpha, slab and z_constant and forwards every method it
 does not replace, so a fake differs from its base only where its class says.
+Also the tests' one memory probe, traced.
 """
+
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
 from bornexact import RationalEnvelopeProfile, TransverseBox
 from bornexact.medium import MediumProfile
+
+
+@contextmanager
+def traced():
+    """`with traced() as mem:` traces its block with tracemalloc, and on exit
+    mem.current and mem.peak hold its traced bytes."""
+    mem = SimpleNamespace()
+    tracemalloc.start()
+    try:
+        yield mem
+        mem.current, mem.peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 def vacuum_profile():
@@ -35,13 +53,6 @@ class View(MediumProfile):
     default_window = _forwarded("default_window")
     sampling_box = _forwarded("sampling_box")
     _support_lines = _forwarded("_support_lines")
-
-
-class Opaque(View):
-    """A view without its base's support lines: the support scan reads its eta
-    one z-slice at a time, as for any medium that is not an envelope."""
-
-    _support_lines = MediumProfile._support_lines
 
 
 class TensorView(View):
@@ -85,6 +96,13 @@ class Counting(View):
         return self.base.recip33_ft3(q3, which)
 
 
+class Opaque(Counting):
+    """A counting view without its base's support lines: the support scan reads
+    its eta one z-slice at a time, as for any medium that is not an envelope."""
+
+    _support_lines = MediumProfile._support_lines
+
+
 class NanAtTransfer(TensorView):
     """A tensor view with eta_eps NaN at one transfer p - q."""
 
@@ -98,7 +116,15 @@ class NanAtTransfer(TensorView):
         return np.where(at[..., None, None], np.nan, Te), Tm
 
 
-class Shifted(TensorView):
+class _Transformed(TensorView):
+    """A tensor view with its own 3D transforms and no eta in position space."""
+
+    eval_eta = MediumProfile.eval_eta
+    _support_lines = MediumProfile._support_lines
+    sampling_box = MediumProfile.sampling_box
+
+
+class Shifted(_Transformed):
     """A z-constant medium moved by z0 along z, still z-constant.
 
     Its slab moves by z0 and its 3D transforms gain e^{-i q_z z0}; its eta in
@@ -106,8 +132,6 @@ class Shifted(TensorView):
     z = 0, where the slab transform is even, E(w) = E(-w); off centre, a flipped
     frequency shows.
     """
-
-    eval_eta = MediumProfile.eval_eta
 
     def __init__(self, base, z0):
         super().__init__(base)
@@ -124,13 +148,12 @@ class Shifted(TensorView):
         return self._phase(q3) * self.base.recip33_ft3(q3, which)
 
 
-class MagneticTensor(TensorView):
+class MagneticTensor(_Transformed):
     """A base medium's scalar transform times constant random complex,
     non-symmetric 3x3 tensors for eta_eps and eta_mu: anisotropic and
     magnetic, with no scalar form, so second Born takes the tensor chain.
     Its eta in position space and its reciprocal symbols are not given."""
 
-    eval_eta = MediumProfile.eval_eta
     recip33_ft3 = MediumProfile.recip33_ft3
 
     def __init__(self, base, seed=0):

@@ -237,6 +237,8 @@ class TestVerify:
             "tolerances": {"exactness_contrast": 1e-3},
         })
         assert cfg.grid.n_r == 8 and cfg.grid.points.shape == (8 * 32, 2)
+        for contrast in (0, -1.0):  # any number, as nothing reads it
+            RunConfig({"medium": SPEC_MEDIUM, "tolerances": {"exactness_contrast": contrast}})
         for bad in ({"grid": {"p_max_over_k": "6"}},
                     {"tolerances": {"exactness_contrast": "x"}}):
             with pytest.raises(ConfigError, match="read by nothing"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bornexact import support_report
 from fakes import Counting, MagneticTensor, NanAtTransfer, Shifted, TensorView, View
 
 Q3 = np.array([[1.5, 0.2, 0.1], [-0.3, 0.4, 0.0]])
@@ -38,3 +39,12 @@ def test_counting_counts_every_transform_point(control_medium):
         medium.eta3_tensors(Q3)
         medium.recip33_ft3(Q3, "eps")
         assert medium.points == scalar_points + 4
+
+
+def test_transformed_views_give_no_position_space(control_medium):
+    # neither passes on its base's eta, support lines or sampling box
+    for fake in (Shifted(control_medium, 0.7), MagneticTensor(control_medium)):
+        for read in (lambda: fake.eval_eta(Q3), fake.sampling_box,
+                     lambda: next(fake._support_lines(*Q3.T)), lambda: support_report(fake, 1.0)):
+            with pytest.raises(NotImplementedError):
+                read()

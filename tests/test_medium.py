@@ -22,7 +22,7 @@ from bornexact.errors import (BoundsViolated, ConfigError, InvalidArgument, Inva
                               WindowTooSmall)
 from bornexact.medium import MediumProfile, _sinc
 from bornexact.sampled import write_grid
-from fakes import Counting, Opaque, vacuum_profile
+from fakes import Counting, Opaque, traced, vacuum_profile
 from oracles import (envelope_ft_ref, eta2_ref, profile_to_dict, recip2_ref, sampled_z_sum,
                      u_pow_ref)
 
@@ -190,14 +190,13 @@ class TestFourierForms:
 class TestSpecialFunctionsAgainstScipy:
     """The package's numpy-only special functions against scipy.special."""
 
-    def test_gausserf_envelope_matches_dawson(self):
-        prof = GaussErfProfile(ALPHA, 2.0, TransverseBox(0.01, 3.0, 4.0))
+    def test_gausserf_envelope_matches_dawson(self, gausserf_medium):
         s = np.concatenate([[0.0], np.linspace(-30.0, 30.0, 60001),
                             np.logspace(-8, 4, 2001), -np.logspace(-8, 4, 2001)])
-        x = prof.a * s
+        x = gausserf_medium.a * s
         want = (np.sqrt(np.pi) * np.exp(-(s**2)) + 2j * dawsn(s)) * np.exp(1j * ALPHA * x)
-        assert np.abs(prof.envelope_x(x) - want).max() <= 1e-14 * np.sqrt(np.pi)
-        assert prof.envelope_x(np.zeros(1))[0] == np.sqrt(np.pi)
+        assert np.abs(gausserf_medium.envelope_x(x) - want).max() <= 1e-14 * np.sqrt(np.pi)
+        assert gausserf_medium.envelope_x(np.zeros(1))[0] == np.sqrt(np.pi)
 
     @pytest.mark.parametrize("m_exp", range(1, 9))
     def test_rational_spectral_extent_matches_lambertw(self, m_exp):
@@ -366,7 +365,8 @@ class TestSupportReport:
             support_report(reference_medium, ALPHA, window=4.0, grid=(512, 64, 16))
 
     def test_window_edge_rejected_before_scan(self, reference_medium):
-        medium = Counting(reference_medium)
+        # an opaque medium, so a scan run before the edge check would be counted
+        medium = Opaque(reference_medium)
         with pytest.raises(WindowTooSmall, match="window edge"):
             support_report(medium, ALPHA, window=1.0, grid=(512, 64, 16))
         # the edge points one z-slice at a time and the centre, no scan slice
@@ -397,7 +397,7 @@ class TestSupportReport:
             prof, ALPHA, grid=grid
         )
 
-    def test_working_set_of_the_edge_check(self, reference_medium, traced):
+    def test_working_set_of_the_edge_check(self, reference_medium):
         # the edge check reads one z-slice at a time, which leaves the scan's
         # envelope line
         support_report(reference_medium, ALPHA)
@@ -636,7 +636,7 @@ class TestSampledProfile:
         assert np.abs(e2).min(axis=0)[0, 0] > 0
         assert np.abs(e3 - (hi - lo) * e2).max() <= 1e-14 * np.abs(e2).max()
 
-    def test_absent_eta_mu_builds_no_table(self, traced):
+    def test_absent_eta_mu_builds_no_table(self):
         # 64x32x16 isotropic grid: eta_eps and its one FFT table, no zero
         # eta_mu grid and no zero eta_mu or 1/mu33 tables
         rng = np.random.default_rng(5)

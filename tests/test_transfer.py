@@ -44,7 +44,7 @@ from bornexact.transfer import (
     _id101_bytes,
     _id101_rows,
 )
-from fakes import Counting, NanAtTransfer, Shifted, TensorView, vacuum_profile
+from fakes import Counting, NanAtTransfer, Shifted, TensorView, traced, vacuum_profile
 from oracles import (
     assemble_v_ref,
     channels,
@@ -167,13 +167,13 @@ class TestGrid:
             build_momentum_grid(K, 0.5 * K, 8, 0)
 
     @pytest.mark.parametrize("n_disk, n_box", [(8, 20), (64, 0), (16, 256)])
-    def test_working_set_within_model(self, n_disk, n_box, traced):
+    def test_working_set_within_model(self, n_disk, n_box):
         build_momentum_grid(K, 6 * K, 8, 8)
         with traced() as mem:
             build_momentum_grid(K, 6 * K, n_disk, n_box)
         assert mem.peak <= (4 * n_disk**2 + n_box**2) * _GRID_POINT_BYTES
 
-    def test_memory_guard_before_allocating(self, traced):
+    def test_memory_guard_before_allocating(self):
         # 4e10 disk points, refused before np.meshgrid
         with traced() as mem, pytest.raises(InvalidResolution,
                                             match=r"momentum grid needs \d+ MiB > cap"):
@@ -291,7 +291,7 @@ class TestKernel:
         with pytest.raises(InvalidResolution):
             transfer_first_order(reference_medium, grid, memory_cap_bytes=1024)
 
-    def test_chunked_kernel_within_cap(self, control_medium, grid, monkeypatch, traced):
+    def test_chunked_kernel_within_cap(self, control_medium, grid, monkeypatch):
         # the guard's boundary: the readers' largest working set, id101's right,
         # one block's left and one quarter block (16.25 MiB at n_disk 8), is
         # accepted at a cap of exactly that and id101 runs within it; 1 byte
@@ -307,7 +307,7 @@ class TestKernel:
             transfer_first_order(medium, grid, memory_cap_bytes=cap - 1)
         assert medium.points == 0
 
-    def test_working_set_of_one_call(self, control_medium, traced):
+    def test_working_set_of_one_call(self, control_medium):
         # the kernel evaluates nothing until it is read; a dense K at n_disk
         # 16 would take 256 MiB
         g = build_momentum_grid(K, 6 * K, 16, 0)
@@ -318,7 +318,7 @@ class TestKernel:
         assert mem.peak < 2**20
         assert sorted(vars(kern)) == ["grid", "profile"]
 
-    def test_sampled_kernel_within_cap(self, control_medium, grid, traced):
+    def test_sampled_kernel_within_cap(self, control_medium, grid):
         # the sampled transforms sum their z-slices one at a time, so the
         # kernel's working set follows the block model as for closed forms
         samp = sample_profile(control_medium, (32, 16, 16), (-16.0, -2.0, -2.0),
@@ -411,15 +411,10 @@ SCALAR_MEDIA = ["rational_m1", "rational_m2", "gausserf", "control", "control_ro
 
 
 @pytest.fixture(scope="module")
-def scalar_medium(request, control_medium):
-    box = TransverseBox(0.01, 3.0, 4.0)
-    return {
-        "rational_m1": lambda: RationalEnvelopeProfile(ALPHA, 2.0, 1, box),
-        "rational_m2": lambda: RationalEnvelopeProfile(ALPHA, 2.0, 2, box),
-        "gausserf": lambda: GaussErfProfile(ALPHA, 2.0, box),
-        "control": lambda: control_medium,
-        "control_rotated": lambda: rotate_to_x(control_medium, (0.6, 0.8)),
-    }[request.param]()
+def scalar_medium(request, named):
+    if request.param == "rational_m2":
+        return RationalEnvelopeProfile(ALPHA, 2.0, 2, TransverseBox(0.01, 3.0, 4.0))
+    return named[{"rational_m1": "compliant"}.get(request.param, request.param)][0]
 
 
 class TestScalarRoute:
@@ -480,13 +475,11 @@ class TestId101:
     # max-norm to 12 digits on these media but differ entrywise by 2 max|.|,
     # so only the whole matrix tells a swapped channel apart
     @pytest.mark.parametrize("case", ["control", "compliant_k12", "control_shifted"])
-    def test_matrix_matches_oracle(self, case, reference_medium, control_medium, grid):
-        medium, g, pinned = {
-            "control": (control_medium, grid, 1.0283507216966356e-04),
-            "compliant_k12": (reference_medium, build_momentum_grid(1.2, 7.2, 8, 0),
-                              1.349002362379778e-05),
-            "control_shifted": (Shifted(control_medium, 0.7), grid, None),
-        }[case]
+    def test_matrix_matches_oracle(self, case, named, grid):
+        medium, k = named[case]
+        g = grid if k == K else build_momentum_grid(1.2, 7.2, 8, 0)
+        pinned = {"control": 1.0283507216966356e-04,
+                  "compliant_k12": 1.349002362379778e-05}.get(case)
         kern = transfer_first_order(medium, g)
         A, ref = id101_matrix(kern), id101_matrix_ref(kern)
         assert A.shape == ref.shape == (g.n_disk_points,) * 2 + (4, 4)
@@ -535,14 +528,14 @@ class TestId101:
         assert np.abs(A - ref).max() <= 1e-14 * scale
         assert abs(resid - np.abs(ref).max()) <= 1e-14 * scale
 
-    def test_working_set_within_model(self, control_medium, grid, traced):
+    def test_working_set_within_model(self, control_medium, grid):
         # right (8 MiB), one block's left and one quarter block
         kern = transfer_first_order(control_medium, grid)
         with traced() as mem:
             identity_id101_residual(kern)
         assert mem.peak <= _id101_bytes(grid.n_disk_points) < 17 * 2**20
 
-    def test_working_set_at_n_disk_12(self, control_medium, traced):
+    def test_working_set_at_n_disk_12(self, control_medium):
         # right alone is 40.5 MiB here
         g = build_momentum_grid(K, 6 * K, 12, 0)
         kern = transfer_first_order(control_medium, g)
@@ -557,7 +550,7 @@ class TestId101:
         identity_id101_residual(transfer_first_order(medium, grid))
         assert medium.points == 4 * grid.n_disk_points**2
 
-    def test_memory_guard_before_allocating(self, control_medium, grid, monkeypatch, traced):
+    def test_memory_guard_before_allocating(self, control_medium, grid, monkeypatch):
         # the estimate at n_disk 8 is 8 MiB of right plus 8.25 MiB for one block
         medium = Counting(control_medium)
         kern = transfer_first_order(medium, grid)
@@ -640,13 +633,13 @@ class TestDyson:
         assert medium.points == 0
 
     @pytest.mark.parametrize("route", ["scalar", "tensor"])
-    def test_working_set_within_model(self, control_medium, small_box, route, traced):
+    def test_working_set_within_model(self, control_medium, small_box, route):
         medium = control_medium if route == "scalar" else TensorView(control_medium)
         with traced() as mem:
             dyson_second_order_norm(medium, small_box)
         assert mem.peak <= _dyson_bytes(small_box.n_disk_points, len(small_box.points))
 
-    def test_working_set_of_one_call(self, control_medium, small_box, monkeypatch, traced):
+    def test_working_set_of_one_call(self, control_medium, small_box, monkeypatch):
         # T (16 MiB), E_pq, one block of intermediates and one chunk product.
         # The guard's estimate is 44 MiB
         assert _dyson_bytes(small_box.n_disk_points, len(small_box.points)) == 44 * 2**20
@@ -655,7 +648,7 @@ class TestDyson:
             dyson_second_order_norm(control_medium, small_box)
         assert mem.peak <= 40 * 2**20
 
-    def test_working_set_at_n_disk_12(self, control_medium, monkeypatch, traced):
+    def test_working_set_at_n_disk_12(self, control_medium, monkeypatch):
         # T alone is 81 MiB here, so a second (4 Nd)^2 array breaks the bound.
         # The guard's estimate is 125 MiB
         g = build_momentum_grid(K, 6 * K, 12, 8)
@@ -747,7 +740,7 @@ class TestSolve:
         assert medium.points == 0
         assert sorted(vars(sol)) == ["grid", "incident", "profile"]
 
-    def test_working_set_within_model(self, gausserf_medium, traced):
+    def test_working_set_within_model(self, gausserf_medium):
         g = build_momentum_grid(K, 6 * K, 32, 0)
         with traced() as mem:
             _closed_form_t(gausserf_medium, W_TILTED, g.disk_points)
@@ -756,7 +749,7 @@ class TestSolve:
         n = g.n_disk_points
         assert mem.peak <= n * 8 * 16 + min(n, BLOCK_POINTS) * 8 * 256
 
-    def test_working_set_of_one_call(self, gausserf_medium, traced):
+    def test_working_set_of_one_call(self, gausserf_medium):
         # outputs plus one block; the working-set model allows 40 MiB
         g = build_momentum_grid(K, 6 * K, 128, 0)
         _closed_form_t(gausserf_medium, W_TILTED, build_momentum_grid(K, 6 * K, 8, 0).disk_points)
@@ -912,12 +905,11 @@ class TestAmplitude:
         with pytest.raises(DirectionOnRim):
             amplitude_from_T(sol, DetectorDirection(np.pi / 2 - 1e-6, 0.0))
 
-    def test_magnetic_sign_regression(self):
+    def test_magnetic_sign_regression(self, reference_medium):
         # mu-only anisotropic sampled medium: both routes must agree, which
         # pins the magnetic sign in the first-Born formula to -1; flipping
         # it would give an O(2) relative mismatch on this purely magnetic
         # scatterer
-        base = RationalEnvelopeProfile(ALPHA, 2.0, 1, TransverseBox(0.01, 3.0, 4.0))
         nx, ny, nz = 96, 48, 24
         origin = (-40.0, -2.4, -2.2)
         spacing = (80.0 / (nx - 1), 4.8 / (ny - 1), 4.4 / (nz - 1))
@@ -925,7 +917,7 @@ class TestAmplitude:
         ys = origin[1] + np.arange(ny) * spacing[1]
         zs = origin[2] + np.arange(nz) * spacing[2]
         pts = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1)
-        ee, _ = base.eval_eta(pts.reshape(-1, 3))
+        ee, _ = reference_medium.eval_eta(pts.reshape(-1, 3))
         scal = ee.reshape(nx, ny, nz, 3, 3)[..., 0, 0]
         em_t = np.zeros((nx, ny, nz, 3, 3), complex)
         for i, c in enumerate((0.7, 1.0, 0.4)):
